@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -154,24 +155,31 @@ def _quality_report(x, gmm, seed):
     return report
 
 
+def _sample_count(args) -> int:
+    if args.n < 2:
+        raise ConfigError(f"-n must be >= 2 for the quality report, got {args.n}")
+    return args.n
+
+
 def cmd_sample(args) -> int:
     cfg = _load_config(args.config)
     sched = _resolve_schedule(args, cfg)
     gmm = _resolve_gmm(cfg)
     sampler_cfg = _resolve_sampler(args, cfg)
     threads = _threads(args)
+    n = _sample_count(args)
 
     if args.trajectories:
-        x, trajs = _run_sample(sched, gmm, sampler_cfg, args.n, threads, True)
+        x, trajs = _run_sample(sched, gmm, sampler_cfg, n, threads, True)
     else:
-        x = _run_sample(sched, gmm, sampler_cfg, args.n, threads)
+        x = _run_sample(sched, gmm, sampler_cfg, n, threads)
         trajs = None
+    report = _quality_report(x, gmm, sampler_cfg.seed)
 
     out_dir = Path(args.out)
     _write_csv(out_dir / "samples.csv",
                ["sample_id"] + [f"x_{j}" for j in range(gmm.dim)],
                ((i, *map(float, x[i])) for i in range(x.shape[0])))
-    report = _quality_report(x, gmm, sampler_cfg.seed)
     _write_json(out_dir / "report.json", report.to_dict())
     if trajs is not None:
         rows = []
@@ -191,22 +199,19 @@ def cmd_sweep(args) -> int:
     gmm = _resolve_gmm(cfg)
     base = _resolve_sampler(args, cfg)
     threads = _threads(args)
+    n = _sample_count(args)
     gammas = _parse_grid(args.gammas, "gamma")
     deltas = _parse_grid(args.deltas, "delta")
     rhos = _parse_grid(args.rhos, "rho")
 
     model = oracle_score_model(gmm, sched)
-    reference = sample_data(gmm, args.n, base.seed)
+    reference = sample_data(gmm, n, base.seed)
     cells = [(g, d, r) for g in gammas for d in deltas for r in rhos]
 
     def run_cell(cell):
         g, d, r = cell
-        cell_cfg = SamplerConfig(
-            kind="generalized", rho=r, gamma=g, delta=d, eta=base.eta,
-            steps=base.steps, grid_kind=base.grid_kind, t_start=base.t_start,
-            t_end=base.t_end, seed=base.seed, substeps=base.substeps,
-        )
-        x = sample(sched, model, cell_cfg, n=args.n, d=gmm.dim)
+        cell_cfg = replace(base, kind="generalized", rho=r, gamma=g, delta=d)
+        x = sample(sched, model, cell_cfg, n=n, d=gmm.dim)
         rep = moment_report(x, gmm)
         ed = energy_distance(x, reference)
         return (g, d, r, rep.mean_error_l2, rep.cov_frobenius_error, ed)

@@ -47,26 +47,30 @@ class TransitionKernel:
     variance: float
 
 
+def _drift_diffusion(schedule: Schedule, t):
+    """Forward SDE drift factor f and diffusion g at a time or time array."""
+    sigma = schedule.sigma(t)
+    g2 = -schedule.dlambda_dt(t) * sigma * sigma
+    bad = g2 < -_G2_TOL * np.maximum(1.0, np.abs(g2))
+    if np.any(bad):
+        raise NumericalError(f"negative diffusion radicand g^2={g2[bad]} at "
+                             f"t={np.asarray(t)[bad]}; schedule broken")
+    return (schedule.dalpha_dt(t) / schedule.alpha(t),
+            np.sqrt(np.maximum(g2, 0.0)))
+
+
 def forward_coeffs(schedule: Schedule, t: float) -> DriftDiffusion:
     """Drift and diffusion of the forward SDE at time t."""
-    t = float(t)
-    alpha = float(schedule.alpha(t))
-    sigma = float(schedule.sigma(t))
-    f = float(schedule.dalpha_dt(t)) / alpha
-    g2 = -float(schedule.dlambda_dt(t)) * sigma * sigma
-    if g2 < -_G2_TOL * max(1.0, abs(g2)):
-        raise NumericalError(
-            f"negative diffusion radicand g^2={g2} at t={t}; schedule broken"
-        )
-    return DriftDiffusion(f=f, g=float(np.sqrt(max(g2, 0.0))))
+    f, g = _drift_diffusion(schedule, float(t))
+    return DriftDiffusion(f=float(f), g=float(g))
 
 
-def _exp_diff(lam_t: float, lam_s: float) -> float:
+def _exp_diff(lam_t, lam_s):
     """e^{-lam_t} - e^{-lam_s}, computed without cancellation.
 
     Positive whenever lam_s > lam_t (i.e. s < t on a valid schedule).
     """
-    return float(np.exp(-lam_s) * np.expm1(lam_s - lam_t))
+    return np.exp(-lam_s) * np.expm1(lam_s - lam_t)
 
 
 def transition(schedule: Schedule, s: float, t: float) -> TransitionKernel:
@@ -78,7 +82,7 @@ def transition(schedule: Schedule, s: float, t: float) -> TransitionKernel:
     alpha_s = float(schedule.alpha(s))
     lam_t = float(schedule.lam(t))
     lam_s = float(schedule.lam(s))
-    variance = alpha_t * alpha_t * _exp_diff(lam_t, lam_s)
+    variance = alpha_t * alpha_t * float(_exp_diff(lam_t, lam_s))
     return TransitionKernel(mean_coeff=alpha_t / alpha_s,
                             variance=max(variance, 0.0))
 
@@ -205,8 +209,3 @@ def euler_maruyama_forward(
         return times, np.stack(path)
     return z
 
-
-def path_to_csv_rows(times: np.ndarray, path: np.ndarray):
-    """Yield (step, t, z_0..z_{D-1}) rows for a single simulated path."""
-    for k, t in enumerate(times):
-        yield (k, float(t), *path[k].ravel().tolist())

@@ -1,40 +1,46 @@
-"""Backward-time samplers.
+"""Backward-time samplers as one affine coefficient table.
 
-All steppers move a state from time ``t`` to an earlier time ``s`` using a
-score model.  The workhorse is :func:`step_generalized`, the exponential
-integrator
+Every sampler kind moves a state from time ``t`` to an earlier time ``s``
+by z_s = A z_t + B eps_hat(z_t, t) + C xi with xi ~ N(0, I).
+:func:`_affine_table` builds (A, B, C) for every interval of a time grid
+with one vectorized call per schedule function, and :func:`sample` runs
+one loop of that update.  The kinds map onto the table as follows:
 
-    z_s = (alpha_s/alpha_t) z_t
-          - (1+rho^2)/(1+gamma) alpha_s
-            [e^{-(1+gamma) lam_t / 2} - e^{-(1+gamma) lam_s / 2}]
-            e^{gamma lam_t / 2} eps_hat(z_t, t)
-          + rho alpha_t sqrt(e^{-lam_t} - e^{-lam_s})
-            (alpha_s/alpha_t)^{1-delta} (sigma_s/sigma_t)^delta eps,
+* ``generalized``: the exponential integrator, already in eps_hat form,
 
-whose special cases are the ancestral-style step (:func:`step_kingma`,
-rho = gamma = delta = 1) and the deterministic exponential-integrator step
-(rho = 0, any gamma).  :func:`step_euler_backward` is the plain
-Euler-Maruyama discretization of the reverse SDE, kept as a first-order
-baseline, and :func:`step_non_markovian` is the DDIM-style update through
-the predicted clean sample with per-step noise scale eta.
+      z_s = (alpha_s/alpha_t) z_t
+            - (1+rho^2)/(1+gamma) alpha_s
+              [e^{-(1+gamma) lam_t / 2} - e^{-(1+gamma) lam_s / 2}]
+              e^{gamma lam_t / 2} eps_hat(z_t, t)
+            + rho alpha_t sqrt(e^{-lam_t} - e^{-lam_s})
+              (alpha_s/alpha_t)^{1-delta} (sigma_s/sigma_t)^delta xi;
+* ``kingma``: the ancestral step, ``generalized`` at rho = gamma = delta = 1;
+* ``non_markovian``: the DDIM-style step through the denoiser x_hat, with
+  x_hat = (z_t - sigma_t eps_hat)/alpha_t;
+* ``euler_backward``: Euler-Maruyama on the reverse SDE, with
+  score = -eps_hat/sigma_t;
+* ``exact_reference``: ``generalized`` on the grid refined into
+  ``substeps`` equal sub-steps per interval.
 
-Steppers take the noise draw either as an explicit standard-normal array
-``eps`` or draw it from a ``numpy.random.Generator``; with a fixed draw
-they are pure functions.  :func:`sample` runs full backward passes with
-counter-based per-(trajectory, step) noise so results do not depend on
-how trajectories are batched or threaded.
+The public steppers, except :func:`step_kingma`, are one-interval calls of
+the same table.  ``step_kingma`` is an independent transcription, so its
+agreement with ``step_generalized`` at rho = gamma = delta = 1 is a real
+cross-check of the table.  Steppers take the noise draw as an explicit
+array ``eps`` or from a ``numpy.random.Generator``; :func:`sample`
+addresses noise by (seed, purpose, step, trajectory row), so results do
+not depend on how trajectories are batched or threaded.
 """
 
 from __future__ import annotations
 
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import rng
-from .dynamics import ScoreModel, _exp_diff, backward_drift, forward_coeffs
+from .dynamics import ScoreModel, _drift_diffusion, _exp_diff
 from .errors import ConfigError, NumericalError
 from .schedule import Schedule
 from .snr_space import t_of_lambda
@@ -43,8 +49,9 @@ SAMPLER_KINDS = ("generalized", "kingma", "non_markovian",
                  "euler_backward", "exact_reference")
 GRID_KINDS = ("uniform_t", "uniform_lambda")
 
-# Test hook: flip the sign of the eps-hat coefficient in step_generalized.
-# Used by mutation tests to confirm which verification checks catch it.
+# Test hook: flip the sign of the generalized table's eps-hat coefficient
+# (step_kingma, the independent transcription, keeps it).  Used by mutation
+# tests to confirm which verification checks catch it.
 _MUTATE_FLIP_EPS_BRACKET = False
 
 
@@ -65,6 +72,91 @@ def _check_times(schedule: Schedule, s: float, t: float) -> None:
     schedule._check_t(np.array([s, t]))
 
 
+def non_markovian_beta2(schedule: Schedule, s, t, eta: float):
+    """Per-step noise variance beta^2(s, t) = eta^2 (sigma_t^2 - sigma_s^2),
+    clamped into [0, (1 - 1e-9) sigma_s^2]; s and t may be arrays."""
+    sigma_s2 = schedule.sigma(s) ** 2
+    beta2 = float(eta) ** 2 * (schedule.sigma(t) ** 2 - sigma_s2)
+    return np.minimum(np.maximum(beta2, 0.0), (1.0 - 1e-9) * sigma_s2)
+
+
+def _affine_table(schedule: Schedule, times: np.ndarray, kind: str,
+                  rho: float = 0.0, gamma: float = 0.0, delta: float = 1.0,
+                  eta: float = 0.0):
+    """(A, B, C) of z_s = A z_t + B eps_hat(z_t, t) + C xi on each interval
+    times[k] -> times[k+1].  C is None when the kind's parameters inject no
+    noise.  For exact_reference, ``times`` must be the refined grid."""
+    if kind == "kingma":
+        rho = gamma = delta = 1.0
+    rho, gamma, delta, eta = float(rho), float(gamma), float(delta), float(eta)
+    times = np.asarray(times, dtype=float)
+    alpha, sigma = schedule.alpha(times), schedule.sigma(times)
+    alpha_t, alpha_s = alpha[:-1], alpha[1:]
+    sigma_t, sigma_s = sigma[:-1], sigma[1:]
+
+    if kind == "non_markovian":
+        beta2 = non_markovian_beta2(schedule, times[1:], times[:-1], eta)
+        a = alpha_s / alpha_t
+        b = np.sqrt(sigma_s ** 2 - beta2) - a * sigma_t
+        return a, b, (np.sqrt(beta2) if eta != 0.0 else None)
+
+    if kind == "euler_backward":
+        f, g = _drift_diffusion(schedule, times[:-1])
+        h = np.diff(times)
+        a = 1.0 + f * h
+        b = 0.5 * (1.0 + rho * rho) * g ** 2 * h / sigma_t
+        return a, b, (rho * g * np.sqrt(-h) if rho != 0.0 else None)
+
+    if gamma == -1.0:
+        raise ValueError("gamma = -1 is excluded (division by 1 + gamma)")
+    if delta < 0.0:
+        warnings.warn("delta < 0 is outside the intended range; proceeding",
+                      RuntimeWarning)
+    lam = schedule.lam(times)
+    lam_t, lam_s = lam[:-1], lam[1:]
+    nu = 0.5 * (1.0 + gamma)
+    bracket = np.exp(-nu * lam_s) * np.expm1(nu * (lam_s - lam_t))
+    coef = (1.0 + rho * rho) / (1.0 + gamma)
+    sign = 1.0 if _MUTATE_FLIP_EPS_BRACKET else -1.0
+    a = alpha_s / alpha_t
+    b = sign * coef * alpha_s * bracket * np.exp(0.5 * gamma * lam_t)
+    c = None
+    if rho != 0.0:
+        c = (rho * alpha_t * np.sqrt(_exp_diff(lam_t, lam_s))
+             * a ** (1.0 - delta) * (sigma_s / sigma_t) ** delta)
+    return a, b, c
+
+
+def _refine(grid: np.ndarray, substeps: int) -> np.ndarray:
+    """Split every interval of a decreasing grid into equal sub-steps in t."""
+    sub = np.linspace(grid[:-1], grid[1:], substeps + 1, axis=-1)[:, :-1]
+    return np.append(sub.ravel(), grid[-1])
+
+
+def _affine_step(schedule: Schedule, score: ScoreModel, z, t: float, table,
+                 k: int, xi=None) -> np.ndarray:
+    """Row k of the table applied to z at time t, with noise draw xi."""
+    a, b, c = table
+    out = a[k] * z + b[k] * score.eps(schedule, z, t)
+    return out if xi is None else out + c[k] * xi
+
+
+def _run_table(schedule: Schedule, score: ScoreModel, z_t, times, kind: str,
+               rng, eps, **params) -> np.ndarray:
+    """Step z_t through every interval of ``times`` (t first, s last); an
+    interval of zero length is the identity and draws nothing."""
+    _check_times(schedule, times[-1], times[0])
+    table = _affine_table(schedule, times, kind, **params)
+    z, c = np.asarray(z_t, dtype=float), table[2]
+    for k in range(len(times) - 1):
+        if times[k + 1] == times[k]:
+            z = z.copy()
+            continue
+        xi = None if c is None or c[k] == 0.0 else _draw(z.shape, eps, rng)
+        z = _affine_step(schedule, score, z, float(times[k]), table, k, xi)
+    return z
+
+
 def step_generalized(schedule: Schedule, score: ScoreModel, z_t, t: float,
                      s: float, rho: float, gamma: float, delta: float,
                      rng=None, eps=None) -> np.ndarray:
@@ -74,36 +166,8 @@ def step_generalized(schedule: Schedule, score: ScoreModel, z_t, t: float,
     is the identity.  gamma = -1 is rejected (the 1/(1+gamma) prefactor);
     delta may be any real but negative values are flagged.
     """
-    t, s = float(t), float(s)
-    rho, gamma, delta = float(rho), float(gamma), float(delta)
-    _check_times(schedule, s, t)
-    if gamma == -1.0:
-        raise ValueError("gamma = -1 is excluded (division by 1 + gamma)")
-    if delta < 0.0:
-        warnings.warn("delta < 0 is outside the intended range; proceeding",
-                      RuntimeWarning)
-    z = np.asarray(z_t, dtype=float)
-    if s == t:
-        return z.copy()
-
-    alpha_t, alpha_s = float(schedule.alpha(t)), float(schedule.alpha(s))
-    sigma_t, sigma_s = float(schedule.sigma(t)), float(schedule.sigma(s))
-    lam_t, lam_s = float(schedule.lam(t)), float(schedule.lam(s))
-
-    nu = 0.5 * (1.0 + gamma)
-    bracket = np.exp(-nu * lam_s) * np.expm1(nu * (lam_s - lam_t))
-    coef = (1.0 + rho * rho) / (1.0 + gamma)
-    eps_hat = score.eps(schedule, z, t)
-    sign = 1.0 if _MUTATE_FLIP_EPS_BRACKET else -1.0
-    out = (alpha_s / alpha_t) * z \
-        + sign * coef * alpha_s * bracket * np.exp(0.5 * gamma * lam_t) * eps_hat
-
-    if rho != 0.0:
-        noise_coef = (rho * alpha_t * np.sqrt(_exp_diff(lam_t, lam_s))
-                      * (alpha_s / alpha_t) ** (1.0 - delta)
-                      * (sigma_s / sigma_t) ** delta)
-        out = out + noise_coef * _draw(z.shape, eps, rng)
-    return out
+    return _run_table(schedule, score, z_t, np.array([float(t), float(s)]),
+                      "generalized", rng, eps, rho=rho, gamma=gamma, delta=delta)
 
 
 def step_kingma(schedule: Schedule, score: ScoreModel, z_t, t: float,
@@ -134,16 +198,6 @@ def step_kingma(schedule: Schedule, score: ScoreModel, z_t, t: float,
     return mean + noise_coef * _draw(z.shape, eps, rng)
 
 
-def non_markovian_beta2(schedule: Schedule, s: float, t: float,
-                        eta: float) -> float:
-    """Per-step noise variance beta^2(s, t) = eta^2 (sigma_t^2 - sigma_s^2),
-    clamped into [0, (1 - 1e-9) sigma_s^2]."""
-    sigma_t2 = float(schedule.sigma(t)) ** 2
-    sigma_s2 = float(schedule.sigma(s)) ** 2
-    beta2 = float(eta) ** 2 * (sigma_t2 - sigma_s2)
-    return min(max(beta2, 0.0), (1.0 - 1e-9) * sigma_s2)
-
-
 def step_non_markovian(schedule: Schedule, score: ScoreModel, z_t, t: float,
                        s: float, eta: float, rng=None, eps=None) -> np.ndarray:
     """DDIM-style backward step through the predicted clean sample.
@@ -153,37 +207,15 @@ def step_non_markovian(schedule: Schedule, score: ScoreModel, z_t, t: float,
     eta = 0 gives the deterministic step; eta = 1 injects the largest noise
     the marginal-preserving family allows for this beta parameterization.
     """
-    t, s = float(t), float(s)
-    _check_times(schedule, s, t)
-    z = np.asarray(z_t, dtype=float)
-    if s == t:
-        return z.copy()
-
-    alpha_t, alpha_s = float(schedule.alpha(t)), float(schedule.alpha(s))
-    sigma_t, sigma_s2 = float(schedule.sigma(t)), float(schedule.sigma(s)) ** 2
-    beta2 = non_markovian_beta2(schedule, s, t, eta)
-    x_hat = score.data(schedule, z, t)
-    out = alpha_s * x_hat \
-        + np.sqrt(sigma_s2 - beta2) * (z - alpha_t * x_hat) / sigma_t
-    if beta2 > 0.0:
-        out = out + np.sqrt(beta2) * _draw(z.shape, eps, rng)
-    return out
+    return _run_table(schedule, score, z_t, np.array([float(t), float(s)]),
+                      "non_markovian", rng, eps, eta=eta)
 
 
 def step_euler_backward(schedule: Schedule, score: ScoreModel, z_t, t: float,
                         s: float, rho: float, rng=None, eps=None) -> np.ndarray:
     """One Euler-Maruyama step of the reverse SDE from t to s."""
-    t, s = float(t), float(s)
-    rho = float(rho)
-    _check_times(schedule, s, t)
-    z = np.asarray(z_t, dtype=float)
-    if s == t:
-        return z.copy()
-    out = z + backward_drift(schedule, score, rho, z, t) * (s - t)
-    if rho != 0.0:
-        g = forward_coeffs(schedule, t).g
-        out = out + rho * g * np.sqrt(t - s) * _draw(z.shape, eps, rng)
-    return out
+    return _run_table(schedule, score, z_t, np.array([float(t), float(s)]),
+                      "euler_backward", rng, eps, rho=rho)
 
 
 def exact_reference(schedule: Schedule, score: ScoreModel, z_t, t: float,
@@ -198,12 +230,9 @@ def exact_reference(schedule: Schedule, score: ScoreModel, z_t, t: float,
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
-    ts = np.linspace(float(t), float(s), int(substeps) + 1)
-    z = np.asarray(z_t, dtype=float)
-    for j in range(int(substeps)):
-        z = step_generalized(schedule, score, z, float(ts[j]), float(ts[j + 1]),
-                             rho, gamma, delta, rng=rng)
-    return z
+    times = _refine(np.array([float(t), float(s)]), int(substeps))
+    return _run_table(schedule, score, z_t, times, "generalized", rng, None,
+                      rho=rho, gamma=gamma, delta=delta)
 
 
 def make_time_grid(schedule: Schedule, grid_kind: str, steps: int,
@@ -256,19 +285,21 @@ class SamplerConfig:
     substeps: int = 16
 
     def __post_init__(self):
+        for name in ("steps", "substeps", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if name != "seed" and value < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if self.kind not in SAMPLER_KINDS:
             raise ConfigError(f"unknown sampler kind {self.kind!r}; "
                               f"expected one of {SAMPLER_KINDS}")
         if self.grid_kind not in GRID_KINDS:
             raise ConfigError(f"unknown grid kind {self.grid_kind!r}")
-        if self.steps < 1:
-            raise ConfigError("steps must be >= 1")
         if self.kind == "generalized" and self.gamma == -1.0:
             raise ConfigError("gamma = -1 is excluded for the generalized step")
         if not (0.0 <= self.eta <= 1.0):
             raise ConfigError("eta must lie in [0, 1]")
-        if self.substeps < 1:
-            raise ConfigError("substeps must be >= 1")
         if (self.t_start is not None and self.t_end is not None
                 and self.t_end > self.t_start):
             raise ConfigError("need t_end <= t_start")
@@ -299,38 +330,6 @@ class Trajectory:
     noises: np.ndarray | None   # (len(times) - 1, D) standard-normal draws
 
 
-def _make_stepper(schedule: Schedule, score: ScoreModel, config: SamplerConfig):
-    """Bind config to a (z, t, s, eps) -> z_s step and report noise usage."""
-    kind = config.kind
-    if kind == "generalized":
-        stochastic = config.rho != 0.0
-
-        def step(z, t, s, eps):
-            return step_generalized(schedule, score, z, t, s, config.rho,
-                                    config.gamma, config.delta, eps=eps)
-    elif kind == "kingma":
-        stochastic = True
-
-        def step(z, t, s, eps):
-            return step_kingma(schedule, score, z, t, s, eps=eps)
-    elif kind == "non_markovian":
-        stochastic = config.eta != 0.0
-
-        def step(z, t, s, eps):
-            return step_non_markovian(schedule, score, z, t, s, config.eta,
-                                      eps=eps)
-    elif kind == "euler_backward":
-        stochastic = config.rho != 0.0
-
-        def step(z, t, s, eps):
-            return step_euler_backward(schedule, score, z, t, s, config.rho,
-                                       eps=eps)
-    else:  # exact_reference: eps is addressed per sub-step by the caller
-        stochastic = config.rho != 0.0
-        step = None
-    return step, stochastic
-
-
 def sample(schedule: Schedule, score: ScoreModel, config: SamplerConfig,
            n: int, d: int, threads: int = 1,
            return_trajectories: bool = False):
@@ -339,7 +338,8 @@ def sample(schedule: Schedule, score: ScoreModel, config: SamplerConfig,
     The prior is z ~ N(0, sigma(t_start)^2 I).  Noise is addressed by
     (seed, purpose, step, trajectory row), so the returned samples are a
     pure function of (config, n, d) regardless of ``threads`` or any other
-    batching.  Raises NumericalError if a trajectory goes non-finite.
+    batching.  Raises NumericalError, naming the step, its interval and the
+    first bad row, if a trajectory goes non-finite.
 
     Returns (n, d) samples, plus a list of per-sample Trajectory records
     when ``return_trajectories`` is set.
@@ -361,15 +361,18 @@ def sample(schedule: Schedule, score: ScoreModel, config: SamplerConfig,
                               t_start, t_end)
     n_steps = len(grid) - 1
 
-    step, stochastic = _make_stepper(schedule, score, config)
-    is_reference = config.kind == "exact_reference"
+    # exact_reference: the generalized table on the refined grid, with the
+    # draw for refined step i addressed as step i; states stay on the grid
+    stride = config.substeps if config.kind == "exact_reference" else 1
+    times = _refine(grid, stride)
+    table = _affine_table(schedule, times, config.kind, rho=config.rho,
+                          gamma=config.gamma, delta=config.delta,
+                          eta=config.eta)
+    stochastic = table[2] is not None
 
     states = np.empty((n_steps + 1, n, d)) if return_trajectories else None
-    # per-grid-step draws; reference runs consume several per interval and
-    # record none
-    noises = (np.empty((n_steps, n, d))
-              if return_trajectories and stochastic and not is_reference
-              else None)
+    noises = (np.empty((n_steps, n, d)) if return_trajectories and stochastic
+              and stride == 1 else None)
     out = np.empty((n, d))
 
     def run_rows(row_start: int, row_stop: int) -> None:
@@ -377,31 +380,22 @@ def sample(schedule: Schedule, score: ScoreModel, config: SamplerConfig,
                                           row_start, row_stop, d)
         if return_trajectories:
             states[0, row_start:row_stop] = z
-        for k in range(n_steps):
-            t, s = float(grid[k]), float(grid[k + 1])
-            if is_reference:
-                sub = np.linspace(t, s, config.substeps + 1)
-                for j in range(config.substeps):
-                    eps = None
-                    if stochastic:
-                        eps = rng.row_normals(seed, rng.PURPOSE_STEP,
-                                              k * config.substeps + j,
-                                              row_start, row_stop, d)
-                    z = step_generalized(schedule, score, z, float(sub[j]),
-                                         float(sub[j + 1]), config.rho,
-                                         config.gamma, config.delta, eps=eps)
-            else:
-                eps = None
-                if stochastic:
-                    eps = rng.row_normals(seed, rng.PURPOSE_STEP, k,
-                                          row_start, row_stop, d)
-                    if noises is not None:
-                        noises[k, row_start:row_stop] = eps
-                z = step(z, t, s, eps)
+        for i in range(len(times) - 1):
+            xi = None
+            if stochastic:
+                xi = rng.row_normals(seed, rng.PURPOSE_STEP, i,
+                                     row_start, row_stop, d)
+                if noises is not None:
+                    noises[i, row_start:row_stop] = xi
+            z = _affine_step(schedule, score, z, float(times[i]), table, i, xi)
+            if (i + 1) % stride:
+                continue
+            k = i // stride
             if not np.all(np.isfinite(z)):
+                row, col = np.argwhere(~np.isfinite(z))[0]
                 raise NumericalError(
-                    f"non-finite state at step {k} (t={t} -> s={s})"
-                )
+                    f"non-finite state at step {k} (t={grid[k]} -> "
+                    f"s={grid[k + 1]}): row {row_start + row} holds {z[row, col]}")
             if return_trajectories:
                 states[k + 1, row_start:row_stop] = z
         out[row_start:row_stop] = z

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import samplers
 from .dynamics import (
-    backward_drift,
     convert_score_model,
     euler_maruyama_forward,
     forward_coeffs,

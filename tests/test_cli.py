@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import snrdiff
 from snrdiff.cli import main
 
 UNIT_CONFIG = {
@@ -115,6 +118,22 @@ class TestSampleCommand:
         del cfg_data["sampler"]["seed"]
         cfg = write_config(tmp_path, cfg_data)
         assert main(["sample", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_too_few_samples_exits_2_and_writes_nothing(self, tmp_path, n):
+        cfg = write_config(tmp_path, UNIT_CONFIG)
+        out = tmp_path / "out"
+        rc = main(["sample", "--config", cfg, "-n", n, "--out", str(out)])
+        assert rc == 2
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_non_integer_steps_exits_2(self, tmp_path):
+        cfg_data = json.loads(json.dumps(UNIT_CONFIG))
+        cfg_data["sampler"]["steps"] = 10.5
+        cfg = write_config(tmp_path, cfg_data)
+        out = tmp_path / "out"
+        assert main(["sample", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numerical_blowup_exits_3(self, tmp_path):
@@ -239,10 +258,13 @@ class TestVerifyCommand:
 
 class TestConsoleEntry:
     def test_module_invocation(self, tmp_path):
+        # the child imports the same snrdiff as this test, installed or not
+        src = str(Path(snrdiff.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "snrdiff.cli", "schedules",
              "--schedule", "VE", "--out", str(tmp_path)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert (tmp_path / "schedules.csv").exists()

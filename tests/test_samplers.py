@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 import snrdiff.samplers as samplers_mod
+from snrdiff import rng
 from snrdiff import (
     ConfigError,
     NumericalError,
     SamplerConfig,
+    backward_drift,
     exact_reference,
     forward_coeffs,
+    gmm_from_dict,
     make_schedule,
     make_time_grid,
     moment_report,
@@ -306,6 +309,12 @@ class TestSamplerConfig:
         with pytest.raises(ConfigError):
             sampler_config_from_dict({"kind": "kingma", "order": 3})
 
+    @pytest.mark.parametrize("field", ["steps", "substeps", "seed"])
+    @pytest.mark.parametrize("value", [10.5, 3.0, "7", True, None])
+    def test_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            sampler_config_from_dict({field: value})
+
 
 class TestSampleLoop:
     def test_prior_only_run(self, vp, unit_score):
@@ -338,8 +347,23 @@ class TestSampleLoop:
         bad = ScoreModel(lambda z, t: np.full_like(z, np.nan), "score")
         cfg = SamplerConfig(kind="generalized", rho=0.0, gamma=0.0, steps=4,
                             seed=1)
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match=r"step 0 \(t=1\.0 -> .*row 0 "):
             sample(vp, bad, cfg, n=4, d=1)
+
+        # one bad row in the second of two thread chunks: the message names
+        # its global row index
+        n, seed = 8, 8
+        prior = rng.row_normals(seed, rng.PURPOSE_PRIOR, 0, 0, n, 1)[:, 0]
+        row = int(np.argmax(prior))
+        assert row >= n // 2
+        top = float(vp.sigma(vp.t_max)) * prior[row]
+        one_bad = ScoreModel(
+            lambda z, t: np.where(z >= top, np.nan, -z) if t == vp.t_max
+            else -z, "score")
+        cfg = SamplerConfig(kind="generalized", rho=0.0, gamma=0.0, steps=4,
+                            seed=seed)
+        with pytest.raises(NumericalError, match=rf"step 0 .*row {row} holds nan"):
+            sample(vp, one_bad, cfg, n=n, d=1, threads=2)
 
     def test_trajectories_recorded(self, vp, unit_score):
         cfg = SamplerConfig(kind="kingma", steps=6, seed=3)
@@ -374,3 +398,101 @@ class TestMutationHook:
         monkeypatch.setattr(samplers_mod, "_MUTATE_FLIP_EPS_BRACKET", True)
         assert check_chapman_kolmogorov().ok
         assert not check_kingma_reduction().ok
+
+
+def _parent_step(schedule, model, kind, cfg, z, t, s, eps):
+    """The per-kind step formulas as written before the coefficient table,
+    kept as the reference the table must reproduce."""
+    alpha_t, alpha_s = float(schedule.alpha(t)), float(schedule.alpha(s))
+    sigma_t, sigma_s = float(schedule.sigma(t)), float(schedule.sigma(s))
+    lam_t, lam_s = float(schedule.lam(t)), float(schedule.lam(s))
+    if kind == "kingma":
+        bracket = np.exp(-lam_s) * np.expm1(lam_s - lam_t)
+        mean = (alpha_s / alpha_t) * z - alpha_s * bracket \
+            * np.exp(0.5 * lam_t) * model.eps(schedule, z, t)
+        return mean + alpha_t * np.sqrt(bracket) * (sigma_s / sigma_t) * eps
+    if kind == "non_markovian":
+        sigma_s2 = sigma_s ** 2
+        beta2 = min(max(float(cfg.eta) ** 2 * (sigma_t ** 2 - sigma_s2), 0.0),
+                    (1.0 - 1e-9) * sigma_s2)
+        x_hat = model.data(schedule, z, t)
+        out = alpha_s * x_hat \
+            + np.sqrt(sigma_s2 - beta2) * (z - alpha_t * x_hat) / sigma_t
+        return out + np.sqrt(beta2) * eps if beta2 > 0.0 else out
+    if kind == "euler_backward":
+        out = z + backward_drift(schedule, model, cfg.rho, z, t) * (s - t)
+        if cfg.rho == 0.0:
+            return out
+        g = forward_coeffs(schedule, t).g
+        return out + cfg.rho * g * np.sqrt(t - s) * eps
+    rho, gamma, delta = cfg.rho, cfg.gamma, cfg.delta
+    nu = 0.5 * (1.0 + gamma)
+    bracket = np.exp(-nu * lam_s) * np.expm1(nu * (lam_s - lam_t))
+    coef = (1.0 + rho * rho) / (1.0 + gamma)
+    out = (alpha_s / alpha_t) * z + -1.0 * coef * alpha_s * bracket \
+        * np.exp(0.5 * gamma * lam_t) * model.eps(schedule, z, t)
+    if rho == 0.0:
+        return out
+    exp_diff = float(np.exp(-lam_s) * np.expm1(lam_s - lam_t))
+    return out + (rho * alpha_t * np.sqrt(exp_diff)
+                  * (alpha_s / alpha_t) ** (1.0 - delta)
+                  * (sigma_s / sigma_t) ** delta) * eps
+
+
+def _parent_sample(schedule, model, cfg, n, d):
+    """A per-step loop over the grid with the same row_normals draws."""
+    grid = make_time_grid(schedule, cfg.grid_kind, cfg.steps, schedule.t_max,
+                          schedule.t_min)
+    z = float(schedule.sigma(schedule.t_max)) * rng.row_normals(
+        cfg.seed, rng.PURPOSE_PRIOR, 0, 0, n, d)
+    noise = {"kingma": 1.0, "non_markovian": cfg.eta}.get(cfg.kind, cfg.rho)
+    sub = cfg.substeps if cfg.kind == "exact_reference" else 1
+    for k in range(cfg.steps):
+        ts = np.linspace(float(grid[k]), float(grid[k + 1]), sub + 1)
+        for j in range(sub):
+            eps = (rng.row_normals(cfg.seed, rng.PURPOSE_STEP, k * sub + j,
+                                   0, n, d) if noise != 0.0 else None)
+            z = _parent_step(schedule, model, cfg.kind, cfg, z, float(ts[j]),
+                             float(ts[j + 1]), eps)
+    return z
+
+
+# config and whether the table must match the parent formulas bit for bit:
+# it must unless the noise coefficient raises a ratio to a power other than
+# 0 or 1 (numpy's array power and libm pow may differ in the last bit) or
+# the kind was rewritten from x_hat or score into eps_hat form
+PARENT_CASES = {
+    "generalized_delta1": (dict(kind="generalized", rho=1.0, gamma=0.8,
+                                delta=1.0), True),
+    "generalized_delta0": (dict(kind="generalized", rho=0.5, gamma=1.3,
+                                delta=0.0), True),
+    "generalized_delta07": (dict(kind="generalized", rho=1.0, gamma=1.0,
+                                 delta=0.7), False),
+    "deterministic": (dict(kind="generalized", rho=0.0, gamma=0.4), True),
+    "kingma": (dict(kind="kingma"), True),
+    "non_markovian_eta0": (dict(kind="non_markovian", eta=0.0), False),
+    "non_markovian_eta06": (dict(kind="non_markovian", eta=0.6), False),
+    "euler_rho0": (dict(kind="euler_backward", rho=0.0), False),
+    "euler_rho1": (dict(kind="euler_backward", rho=1.0), False),
+    "exact_reference": (dict(kind="exact_reference", rho=1.0, gamma=0.5,
+                             delta=1.0, substeps=3), True),
+}
+
+
+@pytest.mark.parametrize("grid_kind", ["uniform_t", "uniform_lambda"])
+@pytest.mark.parametrize("case", sorted(PARENT_CASES))
+def test_sample_matches_parent_step_formulas(any_schedule, grid_kind, case):
+    params, bitwise = PARENT_CASES[case]
+    gmm = gmm_from_dict({"weights": [0.4, 0.6],
+                         "means": [[-1.0, 0.5], [1.2, -0.3]],
+                         "covs": [[0.5, 0.8], [[0.6, 0.2], [0.2, 0.4]]]})
+    model = oracle_score_model(gmm, any_schedule)
+    cfg = SamplerConfig(steps=10, grid_kind=grid_kind, seed=17, **params)
+    got = sample(any_schedule, model, cfg, n=6, d=2)
+    want = _parent_sample(any_schedule, model, cfg, n=6, d=2)
+    if bitwise:
+        np.testing.assert_array_equal(got, want)
+    else:
+        rel = np.linalg.norm(got - want) / np.linalg.norm(want)
+        assert rel <= 1e-12, rel
+
