@@ -33,6 +33,7 @@ not depend on how trajectories are batched or threaded.
 
 from __future__ import annotations
 
+import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
@@ -256,7 +257,7 @@ def make_time_grid(schedule: Schedule, grid_kind: str, steps: int,
     else:
         lams = np.linspace(float(schedule.lam(t_start)),
                            float(schedule.lam(t_end)), steps + 1)
-        grid = np.array([t_of_lambda(schedule, lam) for lam in lams])
+        grid = t_of_lambda(schedule, lams)
         grid[0], grid[-1] = t_start, t_end
     if not np.all(np.diff(grid) < 0.0):
         raise NumericalError("time grid is not strictly decreasing")
@@ -291,6 +292,17 @@ class SamplerConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             if name != "seed" and value < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        for name in ("rho", "gamma", "delta", "eta", "t_start", "t_end"):
+            value = getattr(self, name)
+            if value is None and name in ("t_start", "t_end"):
+                continue
+            try:
+                finite = math.isfinite(value)
+            except (TypeError, OverflowError):
+                finite = False
+            if isinstance(value, bool) or not finite:
+                raise ConfigError(f"{name} must be a finite real number, "
+                                  f"got {value!r}")
         if self.kind not in SAMPLER_KINDS:
             raise ConfigError(f"unknown sampler kind {self.kind!r}; "
                               f"expected one of {SAMPLER_KINDS}")
@@ -348,7 +360,11 @@ def sample(schedule: Schedule, score: ScoreModel, config: SamplerConfig,
         raise ValueError("need n >= 1 and d >= 1")
     t_start = schedule.t_max if config.t_start is None else float(config.t_start)
     t_end = schedule.t_min if config.t_end is None else float(config.t_end)
-    schedule._check_t(np.array([t_end, t_start]))
+    for name, value in (("t_start", t_start), ("t_end", t_end)):
+        try:
+            schedule._check_t(value)
+        except ValueError as exc:
+            raise ConfigError(f"{name}={value}: {exc}") from exc
     if t_end > t_start:
         raise ConfigError("need t_end <= t_start")
     seed = int(config.seed)

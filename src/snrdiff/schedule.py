@@ -25,6 +25,10 @@ FM_OT    1 - t, t
 
 Default windows clip endpoints where lambda diverges: VP uses
 [1e-3, 1], iDDPM and FM_OT use [1e-3, 1 - 1e-3], VE is regular on [0, 1].
+
+Each built-in family also carries ``lam_inv``, the closed-form inverse
+t(lambda), which :func:`snrdiff.snr_space.t_of_lambda` uses in place of
+bisection.
 """
 
 from __future__ import annotations
@@ -106,8 +110,13 @@ def _vp_fns(params: dict) -> dict[str, Callable]:
     def dlam(t):
         return -Bp(t) * np.exp(B(t)) / np.expm1(B(t))
 
+    def lam_inv(lam):
+        # B = log1p(e^{-lambda}); the root of B(t) = B in cancellation-free form
+        b = np.log1p(np.exp(-lam))
+        return 2.0 * b / (bmin + np.sqrt(bmin * bmin + 2.0 * bd * b))
+
     return dict(alpha=alpha, sigma=sigma, lam=lam,
-                dalpha=dalpha, dsigma=dsigma, dlam=dlam)
+                dalpha=dalpha, dsigma=dsigma, dlam=dlam, lam_inv=lam_inv)
 
 
 def _ve_fns(params: dict) -> dict[str, Callable]:
@@ -134,8 +143,11 @@ def _ve_fns(params: dict) -> dict[str, Callable]:
     def dlam(t):
         return np.full_like(np.asarray(t, dtype=float), -2.0 * log_ratio)
 
+    def lam_inv(lam):
+        return (-0.5 * lam - math.log(smin)) / log_ratio
+
     return dict(alpha=alpha, sigma=sigma, lam=lam,
-                dalpha=dalpha, dsigma=dsigma, dlam=dlam)
+                dalpha=dalpha, dsigma=dsigma, dlam=dlam, lam_inv=lam_inv)
 
 
 def _iddpm_fns(params: dict) -> dict[str, Callable]:
@@ -144,7 +156,7 @@ def _iddpm_fns(params: dict) -> dict[str, Callable]:
         raise ConfigError("iDDPM requires s > 0")
     half_pi = 0.5 * math.pi
     theta0 = s / (1.0 + s) * half_pi
-    c0 = math.cos(theta0)
+    c0, sin0 = math.cos(theta0), math.sin(theta0)
     dtheta = half_pi / (1.0 + s)
 
     def theta(t):
@@ -175,8 +187,17 @@ def _iddpm_fns(params: dict) -> dict[str, Callable]:
         # lambda' = 2 alpha' / (alpha sigma^2), using alpha^2 + sigma^2 = 1
         return 2.0 * dalpha(t) / (alpha(t) * sigma2(t))
 
+    def lam_inv(lam):
+        # alpha^2 = sigmoid(lambda), sigma^2 = sigmoid(-lambda); atan2 with
+        # sin(theta) = sqrt(sin^2(theta_0) + c0^2 sigma^2) stays accurate
+        # near theta_0, where arccos(c0 alpha) would lose digits
+        a = np.sqrt(1.0 / (1.0 + np.exp(-lam)))
+        sig2 = 1.0 / (1.0 + np.exp(lam))
+        th = np.arctan2(np.sqrt(sin0 * sin0 + c0 * c0 * sig2), c0 * a)
+        return th / dtheta - s
+
     return dict(alpha=alpha, sigma=sigma, lam=lam,
-                dalpha=dalpha, dsigma=dsigma, dlam=dlam)
+                dalpha=dalpha, dsigma=dsigma, dlam=dlam, lam_inv=lam_inv)
 
 
 def _fm_ot_fns(params: dict) -> dict[str, Callable]:
@@ -200,8 +221,11 @@ def _fm_ot_fns(params: dict) -> dict[str, Callable]:
         t = np.asarray(t, dtype=float)
         return -2.0 / (t * (1.0 - t))
 
+    def lam_inv(lam):
+        return 1.0 / (1.0 + np.exp(0.5 * lam))
+
     return dict(alpha=alpha, sigma=sigma, lam=lam,
-                dalpha=dalpha, dsigma=dsigma, dlam=dlam)
+                dalpha=dalpha, dsigma=dsigma, dlam=dlam, lam_inv=lam_inv)
 
 
 def _custom_fns(params: dict) -> dict[str, Callable]:

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from snrdiff import make_schedule, oracle_score_model, single_gaussian
+
+# Property tests draw the same examples on every run.
+settings.register_profile("deterministic", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("deterministic")
 
 BUILTIN = ("VP", "VE", "iDDPM", "FM_OT")
 

@@ -135,6 +135,17 @@ class TestSampleCommand:
         assert main(["sample", "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("update", [{"rho": "abc"}, {"t_start": 5.0}])
+    def test_bad_sampler_value_exits_2_and_writes_nothing(self, tmp_path,
+                                                          capsys, update):
+        cfg_data = json.loads(json.dumps(UNIT_CONFIG))
+        cfg_data["sampler"].update(update)
+        cfg = write_config(tmp_path, cfg_data)
+        out = tmp_path / "out"
+        assert main(["sample", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert f"config error: {next(iter(update))}" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numerical_blowup_exits_3(self, tmp_path):
         cfg_data = json.loads(json.dumps(UNIT_CONFIG))
@@ -218,6 +229,16 @@ class TestInfoCommand:
         for r in rows:
             mmse, dmi = float(r[1]), float(r[2])
             assert abs(dmi - 0.5 * mmse) <= 1e-9
+
+    def test_lambda_outside_range_exits_2_and_writes_nothing(self, tmp_path,
+                                                             capsys):
+        cfg = write_config(tmp_path, UNIT_CONFIG)
+        out = tmp_path / "out"
+        rc = main(["info", "--config", cfg, "--lambdas", "0,50",
+                   "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert "lambda=50.0 outside attainable range" in capsys.readouterr().err
 
     def test_mixture_needs_seed(self, tmp_path):
         cfg_data = json.loads(json.dumps(GMM2D_CONFIG))

@@ -286,6 +286,61 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             make_time_grid(vp, "uniform_t", 5, 0.2, 0.8)
 
+    @pytest.mark.parametrize("steps", [10, 100, 200])
+    def test_uniform_lambda_matches_scalar_bisection(self, any_schedule, steps):
+        sched = any_schedule
+        grid = make_time_grid(sched, "uniform_lambda", steps, sched.t_max,
+                              sched.t_min)
+        lams = np.linspace(float(sched.lam(sched.t_max)),
+                           float(sched.lam(sched.t_min)), steps + 1)
+        ref = np.array([scalar_bisection_t_of_lambda(sched, lam)
+                        for lam in lams])
+        ref[0], ref[-1] = sched.t_max, sched.t_min
+        assert np.all(np.abs(grid - ref) <= 1e-12 * np.abs(ref))
+
+
+def scalar_bisection_t_of_lambda(schedule, lam):
+    """The scalar bisection-plus-Newton inverse that the closed forms
+    replaced, kept as the reference for uniform_lambda grids."""
+    lam = float(lam)
+    lo_lam, hi_lam = schedule.lambda_range()
+    tol = 1e-14 * max(1.0, abs(lam))
+    lam = min(max(lam, lo_lam), hi_lam)
+    a, b = schedule.t_min, schedule.t_max
+    fa = float(schedule.lam(a)) - lam
+    fb = float(schedule.lam(b)) - lam
+    if abs(fa) <= tol:
+        return a
+    if abs(fb) <= tol:
+        return b
+    coarse = 1e-9 * max(1.0, abs(lam))
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        fm = float(schedule.lam(mid)) - lam
+        if abs(fm) <= coarse:
+            a = b = mid
+            break
+        if (fa > 0.0) == (fm > 0.0):
+            a, fa = mid, fm
+        else:
+            b, fb = mid, fm
+        if b - a <= 1e-15 * max(1.0, abs(a)):
+            break
+    t = 0.5 * (a + b)
+    best_t, best_resid = t, abs(float(schedule.lam(t)) - lam)
+    for _ in range(12):
+        resid = float(schedule.lam(t)) - lam
+        if abs(resid) < best_resid:
+            best_t, best_resid = t, abs(resid)
+        if abs(resid) <= tol:
+            break
+        step = resid / float(schedule.dlambda_dt(t))
+        t_new = min(max(t - step, schedule.t_min), schedule.t_max)
+        if t_new == t:
+            break
+        t = t_new
+    return best_t
+
 
 class TestSamplerConfig:
     def test_round_trip(self):
@@ -314,6 +369,29 @@ class TestSamplerConfig:
     def test_rejects_non_integer_counts(self, field, value):
         with pytest.raises(ConfigError, match=field):
             sampler_config_from_dict({field: value})
+
+    @pytest.mark.parametrize("field", ["rho", "gamma", "delta", "eta",
+                                       "t_start", "t_end"])
+    @pytest.mark.parametrize("value", ["abc", "0.5", True, [0.5],
+                                       float("nan"), float("inf"), 10 ** 400])
+    def test_rejects_non_real_parameters(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            sampler_config_from_dict({field: value})
+
+    @pytest.mark.parametrize("field", ["rho", "gamma", "delta"])
+    def test_accepts_integer_and_numpy_reals(self, field):
+        assert getattr(SamplerConfig(**{field: 2}), field) == 2
+        assert getattr(SamplerConfig(**{field: np.float64(0.5)}), field) == 0.5
+
+    @pytest.mark.parametrize("bounds", [{"t_start": 5.0},
+                                        {"t_start": 0.5, "t_end": 1e-6}])
+    def test_window_violation_is_config_error(self, vp, unit_score, bounds):
+        cfg = SamplerConfig(steps=4, seed=1, **bounds)
+        name, value = next((k, v) for k, v in bounds.items()
+                           if not vp.t_min <= v <= vp.t_max)
+        with pytest.raises(ConfigError,
+                           match=rf"{name}={value}: .*\[{vp.t_min}, {vp.t_max}\]"):
+            sample(vp, unit_score, cfg, n=4, d=1)
 
 
 class TestSampleLoop:

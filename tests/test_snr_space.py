@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from snrdiff import (
     ConfigError,
@@ -9,6 +10,7 @@ from snrdiff import (
     tilde_eval,
     time_warp,
 )
+from snrdiff.snr_space import _bisect, _newton
 
 # frozen: -2*log(0.01)
 VE_LAMBDA_AT_0 = 9.210340371976184
@@ -52,6 +54,79 @@ class TestLambdaInverse:
     def test_out_of_range(self, vp):
         with pytest.raises(ValueError):
             t_of_lambda(vp, 100.0)
+
+
+def relative_residual(schedule, t, lams):
+    return np.abs(schedule.lam(t) - lams) / np.maximum(1.0, np.abs(lams))
+
+
+# Valid parameter ranges for the round-trip property test.
+FAMILY_PARAMS = {
+    "VP": {"beta_min": st.floats(0.01, 2.0), "beta_d": st.floats(0.0, 40.0)},
+    "VE": {"sigma_min": st.floats(1e-3, 1.0), "sigma_max": st.floats(2.0, 200.0)},
+    "iDDPM": {"s": st.floats(1e-4, 0.2)},
+    "FM_OT": {},
+}
+
+
+class TestArrayInverse:
+    def test_closed_form_matches_bisection(self, any_schedule):
+        lo, hi = any_schedule.lambda_range()
+        lams = np.linspace(lo, hi, 2000)
+        closed = t_of_lambda(any_schedule, lams)
+        assert np.all((closed >= any_schedule.t_min)
+                      & (closed <= any_schedule.t_max))
+        assert relative_residual(any_schedule, closed, lams).max() <= 1e-13
+        fallback = _newton(any_schedule, lams, _bisect(any_schedule, lams))
+        np.testing.assert_allclose(closed, fallback, rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
+    @given(data=st.data())
+    def test_round_trip_over_params_and_windows(self, family, data):
+        params = data.draw(st.fixed_dictionaries(FAMILY_PARAMS[family]))
+        lo_frac = data.draw(st.floats(0.0, 0.45))
+        hi_frac = data.draw(st.floats(0.55, 1.0))
+        # window edges as fractions of the family's default window
+        default = make_schedule(family)
+        span = default.t_max - default.t_min
+        t_min = default.t_min + lo_frac * span
+        t_max = default.t_min + hi_frac * span
+        sched = make_schedule(family, params, t_min, t_max)
+        ts = np.linspace(t_min, t_max, 257)
+        lams = sched.lam(ts)
+        back = t_of_lambda(sched, lams)
+        assert relative_residual(sched, back, lams).max() <= 1e-13
+        np.testing.assert_allclose(back, ts, rtol=0.0, atol=1e-10)
+
+    def test_shapes(self, vp):
+        lams = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        t = t_of_lambda(vp, lams)
+        assert isinstance(t, np.ndarray) and t.shape == (3, 4)
+        for lam, ti in zip(lams.ravel(), t.ravel()):
+            got = t_of_lambda(vp, lam)
+            assert type(got) is float
+            assert got == ti
+        assert type(t_of_lambda(vp, np.float64(0.0))) is float
+
+    @pytest.mark.parametrize("bad", [100.0, -100.0, np.nan])
+    def test_out_of_range_entry_raises(self, vp, bad):
+        lams = np.array([0.0, 1.0, bad, 2.0])
+        with pytest.raises(ConfigError, match="lambda=") as info:
+            t_of_lambda(vp, lams)
+        lo, hi = vp.lambda_range()
+        assert str(bad) in str(info.value)
+        assert f"[{lo}, {hi}]" in str(info.value)
+
+    def test_warped_schedule_uses_bisection(self, vp):
+        warp, dwarp = blended_warp(vp)
+        warped = time_warp(vp, warp, dwarp)
+        assert "lam_inv" not in warped._fns
+        lo, hi = warped.lambda_range()
+        lams = np.linspace(lo, hi, 2000)
+        t = t_of_lambda(warped, lams)
+        assert relative_residual(warped, t, lams).max() <= 1e-12
+        np.testing.assert_allclose(warp(t), t_of_lambda(vp, lams),
+                                   rtol=1e-12)
 
 
 class TestTildeEval:
