@@ -6,15 +6,22 @@ pushing it through the forward channel ``z_t = alpha(t) x + sigma(t) eps``
 keeps it a mixture with known parameters, so the score of the noisy
 marginal and the denoising posterior mean E[x | z_t] are available exactly
 and can stand in for a trained network.
+
+The oracles work in each component's eigenbasis.  Every covariance is
+factored once, when the mixture is built, as Sigma_k = Q_k diag(nu_k) Q_k^T
+(eigenvalues clamped at 0; a diagonal covariance is its own factorization,
+with no Q_k stored).  The noisy covariance alpha^2 Sigma_k + sigma^2 I
+shares Q_k and has eigenvalues c_k = alpha^2 nu_k + sigma^2 >= sigma^2 > 0,
+so the score, the posterior mean and the log density at any t need no
+further factorization: only the elementwise c_k and, for full
+covariances, one rotation of z - alpha m_k into each eigenbasis.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.special import logsumexp
 
 from . import rng
@@ -37,6 +44,10 @@ class GmmSpec:
     means: np.ndarray
     covs: np.ndarray
     dim: int = field(init=False)
+    # eigenvalues (K, D) and eigenvectors (K, D, D) of covs; no eigenvectors
+    # when every covariance is diagonal
+    _evals: np.ndarray = field(init=False, compare=False, repr=False)
+    _evecs: np.ndarray | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
@@ -52,29 +63,39 @@ class GmmSpec:
                 f"inconsistent mixture shapes: weights {w.shape}, "
                 f"means {m.shape}, covs {c.shape}"
             )
+        for name, arr in (("weights", w), ("means", m), ("covs", c)):
+            if not np.all(np.isfinite(arr)):
+                raise ConfigError(f"mixture {name} must be finite")
         if np.any(w <= 0.0):
             raise ConfigError("mixture weights must be positive")
         total = float(w.sum())
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"mixture weights sum to {total}, not 1")
         w = w / total
-        for i in range(k):
-            if not np.allclose(c[i], c[i].T, atol=1e-10):
-                raise ConfigError(f"cov {i} is not symmetric")
-            c[i] = 0.5 * (c[i] + c[i].T)
-            if np.linalg.eigvalsh(c[i]).min() < -1e-10:
-                raise ConfigError(f"cov {i} is not PSD")
-        if d > _FULL_COV_MAX_DIM:
-            off = c - c * np.eye(d)[None]
-            if np.any(off != 0.0):
-                raise ConfigError(
-                    f"full covariances are limited to D <= {_FULL_COV_MAX_DIM}; "
-                    "use diagonal covariances for larger D"
-                )
+        sym = np.isclose(c, c.transpose(0, 2, 1), atol=1e-10).all(axis=(1, 2))
+        c = 0.5 * (c + c.transpose(0, 2, 1))
+        full = np.any((c != 0.0) & ~np.eye(d, dtype=bool), axis=(1, 2))
+        evals = np.diagonal(c, axis1=1, axis2=2).copy()
+        evecs = None
+        if full.any():
+            evecs = np.broadcast_to(np.eye(d), c.shape).copy()
+            evals[full], evecs[full] = np.linalg.eigh(c[full])
+        bad = np.flatnonzero(~sym | (evals.min(axis=1) < -1e-10))
+        if bad.size:
+            i = bad[0]
+            raise ConfigError(
+                f"cov {i} is not {'symmetric' if not sym[i] else 'PSD'}")
+        if d > _FULL_COV_MAX_DIM and full.any():
+            raise ConfigError(
+                f"full covariances are limited to D <= {_FULL_COV_MAX_DIM}; "
+                "use diagonal covariances for larger D"
+            )
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "covs", c)
         object.__setattr__(self, "dim", d)
+        object.__setattr__(self, "_evals", np.maximum(evals, 0.0))
+        object.__setattr__(self, "_evecs", evecs)
 
     @property
     def n_components(self) -> int:
@@ -175,46 +196,36 @@ def marginal_at(gmm: GmmSpec, schedule: Schedule, t: float) -> GmmSpec:
     )
 
 
-def _noisy_factors(gmm: GmmSpec, a: float, s2: float):
-    """Cholesky factors and log-normalizers of the noisy components."""
-    d = gmm.dim
-    eye = np.eye(d)
-    factors, logdets = [], []
-    for k in range(gmm.n_components):
-        c = a * a * gmm.covs[k] + s2 * eye
-        try:
-            cf = cho_factor(c, lower=True)
-        except np.linalg.LinAlgError:
-            warnings.warn(
-                "noisy component covariance numerically singular; "
-                f"regularizing with {COV_FLOOR:g}*I",
-                RuntimeWarning,
-            )
-            cf = cho_factor(c + COV_FLOOR * eye, lower=True)
-        factors.append(cf)
-        logdets.append(2.0 * np.log(np.diag(cf[0])).sum())
-    return factors, np.asarray(logdets)
+def _components(gmm: GmmSpec, a: float, s2: float, z: np.ndarray, scale=1.0):
+    """Per-component terms of the noisy mixture for rows z of shape (N, D).
 
-
-def _responsibilities(gmm: GmmSpec, a: float, z: np.ndarray, factors, logdets):
-    """Posterior component probabilities r_k(z) under the noisy mixture.
-
-    Returns (r, solved) with r of shape (K, N) and solved[k] = C_k^{-1}(z - m_k)
-    of shape (N, D).
+    Component k of z_t has mean a m_k and covariance Q_k diag(c_k) Q_k^T,
+    c_k = a^2 nu_k + s2.  Returns (r, logp, w): the responsibilities and
+    the log joint log(weight_k N(z; a m_k, C_k)), both (N, K), and the
+    whitened residual w = sum_k r_k Q_k diag(scale_k / c_k) Q_k^T (z - a m_k),
+    (N, D).
     """
-    d = gmm.dim
-    n = z.shape[0]
-    logp = np.empty((gmm.n_components, n))
-    solved = np.empty((gmm.n_components, n, d))
-    for k in range(gmm.n_components):
-        diff = z - a * gmm.means[k]
-        sol = cho_solve(factors[k], diff.T).T
-        solved[k] = sol
-        quad = np.einsum("nd,nd->n", diff, sol)
-        logp[k] = (np.log(gmm.weights[k]) - 0.5 * quad
-                   - 0.5 * logdets[k] - 0.5 * d * np.log(2.0 * np.pi))
-    r = np.exp(logp - logsumexp(logp, axis=0, keepdims=True))
-    return r, logp, solved
+    c = a * a * gmm._evals + s2
+    inv_c = 1.0 / c
+    gain = scale * inv_c
+    m = a * gmm.means
+    q = gmm._evecs
+    if q is None:
+        quad = ((z * z) @ inv_c.T - 2.0 * z @ (m * inv_c).T
+                + np.sum(m * m * inv_c, axis=1))
+    else:
+        v = (z[None] - m[:, None]) @ q
+        quad = np.einsum("knd,kd->nk", v * v, inv_c)
+    logp = (np.log(gmm.weights) - 0.5 * np.log(c).sum(axis=1)
+            - 0.5 * gmm.dim * np.log(2.0 * np.pi)) - 0.5 * quad
+    e = np.exp(logp - logp.max(axis=1, keepdims=True))
+    r = e / e.sum(axis=1, keepdims=True)
+    if q is None:
+        w = z * (r @ gain) - r @ (gain * m)
+    else:
+        w = v * gain[:, None] * r.T[..., None]
+        w = (w @ q.transpose(0, 2, 1)).sum(axis=0)
+    return r, logp, w
 
 
 def _flatten(z, d):
@@ -230,9 +241,8 @@ def log_marginal_density(gmm: GmmSpec, schedule: Schedule, t: float, z) -> np.nd
     a = float(schedule.alpha(t))
     s2 = float(schedule.sigma(t)) ** 2
     zf, lead = _flatten(z, gmm.dim)
-    factors, logdets = _noisy_factors(gmm, a, s2)
-    _, logp, _ = _responsibilities(gmm, a, zf, factors, logdets)
-    return logsumexp(logp, axis=0).reshape(lead)
+    _, logp, _ = _components(gmm, a, s2, zf)
+    return logsumexp(logp, axis=1).reshape(lead)
 
 
 def exact_score(gmm: GmmSpec, schedule: Schedule, t: float, z) -> np.ndarray:
@@ -240,11 +250,9 @@ def exact_score(gmm: GmmSpec, schedule: Schedule, t: float, z) -> np.ndarray:
     a = float(schedule.alpha(t))
     s2 = float(schedule.sigma(t)) ** 2
     zf, lead = _flatten(z, gmm.dim)
-    factors, logdets = _noisy_factors(gmm, a, s2)
-    r, _, solved = _responsibilities(gmm, a, zf, factors, logdets)
-    # score = sum_k r_k C_k^{-1}(m_k - z)
-    score = -np.einsum("kn,knd->nd", r, solved)
-    return score.reshape(lead + (gmm.dim,))
+    # score = sum_k r_k C_k^{-1}(a m_k - z)
+    _, _, w = _components(gmm, a, s2, zf)
+    return (-w).reshape(lead + (gmm.dim,))
 
 
 def posterior_mean(gmm: GmmSpec, schedule: Schedule, t: float, z) -> np.ndarray:
@@ -252,14 +260,9 @@ def posterior_mean(gmm: GmmSpec, schedule: Schedule, t: float, z) -> np.ndarray:
     a = float(schedule.alpha(t))
     s2 = float(schedule.sigma(t)) ** 2
     zf, lead = _flatten(z, gmm.dim)
-    factors, logdets = _noisy_factors(gmm, a, s2)
-    r, _, solved = _responsibilities(gmm, a, zf, factors, logdets)
-    # per-component linear-Gaussian posterior: mu_k + a Sigma_k C_k^{-1}(z - a mu_k)
-    out = np.zeros_like(zf)
-    for k in range(gmm.n_components):
-        comp_mean = gmm.means[k] + a * solved[k] @ gmm.covs[k].T
-        out += r[k, :, None] * comp_mean
-    return out.reshape(lead + (gmm.dim,))
+    # per-component linear-Gaussian posterior: m_k + a Sigma_k C_k^{-1}(z - a m_k)
+    r, _, w = _components(gmm, a, s2, zf, a * gmm._evals)
+    return (r @ gmm.means + w).reshape(lead + (gmm.dim,))
 
 
 def oracle_score_model(gmm: GmmSpec, schedule: Schedule):

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 from .gmm import GmmSpec, sample_data, posterior_mean
 from .schedule import Schedule
 from .snr_space import SnrPoint, t_of_lambda
@@ -166,7 +166,7 @@ def mmse_mc(gmm: GmmSpec, schedule: Schedule, lam: float, n: int,
     error.
     """
     if n < 100:
-        raise ValueError("n must be >= 100")
+        raise ConfigError(f"Monte Carlo n must be >= 100, got {n}")
     t = t_of_lambda(schedule, lam)
     a, s = float(schedule.alpha(t)), float(schedule.sigma(t))
     x = sample_data(gmm, n, seed)
@@ -182,7 +182,7 @@ def pointwise_mmse_mc(gmm: GmmSpec, schedule: Schedule, x, lam: float,
                       n: int, seed: int) -> McEstimate:
     """Monte Carlo pointwise MMSE at fixed x: E over z ~ p(z | x)."""
     if n < 100:
-        raise ValueError("n must be >= 100")
+        raise ConfigError(f"Monte Carlo n must be >= 100, got {n}")
     t = t_of_lambda(schedule, lam)
     a, s = float(schedule.alpha(t)), float(schedule.sigma(t))
     x = np.atleast_1d(np.asarray(x, dtype=float))

@@ -33,7 +33,6 @@ not depend on how trajectories are batched or threaded.
 
 from __future__ import annotations
 
-import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
@@ -42,7 +41,7 @@ import numpy as np
 
 from . import rng
 from .dynamics import ScoreModel, _drift_diffusion, _exp_diff
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, finite_real
 from .schedule import Schedule
 from .snr_space import t_of_lambda
 
@@ -294,15 +293,8 @@ class SamplerConfig:
                 raise ConfigError(f"{name} must be >= 1")
         for name in ("rho", "gamma", "delta", "eta", "t_start", "t_end"):
             value = getattr(self, name)
-            if value is None and name in ("t_start", "t_end"):
-                continue
-            try:
-                finite = math.isfinite(value)
-            except (TypeError, OverflowError):
-                finite = False
-            if isinstance(value, bool) or not finite:
-                raise ConfigError(f"{name} must be a finite real number, "
-                                  f"got {value!r}")
+            if not (value is None and name in ("t_start", "t_end")):
+                finite_real(name, value)
         if self.kind not in SAMPLER_KINDS:
             raise ConfigError(f"unknown sampler kind {self.kind!r}; "
                               f"expected one of {SAMPLER_KINDS}")

@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, finite_real
 
 _VALIDATION_GRID = 1001
 _WINDOW_ATOL = 1e-12
@@ -390,15 +390,16 @@ def make_schedule(name: str, params: dict | None = None,
         unknown = set(params) - required
         if unknown:
             raise ConfigError(f"{name}: unexpected parameters {sorted(unknown)}")
-        merged.update({k: float(v) for k, v in params.items()})
+        merged.update({k: finite_real(f"{name} param {k}", v)
+                       for k, v in params.items()})
         missing = required - set(merged)
         if missing:
             raise ConfigError(f"{name}: missing parameters {sorted(missing)}")
         params = merged
         fns = _FAMILY_BUILDERS[name](params)
         default_lo, default_hi = DEFAULT_WINDOWS[name]
-        t_min = default_lo if t_min is None else float(t_min)
-        t_max = default_hi if t_max is None else float(t_max)
+        t_min = default_lo if t_min is None else finite_real("t_min", t_min)
+        t_max = default_hi if t_max is None else finite_real("t_max", t_max)
 
     return Schedule(name, params, t_min, t_max, fns)
 

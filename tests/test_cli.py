@@ -146,6 +146,21 @@ class TestSampleCommand:
         assert not out.exists()
         assert f"config error: {next(iter(update))}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,update,named", [
+        ("gmm", {"means": [[float("nan")]]}, "mixture means"),
+        ("gmm", {"covs": [[[float("inf")]]]}, "mixture covs"),
+        ("schedule", {"params": {"beta_min": "abc"}}, "VP param beta_min"),
+    ])
+    def test_bad_mixture_or_schedule_exits_2_and_writes_nothing(
+            self, tmp_path, capsys, section, update, named):
+        cfg_data = json.loads(json.dumps(UNIT_CONFIG))
+        cfg_data[section].update(update)
+        cfg = write_config(tmp_path, cfg_data)
+        out = tmp_path / "out"
+        assert main(["sample", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert f"config error: {named}" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numerical_blowup_exits_3(self, tmp_path):
         cfg_data = json.loads(json.dumps(UNIT_CONFIG))
@@ -239,6 +254,16 @@ class TestInfoCommand:
         assert rc == 2
         assert not out.exists()
         assert "lambda=50.0 outside attainable range" in capsys.readouterr().err
+
+    def test_too_few_mc_draws_exits_2_and_writes_nothing(self, tmp_path,
+                                                          capsys):
+        cfg = write_config(tmp_path, GMM2D_CONFIG)
+        out = tmp_path / "out"
+        rc = main(["info", "--config", cfg, "--lambdas=-2:2:5",
+                   "--mc-n", "10", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert "n must be >= 100" in capsys.readouterr().err
 
     def test_mixture_needs_seed(self, tmp_path):
         cfg_data = json.loads(json.dumps(GMM2D_CONFIG))

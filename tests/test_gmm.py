@@ -1,5 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import cho_factor, cho_solve
+from scipy.special import logsumexp
 
 from snrdiff import (
     ConfigError,
@@ -14,6 +19,8 @@ from snrdiff import (
     single_gaussian,
     transition,
 )
+
+from conftest import BUILTIN
 
 
 @pytest.fixture
@@ -53,6 +60,15 @@ class TestSpecValidation:
             single_gaussian(np.zeros(d), full)
         ok = single_gaussian(np.zeros(d), np.ones(d))
         assert ok.dim == d
+
+    @pytest.mark.parametrize("field", ["weights", "means", "covs"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, field, bad):
+        parts = {"weights": np.array([0.5, 0.5]), "means": np.zeros((2, 2)),
+                 "covs": np.stack([np.eye(2), np.eye(2)])}
+        parts[field].flat[-1] = bad
+        with pytest.raises(ConfigError, match=f"mixture {field} must be finite"):
+            GmmSpec(parts["weights"], parts["means"], parts["covs"])
 
     def test_json_round_trip(self, gmm_2d):
         back = gmm_from_dict(gmm_2d.to_dict())
@@ -183,3 +199,97 @@ class TestPosteriorMean:
             lhs = posterior_mean(gmm_2d, any_schedule, t, z)
             rhs = (z + s * s * exact_score(gmm_2d, any_schedule, t, z)) / a
             np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-10)
+
+
+def cholesky_oracle(gmm, schedule, t, z):
+    """Reference (score, posterior mean, log density) at rows z, factoring
+    every noisy covariance a^2 Sigma_k + sigma^2 I by Cholesky."""
+    a = float(schedule.alpha(t))
+    s2 = float(schedule.sigma(t)) ** 2
+    k_count, d = gmm.n_components, gmm.dim
+    logp = np.empty((k_count, z.shape[0]))
+    solved = np.empty((k_count, z.shape[0], d))
+    for k in range(k_count):
+        cf = cho_factor(a * a * gmm.covs[k] + s2 * np.eye(d), lower=True)
+        diff = z - a * gmm.means[k]
+        solved[k] = cho_solve(cf, diff.T).T
+        quad = np.einsum("nd,nd->n", diff, solved[k])
+        logdet = 2.0 * np.log(np.diag(cf[0])).sum()
+        logp[k] = (np.log(gmm.weights[k]) - 0.5 * quad - 0.5 * logdet
+                   - 0.5 * d * np.log(2.0 * np.pi))
+    r = np.exp(logp - logsumexp(logp, axis=0, keepdims=True))
+    score = -np.einsum("kn,knd->nd", r, solved)
+    mean = sum(r[k, :, None] * (gmm.means[k] + a * solved[k] @ gmm.covs[k].T)
+               for k in range(k_count))
+    return score, mean, logsumexp(logp, axis=0)
+
+
+def random_mixture(gen, k, d, full):
+    """Weights, means, and (diagonal or full, per component) covariances."""
+    w = gen.uniform(0.5, 1.5, k)
+    means = gen.normal(scale=1.5, size=(k, d))
+    covs = np.stack([np.diag(gen.uniform(0.05, 2.0, d)) for _ in range(k)])
+    a = gen.normal(size=(k, d, d))
+    covs = np.where(np.asarray(full)[:, None, None],
+                    a @ a.transpose(0, 2, 1) / d + 0.05 * np.eye(d), covs)
+    return GmmSpec(w / w.sum(), means, covs)
+
+
+def assert_matches_cholesky(gmm, schedule, t, z, tol=1e-12):
+    got = (exact_score(gmm, schedule, t, z), posterior_mean(gmm, schedule, t, z),
+           log_marginal_density(gmm, schedule, t, z))
+    for name, g, w in zip(("score", "posterior mean", "log density"), got,
+                          cholesky_oracle(gmm, schedule, t, z)):
+        err = np.linalg.norm(g - w) / np.linalg.norm(w)
+        assert err <= tol, f"{name} at t={t}: relative error {err:.3g}"
+
+
+def noisy_draws(gmm, schedule, t, n, seed):
+    x = sample_data(gmm, n, seed)
+    eps = np.random.default_rng(seed).standard_normal(x.shape)
+    return float(schedule.alpha(t)) * x + float(schedule.sigma(t)) * eps
+
+
+SPECTRAL_CASES = [(k, d, full) for k in (1, 2, 8) for d in (1, 2, 16)
+                  for full in ((False,) if d == 1 else (False, True))]
+
+
+class TestSpectralOracle:
+    """The eigenbasis kernel against the per-call Cholesky oracle."""
+
+    @pytest.mark.parametrize("k,d,full", SPECTRAL_CASES)
+    def test_matches_cholesky(self, any_schedule, k, d, full):
+        gen = np.random.default_rng(100 * k + d)
+        gmm = random_mixture(gen, k, d, [full] * k)
+        assert (gmm._evecs is None) == (not full)
+        lo, hi = any_schedule.t_min, any_schedule.t_max
+        for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
+            t = lo + frac * (hi - lo)
+            z = noisy_draws(gmm, any_schedule, t, 300, seed=k + d)
+            assert_matches_cholesky(gmm, any_schedule, t, z)
+
+    @given(k=st.integers(1, 4), d=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1), name=st.sampled_from(BUILTIN),
+           frac=st.floats(0.0, 1.0))
+    @settings(max_examples=100)
+    def test_matches_cholesky_on_random_specs(self, k, d, seed, name, frac):
+        gen = np.random.default_rng(seed)
+        gmm = random_mixture(gen, k, d, gen.random(k) < 0.5)
+        sched = make_schedule(name)
+        t = sched.t_min + frac * (sched.t_max - sched.t_min)
+        z = noisy_draws(gmm, sched, t, 50, seed=seed)
+        assert_matches_cholesky(gmm, sched, t, z)
+
+    @pytest.mark.parametrize("cov", [[[1.0, 1.0], [1.0, 1.0]],
+                                     [[0.0, 0.0], [0.0, 2.0]]])
+    def test_zero_eigenvalue_at_smallest_sigma(self, any_schedule, cov):
+        gmm = GmmSpec(np.array([0.4, 0.6]), np.array([[0.5, -1.0], [-0.5, 1.0]]),
+                      np.array([cov, np.eye(2)]))
+        t = any_schedule.t_min
+        z = noisy_draws(gmm, any_schedule, t, 200, seed=11)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outs = (exact_score(gmm, any_schedule, t, z),
+                    posterior_mean(gmm, any_schedule, t, z),
+                    log_marginal_density(gmm, any_schedule, t, z))
+        assert all(np.all(np.isfinite(o)) for o in outs)

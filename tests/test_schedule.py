@@ -37,6 +37,17 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             make_schedule("VE", params={"sigma_min": 0.01, "sigma_mx": 50})
 
+    @pytest.mark.parametrize("value", ["abc", None, True, float("nan"),
+                                       float("inf"), [0.1]])
+    def test_non_real_parameter(self, value):
+        with pytest.raises(ConfigError, match="VP param beta_min"):
+            make_schedule("VP", params={"beta_min": value})
+
+    @pytest.mark.parametrize("value", ["abc", True, float("nan")])
+    def test_non_real_window(self, value):
+        with pytest.raises(ConfigError, match="t_max"):
+            make_schedule("VP", t_max=value)
+
     def test_bad_window_order(self):
         with pytest.raises(ConfigError):
             make_schedule("VP", t_min=0.9, t_max=0.2)
