@@ -5,8 +5,9 @@ Subcommands: ``schedules``, ``sample``, ``sweep``, ``info``, ``snrspace``,
 file, and seed: reruns produce byte-identical files.  Floats are written
 with 17 significant digits.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid configuration,
-3 numerical failure.
+Exit codes: 0 success, 1 verification failure, 2 invalid configuration
+or arguments, including an output directory that cannot be created or
+written (IO error), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -47,9 +48,16 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _open_out(path: Path):
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return open(path, "w", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
+    with _open_out(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
@@ -57,8 +65,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
+    with _open_out(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -112,21 +119,32 @@ def _threads(args) -> int:
 
 
 def _parse_grid(text: str, what: str) -> list[float]:
-    """Parse 'lo:hi:count' (inclusive linspace) or a comma list of values."""
+    """Parse 'lo:hi:count' (inclusive linspace) or a comma list of values;
+    the grid must hold at least one value."""
     try:
         if ":" in text:
             lo, hi, count = text.split(":")
-            return [float(v) for v in
-                    np.linspace(float(lo), float(hi), int(count))]
-        return [float(v) for v in text.split(",") if v]
+            values = [float(v) for v in
+                      np.linspace(float(lo), float(hi), int(count))]
+        else:
+            values = [float(v) for v in text.split(",") if v]
     except ValueError as exc:
         raise ConfigError(f"cannot parse {what} grid {text!r}") from exc
+    if not values:
+        raise ConfigError(f"{what} grid {text!r} holds no values")
+    return values
+
+
+def _grid_size(args) -> int:
+    if args.grid < 1:
+        raise ConfigError(f"--grid must be >= 1, got {args.grid}")
+    return args.grid
 
 
 def cmd_schedules(args) -> int:
     cfg = _load_config(args.config)
     sched = _resolve_schedule(args, cfg)
-    ts = np.linspace(sched.t_min, sched.t_max, args.grid)
+    ts = np.linspace(sched.t_min, sched.t_max, _grid_size(args))
     rows = [
         (float(t), float(sched.alpha(t)), float(sched.sigma(t)),
          float(sched.lam(t)), float(sched.dalpha_dt(t)),
@@ -225,8 +243,8 @@ def cmd_sweep(args) -> int:
     out_dir = Path(args.out)
     header = ["gamma", "delta", "rho", "mean_error_l2",
               "cov_frobenius_error", "energy_distance"]
-    _write_csv(out_dir / "sweep.csv", header, rows)
     best = min(rows, key=lambda row: row[5])
+    _write_csv(out_dir / "sweep.csv", header, rows)
     _write_json(out_dir / "sweep_best.json", dict(zip(header, best)))
     print(f"wrote {out_dir / 'sweep.csv'} ({len(rows)} cells); "
           f"best energy distance {best[5]:.6g} at gamma={best[0]:g}, "
@@ -283,7 +301,7 @@ def cmd_snrspace(args) -> int:
     sched = _resolve_schedule(args, cfg)
     lo, hi = sched.lambda_range()
     rows = []
-    for lam in np.linspace(lo, hi, args.grid):
+    for lam in np.linspace(lo, hi, _grid_size(args)):
         p = tilde_eval(sched, float(lam))
         rows.append((p.lam, p.tilde_alpha, p.tilde_sigma))
     out = Path(args.out) / "snrspace.csv"

@@ -122,6 +122,15 @@ class GmmSpec:
         }
 
 
+def _float_array(name: str, value) -> np.ndarray:
+    """``value`` as a float array, or a ConfigError naming the gmm field."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"gmm {name} must be a numeric, non-ragged array: {exc}") from exc
+
+
 def gmm_from_dict(spec: dict) -> GmmSpec:
     """Build a GmmSpec from its JSON form.
 
@@ -136,13 +145,15 @@ def gmm_from_dict(spec: dict) -> GmmSpec:
         covs_in = spec["covs"]
     except KeyError as exc:
         raise ConfigError(f"gmm spec missing field {exc}") from exc
-    covs = []
-    for c in covs_in:
-        c = np.asarray(c, dtype=float)
-        covs.append(np.diag(c) if c.ndim == 1 else c)
-    gmm = GmmSpec(np.asarray(weights, float), np.asarray(means, float),
-                  np.asarray(covs, float))
-    if "dim" in spec and int(spec["dim"]) != gmm.dim:
+    try:
+        covs = [_float_array("covs", c) for c in covs_in]
+    except TypeError as exc:
+        raise ConfigError(f"gmm covs must be a list: {exc}") from exc
+    gmm = GmmSpec(_float_array("weights", weights),
+                  _float_array("means", means),
+                  _float_array("covs", [np.diag(c) if c.ndim == 1 else c
+                                        for c in covs]))
+    if "dim" in spec and spec["dim"] != gmm.dim:
         raise ConfigError(
             f"gmm spec declares dim={spec['dim']} but means have D={gmm.dim}"
         )

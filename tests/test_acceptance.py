@@ -1,305 +1,71 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS line with the measured numbers (run with ``pytest -s`` to see them
-on success).  Tolerances are fixed here, not tuned per run.
+on success).
+
+Tests 01-10 assert the invariant checks of ``snrdiff.verify``, which
+``snrdiff verify --level full`` also runs.  Their tolerances, grids, sample
+counts and seeds live there, in one place, and are fixed, not tuned per
+run.
 """
 
 import json
 
 import numpy as np
 
-from snrdiff import (
-    SamplerConfig,
-    equivalence_check,
-    euler_maruyama_forward,
-    forward_coeffs,
-    kl_gaussian_conditional,
-    kong_point,
-    make_schedule,
-    make_time_grid,
-    mi_gaussian_closed,
-    mmse_gaussian,
-    moment_report,
-    oracle_score_model,
-    pointwise_mmse_gaussian,
-    sample,
-    single_gaussian,
-    step_euler_backward,
-    step_generalized,
-    step_kingma,
-    step_non_markovian,
-    tilde_eval,
-    time_warp,
-    transition,
-)
+from snrdiff import verify
 from snrdiff.cli import main as cli_main
-from snrdiff.infotheory import dkl_dlambda, dmi_dlambda
-from snrdiff.samplers import non_markovian_beta2
-
-BUILTIN = ("VP", "VE", "iDDPM", "FM_OT")
 
 
 def _report(num, detail):
     print(f"ACCEPTANCE {num:02d} PASS - {detail}")
 
 
-def _rel(a, b):
-    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+def _accept(num, *checks):
+    results = [check() for check in checks]
+    for r in results:
+        assert r.ok, f"{r.name}: {r.detail}"
+    _report(num, "; ".join(r.detail for r in results))
 
 
 def test_01_schedule_identities():
-    worst = 0.0
-    for name in BUILTIN:
-        sched = make_schedule(name)
-        ts = np.linspace(sched.t_min, sched.t_max, 1000)
-        a, s, l = sched.alpha(ts), sched.sigma(ts), sched.lam(ts)
-        worst = max(worst, np.max(np.abs(l - np.log(a * a / (s * s)))
-                                  / np.maximum(np.abs(l), 1e-12)))
-        assert np.all(np.diff(l) < 0)
-        cross = 2.0 * (sched.dalpha_dt(ts) / a - sched.dsigma_dt(ts) / s)
-        np.testing.assert_allclose(sched.dlambda_dt(ts), cross, rtol=1e-9)
-        inner = ts[1:-1]
-        h = 1e-6
-        fd = (sched.dalpha_dt(inner), sched.dlambda_dt(inner))
-        np.testing.assert_allclose(
-            fd[0], (sched.alpha(inner + h) - sched.alpha(inner - h)) / (2 * h),
-            rtol=1e-5, atol=1e-10)
-        np.testing.assert_allclose(
-            fd[1], (sched.lam(inner + h) - sched.lam(inner - h)) / (2 * h),
-            rtol=1e-5)
-    assert worst <= 1e-12
-    _report(1, f"lambda identity max rel error {worst:.2e} on 1000-point grids")
+    _accept(1, verify.check_schedule_identities)
 
 
 def test_02_chapman_kolmogorov():
-    gen = np.random.default_rng(20240817)
-    worst = 0.0
-    for name in BUILTIN:
-        sched = make_schedule(name)
-        for _ in range(100):
-            r, s, t = np.sort(gen.uniform(sched.t_min, sched.t_max, 3))
-            k_rt = transition(sched, r, t)
-            k_rs = transition(sched, r, s)
-            k_st = transition(sched, s, t)
-            worst = max(worst, _rel(k_rt.mean_coeff,
-                                    k_rs.mean_coeff * k_st.mean_coeff))
-            composed = k_st.mean_coeff ** 2 * k_rs.variance + k_st.variance
-            if max(k_rt.variance, composed) > 1e-300:
-                worst = max(worst, _rel(k_rt.variance, composed))
-    assert worst <= 1e-10
-    _report(2, f"composition max rel error {worst:.2e} "
-               "(100 random triples per schedule)")
+    _accept(2, verify.check_chapman_kolmogorov)
 
 
 def test_03_forward_sde_kernel_consistency():
-    sched = make_schedule("VP")
-    n, steps = 100_000, 10_000
-    z = euler_maruyama_forward(sched, np.array([1.0]), steps=steps, seed=7,
-                               n_paths=n)[:, 0]
-    mean_target = float(sched.alpha(sched.t_max))
-    var_target = float(sched.sigma(sched.t_max)) ** 2
-    mc_sigma = z.std(ddof=1) / np.sqrt(n)
-    mean_err = abs(z.mean() - mean_target)
-    var_err = abs(z.var(ddof=1) - var_target) / var_target
-    assert mean_err <= 3 * mc_sigma
-    assert var_err <= 0.02
-    _report(3, f"mean err {mean_err:.2e} vs 3 MC-sigma {3 * mc_sigma:.2e}; "
-               f"variance rel err {var_err:.3%}")
+    _accept(3, verify.check_forward_marginals)
 
 
 def test_04_asymptotic_recovery():
-    checked = 0
-    for name in BUILTIN:
-        sched = make_schedule(name)
-        span = sched.t_max - sched.t_min
-        for frac in (0.31, 0.67):
-            t = sched.t_min + frac * span
-            c = forward_coeffs(sched, t)
-            errs_f, errs_v = [], []
-            for dt in (1e-3, 5e-4, 2.5e-4, 1.25e-4):
-                k = transition(sched, t, t + dt)
-                errs_f.append(abs((k.mean_coeff - 1.0) / dt - c.f))
-                errs_v.append(abs(k.variance / dt - c.g ** 2))
-            for errs, scale in ((errs_f, max(1.0, abs(c.f))),
-                                (errs_v, max(1.0, c.g ** 2))):
-                if max(errs) <= 1e-10 * scale:
-                    # difference quotient exact (VE drift, FM_OT linear alpha)
-                    continue
-                for e0, e1 in zip(errs[:-1], errs[1:]):
-                    assert 1.7 <= e0 / e1 <= 2.3, (name, t, errs)
-                    checked += 1
-    _report(4, f"{checked} Richardson ratios all in [1.7, 2.3]")
+    _accept(4, verify.check_asymptotic_recovery)
 
 
 def test_05_special_case_reductions():
-    sched = make_schedule("VP")
-    model = oracle_score_model(single_gaussian([0.0], [[1.0]]), sched)
-    gen = np.random.default_rng(123)
-    worst_k, worst_d = 0.0, 0.0
-    for _ in range(100):
-        t = gen.uniform(0.1, sched.t_max)
-        s = gen.uniform(sched.t_min, t)
-        z = gen.normal(size=(1, 1))
-        eps = gen.normal(size=(1, 1))
-        king = step_kingma(sched, model, z, t, s, eps=eps)
-        genl = step_generalized(sched, model, z, t, s, 1.0, 1.0, 1.0, eps=eps)
-        worst_k = max(worst_k, _rel(king[0, 0], genl[0, 0]))
-
-        lam_t, lam_s = float(sched.lam(t)), float(sched.lam(s))
-        a_t, a_s = float(sched.alpha(t)), float(sched.alpha(s))
-        det_ref = (a_s / a_t) * z - a_s \
-            * (np.exp(-lam_t / 2) - np.exp(-lam_s / 2)) \
-            * model.eps(sched, z, t)
-        det = step_generalized(sched, model, z, t, s, 0.0, 0.0, 1.0)
-        worst_d = max(worst_d, _rel(det[0, 0], det_ref[0, 0]))
-    assert worst_k <= 1e-12
-    assert worst_d <= 1e-12
-    _report(5, f"kingma reduction {worst_k:.2e}; deterministic reduction "
-               f"{worst_d:.2e} (100 random inputs each)")
+    _accept(5, verify.check_kingma_reduction,
+            verify.check_deterministic_reduction)
 
 
 def test_06_order_of_accuracy():
-    sched = make_schedule("VP")
-    model = oracle_score_model(single_gaussian([0.0], [[1.0]]), sched)
-    z = np.array([[0.8]])
-    ratios = []
-    for t in (0.35, 0.6, 0.8):
-        gaps = []
-        for dt in (0.04, 0.02, 0.01, 0.005):
-            a = step_generalized(sched, model, z, t, t - dt, 0.0, 0.0, 1.0)
-            b = step_euler_backward(sched, model, z, t, t - dt, 0.0)
-            gaps.append(float(np.abs(a - b).max()))
-        for g0, g1 in zip(gaps[:-1], gaps[1:]):
-            ratio = g0 / g1
-            assert 3.0 <= ratio <= 5.0, (t, gaps)
-            ratios.append(ratio)
-    _report(6, "one-step gap Richardson ratios "
-               + ", ".join(f"{r:.2f}" for r in ratios))
+    _accept(6, verify.check_order_of_accuracy)
 
 
 def test_07_end_to_end_deterministic_sampling():
-    sched = make_schedule("VP")
-    gmm = single_gaussian([0.0], [[1.0]])
-    model = oracle_score_model(gmm, sched)
-    n = 10_000
-    errs, mean_errs = [], []
-    for steps in (25, 50, 100, 200):
-        cfg = SamplerConfig(kind="generalized", rho=0.0, gamma=0.0,
-                            steps=steps, grid_kind="uniform_lambda", seed=3)
-        rep = moment_report(sample(sched, model, cfg, n=n, d=1), gmm)
-        errs.append(rep.cov_frobenius_error)
-        mean_errs.append(rep.mean_error_l2)
-    floor = np.sqrt(2.0 / n)
-    for e0, e1 in zip(errs[:-1], errs[1:]):
-        assert e1 <= e0 or e1 <= floor
-    assert errs[-1] < 0.02
-    assert mean_errs[-1] < 0.02
-    _report(7, "cov errors 25->200 steps: "
-               + ", ".join(f"{e:.4f}" for e in errs)
-               + f"; final mean err {mean_errs[-1]:.4f}")
+    _accept(7, verify.check_end_to_end_deterministic)
 
 
 def test_08_non_markovian_correctness():
-    sched = make_schedule("VP")
-    gmm = single_gaussian([0.0], [[1.0]])
-    model = oracle_score_model(gmm, sched)
-    n, steps, seed = 10_000, 200, 5
-    grid = make_time_grid(sched, "uniform_lambda", steps, sched.t_max,
-                          sched.t_min)
-
-    # closed-form affine propagation: the eta = 0 step with an exact
-    # denoiser is z -> coef * z; verify the stepper coefficient and track
-    # the implied mean/variance at every grid node
-    probes = np.array([[-2.0], [0.7], [3.1]])
-    mean, var = 0.0, float(sched.sigma(sched.t_max)) ** 2
-    means, variances = [mean], [var]
-    worst = 0.0
-    for k in range(steps):
-        t, s = float(grid[k]), float(grid[k + 1])
-        a_t, a_s = float(sched.alpha(t)), float(sched.alpha(s))
-        s_t, s_s = float(sched.sigma(t)), float(sched.sigma(s))
-        shrink = a_t / (a_t ** 2 + s_t ** 2)
-        coef = s_s / s_t + (a_s - s_s * a_t / s_t) * shrink
-        got = step_non_markovian(sched, model, probes, t, s, 0.0)
-        worst = max(worst, float(np.max(np.abs(got - coef * probes))))
-        mean, var = coef * mean, coef * coef * var
-        means.append(mean)
-        variances.append(var)
-    assert worst <= 1e-10
-    assert abs(variances[-1] - 1.0) < 0.05
-
-    # beta^2 stays below sigma^2(s) and eta > 0 errors stay within 2x
-    errs = {}
-    for eta in (0.0, 0.5, 1.0):
-        for k in range(steps):
-            b2 = non_markovian_beta2(sched, float(grid[k + 1]),
-                                     float(grid[k]), eta)
-            assert b2 <= float(sched.sigma(grid[k + 1])) ** 2
-        cfg = SamplerConfig(kind="non_markovian", eta=eta, steps=steps,
-                            seed=seed)
-        rep = moment_report(sample(sched, model, cfg, n=n, d=1), gmm)
-        errs[eta] = (rep.cov_frobenius_error, rep.mean_error_l2)
-    for eta in (0.5, 1.0):
-        assert errs[eta][0] <= 2.0 * errs[0.0][0]
-        assert errs[eta][1] <= 2.0 * errs[0.0][1]
-    _report(8, f"affine propagation max dev {worst:.2e}; cov errs "
-               f"eta0={errs[0.0][0]:.4f}, eta05={errs[0.5][0]:.4f}, "
-               f"eta1={errs[1.0][0]:.4f}")
+    _accept(8, verify.check_non_markovian_affine)
 
 
 def test_09_schedule_equivalence():
-    vp = make_schedule("VP")
-    lo, hi = vp.t_min, vp.t_max
-
-    def warp(t):
-        u = (np.asarray(t, float) - lo) / (hi - lo)
-        return lo + (hi - lo) * (0.6 * u + 0.4 * u * u)
-
-    def dwarp(t):
-        u = (np.asarray(t, float) - lo) / (hi - lo)
-        return 0.6 + 0.8 * u
-
-    same = equivalence_check(vp, time_warp(vp, warp, dwarp), 200, 1e-10)
-    diff = equivalence_check(vp, make_schedule("VE"), 200, 1e-10)
-    assert same.equivalent
-    assert not diff.equivalent
-    _report(9, f"warped-VP max deviation {same.max_deviation:.2e}; "
-               f"VP-vs-VE max deviation {diff.max_deviation:.2e} (rejected)")
+    _accept(9, verify.check_schedule_equivalence)
 
 
 def test_10_information_derivatives():
-    S = np.array([[1.0]])
-    h = 1e-4
-    worst_mi, worst_kl = 0.0, 0.0
-    gen = np.random.default_rng(23)
-    for name in BUILTIN:
-        sched = make_schedule(name)
-        lo, hi = sched.lambda_range()
-        for lam in np.linspace(lo + 10 * h, hi - 10 * h, 50):
-            p = tilde_eval(sched, float(lam))
-            fd = (mi_gaussian_closed(S, tilde_eval(sched, lam + h))
-                  - mi_gaussian_closed(S, tilde_eval(sched, lam - h))) / (2 * h)
-            got = dmi_dlambda(p, 1, mmse_gaussian(S, p))
-            worst_mi = max(worst_mi, abs(got - fd) / (abs(fd) + 1e-12))
-        for lam in np.linspace(lo + 10 * h, hi - 10 * h, 5):
-            p = tilde_eval(sched, float(lam))
-            for x in gen.normal(size=4):
-                fd = (kl_gaussian_conditional(S, [x],
-                                              tilde_eval(sched, lam + h))
-                      - kl_gaussian_conditional(S, [x],
-                                                tilde_eval(sched, lam - h))
-                      ) / (2 * h)
-                got = dkl_dlambda(p, 1, pointwise_mmse_gaussian(S, [x], p))
-                worst_kl = max(worst_kl, abs(got - fd) / (abs(fd) + 1e-12))
-    worst_kong = 0.0
-    for lam in np.linspace(0.1, 8.0, 40):
-        p = kong_point(lam)
-        m = mmse_gaussian(S, p)
-        worst_kong = max(worst_kong, abs(dmi_dlambda(p, 1, m) - 0.5 * m))
-    assert worst_mi <= 1e-6
-    assert worst_kl <= 1e-6
-    assert worst_kong <= 1e-9
-    _report(10, f"dMI {worst_mi:.2e}, dKL {worst_kl:.2e} vs central "
-                f"differences; sqrt-channel residual {worst_kong:.2e}")
+    _accept(10, verify.check_info_derivatives)
 
 
 def test_11_sweep_harness(tmp_path):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import snrdiff
+from snrdiff import samplers
 from snrdiff.cli import main
 
 UNIT_CONFIG = {
@@ -150,6 +151,9 @@ class TestSampleCommand:
         ("gmm", {"means": [[float("nan")]]}, "mixture means"),
         ("gmm", {"covs": [[[float("inf")]]]}, "mixture covs"),
         ("schedule", {"params": {"beta_min": "abc"}}, "VP param beta_min"),
+        ("gmm", {"means": [["abc"]]}, "gmm means"),
+        ("gmm", {"weights": [0.5, 0.5], "means": [[0.0], [1.0, 2.0]],
+                 "covs": [[[1.0]], [[1.0]]]}, "gmm means"),
     ])
     def test_bad_mixture_or_schedule_exits_2_and_writes_nothing(
             self, tmp_path, capsys, section, update, named):
@@ -280,6 +284,33 @@ class TestInfoCommand:
         assert header == ["lambda", "mmse", "dmi_dlambda"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["schedules", "--grid", "-1"],
+    ["sweep", "--gammas", ","],
+    ["sweep", "--deltas", "1:2:0"],
+    ["info", "--lambdas", ""],
+    ["snrspace", "--grid", "-1"],
+])
+def test_empty_or_negative_grid_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                          argv):
+    cfg = write_config(tmp_path, UNIT_CONFIG)
+    out = tmp_path / "out"
+    assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "config error: " in capsys.readouterr().err
+
+
+def test_uncreatable_out_dir_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, UNIT_CONFIG)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    rc = main(["sample", "--config", cfg, "-n", "8",
+               "--out", str(blocker / "out")])
+    assert rc == 2
+    assert "cannot write" in capsys.readouterr().err
+    assert blocker.read_text() == ""
+
+
 class TestSnrspaceCommand:
     def test_curve(self, tmp_path):
         rc = main(["snrspace", "--schedule", "FM_OT", "--grid", "64",
@@ -300,6 +331,11 @@ class TestVerifyCommand:
         assert rc == 0
         assert "FAIL" not in out
         assert out.count("PASS") >= 10
+
+    def test_failed_check_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(samplers, "_MUTATE_FLIP_EPS_BRACKET", True)
+        assert main(["verify", "--level", "fast"]) == 1
+        assert "FAIL kingma_reduction" in capsys.readouterr().out
 
 
 class TestConsoleEntry:

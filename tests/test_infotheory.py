@@ -17,6 +17,7 @@ from snrdiff import (
     single_gaussian,
     tilde_eval,
 )
+from snrdiff.verify import check_mc_estimators
 
 # frozen closed forms: 0.5*log(2)
 HALF_LOG_TWO = 0.34657359027997264
@@ -75,6 +76,10 @@ class TestMonteCarloEstimators:
         est = mmse_mc(unit_gmm, vp, lam, n=20000, seed=5)
         closed = mmse_gaussian(S1, tilde_eval(vp, lam))
         assert abs(est.value - closed) <= 3 * est.stderr
+
+    def test_verify_check_passes(self):
+        r = check_mc_estimators()
+        assert r.ok, r.detail
 
     def test_point_mass_data(self, vp):
         g = single_gaussian([1.0], [[1e-12]])

@@ -477,6 +477,14 @@ class TestMutationHook:
         assert check_chapman_kolmogorov().ok
         assert not check_kingma_reduction().ok
 
+    def test_nan_step_fails_kingma_check(self, monkeypatch):
+        from snrdiff import verify
+        monkeypatch.setattr(verify, "step_kingma",
+                            lambda *args, **kwargs: np.full((1, 1), np.nan))
+        result = verify.check_kingma_reduction()
+        assert not result.ok
+        assert "nan" in result.detail
+
 
 def _parent_step(schedule, model, kind, cfg, z, t, s, eps):
     """The per-kind step formulas as written before the coefficient table,
