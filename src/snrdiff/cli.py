@@ -8,6 +8,10 @@ with 17 significant digits.
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration
 or arguments, including an output directory that cannot be created or
 written (IO error), 3 numerical failure.
+
+A command builds the text of every output file before writing any, writes
+each to a temp file beside its target and renames them into place only
+when all are written, so a failure leaves no partial output behind.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -48,26 +53,40 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _open_out(path: Path):
+def _csv_text(header: list[str], rows) -> str:
+    lines = [",".join(header)]
+    lines += [",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
+              for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _write_outputs(out_dir: Path, files: dict[str, str]) -> None:
+    """Write every file of ``files`` (name -> text) into ``out_dir``, or
+    none: each goes to a temp file there first, and the renames start only
+    once all are written and no target is a directory."""
+    temps = []
+    path = out_dir
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        return open(path, "w", newline="\n")
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            path = out_dir / name
+            if path.is_dir():
+                raise IsADirectoryError(f"{path} is a directory")
+            # not mkstemp: "x" keeps the umask mode a plain open would give
+            tmp = out_dir / f".{name}.{uuid.uuid4().hex}.tmp"
+            with open(tmp, "x", newline="\n") as fh:
+                temps.append((tmp, path))
+                fh.write(text)
+        for tmp, path in temps:
+            os.replace(tmp, path)
     except OSError as exc:
+        for tmp, _ in temps:
+            tmp.unlink(missing_ok=True)
         raise ConfigError(f"cannot write {path}: {exc}") from exc
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with _open_out(path) as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
-
-
-def _write_json(path: Path, obj) -> None:
-    with _open_out(path) as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _load_config(path: str | None) -> dict:
@@ -152,8 +171,8 @@ def cmd_schedules(args) -> int:
         for t in ts
     ]
     out = Path(args.out) / "schedules.csv"
-    _write_csv(out, ["t", "alpha", "sigma", "lambda", "dalpha_dt",
-                     "dlambda_dt"], rows)
+    _write_outputs(out.parent, {out.name: _csv_text(
+        ["t", "alpha", "sigma", "lambda", "dalpha_dt", "dlambda_dt"], rows)})
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -194,19 +213,19 @@ def cmd_sample(args) -> int:
         trajs = None
     report = _quality_report(x, gmm, sampler_cfg.seed)
 
-    out_dir = Path(args.out)
-    _write_csv(out_dir / "samples.csv",
-               ["sample_id"] + [f"x_{j}" for j in range(gmm.dim)],
-               ((i, *map(float, x[i])) for i in range(x.shape[0])))
-    _write_json(out_dir / "report.json", report.to_dict())
+    files = {
+        "samples.csv": _csv_text(
+            ["sample_id"] + [f"x_{j}" for j in range(gmm.dim)],
+            ((i, *map(float, x[i])) for i in range(x.shape[0]))),
+        "report.json": _json_text(report.to_dict()),
+    }
     if trajs is not None:
-        rows = []
-        for i, tr in enumerate(trajs):
-            for k, t in enumerate(tr.times):
-                rows.append((i, k, float(t), *map(float, tr.states[k])))
-        _write_csv(out_dir / "trajectories.csv",
-                   ["sample_id", "step", "t"] +
-                   [f"z_{j}" for j in range(gmm.dim)], rows)
+        files["trajectories.csv"] = _csv_text(
+            ["sample_id", "step", "t"] + [f"z_{j}" for j in range(gmm.dim)],
+            ((i, k, float(t), *map(float, tr.states[k]))
+             for i, tr in enumerate(trajs) for k, t in enumerate(tr.times)))
+    out_dir = Path(args.out)
+    _write_outputs(out_dir, files)
     print(f"wrote {out_dir / 'samples.csv'} and {out_dir / 'report.json'}")
     return EXIT_OK
 
@@ -244,8 +263,10 @@ def cmd_sweep(args) -> int:
     header = ["gamma", "delta", "rho", "mean_error_l2",
               "cov_frobenius_error", "energy_distance"]
     best = min(rows, key=lambda row: row[5])
-    _write_csv(out_dir / "sweep.csv", header, rows)
-    _write_json(out_dir / "sweep_best.json", dict(zip(header, best)))
+    _write_outputs(out_dir, {
+        "sweep.csv": _csv_text(header, rows),
+        "sweep_best.json": _json_text(dict(zip(header, best))),
+    })
     print(f"wrote {out_dir / 'sweep.csv'} ({len(rows)} cells); "
           f"best energy distance {best[5]:.6g} at gamma={best[0]:g}, "
           f"delta={best[1]:g}, rho={best[2]:g}")
@@ -291,7 +312,7 @@ def cmd_info(args) -> int:
     rows = [(c.lam, c.mmse, c.dmi_dlambda) + ((c.mi_closed,) if single else ())
             for c in curve]
     out = Path(args.out) / "info.csv"
-    _write_csv(out, header, rows)
+    _write_outputs(out.parent, {out.name: _csv_text(header, rows)})
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -305,7 +326,8 @@ def cmd_snrspace(args) -> int:
         p = tilde_eval(sched, float(lam))
         rows.append((p.lam, p.tilde_alpha, p.tilde_sigma))
     out = Path(args.out) / "snrspace.csv"
-    _write_csv(out, ["lambda", "tilde_alpha", "tilde_sigma"], rows)
+    _write_outputs(out.parent, {out.name: _csv_text(
+        ["lambda", "tilde_alpha", "tilde_sigma"], rows)})
     print(f"wrote {out}")
     return EXIT_OK
 

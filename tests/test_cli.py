@@ -311,6 +311,20 @@ def test_uncreatable_out_dir_exits_2(tmp_path, capsys):
     assert blocker.read_text() == ""
 
 
+@pytest.mark.parametrize("argv,blocked", [
+    (["sample", "-n", "8"], "report.json"),
+    (["sample", "-n", "8", "--trajectories"], "trajectories.csv"),
+    (["sweep", "-n", "8", "--gammas", "1", "--deltas", "1"], "sweep_best.json"),
+])
+def test_failed_later_file_leaves_no_output(tmp_path, capsys, argv, blocked):
+    cfg = write_config(tmp_path, UNIT_CONFIG)
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
+    assert f"cannot write {out / blocked}" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == [blocked]
+
+
 class TestSnrspaceCommand:
     def test_curve(self, tmp_path):
         rc = main(["snrspace", "--schedule", "FM_OT", "--grid", "64",

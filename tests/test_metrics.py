@@ -1,7 +1,9 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from snrdiff import (
     NumericalError,
@@ -11,6 +13,7 @@ from snrdiff import (
     sample_data,
     single_gaussian,
 )
+from snrdiff.metrics import _pairwise_distance_sum
 
 # frozen: 0.5*(2 - 1 - log(2))
 KL_N02_VS_N01 = 0.15342640972002736
@@ -95,6 +98,86 @@ class TestEnergyDistance:
             - np.mean([np.linalg.norm(p - q) for p in b for q in b])
         )
         np.testing.assert_allclose(energy_distance(a, b), direct, rtol=1e-10)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises(self, d, bad):
+        a = np.zeros((5, d))
+        b = np.ones((6, d))
+        b[3, d - 1] = bad
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="finite"):
+                energy_distance(x, y)
+
+
+def fraction_energy_distance(a, b) -> Fraction:
+    """Exact rational V-statistic of two 1-D float sample sets."""
+    a = [Fraction(float(x)) for x in a]
+    b = [Fraction(float(x)) for x in b]
+    n, m = len(a), len(b)
+    return (2 * sum(abs(x - y) for x in a for y in b) / (n * m)
+            - sum(abs(x - y) for x in a for y in a) / (n * n)
+            - sum(abs(x - y) for x in b for y in b) / (m * m))
+
+
+def assert_matches_cdist(a, b):
+    """The 1-D sorted form against the three blocked-cdist pair sums, to
+    1e-12 of E|A-B|: the cdist terms cancel, so their error scales with
+    the cross term, not with the result."""
+    a, b = np.reshape(a, (-1, 1)), np.reshape(b, (-1, 1))
+    n, m = len(a), len(b)
+    cross = _pairwise_distance_sum(a, b) / (n * m)
+    reference = (2.0 * cross - _pairwise_distance_sum(a, a) / (n * n)
+                 - _pairwise_distance_sum(b, b) / (m * m))
+    assert abs(energy_distance(a, b) - reference) <= 1e-12 * cross
+
+
+def random_sets(gen, n, m, ties):
+    if ties:
+        return (gen.integers(-4, 5, size=n).astype(float),
+                gen.integers(-3, 6, size=m).astype(float))
+    return gen.normal(size=n), gen.normal(0.5, 1.5, size=m)
+
+
+# integer values make ties within and across the two sets likely
+SAMPLE_LISTS = st.lists(st.one_of(st.floats(-1e3, 1e3),
+                                  st.integers(-3, 3).map(float)),
+                        min_size=1, max_size=40)
+
+
+class TestEnergyDistance1d:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_matches_exact_fraction(self, seed, ties):
+        gen = np.random.default_rng(seed)
+        a, b = random_sets(gen, 37 + seed, 52, ties)
+        exact = fraction_energy_distance(a, b)
+        got = energy_distance(a, b)
+        assert abs(Fraction(got) - exact) <= Fraction(1e-13) * exact
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 40), (40, 1), (150, 170),
+                                     (300, 299), (2500, 700)])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_matches_cdist(self, n, m, ties):
+        a, b = random_sets(np.random.default_rng(n * m), n, m, ties)
+        assert_matches_cdist(a, b)
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_swap_is_bitwise_equal(self, ties):
+        a, b = random_sets(np.random.default_rng(7), 400, 333, ties)
+        assert energy_distance(a, b) == energy_distance(b, a)
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_permuted_copy_is_exactly_zero(self, ties):
+        gen = np.random.default_rng(8)
+        x, _ = random_sets(gen, 500, 1, ties)
+        assert energy_distance(x, gen.permutation(x)) == 0.0
+
+    @given(a=SAMPLE_LISTS, b=SAMPLE_LISTS)
+    @settings(max_examples=200)
+    def test_matches_cdist_and_swaps_on_random_sets(self, a, b):
+        assert_matches_cdist(a, b)
+        assert energy_distance(a, b) == energy_distance(b, a)
 
 
 class TestGaussianKlFit:
