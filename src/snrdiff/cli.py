@@ -5,6 +5,9 @@ Subcommands: ``schedules``, ``sample``, ``sweep``, ``info``, ``snrspace``,
 file, and seed: reruns produce byte-identical files.  Floats are written
 with 17 significant digits.
 
+``--threads`` splits the rows of the one sampling pass of ``sample`` and
+of ``sweep`` (all of whose cells share that pass); outputs do not change.
+
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration
 or arguments, including an output directory that cannot be created or
 written (IO error), 3 numerical failure.
@@ -21,7 +24,6 @@ import json
 import os
 import sys
 import uuid
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -30,7 +32,6 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .gmm import GmmSpec, gmm_from_dict, oracle_score_model, sample_data
 from .infotheory import (
-    InfoCurvePoint,
     dmi_dlambda,
     kong_point,
     mi_gaussian_closed,
@@ -39,8 +40,8 @@ from .infotheory import (
 )
 from .metrics import energy_distance, gaussian_kl_fit, moment_report
 from .samplers import SamplerConfig, sample, sampler_config_from_dict
-from .schedule import Schedule, make_schedule, schedule_from_dict
-from .snr_space import tilde_eval
+from .schedule import Schedule, eval_schedule, make_schedule, schedule_from_dict
+from .snr_space import t_of_lambda, tilde_eval
 from .verify import run_verify
 
 EXIT_OK = 0
@@ -163,24 +164,14 @@ def _grid_size(args) -> int:
 def cmd_schedules(args) -> int:
     cfg = _load_config(args.config)
     sched = _resolve_schedule(args, cfg)
-    ts = np.linspace(sched.t_min, sched.t_max, _grid_size(args))
-    rows = [
-        (float(t), float(sched.alpha(t)), float(sched.sigma(t)),
-         float(sched.lam(t)), float(sched.dalpha_dt(t)),
-         float(sched.dlambda_dt(t)))
-        for t in ts
-    ]
+    p = eval_schedule(sched, np.linspace(sched.t_min, sched.t_max,
+                                         _grid_size(args)))
+    rows = zip(p.t, p.alpha, p.sigma, p.lam, p.dalpha_dt, p.dlambda_dt)
     out = Path(args.out) / "schedules.csv"
     _write_outputs(out.parent, {out.name: _csv_text(
         ["t", "alpha", "sigma", "lambda", "dalpha_dt", "dlambda_dt"], rows)})
     print(f"wrote {out}")
     return EXIT_OK
-
-
-def _run_sample(sched, gmm, sampler_cfg, n, threads, trajectories=False):
-    model = oracle_score_model(gmm, sched)
-    return sample(sched, model, sampler_cfg, n=n, d=gmm.dim, threads=threads,
-                  return_trajectories=trajectories)
 
 
 def _quality_report(x, gmm, seed):
@@ -206,11 +197,10 @@ def cmd_sample(args) -> int:
     threads = _threads(args)
     n = _sample_count(args)
 
-    if args.trajectories:
-        x, trajs = _run_sample(sched, gmm, sampler_cfg, n, threads, True)
-    else:
-        x = _run_sample(sched, gmm, sampler_cfg, n, threads)
-        trajs = None
+    result = sample(sched, oracle_score_model(gmm, sched), sampler_cfg, n=n,
+                    d=gmm.dim, threads=threads,
+                    return_trajectories=args.trajectories)
+    x, trajs = result if args.trajectories else (result, None)
     report = _quality_report(x, gmm, sampler_cfg.seed)
 
     files = {
@@ -241,23 +231,16 @@ def cmd_sweep(args) -> int:
     deltas = _parse_grid(args.deltas, "delta")
     rhos = _parse_grid(args.rhos, "rho")
 
-    model = oracle_score_model(gmm, sched)
+    cells = [replace(base, kind="generalized", rho=r, gamma=g, delta=d)
+             for g in gammas for d in deltas for r in rhos]
+    xs = sample(sched, oracle_score_model(gmm, sched), cells, n=n, d=gmm.dim,
+                threads=threads)
     reference = sample_data(gmm, n, base.seed)
-    cells = [(g, d, r) for g in gammas for d in deltas for r in rhos]
-
-    def run_cell(cell):
-        g, d, r = cell
-        cell_cfg = replace(base, kind="generalized", rho=r, gamma=g, delta=d)
-        x = sample(sched, model, cell_cfg, n=n, d=gmm.dim)
+    rows = []
+    for cell, x in zip(cells, xs):
         rep = moment_report(x, gmm)
-        ed = energy_distance(x, reference)
-        return (g, d, r, rep.mean_error_l2, rep.cov_frobenius_error, ed)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run_cell, cells))
-    else:
-        rows = [run_cell(c) for c in cells]
+        rows.append((cell.gamma, cell.delta, cell.rho, rep.mean_error_l2,
+                     rep.cov_frobenius_error, energy_distance(x, reference)))
 
     out_dir = Path(args.out)
     header = ["gamma", "delta", "rho", "mean_error_l2",
@@ -289,28 +272,19 @@ def cmd_info(args) -> int:
         if min(lams) <= 0.0:
             raise ConfigError("--kong needs a lambda grid with lambda > 0")
         points = [kong_point(lam) for lam in lams]
-        sched = None
     else:
         sched = _resolve_schedule(args, cfg)
         points = [tilde_eval(sched, lam) for lam in lams]
 
-    curve = []
-    for p in points:
-        if single:
-            m = mmse_gaussian(gmm.covs[0], p)
-            mi = mi_gaussian_closed(gmm.covs[0], p)
-        else:
-            m = mmse_mc(gmm, sched, p.lam, args.mc_n, seed).value
-            mi = None
-        curve.append(InfoCurvePoint(lam=p.lam, mmse=m,
-                                    dmi_dlambda=dmi_dlambda(p, gmm.dim, m),
-                                    mi_closed=mi))
-
     header = ["lambda", "mmse", "dmi_dlambda"]
     if single:
         header.append("mi_closed")
-    rows = [(c.lam, c.mmse, c.dmi_dlambda) + ((c.mi_closed,) if single else ())
-            for c in curve]
+        mmse = [mmse_gaussian(gmm.covs[0], p) for p in points]
+    else:
+        mmse = mmse_mc(gmm, sched, np.array(lams), args.mc_n, seed).value
+    rows = [(p.lam, float(m), dmi_dlambda(p, gmm.dim, m))
+            + ((mi_gaussian_closed(gmm.covs[0], p),) if single else ())
+            for p, m in zip(points, mmse)]
     out = Path(args.out) / "info.csv"
     _write_outputs(out.parent, {out.name: _csv_text(header, rows)})
     print(f"wrote {out}")
@@ -320,11 +294,9 @@ def cmd_info(args) -> int:
 def cmd_snrspace(args) -> int:
     cfg = _load_config(args.config)
     sched = _resolve_schedule(args, cfg)
-    lo, hi = sched.lambda_range()
-    rows = []
-    for lam in np.linspace(lo, hi, _grid_size(args)):
-        p = tilde_eval(sched, float(lam))
-        rows.append((p.lam, p.tilde_alpha, p.tilde_sigma))
+    lams = np.linspace(*sched.lambda_range(), _grid_size(args))
+    t = t_of_lambda(sched, lams)
+    rows = zip(lams, sched.alpha(t), sched.sigma(t))
     out = Path(args.out) / "snrspace.csv"
     _write_outputs(out.parent, {out.name: _csv_text(
         ["lambda", "tilde_alpha", "tilde_sigma"], rows)})

@@ -157,25 +157,36 @@ def kong_point(lam: float) -> SnrPoint:
                     dtilde_sigma_dlambda=0.0)
 
 
-def mmse_mc(gmm: GmmSpec, schedule: Schedule, lam: float, n: int,
+def _squared_error_mc(gmm: GmmSpec, schedule: Schedule, x, lam, n: int,
+                      seed: int) -> McEstimate:
+    """Mean and standard error of ||x - E[x|z]||^2 over the same n channel
+    draws at each lambda, for x one point or n rows."""
+    t = np.asarray(t_of_lambda(schedule, lam))
+    alpha, sigma = schedule.alpha(t), schedule.sigma(t)
+    eps = rng.stream(seed, rng.PURPOSE_MC).standard_normal((n, gmm.dim))
+    value, stderr = np.empty(t.shape), np.empty(t.shape)
+    for i, ti in np.ndenumerate(t):
+        x_hat = posterior_mean(gmm, schedule, ti, alpha[i] * x + sigma[i] * eps)
+        sq = np.einsum("nd,nd->n", x - x_hat, x - x_hat)
+        value[i], stderr[i] = sq.mean(), sq.std(ddof=1) / math.sqrt(n)
+    if t.ndim == 0:
+        return McEstimate(float(value), float(stderr))
+    return McEstimate(value, stderr)
+
+
+def mmse_mc(gmm: GmmSpec, schedule: Schedule, lam, n: int,
             seed: int) -> McEstimate:
     """Monte Carlo MMSE: average ||x - E[x|z]||^2 over joint draws.
 
     Uses the exact mixture posterior mean as the denoiser, so the estimate
     is unbiased for the true MMSE.  Returns the estimate with its standard
-    error.
+    error: floats for a scalar ``lam``, or arrays of its shape for an array
+    whose lambdas all reuse the same draws, entry i equal to mmse_mc(lam[i]).
     """
     if n < 100:
         raise ConfigError(f"Monte Carlo n must be >= 100, got {n}")
-    t = t_of_lambda(schedule, lam)
-    a, s = float(schedule.alpha(t)), float(schedule.sigma(t))
-    x = sample_data(gmm, n, seed)
-    eps = rng.stream(seed, rng.PURPOSE_MC).standard_normal((n, gmm.dim))
-    z = a * x + s * eps
-    x_hat = posterior_mean(gmm, schedule, t, z)
-    sq = np.einsum("nd,nd->n", x - x_hat, x - x_hat)
-    return McEstimate(float(sq.mean()),
-                      float(sq.std(ddof=1) / math.sqrt(n)))
+    return _squared_error_mc(gmm, schedule, sample_data(gmm, n, seed), lam,
+                             n, seed)
 
 
 def pointwise_mmse_mc(gmm: GmmSpec, schedule: Schedule, x, lam: float,
@@ -183,13 +194,5 @@ def pointwise_mmse_mc(gmm: GmmSpec, schedule: Schedule, x, lam: float,
     """Monte Carlo pointwise MMSE at fixed x: E over z ~ p(z | x)."""
     if n < 100:
         raise ConfigError(f"Monte Carlo n must be >= 100, got {n}")
-    t = t_of_lambda(schedule, lam)
-    a, s = float(schedule.alpha(t)), float(schedule.sigma(t))
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    eps = rng.stream(seed, rng.PURPOSE_MC).standard_normal((n, gmm.dim))
-    z = a * x[None, :] + s * eps
-    x_hat = posterior_mean(gmm, schedule, t, z)
-    diff = x[None, :] - x_hat
-    sq = np.einsum("nd,nd->n", diff, diff)
-    return McEstimate(float(sq.mean()),
-                      float(sq.std(ddof=1) / math.sqrt(n)))
+    return _squared_error_mc(gmm, schedule, x, lam, n, seed)

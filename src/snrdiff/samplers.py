@@ -29,13 +29,18 @@ cross-check of the table.  Steppers take the noise draw as an explicit
 array ``eps`` or from a ``numpy.random.Generator``; :func:`sample`
 addresses noise by (seed, purpose, step, trajectory row), so results do
 not depend on how trajectories are batched or threaded.
+
+The cells of a parameter sweep, configs that differ only in (rho, gamma,
+delta), run through :func:`sample` in one pass: the table takes those
+parameters as (cells, 1, 1, 1) arrays, so the step index stays its last
+axis, and the cells share the grid, every noise draw and each score call.
 """
 
 from __future__ import annotations
 
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
@@ -84,11 +89,12 @@ def _affine_table(schedule: Schedule, times: np.ndarray, kind: str,
                   rho: float = 0.0, gamma: float = 0.0, delta: float = 1.0,
                   eta: float = 0.0):
     """(A, B, C) of z_s = A z_t + B eps_hat(z_t, t) + C xi on each interval
-    times[k] -> times[k+1].  C is None when the kind's parameters inject no
-    noise.  For exact_reference, ``times`` must be the refined grid."""
+    times[k] -> times[k+1], k on the last axis; rho, gamma and delta may be
+    arrays.  C is None when the kind's parameters inject no noise.  For
+    exact_reference, ``times`` must be the refined grid."""
     if kind == "kingma":
         rho = gamma = delta = 1.0
-    rho, gamma, delta, eta = float(rho), float(gamma), float(delta), float(eta)
+    rho, gamma, delta = (np.asarray(v, dtype=float) for v in (rho, gamma, delta))
     times = np.asarray(times, dtype=float)
     alpha, sigma = schedule.alpha(times), schedule.sigma(times)
     alpha_t, alpha_s = alpha[:-1], alpha[1:]
@@ -105,11 +111,11 @@ def _affine_table(schedule: Schedule, times: np.ndarray, kind: str,
         h = np.diff(times)
         a = 1.0 + f * h
         b = 0.5 * (1.0 + rho * rho) * g ** 2 * h / sigma_t
-        return a, b, (rho * g * np.sqrt(-h) if rho != 0.0 else None)
+        return a, b, (rho * g * np.sqrt(-h) if np.any(rho != 0.0) else None)
 
-    if gamma == -1.0:
+    if np.any(gamma == -1.0):
         raise ValueError("gamma = -1 is excluded (division by 1 + gamma)")
-    if delta < 0.0:
+    if np.any(delta < 0.0):
         warnings.warn("delta < 0 is outside the intended range; proceeding",
                       RuntimeWarning)
     lam = schedule.lam(times)
@@ -121,10 +127,16 @@ def _affine_table(schedule: Schedule, times: np.ndarray, kind: str,
     a = alpha_s / alpha_t
     b = sign * coef * alpha_s * bracket * np.exp(0.5 * gamma * lam_t)
     c = None
-    if rho != 0.0:
+    if np.any(rho != 0.0):
         c = (rho * alpha_t * np.sqrt(_exp_diff(lam_t, lam_s))
-             * a ** (1.0 - delta) * (sigma_s / sigma_t) ** delta)
+             * _power(a, 1.0 - delta) * _power(sigma_s / sigma_t, delta))
     return a, b, c
+
+
+def _power(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """x ** p, one scalar exponent at a time: numpy rounds x ** 0.5, 2 or -1
+    differently for an array of exponents than for a single one."""
+    return np.reshape([x ** float(q) for q in p.flat], p.shape[:-1] + (-1,))
 
 
 def _refine(grid: np.ndarray, substeps: int) -> np.ndarray:
@@ -135,10 +147,10 @@ def _refine(grid: np.ndarray, substeps: int) -> np.ndarray:
 
 def _affine_step(schedule: Schedule, score: ScoreModel, z, t: float, table,
                  k: int, xi=None) -> np.ndarray:
-    """Row k of the table applied to z at time t, with noise draw xi."""
+    """Step k of the table applied to z at time t, with noise draw xi."""
     a, b, c = table
-    out = a[k] * z + b[k] * score.eps(schedule, z, t)
-    return out if xi is None else out + c[k] * xi
+    out = a[..., k] * z + b[..., k] * score.eps(schedule, z, t)
+    return out if xi is None else out + c[..., k] * xi
 
 
 def _run_table(schedule: Schedule, score: ScoreModel, z_t, times, kind: str,
@@ -334,22 +346,35 @@ class Trajectory:
     noises: np.ndarray | None   # (len(times) - 1, D) standard-normal draws
 
 
-def sample(schedule: Schedule, score: ScoreModel, config: SamplerConfig,
-           n: int, d: int, threads: int = 1,
-           return_trajectories: bool = False):
+def sample(schedule: Schedule, score: ScoreModel, config, n: int, d: int,
+           threads: int = 1, return_trajectories: bool = False):
     """Run the configured backward pass for n trajectories of dimension d.
 
     The prior is z ~ N(0, sigma(t_start)^2 I).  Noise is addressed by
     (seed, purpose, step, trajectory row), so the returned samples are a
     pure function of (config, n, d) regardless of ``threads`` or any other
     batching.  Raises NumericalError, naming the step, its interval and the
-    first bad row, if a trajectory goes non-finite.
+    first bad row (and cell), if a trajectory goes non-finite.
 
     Returns (n, d) samples, plus a list of per-sample Trajectory records
-    when ``return_trajectories`` is set.
+    when ``return_trajectories`` is set.  ``config`` may instead be a
+    sequence of cells that differ only in rho, gamma and delta, without
+    trajectories: one pass returns (cells, n, d), cell i bit for bit the
+    samples of ``config[i]`` run alone.
     """
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
+    cells = None if isinstance(config, SamplerConfig) else list(config)
+    if cells is not None:
+        if not cells or return_trajectories:
+            raise ValueError("need one or more cells and no trajectories")
+        config = cells[0]
+        if any(replace(c, rho=config.rho, gamma=config.gamma,
+                       delta=config.delta) != config for c in cells):
+            raise ValueError("cells may differ only in rho, gamma and delta")
+    params = {name: getattr(config, name) if cells is None else
+              np.reshape([getattr(c, name) for c in cells], (-1, 1, 1, 1))
+              for name in ("rho", "gamma", "delta")}
     t_start = schedule.t_max if config.t_start is None else float(config.t_start)
     t_end = schedule.t_min if config.t_end is None else float(config.t_end)
     for name, value in (("t_start", t_start), ("t_end", t_end)):
@@ -373,15 +398,14 @@ def sample(schedule: Schedule, score: ScoreModel, config: SamplerConfig,
     # draw for refined step i addressed as step i; states stay on the grid
     stride = config.substeps if config.kind == "exact_reference" else 1
     times = _refine(grid, stride)
-    table = _affine_table(schedule, times, config.kind, rho=config.rho,
-                          gamma=config.gamma, delta=config.delta,
-                          eta=config.eta)
+    table = _affine_table(schedule, times, config.kind, eta=config.eta,
+                          **params)
     stochastic = table[2] is not None
 
     states = np.empty((n_steps + 1, n, d)) if return_trajectories else None
     noises = (np.empty((n_steps, n, d)) if return_trajectories and stochastic
               and stride == 1 else None)
-    out = np.empty((n, d))
+    out = np.empty((n, d) if cells is None else (len(cells), n, d))
 
     def run_rows(row_start: int, row_stop: int) -> None:
         z = sigma_start * rng.row_normals(seed, rng.PURPOSE_PRIOR, 0,
@@ -400,25 +424,23 @@ def sample(schedule: Schedule, score: ScoreModel, config: SamplerConfig,
                 continue
             k = i // stride
             if not np.all(np.isfinite(z)):
-                row, col = np.argwhere(~np.isfinite(z))[0]
+                *cell, row, col = np.argwhere(~np.isfinite(z))[0]
+                where = f" of cell {cell[0]}" if cell else ""
                 raise NumericalError(
                     f"non-finite state at step {k} (t={grid[k]} -> "
-                    f"s={grid[k + 1]}): row {row_start + row} holds {z[row, col]}")
+                    f"s={grid[k + 1]}): row {row_start + row}{where} holds "
+                    f"{z[(*cell, row, col)]}")
             if return_trajectories:
                 states[k + 1, row_start:row_stop] = z
-        out[row_start:row_stop] = z
+        out[..., row_start:row_stop, :] = z
 
     threads = max(1, int(threads))
     if threads == 1 or n < 2 * threads:
         run_rows(0, n)
     else:
-        bounds = np.linspace(0, n, threads + 1).astype(int)
+        bounds = np.linspace(0, n, threads + 1).astype(int).tolist()
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(run_rows, int(a), int(b))
-                       for a, b in zip(bounds[:-1], bounds[1:])
-                       if b > a]
-            for fut in futures:
-                fut.result()
+            list(pool.map(run_rows, bounds[:-1], bounds[1:]))
 
     if not return_trajectories:
         return out

@@ -300,6 +300,23 @@ def test_empty_or_negative_grid_exits_2_and_writes_nothing(tmp_path, capsys,
     assert "config error: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,message", [
+    ("--gammas=-1", "gamma = -1 is excluded for the generalized step"),
+    ("--gammas=nan", "gamma must be a finite real number, got nan"),
+    ("--rhos=inf", "rho must be a finite real number, got inf"),
+    ("--deltas=nan", "delta must be a finite real number, got nan"),
+])
+def test_bad_sweep_cell_exits_2_and_writes_nothing(tmp_path, capsys, flag,
+                                                   message):
+    cfg = write_config(tmp_path, UNIT_CONFIG)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "-n", "8", flag,
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == f"config error: {message}\n"
+
+
 def test_uncreatable_out_dir_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, UNIT_CONFIG)
     blocker = tmp_path / "file"

@@ -81,6 +81,20 @@ class TestMonteCarloEstimators:
         r = check_mc_estimators()
         assert r.ok, r.detail
 
+    def test_mmse_mc_array_equals_scalar_calls(self, any_schedule):
+        gmm = GmmSpec(np.array([0.3, 0.7]), np.array([[-1.0, 0.5], [1.2, 0.0]]),
+                      np.array([[[0.6, 0.2], [0.2, 0.4]], np.diag([0.5, 0.8])]))
+        lo, hi = any_schedule.lambda_range()
+        lams = np.linspace(lo + 0.1, hi - 0.1, 9)
+        batch = mmse_mc(gmm, any_schedule, lams, n=300, seed=12)
+        scalar = [mmse_mc(gmm, any_schedule, float(lam), n=300, seed=12)
+                  for lam in lams]
+        assert all(type(e.value) is float and type(e.stderr) is float
+                   for e in scalar)
+        assert batch.value.shape == batch.stderr.shape == lams.shape
+        assert np.array_equal(batch.value, [e.value for e in scalar])
+        assert np.array_equal(batch.stderr, [e.stderr for e in scalar])
+
     def test_point_mass_data(self, vp):
         g = single_gaussian([1.0], [[1e-12]])
         est = mmse_mc(g, vp, 0.0, n=2000, seed=2)

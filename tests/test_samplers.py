@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -443,6 +445,16 @@ class TestSampleLoop:
         with pytest.raises(NumericalError, match=rf"step 0 .*row {row} holds nan"):
             sample(vp, one_bad, cfg, n=n, d=1, threads=2)
 
+        # in a cell sequence the message also names the cell; the cells
+        # share the prior, so the state gains its cell axis after step 0
+        cell_bad = ScoreModel(
+            lambda z, t: np.where(np.arange(len(z))[:, None, None] == 1,
+                                  np.nan, -z) if z.ndim == 3 else -z, "score")
+        cells = [cfg, replace(cfg, rho=0.5)]
+        with pytest.raises(NumericalError,
+                           match=r"step 1 \(t=.* -> .*row 0 of cell 1 holds nan"):
+            sample(vp, cell_bad, cells, n=4, d=1)
+
     def test_trajectories_recorded(self, vp, unit_score):
         cfg = SamplerConfig(kind="kingma", steps=6, seed=3)
         x, trajs = sample(vp, unit_score, cfg, n=5, d=1,
@@ -582,3 +594,48 @@ def test_sample_matches_parent_step_formulas(any_schedule, grid_kind, case):
         rel = np.linalg.norm(got - want) / np.linalg.norm(want)
         assert rel <= 1e-12, rel
 
+
+CELL_MIXTURES = {
+    "diagonal": {"weights": [0.4, 0.6], "means": [[-1.0, 0.5], [1.2, -0.3]],
+                 "covs": [[0.5, 0.8], [0.6, 0.4]]},
+    "full": {"weights": [0.3, 0.7], "means": [[0.0, 1.0, 2.0], [-1.0, 0.0, 1.0]],
+             "covs": [[[1.0, 0.3, 0.1], [0.3, 0.8, 0.2], [0.1, 0.2, 0.5]],
+                      [0.4, 0.5, 0.6]]},
+}
+# (rho, gamma, delta): rho = 0 cells among noisy ones, and deltas whose
+# powers numpy special-cases for a scalar exponent (0.5, 2)
+CELL_PARAMS = [(0.0, 0.5, 1.0), (1.0, 1.0, 0.5), (0.5, 0.0, 2.0),
+               (0.0, 1.3, 0.8), (1.0, -0.5, 1.0)]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("kind", ["generalized", "euler_backward",
+                                  "exact_reference", "kingma"])
+@pytest.mark.parametrize("mixture", sorted(CELL_MIXTURES))
+def test_cells_equal_stacked_single_runs(any_schedule, mixture, kind, threads):
+    gmm = gmm_from_dict(CELL_MIXTURES[mixture])
+    model = oracle_score_model(gmm, any_schedule)
+    base = SamplerConfig(kind=kind, steps=8, substeps=2, seed=23)
+    cells = [replace(base, rho=r, gamma=g, delta=d) for r, g, d in CELL_PARAMS]
+    got = sample(any_schedule, model, cells, n=7, d=gmm.dim, threads=threads)
+    want = [sample(any_schedule, model, c, n=7, d=gmm.dim) for c in cells]
+    np.testing.assert_array_equal(got, np.stack(want))
+
+
+@pytest.mark.parametrize("change,trajectories,match", [
+    ({"steps": 9}, False, "differ only"),
+    ({"seed": 24}, False, "differ only"),
+    ({"kind": "kingma"}, False, "differ only"),
+    ({"eta": 0.5}, False, "differ only"),
+    ({"t_end": 0.5}, False, "differ only"),
+    ({}, True, "no trajectories"),
+    (None, False, "one or more cells"),
+])
+def test_cells_reject_other_differences_and_trajectories(vp, unit_score,
+                                                         change, trajectories,
+                                                         match):
+    base = SamplerConfig(steps=8, seed=23)
+    cells = [] if change is None else [base, replace(base, rho=0.3, **change)]
+    with pytest.raises(ValueError, match=match):
+        sample(vp, unit_score, cells, n=4, d=1,
+               return_trajectories=trajectories)
