@@ -57,7 +57,6 @@ from .snr_space import (
     equivalence_check,
 )
 from .infotheory import (
-    InfoCurvePoint,
     McEstimate,
     mmse_gaussian,
     mi_gaussian_closed,

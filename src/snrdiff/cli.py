@@ -2,8 +2,8 @@
 
 Subcommands: ``schedules``, ``sample``, ``sweep``, ``info``, ``snrspace``,
 ``verify``.  Every command is a pure function of its arguments, config
-file, and seed: reruns produce byte-identical files.  Floats are written
-with 17 significant digits.
+file, and seed: reruns produce byte-identical files.  Each CSV is a float
+table in 17 significant digits; ids and step numbers print as integers.
 
 ``--threads`` splits the rows of the one sampling pass of ``sample`` and
 of ``sweep`` (all of whose cells share that pass); outputs do not change.
@@ -50,15 +50,12 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _csv_text(header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
-              for row in rows]
-    return "\n".join(lines) + "\n"
+def _csv_text(header: list[str], table) -> str:
+    """CSV of ``table`` (a 2-D array or equal rows), each value a float in
+    17 significant digits: an integer below 2**53 prints as ``str`` gives."""
+    row = ",".join(["%.17g"] * len(header))
+    lines = [row % tuple(r) for r in np.asarray(table, dtype=float).tolist()]
+    return "\n".join([",".join(header), *lines]) + "\n"
 
 
 def _json_text(obj) -> str:
@@ -166,10 +163,11 @@ def cmd_schedules(args) -> int:
     sched = _resolve_schedule(args, cfg)
     p = eval_schedule(sched, np.linspace(sched.t_min, sched.t_max,
                                          _grid_size(args)))
-    rows = zip(p.t, p.alpha, p.sigma, p.lam, p.dalpha_dt, p.dlambda_dt)
+    table = np.column_stack([p.t, p.alpha, p.sigma, p.lam, p.dalpha_dt,
+                             p.dlambda_dt])
     out = Path(args.out) / "schedules.csv"
     _write_outputs(out.parent, {out.name: _csv_text(
-        ["t", "alpha", "sigma", "lambda", "dalpha_dt", "dlambda_dt"], rows)})
+        ["t", "alpha", "sigma", "lambda", "dalpha_dt", "dlambda_dt"], table)})
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -206,14 +204,16 @@ def cmd_sample(args) -> int:
     files = {
         "samples.csv": _csv_text(
             ["sample_id"] + [f"x_{j}" for j in range(gmm.dim)],
-            ((i, *map(float, x[i])) for i in range(x.shape[0]))),
+            np.column_stack([np.arange(n), x])),
         "report.json": _json_text(report.to_dict()),
     }
     if trajs is not None:
+        steps = np.arange(len(trajs[0].times))
         files["trajectories.csv"] = _csv_text(
             ["sample_id", "step", "t"] + [f"z_{j}" for j in range(gmm.dim)],
-            ((i, k, float(t), *map(float, tr.states[k]))
-             for i, tr in enumerate(trajs) for k, t in enumerate(tr.times)))
+            np.concatenate([np.column_stack([np.full(len(steps), i), steps,
+                                             tr.times, tr.states])
+                            for i, tr in enumerate(trajs)]))
     out_dir = Path(args.out)
     _write_outputs(out_dir, files)
     print(f"wrote {out_dir / 'samples.csv'} and {out_dir / 'report.json'}")
@@ -236,21 +236,22 @@ def cmd_sweep(args) -> int:
     xs = sample(sched, oracle_score_model(gmm, sched), cells, n=n, d=gmm.dim,
                 threads=threads)
     reference = sample_data(gmm, n, base.seed)
-    rows = []
-    for cell, x in zip(cells, xs):
-        rep = moment_report(x, gmm)
-        rows.append((cell.gamma, cell.delta, cell.rho, rep.mean_error_l2,
-                     rep.cov_frobenius_error, energy_distance(x, reference)))
+    reports = [moment_report(x, gmm) for x in xs]
+    table = np.column_stack([
+        [c.gamma for c in cells], [c.delta for c in cells],
+        [c.rho for c in cells], [r.mean_error_l2 for r in reports],
+        [r.cov_frobenius_error for r in reports],
+        [energy_distance(x, reference) for x in xs]])
 
     out_dir = Path(args.out)
     header = ["gamma", "delta", "rho", "mean_error_l2",
               "cov_frobenius_error", "energy_distance"]
-    best = min(rows, key=lambda row: row[5])
+    best = table[np.argmin(table[:, 5])].tolist()
     _write_outputs(out_dir, {
-        "sweep.csv": _csv_text(header, rows),
+        "sweep.csv": _csv_text(header, table),
         "sweep_best.json": _json_text(dict(zip(header, best))),
     })
-    print(f"wrote {out_dir / 'sweep.csv'} ({len(rows)} cells); "
+    print(f"wrote {out_dir / 'sweep.csv'} ({len(cells)} cells); "
           f"best energy distance {best[5]:.6g} at gamma={best[0]:g}, "
           f"delta={best[1]:g}, rho={best[2]:g}")
     return EXIT_OK
@@ -271,22 +272,22 @@ def cmd_info(args) -> int:
                               "(closed forms only)")
         if min(lams) <= 0.0:
             raise ConfigError("--kong needs a lambda grid with lambda > 0")
-        points = [kong_point(lam) for lam in lams]
+        points = kong_point(np.array(lams))
     else:
         sched = _resolve_schedule(args, cfg)
-        points = [tilde_eval(sched, lam) for lam in lams]
+        points = tilde_eval(sched, np.array(lams))
 
-    header = ["lambda", "mmse", "dmi_dlambda"]
     if single:
-        header.append("mi_closed")
-        mmse = [mmse_gaussian(gmm.covs[0], p) for p in points]
+        mmse = mmse_gaussian(gmm.covs[0], points)
     else:
-        mmse = mmse_mc(gmm, sched, np.array(lams), args.mc_n, seed).value
-    rows = [(p.lam, float(m), dmi_dlambda(p, gmm.dim, m))
-            + ((mi_gaussian_closed(gmm.covs[0], p),) if single else ())
-            for p, m in zip(points, mmse)]
+        mmse = mmse_mc(gmm, sched, points.lam, args.mc_n, seed).value
+    columns = {"lambda": points.lam, "mmse": mmse,
+               "dmi_dlambda": dmi_dlambda(points, gmm.dim, mmse)}
+    if single:
+        columns["mi_closed"] = mi_gaussian_closed(gmm.covs[0], points)
     out = Path(args.out) / "info.csv"
-    _write_outputs(out.parent, {out.name: _csv_text(header, rows)})
+    _write_outputs(out.parent, {out.name: _csv_text(
+        list(columns), np.column_stack(list(columns.values())))})
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -296,10 +297,10 @@ def cmd_snrspace(args) -> int:
     sched = _resolve_schedule(args, cfg)
     lams = np.linspace(*sched.lambda_range(), _grid_size(args))
     t = t_of_lambda(sched, lams)
-    rows = zip(lams, sched.alpha(t), sched.sigma(t))
+    table = np.column_stack([lams, sched.alpha(t), sched.sigma(t)])
     out = Path(args.out) / "snrspace.csv"
     _write_outputs(out.parent, {out.name: _csv_text(
-        ["lambda", "tilde_alpha", "tilde_sigma"], rows)})
+        ["lambda", "tilde_alpha", "tilde_sigma"], table)})
     print(f"wrote {out}")
     return EXIT_OK
 

@@ -23,7 +23,6 @@ where lambda is the SNR itself) recovers dI/dlambda = mmse / 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -32,23 +31,12 @@ from . import rng
 from .errors import ConfigError, NumericalError
 from .gmm import GmmSpec, sample_data, posterior_mean
 from .schedule import Schedule
-from .snr_space import SnrPoint, t_of_lambda
+from .snr_space import SnrPoint, float_or_array, t_of_lambda
 
 
 class McEstimate(NamedTuple):
     value: float
     stderr: float
-
-
-@dataclass
-class InfoCurvePoint:
-    """One row of an information curve over lambda."""
-
-    lam: float
-    mmse: float
-    dmi_dlambda: float
-    dkl_dlambda: float | None = None
-    mi_closed: float | None = None
 
 
 def _as_matrix(S) -> np.ndarray:
@@ -60,28 +48,37 @@ def _as_matrix(S) -> np.ndarray:
     return S
 
 
-def mmse_gaussian(S, snr_point: SnrPoint) -> float:
+def _snr(p: SnrPoint):
+    # float_power is libm pow, as a Python float's ** is; numpy's power on
+    # an array rounds some squares and cubes differently
+    return np.float_power(np.divide(p.tilde_alpha, p.tilde_sigma), 2)
+
+
+def mmse_gaussian(S, snr_point: SnrPoint):
     """Exact MMSE for data N(mu, S) in the channel at snr_point.
 
     Equals trace[(S^{-1} + snr I)^{-1}] with snr = tilde_alpha^2/tilde_sigma^2;
     computed through the eigenvalues of S.  Requires S positive definite.
+    A point of floats gives a float, a point of arrays an array of their
+    shape.
     """
     S = _as_matrix(S)
     evals = np.linalg.eigvalsh(S)
     if evals.min() <= 0.0:
         raise NumericalError("mmse_gaussian requires S positive definite")
-    snr = (snr_point.tilde_alpha / snr_point.tilde_sigma) ** 2
-    return float(np.sum(evals / (1.0 + snr * evals)))
+    snr = _snr(snr_point)[..., None]
+    return float_or_array(np.sum(evals / (1.0 + snr * evals), axis=-1))
 
 
-def mi_gaussian_closed(S, snr_point: SnrPoint) -> float:
-    """Exact Gaussian-channel mutual information 0.5 log det(I + snr S)."""
+def mi_gaussian_closed(S, snr_point: SnrPoint):
+    """Exact Gaussian-channel mutual information 0.5 log det(I + snr S),
+    a float or an array as the fields of ``snr_point`` are."""
     S = _as_matrix(S)
     evals = np.linalg.eigvalsh(S)
     if evals.min() < 0.0:
         raise NumericalError("mi_gaussian_closed requires S PSD")
-    snr = (snr_point.tilde_alpha / snr_point.tilde_sigma) ** 2
-    return float(0.5 * np.sum(np.log1p(snr * evals)))
+    snr = _snr(snr_point)[..., None]
+    return float_or_array(0.5 * np.sum(np.log1p(snr * evals), axis=-1))
 
 
 def pointwise_mmse_gaussian(S, x, snr_point: SnrPoint, mean=None) -> float:
@@ -122,11 +119,12 @@ def kl_gaussian_conditional(S, x, snr_point: SnrPoint, mean=None) -> float:
                               + snr * w * w / (1.0 + g)))
 
 
-def snr_derivative_factor(snr_point: SnrPoint) -> float:
+def snr_derivative_factor(snr_point: SnrPoint):
     """(d snr / d lambda) / 2, via the tilde-function Wronskian."""
     a, s = snr_point.tilde_alpha, snr_point.tilde_sigma
     da, ds = snr_point.dtilde_alpha_dlambda, snr_point.dtilde_sigma_dlambda
-    return (da * s - a * ds) * a / s**3
+    # float_power, not **: see _snr
+    return float_or_array((da * s - a * ds) * a / np.float_power(s, 3))
 
 
 def dkl_dlambda(snr_point: SnrPoint, dim: int, pointwise_mmse: float) -> float:
@@ -138,23 +136,24 @@ def dkl_dlambda(snr_point: SnrPoint, dim: int, pointwise_mmse: float) -> float:
     return snr_derivative_factor(snr_point) * float(pointwise_mmse)
 
 
-def dmi_dlambda(snr_point: SnrPoint, dim: int, mmse: float) -> float:
+def dmi_dlambda(snr_point: SnrPoint, dim: int, mmse):
     """d/dlambda of the mutual information I(x, z_lambda)."""
-    return snr_derivative_factor(snr_point) * float(mmse)
+    return float_or_array(snr_derivative_factor(snr_point) * mmse)
 
 
-def kong_point(lam: float) -> SnrPoint:
+def kong_point(lam) -> SnrPoint:
     """The square-root channel z = sqrt(lambda) x + eps at lambda > 0.
 
     Here the curve parameter IS the SNR, so tilde_sigma is constant and
-    dI/dlambda = mmse/2 exactly.
+    dI/dlambda = mmse/2 exactly.  A scalar ``lam`` gives a point of floats,
+    an array a point of arrays of its shape.
     """
-    lam = float(lam)
-    if lam <= 0.0:
+    lam = np.asarray(lam, dtype=float)
+    if np.any(lam <= 0.0):
         raise ValueError("the square-root channel needs lambda > 0")
-    return SnrPoint(lam=lam, tilde_alpha=math.sqrt(lam), tilde_sigma=1.0,
-                    dtilde_alpha_dlambda=0.5 / math.sqrt(lam),
-                    dtilde_sigma_dlambda=0.0)
+    root = np.sqrt(lam)
+    return SnrPoint(*map(float_or_array, (
+        lam, root, np.ones_like(lam), 0.5 / root, np.zeros_like(lam))))
 
 
 def _squared_error_mc(gmm: GmmSpec, schedule: Schedule, x, lam, n: int,

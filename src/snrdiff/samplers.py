@@ -339,7 +339,9 @@ def sampler_config_from_dict(spec: dict) -> SamplerConfig:
 
 @dataclass
 class Trajectory:
-    """One sample's backward path: decreasing times, states, noise draws."""
+    """One sample's backward path: decreasing times, states, noise draws,
+    as views of the grid and of one states and one noises array shared by
+    the records of a :func:`sample` call: writing into one writes those."""
 
     times: np.ndarray
     states: np.ndarray          # (len(times), D)
@@ -356,7 +358,7 @@ def sample(schedule: Schedule, score: ScoreModel, config, n: int, d: int,
     batching.  Raises NumericalError, naming the step, its interval and the
     first bad row (and cell), if a trajectory goes non-finite.
 
-    Returns (n, d) samples, plus a list of per-sample Trajectory records
+    Returns (n, d) samples, plus a list of per-sample Trajectory views
     when ``return_trajectories`` is set.  ``config`` may instead be a
     sequence of cells that differ only in rho, gamma and delta, without
     trajectories: one pass returns (cells, n, d), cell i bit for bit the
@@ -444,9 +446,6 @@ def sample(schedule: Schedule, score: ScoreModel, config, n: int, d: int,
 
     if not return_trajectories:
         return out
-    trajectories = [
-        Trajectory(times=grid.copy(), states=states[:, i, :].copy(),
-                   noises=None if noises is None else noises[:, i, :].copy())
-        for i in range(n)
-    ]
-    return out, trajectories
+    return out, [Trajectory(times=grid, states=states[:, i],
+                            noises=None if noises is None else noises[:, i])
+                 for i in range(n)]

@@ -32,13 +32,19 @@ _BISECT_CAP = 200
 
 @dataclass
 class SnrPoint:
-    """tilde_alpha / tilde_sigma and their lambda-derivatives at one lambda."""
+    """tilde_alpha / tilde_sigma and their lambda-derivatives at lambda."""
 
-    lam: float
-    tilde_alpha: float
-    tilde_sigma: float
-    dtilde_alpha_dlambda: float
-    dtilde_sigma_dlambda: float
+    lam: float | np.ndarray
+    tilde_alpha: float | np.ndarray
+    tilde_sigma: float | np.ndarray
+    dtilde_alpha_dlambda: float | np.ndarray
+    dtilde_sigma_dlambda: float | np.ndarray
+
+
+def float_or_array(x):
+    """``x`` as a float if it is a scalar, else as a float array."""
+    x = np.asarray(x, dtype=float)
+    return float(x) if x.ndim == 0 else x
 
 
 def _bisect(schedule: Schedule, lam: np.ndarray) -> np.ndarray:
@@ -93,20 +99,18 @@ def t_of_lambda(schedule: Schedule, lam):
     inverse = schedule._fns.get("lam_inv")
     t = inverse(lam) if inverse is not None else _bisect(schedule, lam)
     t = _newton(schedule, lam, t)
-    return float(t) if t.ndim == 0 else t
+    return float_or_array(t)
 
 
-def tilde_eval(schedule: Schedule, lam: float) -> SnrPoint:
-    """Evaluate the lambda-space functions and chain-rule derivatives."""
+def tilde_eval(schedule: Schedule, lam) -> SnrPoint:
+    """Evaluate the lambda-space functions and chain-rule derivatives: as
+    in :func:`t_of_lambda`, a scalar ``lam`` gives a point of floats, an
+    array a point of arrays of its shape, entry i that of ``lam[i]``."""
     t = t_of_lambda(schedule, lam)
-    dlam = float(schedule.dlambda_dt(t))
-    return SnrPoint(
-        lam=float(lam),
-        tilde_alpha=float(schedule.alpha(t)),
-        tilde_sigma=float(schedule.sigma(t)),
-        dtilde_alpha_dlambda=float(schedule.dalpha_dt(t)) / dlam,
-        dtilde_sigma_dlambda=float(schedule.dsigma_dt(t)) / dlam,
-    )
+    dlam = schedule.dlambda_dt(t)
+    return SnrPoint(*map(float_or_array, (
+        lam, schedule.alpha(t), schedule.sigma(t),
+        schedule.dalpha_dt(t) / dlam, schedule.dsigma_dt(t) / dlam)))
 
 
 def time_warp(schedule: Schedule, warp: Callable[[np.ndarray], np.ndarray],

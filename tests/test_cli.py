@@ -6,10 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import snrdiff
 from snrdiff import samplers
-from snrdiff.cli import main
+from snrdiff.cli import _csv_text, main
 
 UNIT_CONFIG = {
     "schedule": {"name": "VP"},
@@ -38,6 +39,40 @@ def write_config(tmp_path, cfg, name="config.json"):
 def read_rows(path):
     lines = path.read_text().strip().split("\n")
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def per_value_csv_text(header, rows):
+    """The per-value formatter ``_csv_text`` replaced: ints through ``str``,
+    floats with 17 significant digits."""
+    lines = [",".join(header)]
+    lines += [",".join(format(float(v), ".17g") if isinstance(v, float)
+                       else str(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+               1e300, -1e300, float("inf"), float("-inf"), float("nan")]
+
+
+@given(st.integers(1, 6).flatmap(lambda cols: st.lists(st.lists(
+    st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS)),
+    min_size=cols, max_size=cols), max_size=12)))
+@example([EDGE_FLOATS])
+def test_csv_text_matches_per_value_floats(rows):
+    header = [f"c{j}" for j in range(len(rows[0]) if rows else 1)]
+    expected = per_value_csv_text(header, rows)
+    assert _csv_text(header, rows) == expected
+    table = np.array(rows, dtype=float).reshape(len(rows), len(header))
+    assert _csv_text(header, table) == expected
+
+
+@given(st.lists(st.tuples(st.integers(-2**53, 2**53), st.integers(0, 2**53),
+                          st.floats()), max_size=12))
+@example([(2**53, 2**53 - 1, 0.1), (0, 1, -0.0), (-2**53, 10**15, 1e300)])
+def test_csv_text_writes_integer_columns_as_str(rows):
+    header = ["sample_id", "step", "x"]
+    table = np.array(rows, dtype=float).reshape(len(rows), 3)
+    assert _csv_text(header, table) == per_value_csv_text(header, rows)
 
 
 class TestSchedulesCommand:
@@ -108,6 +143,34 @@ class TestSampleCommand:
         header, rows = read_rows(tmp_path / "trajectories.csv")
         assert header == ["sample_id", "step", "t", "z_0"]
         assert len(rows) == 3 * 25
+
+    def test_trajectories_match_records_at_any_thread_count(self, tmp_path):
+        cfg = write_config(tmp_path, GMM2D_CONFIG)
+        texts = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            assert main(["sample", "--config", cfg, "-n", "9",
+                         "--trajectories", "--threads", threads,
+                         "--out", str(out)]) == 0
+            texts.append((out / "trajectories.csv").read_text())
+        assert texts[0] == texts[1]
+
+        sched = snrdiff.schedule_from_dict(GMM2D_CONFIG["schedule"])
+        gmm = snrdiff.gmm_from_dict(GMM2D_CONFIG["gmm"])
+        _, trajs = snrdiff.sample(
+            sched, snrdiff.oracle_score_model(gmm, sched),
+            snrdiff.sampler_config_from_dict(GMM2D_CONFIG["sampler"]), n=9,
+            d=2, return_trajectories=True)
+        # slices of one (steps + 1, n, d) array: disjoint, so np.shares_memory
+        # of two records is False, but each shares memory with that base
+        base = trajs[0].states.base
+        assert base.shape == (13, 9, 2)
+        assert all(tr.states.base is base and np.shares_memory(tr.states, base)
+                   for tr in trajs)
+        rows = ((i, k, float(t), *map(float, tr.states[k]))
+                for i, tr in enumerate(trajs) for k, t in enumerate(tr.times))
+        assert texts[0] == per_value_csv_text(
+            ["sample_id", "step", "t", "z_0", "z_1"], rows)
 
     def test_missing_gmm_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {"schedule": {"name": "VP"},

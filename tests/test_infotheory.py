@@ -195,3 +195,42 @@ class TestDerivativeFormulas:
             fd = (mi_gaussian_closed(S, tilde_eval(vp, lam + h))
                   - mi_gaussian_closed(S, tilde_eval(vp, lam - h))) / (2 * h)
             assert abs(got - fd) <= 1e-6 * (abs(fd) + 1e-12)
+
+
+FIELDS = ("lam", "tilde_alpha", "tilde_sigma", "dtilde_alpha_dlambda",
+          "dtilde_sigma_dlambda")
+
+
+def _curves(point, S):
+    """The point's fields and the closed forms evaluated on it."""
+    mmse = mmse_gaussian(S, point)
+    return {**{f: getattr(point, f) for f in FIELDS}, "mmse": mmse,
+            "mi": mi_gaussian_closed(S, point),
+            "dmi": dmi_dlambda(point, S.shape[0], mmse)}
+
+
+def _assert_array_is_scalar_calls(array_point, scalar_points, S):
+    got = _curves(array_point, S)
+    per_lambda = [_curves(p, S) for p in scalar_points]
+    for name, values in got.items():
+        assert all(type(c[name]) is float for c in per_lambda), name
+        expected = np.array([c[name] for c in per_lambda])
+        assert values.shape == expected.shape, name
+        # bitwise: -0.0 and NaN payloads count too
+        assert values.tobytes() == expected.tobytes(), name
+
+
+@pytest.mark.parametrize("S", [S1, np.array([[1.2, 0.4, 0.1],
+                                             [0.4, 0.9, 0.0],
+                                             [0.1, 0.0, 0.5]])])
+def test_array_points_equal_scalar_points_bitwise(any_schedule, S):
+    lams = np.linspace(*any_schedule.lambda_range(), 1999)
+    _assert_array_is_scalar_calls(
+        tilde_eval(any_schedule, lams),
+        [tilde_eval(any_schedule, float(lam)) for lam in lams], S)
+
+
+def test_array_kong_points_equal_scalar_points_bitwise():
+    lams = np.linspace(1e-3, 12.0, 1999)
+    _assert_array_is_scalar_calls(
+        kong_point(lams), [kong_point(float(lam)) for lam in lams], S1)

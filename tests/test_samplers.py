@@ -465,6 +465,13 @@ class TestSampleLoop:
             assert tr.states.shape == (7, 1)
             assert tr.noises.shape == (6, 1)
             np.testing.assert_array_equal(tr.states[-1], x[i])
+        # views into one states and one noises array, not copies
+        assert trajs[0].states.base.shape == (7, 5, 1)
+        assert trajs[0].noises.base.shape == (6, 5, 1)
+        for tr in trajs:
+            assert tr.states.base is trajs[0].states.base
+            assert tr.noises.base is trajs[0].noises.base
+            assert tr.times is trajs[0].times
 
     def test_exact_reference_kind_runs(self, vp, unit_score):
         cfg = SamplerConfig(kind="exact_reference", rho=0.0, gamma=0.0,
