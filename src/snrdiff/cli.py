@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, integer
 from .gmm import GmmSpec, gmm_from_dict, oracle_score_model, sample_data
 from .infotheory import (
     dmi_dlambda,
@@ -114,8 +114,15 @@ def _resolve_gmm(cfg: dict) -> GmmSpec:
     return gmm_from_dict(cfg["gmm"])
 
 
+def _sampler_section(cfg: dict) -> dict:
+    spec = cfg.get("sampler", {})
+    if not isinstance(spec, dict):
+        raise ConfigError("config 'sampler' must be a JSON object")
+    return spec
+
+
 def _resolve_sampler(args, cfg: dict) -> SamplerConfig:
-    spec = dict(cfg.get("sampler", {}))
+    spec = dict(_sampler_section(cfg))
     if args.seed is not None:
         spec["seed"] = args.seed
     if "seed" not in spec:
@@ -260,11 +267,14 @@ def cmd_sweep(args) -> int:
 def cmd_info(args) -> int:
     cfg = _load_config(args.config)
     gmm = _resolve_gmm(cfg)
-    seed = args.seed if args.seed is not None else cfg.get("sampler", {}).get("seed")
+    spec = _sampler_section(cfg)
+    seed = args.seed if args.seed is not None else spec.get("seed")
     lams = _parse_grid(args.lambdas, "lambda")
     single = gmm.n_components == 1
-    if not single and seed is None:
-        raise ConfigError("mixtures need a seed for Monte Carlo estimates")
+    if not single:
+        if seed is None:
+            raise ConfigError("mixtures need a seed for Monte Carlo estimates")
+        seed = integer("seed", seed)
 
     if args.kong:
         if not single:
@@ -282,7 +292,7 @@ def cmd_info(args) -> int:
     else:
         mmse = mmse_mc(gmm, sched, points.lam, args.mc_n, seed).value
     columns = {"lambda": points.lam, "mmse": mmse,
-               "dmi_dlambda": dmi_dlambda(points, gmm.dim, mmse)}
+               "dmi_dlambda": dmi_dlambda(points, mmse)}
     if single:
         columns["mi_closed"] = mi_gaussian_closed(gmm.covs[0], points)
     out = Path(args.out) / "info.csv"

@@ -5,6 +5,7 @@ the most specific type that applies.
 """
 
 import math
+import numbers
 
 
 class ConfigError(ValueError):
@@ -25,3 +26,11 @@ def finite_real(name: str, value) -> float:
     if isinstance(value, bool) or not finite:
         raise ConfigError(f"{name} must be a finite real number, got {value!r}")
     return float(value)
+
+
+def integer(name: str, value) -> int:
+    """``value`` as an int, or a ConfigError naming ``name`` if it is not
+    an integer (bools, integral floats and strings included)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)

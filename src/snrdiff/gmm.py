@@ -15,6 +15,14 @@ shares Q_k and has eigenvalues c_k = alpha^2 nu_k + sigma^2 >= sigma^2 > 0,
 so the score, the posterior mean and the log density at any t need no
 further factorization: only the elementwise c_k and, for full
 covariances, one rotation of z - alpha m_k into each eigenbasis.
+
+:func:`log_marginal_density` combines the components with
+``scipy.special.logsumexp``, imported there on first use: no sampling or
+information command calls it, and importing ``scipy.special`` would
+otherwise take most of the package's import time.  It stays scipy's
+because that version adds the largest term through ``log1p``, which keeps
+its accuracy where the sum of the other terms is near 0; a plain max-shift
+``log(sum(exp))`` would lose it.
 """
 
 from __future__ import annotations
@@ -22,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import rng
 from .errors import ConfigError
@@ -253,6 +260,8 @@ def log_marginal_density(gmm: GmmSpec, schedule: Schedule, t: float, z) -> np.nd
     s2 = float(schedule.sigma(t)) ** 2
     zf, lead = _flatten(z, gmm.dim)
     _, logp, _ = _components(gmm, a, s2, zf)
+    from scipy.special import logsumexp  # deferred: see the module docstring
+
     return logsumexp(logp, axis=1).reshape(lead)
 
 

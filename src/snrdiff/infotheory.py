@@ -127,7 +127,7 @@ def snr_derivative_factor(snr_point: SnrPoint):
     return float_or_array((da * s - a * ds) * a / np.float_power(s, 3))
 
 
-def dkl_dlambda(snr_point: SnrPoint, dim: int, pointwise_mmse: float) -> float:
+def dkl_dlambda(snr_point: SnrPoint, pointwise_mmse: float) -> float:
     """d/dlambda of KL(p(z|x) || p(z)) at fixed x.
 
     The dimension enters only through the pointwise MMSE input; the
@@ -136,7 +136,7 @@ def dkl_dlambda(snr_point: SnrPoint, dim: int, pointwise_mmse: float) -> float:
     return snr_derivative_factor(snr_point) * float(pointwise_mmse)
 
 
-def dmi_dlambda(snr_point: SnrPoint, dim: int, mmse):
+def dmi_dlambda(snr_point: SnrPoint, mmse):
     """d/dlambda of the mutual information I(x, z_lambda)."""
     return float_or_array(snr_derivative_factor(snr_point) * mmse)
 

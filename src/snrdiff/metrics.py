@@ -9,7 +9,9 @@ In one dimension the energy distance equals twice the integrated squared
 difference of the two empirical CDFs (Szekely & Rizzo, "Energy statistics:
 A class of statistics based on distances", 2013), which one sort of the
 pooled samples evaluates exactly in O((n+m) log(n+m)).  D > 1 sums all
-pairwise distances with blocked ``cdist``.
+pairwise distances with blocked ``cdist``, whose module
+(``scipy.spatial``) is imported on first use: only D > 1 reaches it, and
+importing it takes longer than a whole 1-D run's metrics.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import NumericalError
 from .gmm import GmmSpec
@@ -71,6 +72,8 @@ def moment_report(samples, target: GmmSpec) -> SampleQualityReport:
 def _pairwise_distance_sum(a: np.ndarray, b: np.ndarray) -> float:
     """Sum of all pairwise Euclidean distances, accumulated in a fixed
     block order so the result is independent of threading."""
+    from scipy.spatial.distance import cdist  # deferred: see module docstring
+
     total = 0.0
     for i in range(0, a.shape[0], _BLOCK):
         block = a[i:i + _BLOCK]

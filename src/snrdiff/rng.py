@@ -16,6 +16,14 @@ by a splitmix64 chain.  Two access patterns are provided:
   number of blocks, and normals come from the inverse CDF so that exactly
   one word feeds one value.
 
+The inverse CDF is ``scipy.special.ndtri``, imported inside
+:func:`row_normals` on first use so that importing the package loads no
+scipy module (commands that draw no row noise, such as ``info`` and
+``schedules``, never pay for it).  It stays scipy's rather than a numpy
+port of the same Cephes rational approximation: such a port differed from
+it on 258 of 4M inputs, because numpy's vectorized ``log`` does not round
+like the C library's, and it took about six times as long per value.
+
 Purpose tags keep independent uses of the same user seed from colliding.
 """
 
@@ -23,7 +31,6 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import ndtri
 
 PURPOSE_PRIOR = 1
 PURPOSE_STEP = 2
@@ -76,6 +83,8 @@ def row_normals(
     The value at (row, column) depends only on the key material and the
     absolute row index, never on how rows are batched.
     """
+    from scipy.special import ndtri  # deferred: see the module docstring
+
     rows = int(row_stop) - int(row_start)
     if rows < 0 or width < 1:
         raise ValueError("need row_stop >= row_start and width >= 1")

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import rng
 from .dynamics import ScoreModel, _drift_diffusion, _exp_diff
-from .errors import ConfigError, NumericalError, finite_real
+from .errors import ConfigError, NumericalError, finite_real, integer
 from .schedule import Schedule
 from .snr_space import t_of_lambda
 
@@ -298,10 +298,7 @@ class SamplerConfig:
 
     def __post_init__(self):
         for name in ("steps", "substeps", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            if name != "seed" and value < 1:
+            if integer(name, getattr(self, name)) < 1 and name != "seed":
                 raise ConfigError(f"{name} must be >= 1")
         for name in ("rho", "gamma", "delta", "eta", "t_start", "t_end"):
             value = getattr(self, name)

@@ -378,6 +378,8 @@ def make_schedule(name: str, params: dict | None = None,
     name = canonical_name(name)
     if name == "Warped":
         raise ConfigError("build warped schedules with snr_space.time_warp")
+    if params is not None and not isinstance(params, dict):
+        raise ConfigError(f"{name} params must be an object, got {params!r}")
     params = dict(params or {})
 
     if name == "Custom":
@@ -408,6 +410,9 @@ def schedule_from_dict(spec: dict) -> Schedule:
     """Inverse of :meth:`Schedule.to_dict` (named families only)."""
     if not isinstance(spec, dict) or "name" not in spec:
         raise ConfigError("schedule spec must be an object with a 'name'")
+    if canonical_name(spec["name"]) == "Custom":
+        raise ConfigError("Custom schedules take callables, which a JSON "
+                          "spec cannot hold")
     return make_schedule(
         spec["name"],
         spec.get("params"),

@@ -281,7 +281,7 @@ def check_info_derivatives() -> CheckResult:
         lams = np.linspace(lo + 10 * h, hi - 10 * h, 50)
         p = tilde_eval(sched, lams)
         fd = central_difference(lambda q: mi_gaussian_closed(S, q), sched, lams)
-        got = dmi_dlambda(p, 1, mmse_gaussian(S, p))
+        got = dmi_dlambda(p, mmse_gaussian(S, p))
         worst_mi = np.maximum(worst_mi, np.max(
             np.abs(got - fd) / np.maximum(np.abs(fd), 1e-12)))
         for lam in np.linspace(lo + 10 * h, hi - 10 * h, 5):
@@ -289,13 +289,13 @@ def check_info_derivatives() -> CheckResult:
             for x in gen.normal(size=4):
                 fd = central_difference(
                     lambda q: kl_gaussian_conditional(S, [x], q), sched, lam)
-                got = dkl_dlambda(p, 1, pointwise_mmse_gaussian(S, [x], p))
+                got = dkl_dlambda(p, pointwise_mmse_gaussian(S, [x], p))
                 worst_kl = np.maximum(worst_kl,
                                       abs(got - fd) / max(abs(fd), 1e-12))
     p = kong_point(np.concatenate([np.linspace(0.1, 8.0, 40),
                                    np.linspace(0.2, 6.0, 30)]))
     m = mmse_gaussian(S, p)
-    worst_kong = np.max(np.abs(dmi_dlambda(p, 1, m) - 0.5 * m))
+    worst_kong = np.max(np.abs(dmi_dlambda(p, m) - 0.5 * m))
     return CheckResult(
         "info_derivatives",
         worst_mi <= 1e-6 and worst_kl <= 1e-6 and worst_kong <= 1e-9,

@@ -1,12 +1,18 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import traceback
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import snrdiff
 from snrdiff import samplers
@@ -217,6 +223,11 @@ class TestSampleCommand:
         ("gmm", {"means": [["abc"]]}, "gmm means"),
         ("gmm", {"weights": [0.5, 0.5], "means": [[0.0], [1.0, 2.0]],
                  "covs": [[[1.0]], [[1.0]]]}, "gmm means"),
+        ("schedule", {"params": True}, "VP params must be an object"),
+        ("schedule", {"name": "custom", "t_min": 0.1, "t_max": 0.9,
+                      "params": dict.fromkeys(["alpha", "sigma", "dalpha",
+                                               "dsigma"], 1)},
+         "Custom schedules take callables"),
     ])
     def test_bad_mixture_or_schedule_exits_2_and_writes_nothing(
             self, tmp_path, capsys, section, update, named):
@@ -338,6 +349,19 @@ class TestInfoCommand:
         cfg = write_config(tmp_path, cfg_data)
         assert main(["info", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("seed", ["abc", 1.5, True])
+    def test_mixture_bad_config_seed_exits_2_and_writes_nothing(
+            self, tmp_path, capsys, seed):
+        cfg_data = json.loads(json.dumps(GMM2D_CONFIG))
+        cfg_data["sampler"]["seed"] = seed
+        cfg = write_config(tmp_path, cfg_data)
+        out = tmp_path / "out"
+        assert main(["info", "--config", cfg, "--lambdas=-2:2:5",
+                     "--mc-n", "200", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert (capsys.readouterr().err
+                == f"config error: seed must be an integer, got {seed!r}\n")
+
     def test_mixture_mc_curve(self, tmp_path):
         cfg = write_config(tmp_path, GMM2D_CONFIG)
         rc = main(["info", "--config", cfg, "--lambdas=-2:2:5",
@@ -361,6 +385,21 @@ def test_empty_or_negative_grid_exits_2_and_writes_nothing(tmp_path, capsys,
     assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
     assert not out.exists()
     assert "config error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "-n", "8"],
+    ["sweep", "-n", "8", "--gammas", "1", "--deltas", "1"],
+    ["info", "--lambdas=-2:2:5", "--mc-n", "200"],
+])
+def test_non_object_sampler_section_exits_2_and_writes_nothing(
+        tmp_path, capsys, argv):
+    cfg = write_config(tmp_path, {**GMM2D_CONFIG, "sampler": [1, 2]})
+    out = tmp_path / "out"
+    assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert (capsys.readouterr().err
+            == "config error: config 'sampler' must be a JSON object\n")
 
 
 @pytest.mark.parametrize("flag,message", [
@@ -444,3 +483,116 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert (tmp_path / "schedules.csv").exists()
+
+
+# -- the exit-code contract under fuzzed configs and flags --------------------
+
+# steps, substeps and sizes stay small: the contract is about what is
+# rejected, not about how large a run may be
+SMALL_JUNK = st.sampled_from([
+    None, True, False, 0, -1, 1, 3, 0.5, -0.5, 1e308, float("nan"),
+    float("inf"), "", "abc", "VP", [], [1, 2], [[1.0]], {}, {"a": 1},
+]).map(copy.deepcopy)
+JUNK = SMALL_JUNK | st.just(2**70)
+SMALL_INT = st.sampled_from([-1, 0, 1, 2, 3])
+FIELDS = {
+    "schedule": st.sampled_from(["name", "params", "t_min", "t_max", "bogus"]),
+    "gmm": st.sampled_from(["weights", "means", "covs", "dim", "bogus"]),
+    "sampler": st.sampled_from(["kind", "rho", "gamma", "delta", "eta",
+                                "steps", "substeps", "seed", "grid_kind",
+                                "t_start", "t_end", "bogus"]),
+}
+VALUES = {
+    "name": st.sampled_from(["VP", "VE", "iDDPM", "FM_OT", "custom",
+                             "warped"]) | JUNK,
+    "params": st.dictionaries(st.sampled_from(["beta_min", "beta_d", "s",
+                                               "sigma_min", "sigma_max",
+                                               "alpha", "sigma", "dalpha",
+                                               "dsigma"]),
+                              JUNK | st.floats(-2, 60), max_size=2) | JUNK,
+    "kind": st.sampled_from(["generalized", "kingma", "non_markovian",
+                             "euler_backward", "exact_reference"]) | JUNK,
+    "grid_kind": st.sampled_from(["uniform_t", "uniform_lambda"]) | JUNK,
+    **dict.fromkeys(["rho", "gamma", "delta", "eta", "t_start", "t_end",
+                     "t_min", "t_max"], st.floats(-2, 3) | JUNK),
+    "steps": SMALL_INT | SMALL_JUNK,
+    "substeps": SMALL_INT | SMALL_JUNK,
+}
+GRIDS = st.sampled_from(["1", "0.5,1", "0:2:3", "-2:2:3", "0", "0,50", "",
+                         ",", "abc", "1:2:0", "1:2", "-1", "nan", "1e400"])
+
+
+@st.composite
+def fuzzed_config(draw):
+    cfg = json.loads(json.dumps(draw(st.sampled_from([UNIT_CONFIG,
+                                                      GMM2D_CONFIG]))))
+    cfg["sampler"]["steps"] = 3
+    for _ in range(draw(st.integers(0, 3))):
+        section = draw(st.sampled_from(sorted(FIELDS)))
+        action = draw(st.sampled_from(["set", "set", "drop", "replace"]))
+        if action == "replace":
+            cfg[section] = draw(JUNK)
+        elif action == "drop":
+            cfg.pop(section, None)
+        elif isinstance(cfg.get(section), dict):
+            field = draw(FIELDS[section])
+            cfg[section][field] = draw(VALUES.get(field, JUNK | st.floats()))
+    return cfg
+
+
+@st.composite
+def fuzzed_flags(draw):
+    command = draw(st.sampled_from(["sample", "sweep", "info"]))
+    flags = [command]
+    if command in ("sample", "sweep"):
+        flags += ["-n", str(draw(st.sampled_from([-1, 0, 1, 2, 5, 9])))]
+    if command == "sample" and draw(st.booleans()):
+        flags.append("--trajectories")
+    if command == "sweep":
+        for flag in ("--gammas", "--deltas", "--rhos"):
+            flags.append(f"{flag}={draw(GRIDS)}")
+    if command == "info":
+        flags += [f"--lambdas={draw(GRIDS)}",
+                  "--mc-n", str(draw(st.sampled_from([-1, 0, 99, 100, 150])))]
+        if draw(st.booleans()):
+            flags.append("--kong")
+    if draw(st.booleans()):
+        flags += ["--threads", str(draw(st.sampled_from([-1, 0, 1, 2])))]
+    if draw(st.booleans()):
+        flags += ["--seed", str(draw(st.sampled_from([-5, 0, 3, 2**70])))]
+    if draw(st.booleans()):
+        flags += ["--schedule", draw(st.sampled_from(["VP", "FM_OT", "bogus"]))]
+    return flags
+
+
+def run_cli(argv) -> tuple[int, str]:
+    """``main(argv)`` as a process would run it: (exit code, stderr).  An
+    exception escaping ``main`` is what a process prints as a traceback;
+    warnings are recorded, not raised, as they are outside pytest."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True):
+        warnings.simplefilter("always")
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse rejects a flag
+            rc = exc.code
+        except Exception:
+            traceback.print_exc(file=err)
+            rc = 1
+    return rc, err.getvalue()
+
+
+@settings(max_examples=200)
+@given(fuzzed_config(), fuzzed_flags())
+def test_fuzzed_runs_keep_the_exit_code_contract(cfg, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = Path(tmp) / "out"
+        rc, err = run_cli(flags + ["--config", str(path), "--out", str(out)])
+        assert "Traceback" not in err, err
+        assert rc in (0, 2, 3), err
+        if rc != 0:
+            assert not out.exists() or not any(out.iterdir())

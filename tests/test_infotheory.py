@@ -147,7 +147,7 @@ class TestDerivativeFormulas:
         lo, hi = any_schedule.lambda_range()
         for lam in np.linspace(lo + 10 * h, hi - 10 * h, 50):
             p = tilde_eval(any_schedule, float(lam))
-            got = dmi_dlambda(p, 1, mmse_gaussian(S1, p))
+            got = dmi_dlambda(p, mmse_gaussian(S1, p))
             fd = (mi_gaussian_closed(S1, tilde_eval(any_schedule, lam + h))
                   - mi_gaussian_closed(S1, tilde_eval(any_schedule, lam - h))
                   ) / (2 * h)
@@ -160,7 +160,7 @@ class TestDerivativeFormulas:
         for lam in np.linspace(lo + 10 * h, hi - 10 * h, 5):
             p = tilde_eval(any_schedule, float(lam))
             for x in gen.normal(size=4):
-                got = dkl_dlambda(p, 1, pointwise_mmse_gaussian(S1, [x], p))
+                got = dkl_dlambda(p, pointwise_mmse_gaussian(S1, [x], p))
                 fd = (kl_gaussian_conditional(
                           S1, [x], tilde_eval(any_schedule, lam + h))
                       - kl_gaussian_conditional(
@@ -172,9 +172,9 @@ class TestDerivativeFormulas:
         for lam in np.linspace(0.1, 8.0, 40):
             p = kong_point(lam)
             m = mmse_gaussian(S1, p)
-            assert abs(dmi_dlambda(p, 1, m) - 0.5 * m) <= 1e-9
+            assert abs(dmi_dlambda(p, m) - 0.5 * m) <= 1e-9
             pw = pointwise_mmse_gaussian(S1, [0.7], p)
-            assert abs(dkl_dlambda(p, 1, pw) - 0.5 * pw) <= 1e-9
+            assert abs(dkl_dlambda(p, pw) - 0.5 * pw) <= 1e-9
 
     def test_snr_factor_is_half_snr_on_schedules(self, any_schedule):
         # on a lambda-space curve d snr/d lambda = snr, so the factor is
@@ -191,7 +191,7 @@ class TestDerivativeFormulas:
         h = 1e-4
         for lam in (-2.0, 0.5, 3.0):
             p = tilde_eval(vp, lam)
-            got = dmi_dlambda(p, 2, mmse_gaussian(S, p))
+            got = dmi_dlambda(p, mmse_gaussian(S, p))
             fd = (mi_gaussian_closed(S, tilde_eval(vp, lam + h))
                   - mi_gaussian_closed(S, tilde_eval(vp, lam - h))) / (2 * h)
             assert abs(got - fd) <= 1e-6 * (abs(fd) + 1e-12)
@@ -206,7 +206,7 @@ def _curves(point, S):
     mmse = mmse_gaussian(S, point)
     return {**{f: getattr(point, f) for f in FIELDS}, "mmse": mmse,
             "mi": mi_gaussian_closed(S, point),
-            "dmi": dmi_dlambda(point, S.shape[0], mmse)}
+            "dmi": dmi_dlambda(point, mmse)}
 
 
 def _assert_array_is_scalar_calls(array_point, scalar_points, S):

@@ -1,14 +1,47 @@
 import numpy as np
+import pytest
+from hypothesis import example, given, strategies as st
+from numpy.random import Philox
+from scipy.special import ndtri
 
 from snrdiff import rng
 
 
 class TestRowNormals:
-    def test_partition_invariance(self):
-        full = rng.row_normals(42, rng.PURPOSE_STEP, 7, 0, 100, 3)
-        pieces = [rng.row_normals(42, rng.PURPOSE_STEP, 7, a, b, 3)
-                  for a, b in ((0, 13), (13, 50), (50, 99), (99, 100))]
-        assert np.array_equal(full, np.vstack(pieces))
+    @given(seed=st.integers(0, 2**64 - 1), row_start=st.integers(0, 10**6),
+           rows=st.integers(0, 60), width=st.integers(1, 17),
+           cuts=st.lists(st.integers(0, 60), max_size=6))
+    @example(seed=42, row_start=0, rows=100, width=3, cuts=[13, 50, 99])
+    def test_partition_invariance(self, seed, row_start, rows, width, cuts):
+        # any split of [row_start, row_stop) into spans reproduces the
+        # single-call draw bit for bit
+        row_stop = row_start + rows
+        bounds = sorted({row_start, row_stop,
+                         *(row_start + min(c, rows) for c in cuts)})
+        full = rng.row_normals(seed, rng.PURPOSE_STEP, 7, row_start, row_stop,
+                               width)
+        pieces = [rng.row_normals(seed, rng.PURPOSE_STEP, 7, a, b, width)
+                  for a, b in zip(bounds[:-1], bounds[1:])]
+        assert full.shape == (rows, width)
+        assert np.array_equal(full, np.vstack([np.empty((0, width)), *pieces]))
+
+    @pytest.mark.parametrize("width", [1, 3, 4, 5, 8, 17])
+    def test_matches_independent_rebuild(self, width):
+        # row r reads Philox counter r * ceil(width / 4) of the key's stream;
+        # each of its first `width` words becomes the 53-bit open-interval
+        # uniform (w >> 11 + 1/2) / 2**53 and then scipy's ndtri
+        seed, purpose, context = 2024, rng.PURPOSE_STEP, 9
+        row_start, row_stop = 37, 61
+        key = rng.philox_key(seed, purpose, context)
+        blocks = -(-width // 4)
+        uniforms = []
+        for row in range(row_start, row_stop):
+            words = Philox(key=key, counter=row * blocks).random_raw(width)
+            uniforms.append([((int(w) >> 11) + 0.5) / 2**53 for w in words])
+        expected = ndtri(np.array(uniforms))
+        got = rng.row_normals(seed, purpose, context, row_start, row_stop,
+                              width)
+        assert got.tobytes() == expected.tobytes()
 
     def test_row_addressing(self):
         # row i of any span equals the single-row draw at absolute index i
