@@ -16,6 +16,20 @@ so the score, the posterior mean and the log density at any t need no
 further factorization: only the elementwise c_k and, for full
 covariances, one rotation of z - alpha m_k into each eigenbasis.
 
+The two kinds of mixture take two layouts in :func:`_components`.  With
+every covariance diagonal, the rows stay first, (N, D) and (N, K), and the
+quadratic forms and the weighted residual are matrix products over D or K.
+With any full covariance, the rows go last, (K, D, N) and (K, N), so each
+elementwise step runs over all N rows at once rather than over D or K of
+them; results are transposed back to rows first on return.  The tests keep
+a rows-first full-covariance kernel, (K, N, D) with an ``einsum`` over d, as
+the reference.  At D <= 2 the two give the same bits, for any K, in every
+output of the three oracles.  At D >= 3 they do not: the rows-last kernel
+adds the quadratic form's d terms from left to right, while the rows-first
+``einsum`` runs over d innermost and sums it in SIMD-lane order, which is
+left to right only up to D = 2.  The two agree to a few ulp of the terms
+(within 1e-13 relative) but not bit for bit.
+
 :func:`log_marginal_density` combines the components with
 ``scipy.special.logsumexp``, imported there on first use: no sampling or
 information command calls it, and importing ``scipy.special`` would
@@ -222,28 +236,39 @@ def _components(gmm: GmmSpec, a: float, s2: float, z: np.ndarray, scale=1.0):
     the log joint log(weight_k N(z; a m_k, C_k)), both (N, K), and the
     whitened residual w = sum_k r_k Q_k diag(scale_k / c_k) Q_k^T (z - a m_k),
     (N, D).
+
+    Diagonal mixtures compute rows first.  Full ones compute rows last,
+    v = Q_k^T (z - a m_k) as (K, D, N), and return transposed views, so
+    their r, logp and w are not C-contiguous; see the module docstring
+    for which inputs give bitwise the results of the rows-first kernel.
     """
     c = a * a * gmm._evals + s2
     inv_c = 1.0 / c
     gain = scale * inv_c
     m = a * gmm.means
     q = gmm._evecs
+    log_norm = (np.log(gmm.weights) - 0.5 * np.log(c).sum(axis=1)
+                - 0.5 * gmm.dim * np.log(2.0 * np.pi))
     if q is None:
         quad = ((z * z) @ inv_c.T - 2.0 * z @ (m * inv_c).T
                 + np.sum(m * m * inv_c, axis=1))
-    else:
-        v = (z[None] - m[:, None]) @ q
-        quad = np.einsum("knd,kd->nk", v * v, inv_c)
-    logp = (np.log(gmm.weights) - 0.5 * np.log(c).sum(axis=1)
-            - 0.5 * gmm.dim * np.log(2.0 * np.pi)) - 0.5 * quad
-    e = np.exp(logp - logp.max(axis=1, keepdims=True))
-    r = e / e.sum(axis=1, keepdims=True)
-    if q is None:
-        w = z * (r @ gain) - r @ (gain * m)
-    else:
-        w = v * gain[:, None] * r.T[..., None]
-        w = (w @ q.transpose(0, 2, 1)).sum(axis=0)
-    return r, logp, w
+        logp = log_norm - 0.5 * quad
+        e = np.exp(logp - logp.max(axis=1, keepdims=True))
+        r = e / e.sum(axis=1, keepdims=True)
+        return r, logp, z * (r @ gain) - r @ (gain * m)
+    # rows last: (K, D, N) and (K, N), so every inner loop runs over N; the
+    # steps work in place so that a call fills few fresh N-long buffers
+    v = q.transpose(0, 2, 1) @ (np.ascontiguousarray(z.T)[None]
+                                - m[:, :, None])
+    logp = np.einsum("kdn,kdn,kd->kn", v, v, inv_c)
+    logp *= -0.5
+    logp += log_norm[:, None]
+    r = logp - logp.max(axis=0)
+    np.exp(r, out=r)
+    r /= r.sum(axis=0)
+    v *= gain[:, :, None]
+    v *= r[:, None, :]
+    return r.T, logp.T, (q @ v).sum(axis=0).T
 
 
 def _flatten(z, d):

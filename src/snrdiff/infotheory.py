@@ -156,17 +156,21 @@ def kong_point(lam) -> SnrPoint:
         lam, root, np.ones_like(lam), 0.5 / root, np.zeros_like(lam))))
 
 
-def _squared_error_mc(gmm: GmmSpec, schedule: Schedule, x, lam, n: int,
+def _squared_error_mc(gmm: GmmSpec, schedule: Schedule, x, t, n: int,
                       seed: int) -> McEstimate:
     """Mean and standard error of ||x - E[x|z]||^2 over the same n channel
-    draws at each lambda, for x one point or n rows."""
-    t = np.asarray(t_of_lambda(schedule, lam))
+    draws at each time t, for x one point or n rows."""
+    t = np.asarray(t)
     alpha, sigma = schedule.alpha(t), schedule.sigma(t)
     eps = rng.stream(seed, rng.PURPOSE_MC).standard_normal((n, gmm.dim))
     value, stderr = np.empty(t.shape), np.empty(t.shape)
     for i, ti in np.ndenumerate(t):
-        x_hat = posterior_mean(gmm, schedule, ti, alpha[i] * x + sigma[i] * eps)
-        sq = np.einsum("nd,nd->n", x - x_hat, x - x_hat)
+        # in place: every fresh N-long buffer costs page faults to fill
+        z = sigma[i] * eps
+        z += alpha[i] * x
+        err = posterior_mean(gmm, schedule, ti, z)
+        np.subtract(x, err, out=err)
+        sq = np.einsum("nd,nd->n", err, err)
         value[i], stderr[i] = sq.mean(), sq.std(ddof=1) / math.sqrt(n)
     if t.ndim == 0:
         return McEstimate(float(value), float(stderr))
@@ -174,17 +178,21 @@ def _squared_error_mc(gmm: GmmSpec, schedule: Schedule, x, lam, n: int,
 
 
 def mmse_mc(gmm: GmmSpec, schedule: Schedule, lam, n: int,
-            seed: int) -> McEstimate:
+            seed: int, *, t=None) -> McEstimate:
     """Monte Carlo MMSE: average ||x - E[x|z]||^2 over joint draws.
 
     Uses the exact mixture posterior mean as the denoiser, so the estimate
     is unbiased for the true MMSE.  Returns the estimate with its standard
     error: floats for a scalar ``lam``, or arrays of its shape for an array
     whose lambdas all reuse the same draws, entry i equal to mmse_mc(lam[i]).
+    ``t``, if given, must be ``t_of_lambda(schedule, lam)``, already
+    computed by the caller; it is then not inverted again.
     """
     if n < 100:
         raise ConfigError(f"Monte Carlo n must be >= 100, got {n}")
-    return _squared_error_mc(gmm, schedule, sample_data(gmm, n, seed), lam,
+    if t is None:
+        t = t_of_lambda(schedule, lam)
+    return _squared_error_mc(gmm, schedule, sample_data(gmm, n, seed), t,
                              n, seed)
 
 
@@ -194,4 +202,5 @@ def pointwise_mmse_mc(gmm: GmmSpec, schedule: Schedule, x, lam: float,
     if n < 100:
         raise ConfigError(f"Monte Carlo n must be >= 100, got {n}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return _squared_error_mc(gmm, schedule, x, lam, n, seed)
+    return _squared_error_mc(gmm, schedule, x, t_of_lambda(schedule, lam), n,
+                             seed)

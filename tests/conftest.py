@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from snrdiff import make_schedule, oracle_score_model, single_gaussian
 
@@ -10,6 +10,26 @@ settings.register_profile("deterministic", derandomize=True, database=None,
 settings.load_profile("deterministic")
 
 BUILTIN = ("VP", "VE", "iDDPM", "FM_OT")
+
+# Valid parameter ranges for the property tests over schedules.
+FAMILY_PARAMS = {
+    "VP": {"beta_min": st.floats(0.01, 2.0), "beta_d": st.floats(0.0, 40.0)},
+    "VE": {"sigma_min": st.floats(1e-3, 1.0), "sigma_max": st.floats(2.0, 200.0)},
+    "iDDPM": {"s": st.floats(1e-4, 0.2)},
+    "FM_OT": {},
+}
+
+
+def draw_schedule(data, family):
+    """A ``family`` schedule with drawn parameters and a drawn window, its
+    edges fractions of the family's default window."""
+    params = data.draw(st.fixed_dictionaries(FAMILY_PARAMS[family]))
+    lo_frac = data.draw(st.floats(0.0, 0.45))
+    hi_frac = data.draw(st.floats(0.55, 1.0))
+    default = make_schedule(family)
+    span = default.t_max - default.t_min
+    return make_schedule(family, params, default.t_min + lo_frac * span,
+                         default.t_min + hi_frac * span)
 
 
 @pytest.fixture(params=BUILTIN)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import snrdiff
-from snrdiff import samplers
+from snrdiff import samplers, snr_space
 from snrdiff.cli import _csv_text, main
 
 UNIT_CONFIG = {
@@ -361,6 +361,22 @@ class TestInfoCommand:
         assert not out.exists()
         assert (capsys.readouterr().err
                 == f"config error: seed must be an integer, got {seed!r}\n")
+
+    def test_mixture_inverts_lambda_grid_once(self, tmp_path, monkeypatch):
+        original, calls = snr_space.t_of_lambda, []
+
+        def counted(schedule, lam):
+            calls.append(np.shape(lam))
+            return original(schedule, lam)
+
+        for name, mod in list(sys.modules.items()):
+            if (name.partition(".")[0] == "snrdiff"
+                    and getattr(mod, "t_of_lambda", None) is original):
+                monkeypatch.setattr(mod, "t_of_lambda", counted)
+        cfg = write_config(tmp_path, GMM2D_CONFIG)
+        assert main(["info", "--config", cfg, "--lambdas=-2:2:5",
+                     "--mc-n", "500", "--out", str(tmp_path)]) == 0
+        assert calls == [(5,)]
 
     def test_mixture_mc_curve(self, tmp_path):
         cfg = write_config(tmp_path, GMM2D_CONFIG)

