@@ -38,7 +38,6 @@ from .dynamics import (
 )
 from .samplers import (
     SamplerConfig,
-    Trajectory,
     sampler_config_from_dict,
     step_generalized,
     step_kingma,

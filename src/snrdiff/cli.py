@@ -5,8 +5,10 @@ Subcommands: ``schedules``, ``sample``, ``sweep``, ``info``, ``snrspace``,
 file, and seed: reruns produce byte-identical files.  Each CSV is a float
 table in 17 significant digits; ids and step numbers print as integers.
 
-``--threads`` splits the rows of the one sampling pass of ``sample`` and
-of ``sweep`` (all of whose cells share that pass); outputs do not change.
+``sample`` runs one config as a one-cell pass and ``sweep`` runs all its
+cells in one pass.  ``--threads`` splits the rows of that pass; outputs do
+not change.  ``sample --trajectories`` writes ``trajectories.csv``, one row
+per (sample, grid node), from the pass's (steps + 1, n, d) state array.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration
 or arguments, including an output directory that cannot be created or
@@ -205,7 +207,7 @@ def cmd_sample(args) -> int:
     result = sample(sched, oracle_score_model(gmm, sched), sampler_cfg, n=n,
                     d=gmm.dim, threads=threads,
                     return_trajectories=args.trajectories)
-    x, trajs = result if args.trajectories else (result, None)
+    x, times, states = result if args.trajectories else (result, None, None)
     report = _quality_report(x, gmm, sampler_cfg.seed)
 
     files = {
@@ -214,13 +216,13 @@ def cmd_sample(args) -> int:
             np.column_stack([np.arange(n), x])),
         "report.json": _json_text(report.to_dict()),
     }
-    if trajs is not None:
-        steps = np.arange(len(trajs[0].times))
+    if states is not None:
+        nodes = len(times)
         files["trajectories.csv"] = _csv_text(
             ["sample_id", "step", "t"] + [f"z_{j}" for j in range(gmm.dim)],
-            np.concatenate([np.column_stack([np.full(len(steps), i), steps,
-                                             tr.times, tr.states])
-                            for i, tr in enumerate(trajs)]))
+            np.column_stack([np.repeat(np.arange(n), nodes),
+                             np.tile(np.arange(nodes), n), np.tile(times, n),
+                             states.transpose(1, 0, 2).reshape(-1, gmm.dim)]))
     out_dir = Path(args.out)
     _write_outputs(out_dir, files)
     print(f"wrote {out_dir / 'samples.csv'} and {out_dir / 'report.json'}")

@@ -30,10 +30,19 @@ array ``eps`` or from a ``numpy.random.Generator``; :func:`sample`
 addresses noise by (seed, purpose, step, trajectory row), so results do
 not depend on how trajectories are batched or threaded.
 
-The cells of a parameter sweep, configs that differ only in (rho, gamma,
-delta), run through :func:`sample` in one pass: the table takes those
-parameters as (cells, 1, 1, 1) arrays, so the step index stays its last
-axis, and the cells share the grid, every noise draw and each score call.
+:func:`sample` runs a sequence of cells, configs that differ only in
+(rho, gamma, delta), in one pass; a single config is a one-cell sequence.
+The table takes those parameters as (cells, 1, 1, 1) arrays, so the step
+index stays its last axis, and the cells share the grid, every noise draw
+and each score call.  A trajectory is the (steps + 1, n, d) array of states
+on the grid.
+
+On a ``uniform_lambda`` grid between the same lambda endpoints,
+``generalized``, ``kingma`` and ``non_markovian`` at eta = 0 give the same
+x = z/alpha(t_end) on every schedule: their coefficients depend on the
+schedule only through lambda and alpha.  ``non_markovian`` at eta > 0 is
+invariant on variance-preserving schedules only; ``euler_backward``, and
+``exact_reference`` with substeps > 1, split intervals in t and are not.
 """
 
 from __future__ import annotations
@@ -334,17 +343,6 @@ def sampler_config_from_dict(spec: dict) -> SamplerConfig:
         raise ConfigError(f"bad sampler config: {exc}") from exc
 
 
-@dataclass
-class Trajectory:
-    """One sample's backward path: decreasing times, states, noise draws,
-    as views of the grid and of one states and one noises array shared by
-    the records of a :func:`sample` call: writing into one writes those."""
-
-    times: np.ndarray
-    states: np.ndarray          # (len(times), D)
-    noises: np.ndarray | None   # (len(times) - 1, D) standard-normal draws
-
-
 def sample(schedule: Schedule, score: ScoreModel, config, n: int, d: int,
            threads: int = 1, return_trajectories: bool = False):
     """Run the configured backward pass for n trajectories of dimension d.
@@ -355,24 +353,25 @@ def sample(schedule: Schedule, score: ScoreModel, config, n: int, d: int,
     batching.  Raises NumericalError, naming the step, its interval and the
     first bad row (and cell), if a trajectory goes non-finite.
 
-    Returns (n, d) samples, plus a list of per-sample Trajectory views
-    when ``return_trajectories`` is set.  ``config`` may instead be a
-    sequence of cells that differ only in rho, gamma and delta, without
-    trajectories: one pass returns (cells, n, d), cell i bit for bit the
-    samples of ``config[i]`` run alone.
+    ``config`` is one SamplerConfig or a sequence of cells that differ only
+    in rho, gamma and delta; one config runs as a one-cell sequence.  Returns
+    (n, d) samples for one config and (cells, n, d) for a sequence, cell i
+    bit for bit the samples of ``config[i]`` run alone.  For one config,
+    ``return_trajectories`` returns ``(x, times, states)`` instead: the
+    decreasing time grid and the (len(times), n, d) states on it, the prior
+    first and ``x`` last (for exact_reference, the grid nodes only).
     """
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
-    cells = None if isinstance(config, SamplerConfig) else list(config)
-    if cells is not None:
-        if not cells or return_trajectories:
-            raise ValueError("need one or more cells and no trajectories")
-        config = cells[0]
-        if any(replace(c, rho=config.rho, gamma=config.gamma,
-                       delta=config.delta) != config for c in cells):
-            raise ValueError("cells may differ only in rho, gamma and delta")
-    params = {name: getattr(config, name) if cells is None else
-              np.reshape([getattr(c, name) for c in cells], (-1, 1, 1, 1))
+    single = isinstance(config, SamplerConfig)
+    cells = [config] if single else list(config)
+    if not cells or (return_trajectories and not single):
+        raise ValueError("need one or more cells and no trajectories")
+    config = cells[0]
+    if any(replace(c, rho=config.rho, gamma=config.gamma,
+                   delta=config.delta) != config for c in cells):
+        raise ValueError("cells may differ only in rho, gamma and delta")
+    params = {name: np.reshape([getattr(c, name) for c in cells], (-1, 1, 1, 1))
               for name in ("rho", "gamma", "delta")}
     t_start = schedule.t_max if config.t_start is None else float(config.t_start)
     t_end = schedule.t_min if config.t_end is None else float(config.t_end)
@@ -402,9 +401,7 @@ def sample(schedule: Schedule, score: ScoreModel, config, n: int, d: int,
     stochastic = table[2] is not None
 
     states = np.empty((n_steps + 1, n, d)) if return_trajectories else None
-    noises = (np.empty((n_steps, n, d)) if return_trajectories and stochastic
-              and stride == 1 else None)
-    out = np.empty((n, d) if cells is None else (len(cells), n, d))
+    out = np.empty((len(cells), n, d))
 
     def run_rows(row_start: int, row_stop: int) -> None:
         z = sigma_start * rng.row_normals(seed, rng.PURPOSE_PRIOR, 0,
@@ -416,22 +413,20 @@ def sample(schedule: Schedule, score: ScoreModel, config, n: int, d: int,
             if stochastic:
                 xi = rng.row_normals(seed, rng.PURPOSE_STEP, i,
                                      row_start, row_stop, d)
-                if noises is not None:
-                    noises[i, row_start:row_stop] = xi
             z = _affine_step(schedule, score, z, float(times[i]), table, i, xi)
             if (i + 1) % stride:
                 continue
             k = i // stride
             if not np.all(np.isfinite(z)):
                 *cell, row, col = np.argwhere(~np.isfinite(z))[0]
-                where = f" of cell {cell[0]}" if cell else ""
+                where = "" if single or not cell else f" of cell {cell[0]}"
                 raise NumericalError(
                     f"non-finite state at step {k} (t={grid[k]} -> "
                     f"s={grid[k + 1]}): row {row_start + row}{where} holds "
                     f"{z[(*cell, row, col)]}")
             if return_trajectories:
                 states[k + 1, row_start:row_stop] = z
-        out[..., row_start:row_stop, :] = z
+        out[:, row_start:row_stop] = z
 
     threads = max(1, int(threads))
     if threads == 1 or n < 2 * threads:
@@ -441,8 +436,5 @@ def sample(schedule: Schedule, score: ScoreModel, config, n: int, d: int,
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run_rows, bounds[:-1], bounds[1:]))
 
-    if not return_trajectories:
-        return out
-    return out, [Trajectory(times=grid, states=states[:, i],
-                            noises=None if noises is None else noises[:, i])
-                 for i in range(n)]
+    x = out[0] if single else out
+    return (x, grid, states) if return_trajectories else x

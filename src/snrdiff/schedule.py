@@ -249,14 +249,6 @@ _FAMILY_BUILDERS = {
     "VE": _ve_fns,
     "iDDPM": _iddpm_fns,
     "FM_OT": _fm_ot_fns,
-    "Custom": _custom_fns,
-}
-
-_REQUIRED_PARAMS = {
-    "VP": {"beta_min", "beta_d"},
-    "VE": {"sigma_min", "sigma_max"},
-    "iDDPM": {"s"},
-    "FM_OT": set(),
 }
 
 
@@ -338,7 +330,7 @@ class Schedule:
         return float(self.lam(self.t_max)), float(self.lam(self.t_min))
 
     def to_dict(self) -> dict:
-        if self.name not in _REQUIRED_PARAMS:
+        if self.name not in DEFAULT_PARAMS:
             raise ConfigError(
                 f"{self.name} schedules hold function handles and cannot be "
                 "serialized"
@@ -387,16 +379,12 @@ def make_schedule(name: str, params: dict | None = None,
         if t_min is None or t_max is None:
             raise ConfigError("Custom schedules require an explicit window")
     else:
-        required = _REQUIRED_PARAMS[name]
         merged = dict(DEFAULT_PARAMS[name])
-        unknown = set(params) - required
+        unknown = set(params) - set(merged)
         if unknown:
             raise ConfigError(f"{name}: unexpected parameters {sorted(unknown)}")
         merged.update({k: finite_real(f"{name} param {k}", v)
                        for k, v in params.items()})
-        missing = required - set(merged)
-        if missing:
-            raise ConfigError(f"{name}: missing parameters {sorted(missing)}")
         params = merged
         fns = _FAMILY_BUILDERS[name](params)
         default_lo, default_hi = DEFAULT_WINDOWS[name]

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import snrdiff
-from snrdiff import samplers, snr_space
+from snrdiff import rng, samplers, snr_space
 from snrdiff.cli import _csv_text, main
 
 UNIT_CONFIG = {
@@ -151,32 +151,37 @@ class TestSampleCommand:
         assert len(rows) == 3 * 25
 
     def test_trajectories_match_records_at_any_thread_count(self, tmp_path):
-        cfg = write_config(tmp_path, GMM2D_CONFIG)
-        texts = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads{threads}"
-            assert main(["sample", "--config", cfg, "-n", "9",
-                         "--trajectories", "--threads", threads,
-                         "--out", str(out)]) == 0
-            texts.append((out / "trajectories.csv").read_text())
-        assert texts[0] == texts[1]
-
         sched = snrdiff.schedule_from_dict(GMM2D_CONFIG["schedule"])
         gmm = snrdiff.gmm_from_dict(GMM2D_CONFIG["gmm"])
-        _, trajs = snrdiff.sample(
-            sched, snrdiff.oracle_score_model(gmm, sched),
-            snrdiff.sampler_config_from_dict(GMM2D_CONFIG["sampler"]), n=9,
-            d=2, return_trajectories=True)
-        # slices of one (steps + 1, n, d) array: disjoint, so np.shares_memory
-        # of two records is False, but each shares memory with that base
-        base = trajs[0].states.base
-        assert base.shape == (13, 9, 2)
-        assert all(tr.states.base is base and np.shares_memory(tr.states, base)
-                   for tr in trajs)
-        rows = ((i, k, float(t), *map(float, tr.states[k]))
-                for i, tr in enumerate(trajs) for k, t in enumerate(tr.times))
-        assert texts[0] == per_value_csv_text(
-            ["sample_id", "step", "t", "z_0", "z_1"], rows)
+        for kind in ("generalized", "exact_reference"):
+            cfg_data = copy.deepcopy(GMM2D_CONFIG)
+            cfg_data["sampler"].update(kind=kind, substeps=3)
+            cfg = write_config(tmp_path, cfg_data)
+            texts = []
+            for threads in ("1", "2"):
+                out = tmp_path / f"{kind}{threads}"
+                assert main(["sample", "--config", cfg, "-n", "9",
+                             "--trajectories", "--threads", threads,
+                             "--out", str(out)]) == 0
+                texts.append((out / "trajectories.csv").read_text())
+            assert texts[0] == texts[1]
+
+            spec = snrdiff.sampler_config_from_dict(cfg_data["sampler"])
+            x, times, states = snrdiff.sample(
+                sched, snrdiff.oracle_score_model(gmm, sched), spec, n=9,
+                d=2, return_trajectories=True)
+            np.testing.assert_array_equal(times, snrdiff.make_time_grid(
+                sched, spec.grid_kind, 12, sched.t_max, sched.t_min))
+            # grid nodes only, also for exact_reference's sub-steps
+            assert states.shape == (13, 9, 2)
+            assert np.array_equal(states[-1], x)
+            prior = rng.row_normals(5, rng.PURPOSE_PRIOR, 0, 0, 9, 2)
+            assert np.array_equal(states[0],
+                                  float(sched.sigma(sched.t_max)) * prior)
+            rows = ((i, k, float(t), *map(float, states[k, i]))
+                    for i in range(9) for k, t in enumerate(times))
+            assert texts[0] == per_value_csv_text(
+                ["sample_id", "step", "t", "z_0", "z_1"], rows)
 
     def test_missing_gmm_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {"schedule": {"name": "VP"},

@@ -24,6 +24,7 @@ from snrdiff import (
     step_generalized,
     step_kingma,
     step_non_markovian,
+    t_of_lambda,
 )
 from snrdiff.dynamics import ScoreModel
 from snrdiff.samplers import non_markovian_beta2
@@ -456,22 +457,20 @@ class TestSampleLoop:
             sample(vp, cell_bad, cells, n=4, d=1)
 
     def test_trajectories_recorded(self, vp, unit_score):
-        cfg = SamplerConfig(kind="kingma", steps=6, seed=3)
-        x, trajs = sample(vp, unit_score, cfg, n=5, d=1,
-                          return_trajectories=True)
-        assert len(trajs) == 5
-        for i, tr in enumerate(trajs):
-            assert np.all(np.diff(tr.times) < 0)
-            assert tr.states.shape == (7, 1)
-            assert tr.noises.shape == (6, 1)
-            np.testing.assert_array_equal(tr.states[-1], x[i])
-        # views into one states and one noises array, not copies
-        assert trajs[0].states.base.shape == (7, 5, 1)
-        assert trajs[0].noises.base.shape == (6, 5, 1)
-        for tr in trajs:
-            assert tr.states.base is trajs[0].states.base
-            assert tr.noises.base is trajs[0].noises.base
-            assert tr.times is trajs[0].times
+        # one (steps + 1, n, d) array on the grid: the prior first, x last;
+        # exact_reference records its grid nodes, not its sub-steps
+        prior = float(vp.sigma(vp.t_max)) * rng.row_normals(
+            3, rng.PURPOSE_PRIOR, 0, 0, 5, 1)
+        for kind in ("kingma", "exact_reference"):
+            cfg = SamplerConfig(kind=kind, steps=6, substeps=3, seed=3)
+            x, times, states = sample(vp, unit_score, cfg, n=5, d=1,
+                                      return_trajectories=True)
+            np.testing.assert_array_equal(
+                times, make_time_grid(vp, cfg.grid_kind, 6, vp.t_max,
+                                      vp.t_min))
+            assert states.shape == (7, 5, 1)
+            assert np.array_equal(states[-1], x)
+            assert np.array_equal(states[0], prior)
 
     def test_exact_reference_kind_runs(self, vp, unit_score):
         cfg = SamplerConfig(kind="exact_reference", rho=0.0, gamma=0.0,
@@ -617,16 +616,68 @@ CELL_PARAMS = [(0.0, 0.5, 1.0), (1.0, 1.0, 0.5), (0.5, 0.0, 2.0),
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("kind", ["generalized", "euler_backward",
-                                  "exact_reference", "kingma"])
+                                  "exact_reference", "kingma",
+                                  "non_markovian"])
 @pytest.mark.parametrize("mixture", sorted(CELL_MIXTURES))
 def test_cells_equal_stacked_single_runs(any_schedule, mixture, kind, threads):
     gmm = gmm_from_dict(CELL_MIXTURES[mixture])
     model = oracle_score_model(gmm, any_schedule)
-    base = SamplerConfig(kind=kind, steps=8, substeps=2, seed=23)
+    # eta moves only non_markovian, whose table ignores (rho, gamma, delta)
+    base = SamplerConfig(kind=kind, steps=8, substeps=2, seed=23, eta=0.5)
     cells = [replace(base, rho=r, gamma=g, delta=d) for r, g, d in CELL_PARAMS]
     got = sample(any_schedule, model, cells, n=7, d=gmm.dim, threads=threads)
     want = [sample(any_schedule, model, c, n=7, d=gmm.dim) for c in cells]
     np.testing.assert_array_equal(got, np.stack(want))
+
+
+LAMBDA_GMM = {"weights": [0.3, 0.7], "means": [[-1.0, 0.5], [1.2, -0.3]],
+              "covs": [[[0.5, 0.2], [0.2, 0.8]], [[0.6, -0.1], [-0.1, 0.4]]]}
+
+
+def lambda_gap_to_vp(name, **params):
+    """Relative norm gap of x = z/alpha(t_end) between schedule ``name`` and
+    VP, each run over 50 uniform-lambda steps from lambda = -6 to 6."""
+    gmm = gmm_from_dict(LAMBDA_GMM)
+    xs = []
+    for sched in (make_schedule("VP"), make_schedule(name)):
+        t_start, t_end = (float(t) for t in
+                          t_of_lambda(sched, np.array([-6.0, 6.0])))
+        cfg = SamplerConfig(steps=50, grid_kind="uniform_lambda", seed=29,
+                            t_start=t_start, t_end=t_end, **params)
+        z = sample(sched, oracle_score_model(gmm, sched), cfg, n=500, d=2)
+        xs.append(z / float(sched.alpha(t_end)))
+    # the norm, not elementwise: near-zero entries reach 1e-11 relative
+    return np.linalg.norm(xs[1] - xs[0]) / np.linalg.norm(xs[0])
+
+
+LAMBDA_INVARIANT = {
+    "generalized": dict(kind="generalized", rho=1.0, gamma=0.5, delta=0.5),
+    "kingma": dict(kind="kingma"),
+    "deterministic": dict(kind="generalized", rho=0.0, gamma=0.5),
+    "non_markovian_eta0": dict(kind="non_markovian", eta=0.0),
+}
+
+
+@pytest.mark.parametrize("name", ["VE", "iDDPM", "FM_OT"])
+@pytest.mark.parametrize("case", sorted(LAMBDA_INVARIANT))
+def test_sample_is_lambda_invariant(case, name):
+    gap = lambda_gap_to_vp(name, **LAMBDA_INVARIANT[case])
+    assert gap <= 1e-12, gap
+
+
+# pinned from below, so a change that makes either invariant shows up:
+# beta^2 = eta^2 (sigma_t^2 - sigma_s^2) depends on lambda alone only on
+# variance-preserving schedules, and Euler discretizes in t
+@pytest.mark.parametrize("name,params,floor", [
+    ("VE", dict(kind="non_markovian", eta=1.0), 0.1),
+    ("FM_OT", dict(kind="non_markovian", eta=1.0), 0.1),
+    ("VE", dict(kind="euler_backward", rho=0.0), 1e-3),
+    ("iDDPM", dict(kind="euler_backward", rho=0.0), 1e-3),
+    ("FM_OT", dict(kind="euler_backward", rho=0.0), 1e-3),
+])
+def test_sample_lambda_non_invariance_is_pinned(name, params, floor):
+    gap = lambda_gap_to_vp(name, **params)
+    assert gap > floor, gap
 
 
 @pytest.mark.parametrize("change,trajectories,match", [
