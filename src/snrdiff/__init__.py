@@ -43,7 +43,6 @@ from .samplers import (
     step_kingma,
     step_non_markovian,
     step_euler_backward,
-    exact_reference,
     make_time_grid,
     sample,
 )

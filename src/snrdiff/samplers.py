@@ -20,15 +20,17 @@ one loop of that update.  The kinds map onto the table as follows:
 * ``euler_backward``: Euler-Maruyama on the reverse SDE, with
   score = -eps_hat/sigma_t;
 * ``exact_reference``: ``generalized`` on the grid refined into
-  ``substeps`` equal sub-steps per interval.
+  ``substeps`` equal sub-steps per interval; as substeps grows it converges
+  to the exact backward solution (pointwise for rho = 0).
 
-The public steppers, except :func:`step_kingma`, are one-interval calls of
-the same table.  ``step_kingma`` is an independent transcription, so its
-agreement with ``step_generalized`` at rho = gamma = delta = 1 is a real
-cross-check of the table.  Steppers take the noise draw as an explicit
-array ``eps`` or from a ``numpy.random.Generator``; :func:`sample`
-addresses noise by (seed, purpose, step, trajectory row), so results do
-not depend on how trajectories are batched or threaded.
+The public steppers, except :func:`step_kingma`, are one step of the same
+table, the step :func:`sample` takes.  ``step_kingma`` is an independent
+transcription, so its agreement with ``step_generalized`` at
+rho = gamma = delta = 1 is a real cross-check of the table.  Steppers take
+the noise draw only as the array ``eps``, which a stochastic step needs;
+:func:`sample` addresses noise by (seed, purpose, step, trajectory row), so
+results do not depend on how trajectories are batched or threaded.  The
+refined-grid reference is the ``exact_reference`` kind of :func:`sample`.
 
 :func:`sample` runs a sequence of cells, configs that differ only in
 (rho, gamma, delta), in one pass; a single config is a one-cell sequence.
@@ -69,15 +71,10 @@ GRID_KINDS = ("uniform_t", "uniform_lambda")
 _MUTATE_FLIP_EPS_BRACKET = False
 
 
-def _draw(shape, eps, gen) -> np.ndarray:
-    if eps is not None:
-        eps = np.asarray(eps, dtype=float)
-        if eps.shape != shape:
-            eps = np.broadcast_to(eps, shape)
-        return eps
-    if gen is not None:
-        return gen.standard_normal(shape)
-    raise ValueError("stochastic step needs either eps or rng")
+def _draw(shape, eps) -> np.ndarray:
+    if eps is None:
+        raise ValueError("stochastic step needs the noise draw eps")
+    return np.broadcast_to(np.asarray(eps, dtype=float), shape)
 
 
 def _check_times(schedule: Schedule, s: float, t: float) -> None:
@@ -162,37 +159,35 @@ def _affine_step(schedule: Schedule, score: ScoreModel, z, t: float, table,
     return out if xi is None else out + c[..., k] * xi
 
 
-def _run_table(schedule: Schedule, score: ScoreModel, z_t, times, kind: str,
-               rng, eps, **params) -> np.ndarray:
-    """Step z_t through every interval of ``times`` (t first, s last); an
-    interval of zero length is the identity and draws nothing."""
-    _check_times(schedule, times[-1], times[0])
-    table = _affine_table(schedule, times, kind, **params)
-    z, c = np.asarray(z_t, dtype=float), table[2]
-    for k in range(len(times) - 1):
-        if times[k + 1] == times[k]:
-            z = z.copy()
-            continue
-        xi = None if c is None or c[k] == 0.0 else _draw(z.shape, eps, rng)
-        z = _affine_step(schedule, score, z, float(times[k]), table, k, xi)
-    return z
+def _step(schedule: Schedule, score: ScoreModel, z_t, t: float, s: float,
+          kind: str, eps, **params) -> np.ndarray:
+    """One ``kind`` step of the table from t to s; s = t is the identity."""
+    t, s = float(t), float(s)
+    _check_times(schedule, s, t)
+    z = np.asarray(z_t, dtype=float)
+    if s == t:
+        return z.copy()
+    table = _affine_table(schedule, np.array([t, s]), kind, **params)
+    c = table[2]
+    xi = None if c is None or c[0] == 0.0 else _draw(z.shape, eps)
+    return _affine_step(schedule, score, z, t, table, 0, xi)
 
 
 def step_generalized(schedule: Schedule, score: ScoreModel, z_t, t: float,
                      s: float, rho: float, gamma: float, delta: float,
-                     rng=None, eps=None) -> np.ndarray:
+                     eps=None) -> np.ndarray:
     """One generalized backward step from t to s (see module docstring).
 
     The eps-hat prediction is evaluated at (z_t, t).  With s = t the step
     is the identity.  gamma = -1 is rejected (the 1/(1+gamma) prefactor);
     delta may be any real but negative values are flagged.
     """
-    return _run_table(schedule, score, z_t, np.array([float(t), float(s)]),
-                      "generalized", rng, eps, rho=rho, gamma=gamma, delta=delta)
+    return _step(schedule, score, z_t, t, s, "generalized", eps,
+                 rho=rho, gamma=gamma, delta=delta)
 
 
 def step_kingma(schedule: Schedule, score: ScoreModel, z_t, t: float,
-                s: float, rng=None, eps=None) -> np.ndarray:
+                s: float, eps=None) -> np.ndarray:
     """Ancestral-style backward step: posterior mean plus matched noise.
 
     Mean (alpha_s/alpha_t) z_t + alpha_s alpha_t (e^{-lam_t} - e^{-lam_s})
@@ -216,11 +211,11 @@ def step_kingma(schedule: Schedule, score: ScoreModel, z_t, t: float,
     mean = (alpha_s / alpha_t) * z \
         - alpha_s * bracket * np.exp(0.5 * lam_t) * eps_hat
     noise_coef = alpha_t * np.sqrt(bracket) * (sigma_s / sigma_t)
-    return mean + noise_coef * _draw(z.shape, eps, rng)
+    return mean + noise_coef * _draw(z.shape, eps)
 
 
 def step_non_markovian(schedule: Schedule, score: ScoreModel, z_t, t: float,
-                       s: float, eta: float, rng=None, eps=None) -> np.ndarray:
+                       s: float, eta: float, eps=None) -> np.ndarray:
     """DDIM-style backward step through the predicted clean sample.
 
     z_s = alpha_s x_hat + sqrt(sigma_s^2 - beta^2) (z_t - alpha_t x_hat)/sigma_t
@@ -228,32 +223,13 @@ def step_non_markovian(schedule: Schedule, score: ScoreModel, z_t, t: float,
     eta = 0 gives the deterministic step; eta = 1 injects the largest noise
     the marginal-preserving family allows for this beta parameterization.
     """
-    return _run_table(schedule, score, z_t, np.array([float(t), float(s)]),
-                      "non_markovian", rng, eps, eta=eta)
+    return _step(schedule, score, z_t, t, s, "non_markovian", eps, eta=eta)
 
 
 def step_euler_backward(schedule: Schedule, score: ScoreModel, z_t, t: float,
-                        s: float, rho: float, rng=None, eps=None) -> np.ndarray:
+                        s: float, rho: float, eps=None) -> np.ndarray:
     """One Euler-Maruyama step of the reverse SDE from t to s."""
-    return _run_table(schedule, score, z_t, np.array([float(t), float(s)]),
-                      "euler_backward", rng, eps, rho=rho)
-
-
-def exact_reference(schedule: Schedule, score: ScoreModel, z_t, t: float,
-                    s: float, substeps: int, rng=None, rho: float = 0.0,
-                    gamma: float = 0.0, delta: float = 1.0) -> np.ndarray:
-    """Resolve the t -> s transition by ``substeps`` generalized sub-steps.
-
-    As substeps grows this converges to the exact backward solution
-    (pointwise for rho = 0, in distribution otherwise) and serves as the
-    error yardstick for single big steps.  substeps = 1 reproduces
-    step_generalized on the same draw.
-    """
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
-    times = _refine(np.array([float(t), float(s)]), int(substeps))
-    return _run_table(schedule, score, z_t, times, "generalized", rng, None,
-                      rho=rho, gamma=gamma, delta=delta)
+    return _step(schedule, score, z_t, t, s, "euler_backward", eps, rho=rho)
 
 
 def make_time_grid(schedule: Schedule, grid_kind: str, steps: int,

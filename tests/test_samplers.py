@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import snrdiff.samplers as samplers_mod
 from snrdiff import rng
@@ -10,7 +11,6 @@ from snrdiff import (
     NumericalError,
     SamplerConfig,
     backward_drift,
-    exact_reference,
     forward_coeffs,
     gmm_from_dict,
     make_schedule,
@@ -28,16 +28,9 @@ from snrdiff import (
 )
 from snrdiff.dynamics import ScoreModel
 from snrdiff.samplers import non_markovian_beta2
+from snrdiff.verify import _deterministic_step
 
-
-def eq12_step(schedule, model, z, t, s, gamma):
-    """Independent transcription of the deterministic update."""
-    lam_t, lam_s = float(schedule.lam(t)), float(schedule.lam(s))
-    a_t, a_s = float(schedule.alpha(t)), float(schedule.alpha(s))
-    nu = 0.5 * (1.0 + gamma)
-    bracket = np.exp(-nu * lam_t) - np.exp(-nu * lam_s)
-    return (a_s / a_t) * z - (1.0 / (1.0 + gamma)) * a_s * bracket \
-        * np.exp(0.5 * gamma * lam_t) * model.eps(schedule, z, t)
+from conftest import BUILTIN, draw_schedule
 
 
 class TestGeneralizedStep:
@@ -65,10 +58,10 @@ class TestGeneralizedStep:
             s = gen.uniform(vp.t_min, t)
             z = gen.normal(size=(2, 1))
             got = step_generalized(vp, unit_score, z, t, s, 0.0, 0.0, 1.0)
-            want = eq12_step(vp, unit_score, z, t, s, 0.0)
+            want = _deterministic_step(vp, unit_score, z, t, s, 0.0)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
-    def test_rho_zero_needs_no_rng(self, vp, unit_score):
+    def test_rho_zero_needs_no_eps(self, vp, unit_score):
         z = np.array([[0.4]])
         out = step_generalized(vp, unit_score, z, 0.8, 0.3, 0.0, 0.5, 1.0)
         assert np.all(np.isfinite(out))
@@ -218,29 +211,48 @@ class TestEulerBackward:
                 assert 3.0 <= g0 / g1 <= 5.0
 
 
+@pytest.mark.parametrize("step,args", [
+    (step_generalized, (1.0, 0.5, 1.0)),
+    (step_kingma, ()),
+    (step_non_markovian, (0.5,)),
+    (step_euler_backward, (1.0,)),
+], ids=["generalized", "kingma", "non_markovian", "euler_backward"])
+def test_stochastic_step_without_eps_raises(vp, unit_score, step, args):
+    with pytest.raises(ValueError, match="eps"):
+        step(vp, unit_score, np.array([[0.4]]), 0.8, 0.3, *args)
+
+
+def reference_run(schedule, model, t, s, substeps, n=1, seed=5, rho=0.0,
+                  gamma=0.0, delta=1.0):
+    """kind="exact_reference" over the one interval t -> s: the starting
+    state (the prior draw) and the state at s."""
+    cfg = SamplerConfig(kind="exact_reference", rho=rho, gamma=gamma,
+                        delta=delta, steps=1, t_start=t, t_end=s,
+                        substeps=substeps, seed=seed)
+    x, _, states = sample(schedule, model, cfg, n=n, d=1,
+                          return_trajectories=True)
+    return states[0], x
+
+
 class TestExactReference:
     def test_single_substep_equals_generalized(self, vp, unit_score):
-        z = np.array([[0.5]])
-        t, s = 0.8, 0.5
-        draw = np.random.default_rng(5).standard_normal((1, 1))
-
-        class FixedDraw:
-            def standard_normal(self, shape):
-                return np.broadcast_to(draw, shape)
-
-        a = exact_reference(vp, unit_score, z, t, s, substeps=1,
-                            rng=FixedDraw(), rho=1.0, gamma=1.0, delta=1.0)
-        b = step_generalized(vp, unit_score, z, t, s, 1.0, 1.0, 1.0, eps=draw)
+        t, s, seed = 0.8, 0.5, 5
+        params = dict(rho=1.0, gamma=1.0, delta=1.0)
+        z, a = reference_run(vp, unit_score, t, s, 1, n=3, seed=seed,
+                             **params)
+        cfg = SamplerConfig(kind="generalized", steps=1, t_start=t, t_end=s,
+                            seed=seed, **params)
+        np.testing.assert_array_equal(a, sample(vp, unit_score, cfg, n=3, d=1))
+        draw = rng.row_normals(seed, rng.PURPOSE_STEP, 0, 0, 3, 1)
+        b = step_generalized(vp, unit_score, z, t, s, **params, eps=draw)
         np.testing.assert_array_equal(a, b)
 
     def test_deterministic_refinement_converges(self, vp, unit_score):
-        z = np.array([[0.9]])
         t, s = 0.9, 0.2
-        target = exact_reference(vp, unit_score, z, t, s, substeps=1024)
+        _, target = reference_run(vp, unit_score, t, s, 1024)
         gaps = []
         for substeps in (1, 4, 16, 64):
-            approx = exact_reference(vp, unit_score, z, t, s,
-                                     substeps=substeps)
+            _, approx = reference_run(vp, unit_score, t, s, substeps)
             gaps.append(float(np.abs(approx - target).max()))
         assert all(g1 < g0 for g0, g1 in zip(gaps[:-1], gaps[1:]))
 
@@ -248,21 +260,19 @@ class TestExactReference:
         # probability-flow map for N(0, V(t)) data is z * sqrt(V(s)/V(t));
         # one sampler-sized interval resolved by 1000 sub-steps
         model = oracle_score_model(unit_gmm, vp)
-        z = np.array([[1.2]])
         t, s = 0.6, 0.58
         V = lambda u: float(vp.alpha(u)) ** 2 + float(vp.sigma(u)) ** 2
-        want = z * np.sqrt(V(s) / V(t))
-        got = exact_reference(vp, model, z, t, s, substeps=1000)
-        np.testing.assert_allclose(got, want, rtol=1e-6)
+        z, got = reference_run(vp, model, t, s, 1000)
+        np.testing.assert_allclose(got, z * np.sqrt(V(s) / V(t)), rtol=1e-6)
 
     def test_long_interval_error_scales_with_substeps(self, vp, unit_gmm):
         model = oracle_score_model(unit_gmm, vp)
-        z = np.array([[1.2]])
         t, s = 0.9, 0.2
         V = lambda u: float(vp.alpha(u)) ** 2 + float(vp.sigma(u)) ** 2
-        want = float(z[0, 0] * np.sqrt(V(s) / V(t)))
-        errs = [abs(exact_reference(vp, model, z, t, s, substeps=n)[0, 0]
-                    - want) for n in (250, 500, 1000, 2000)]
+        errs = []
+        for n in (250, 500, 1000, 2000):
+            z, got = reference_run(vp, model, t, s, n)
+            errs.append(abs(got[0, 0] - z[0, 0] * np.sqrt(V(s) / V(t))))
         # first-order refinement: each doubling roughly halves the error
         for e0, e1 in zip(errs[:-1], errs[1:]):
             assert 1.7 <= e0 / e1 <= 2.3
@@ -634,17 +644,16 @@ LAMBDA_GMM = {"weights": [0.3, 0.7], "means": [[-1.0, 0.5], [1.2, -0.3]],
               "covs": [[[0.5, 0.2], [0.2, 0.8]], [[0.6, -0.1], [-0.1, 0.4]]]}
 
 
-def lambda_gap_to_vp(name, **params):
-    """Relative norm gap of x = z/alpha(t_end) between schedule ``name`` and
-    VP, each run over 50 uniform-lambda steps from lambda = -6 to 6."""
+def lambda_gap_to_vp(schedule, lams=(-6.0, 6.0), steps=50, n=500, **params):
+    """Relative norm gap of x = z/alpha(t_end) between ``schedule`` and VP,
+    each run over ``steps`` uniform-lambda steps from lams[0] to lams[1]."""
     gmm = gmm_from_dict(LAMBDA_GMM)
     xs = []
-    for sched in (make_schedule("VP"), make_schedule(name)):
-        t_start, t_end = (float(t) for t in
-                          t_of_lambda(sched, np.array([-6.0, 6.0])))
-        cfg = SamplerConfig(steps=50, grid_kind="uniform_lambda", seed=29,
+    for sched in (make_schedule("VP"), schedule):
+        t_start, t_end = (float(t) for t in t_of_lambda(sched, np.array(lams)))
+        cfg = SamplerConfig(steps=steps, grid_kind="uniform_lambda", seed=29,
                             t_start=t_start, t_end=t_end, **params)
-        z = sample(sched, oracle_score_model(gmm, sched), cfg, n=500, d=2)
+        z = sample(sched, oracle_score_model(gmm, sched), cfg, n=n, d=2)
         xs.append(z / float(sched.alpha(t_end)))
     # the norm, not elementwise: near-zero entries reach 1e-11 relative
     return np.linalg.norm(xs[1] - xs[0]) / np.linalg.norm(xs[0])
@@ -661,8 +670,30 @@ LAMBDA_INVARIANT = {
 @pytest.mark.parametrize("name", ["VE", "iDDPM", "FM_OT"])
 @pytest.mark.parametrize("case", sorted(LAMBDA_INVARIANT))
 def test_sample_is_lambda_invariant(case, name):
-    gap = lambda_gap_to_vp(name, **LAMBDA_INVARIANT[case])
+    gap = lambda_gap_to_vp(make_schedule(name), **LAMBDA_INVARIANT[case])
     assert gap <= 1e-12, gap
+
+
+@pytest.mark.parametrize("family", BUILTIN)
+@settings(max_examples=25)
+@given(data=st.data())
+def test_sample_is_lambda_invariant_on_drawn_schedules(family, data):
+    # any parameters and window, and any lambda endpoints the schedule
+    # shares with the default VP
+    sched = draw_schedule(data, family)
+    (vp_lo, vp_hi), (lo, hi) = (make_schedule("VP").lambda_range(),
+                                sched.lambda_range())
+    lo, hi = max(lo, vp_lo), min(hi, vp_hi)
+    assume(hi > lo)
+    lams = (data.draw(st.floats(lo, lo + 0.4 * (hi - lo))),
+            data.draw(st.floats(lo + 0.6 * (hi - lo), hi)))
+    drawn = data.draw(st.fixed_dictionaries({
+        "rho": st.floats(0.0, 2.0), "gamma": st.floats(-0.9, 2.0),
+        "delta": st.floats(0.0, 2.0)}))
+    for params in (dict(kind="generalized", **drawn), dict(kind="kingma"),
+                   dict(kind="non_markovian", eta=0.0)):
+        gap = lambda_gap_to_vp(sched, lams, steps=20, n=64, **params)
+        assert gap <= 1e-12, (params, gap)
 
 
 # pinned from below, so a change that makes either invariant shows up:
@@ -676,7 +707,7 @@ def test_sample_is_lambda_invariant(case, name):
     ("FM_OT", dict(kind="euler_backward", rho=0.0), 1e-3),
 ])
 def test_sample_lambda_non_invariance_is_pinned(name, params, floor):
-    gap = lambda_gap_to_vp(name, **params)
+    gap = lambda_gap_to_vp(make_schedule(name), **params)
     assert gap > floor, gap
 
 
