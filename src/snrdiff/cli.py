@@ -12,7 +12,11 @@ per (sample, grid node), from the pass's (steps + 1, n, d) state array.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration
 or arguments, including an output directory that cannot be created or
-written (IO error), 3 numerical failure.
+written (IO error), 3 numerical failure.  The quality report needs
+``-n`` >= 2, and ``-n`` above the dimension for a one-component target's
+Gaussian-fit KL; both are checked before sampling (2).  A target
+covariance that is zero, or singular for that KL, leaves the report
+undefined (3).
 
 A command builds the text of every output file before writing any, writes
 each to a temp file beside its target and renames them into place only
@@ -103,7 +107,7 @@ def _load_config(path: str | None) -> dict:
 
 
 def _resolve_schedule(args, cfg: dict) -> Schedule:
-    if getattr(args, "schedule", None):
+    if args.schedule:
         return make_schedule(args.schedule)
     if "schedule" in cfg:
         return schedule_from_dict(cfg["schedule"])
@@ -203,6 +207,9 @@ def cmd_sample(args) -> int:
     sampler_cfg = _resolve_sampler(args, cfg)
     threads = _threads(args)
     n = _sample_count(args)
+    if gmm.n_components == 1 and n <= gmm.dim:
+        raise ConfigError(f"-n must exceed the dimension {gmm.dim} for the "
+                          f"Gaussian-fit KL, got {n}")
 
     result = sample(sched, oracle_score_model(gmm, sched), sampler_cfg, n=n,
                     d=gmm.dim, threads=threads,
@@ -336,15 +343,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, schedule_flag=True):
+    def common(p):
         p.add_argument("--config", help="JSON run config")
         p.add_argument("--seed", type=int, help="seed override")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--threads", type=int,
                        help="worker threads (default: SNRDIFF_THREADS or 1)")
-        if schedule_flag:
-            p.add_argument("--schedule",
-                           help="built-in schedule name (overrides config)")
+        p.add_argument("--schedule",
+                       help="built-in schedule name (overrides config)")
 
     p = sub.add_parser("schedules", help="dump schedule curves to CSV")
     common(p)

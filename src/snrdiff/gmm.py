@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
+from .dynamics import ScoreModel
 from .errors import ConfigError
 from .schedule import Schedule
 
@@ -312,8 +313,6 @@ def posterior_mean(gmm: GmmSpec, schedule: Schedule, t: float, z) -> np.ndarray:
 
 def oracle_score_model(gmm: GmmSpec, schedule: Schedule):
     """The exact score of the noisy mixture, wrapped as a ScoreModel."""
-    from .dynamics import ScoreModel
-
     def fn(z, t):
         return exact_score(gmm, schedule, float(t), z)
 

@@ -51,7 +51,11 @@ def _as_samples(x) -> np.ndarray:
 
 
 def moment_report(samples, target: GmmSpec) -> SampleQualityReport:
-    """Empirical mean/covariance vs. the analytic mixture moments."""
+    """Empirical mean/covariance vs. the analytic mixture moments.
+
+    The covariance error is relative to the target's Frobenius norm, so a
+    zero target covariance raises NumericalError.
+    """
     x = _as_samples(samples)
     if x.shape[0] < 2:
         raise ValueError("need at least 2 samples")
@@ -62,8 +66,11 @@ def moment_report(samples, target: GmmSpec) -> SampleQualityReport:
     mean_err = float(np.linalg.norm(x.mean(axis=0) - target.mean()))
     emp_cov = np.cov(x, rowvar=False, ddof=1).reshape(target.dim, target.dim)
     ref_cov = target.cov()
-    cov_err = float(np.linalg.norm(emp_cov - ref_cov)
-                    / np.linalg.norm(ref_cov))
+    ref_norm = np.linalg.norm(ref_cov)
+    if ref_norm == 0.0:
+        raise NumericalError("target covariance is zero: no relative "
+                             "covariance error")
+    cov_err = float(np.linalg.norm(emp_cov - ref_cov) / ref_norm)
     return SampleQualityReport(mean_error_l2=mean_err,
                                cov_frobenius_error=cov_err,
                                n=x.shape[0])
@@ -132,8 +139,9 @@ def energy_distance(a, b) -> float:
 def gaussian_kl_fit(samples, target_mean, target_cov) -> float:
     """Fit a Gaussian to the samples and return KL(fitted || target).
 
-    The target covariance must be positive definite and the fit needs
-    n > D samples; a singular fitted covariance raises NumericalError.
+    The fit needs n > D samples (ValueError otherwise); a target covariance
+    that is not positive definite, or a singular fitted one, raises
+    NumericalError.
     """
     x = _as_samples(samples)
     n, d = x.shape
@@ -145,7 +153,7 @@ def gaussian_kl_fit(samples, target_mean, target_cov) -> float:
         raise ValueError("need more samples than dimensions to fit")
     sign_t, logdet_t = np.linalg.slogdet(target_cov)
     if sign_t <= 0:
-        raise ValueError("target covariance must be positive definite")
+        raise NumericalError("target covariance must be positive definite")
 
     fit_mean = x.mean(axis=0)
     fit_cov = np.cov(x, rowvar=False, ddof=1).reshape(d, d)

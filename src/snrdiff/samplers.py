@@ -97,7 +97,8 @@ def _affine_table(schedule: Schedule, times: np.ndarray, kind: str,
     """(A, B, C) of z_s = A z_t + B eps_hat(z_t, t) + C xi on each interval
     times[k] -> times[k+1], k on the last axis; rho, gamma and delta may be
     arrays.  C is None when the kind's parameters inject no noise.  For
-    exact_reference, ``times`` must be the refined grid."""
+    exact_reference, ``times`` must be the refined grid.  The one check of
+    gamma = -1, which the 1/(1+gamma) prefactor excludes: a ConfigError."""
     if kind == "kingma":
         rho = gamma = delta = 1.0
     rho, gamma, delta = (np.asarray(v, dtype=float) for v in (rho, gamma, delta))
@@ -120,7 +121,7 @@ def _affine_table(schedule: Schedule, times: np.ndarray, kind: str,
         return a, b, (rho * g * np.sqrt(-h) if np.any(rho != 0.0) else None)
 
     if np.any(gamma == -1.0):
-        raise ValueError("gamma = -1 is excluded (division by 1 + gamma)")
+        raise ConfigError("gamma = -1 is excluded for the generalized step")
     if np.any(delta < 0.0):
         warnings.warn("delta < 0 is outside the intended range; proceeding",
                       RuntimeWarning)
@@ -179,8 +180,8 @@ def step_generalized(schedule: Schedule, score: ScoreModel, z_t, t: float,
     """One generalized backward step from t to s (see module docstring).
 
     The eps-hat prediction is evaluated at (z_t, t).  With s = t the step
-    is the identity.  gamma = -1 is rejected (the 1/(1+gamma) prefactor);
-    delta may be any real but negative values are flagged.
+    is the identity.  gamma = -1 is a ConfigError (the 1/(1+gamma)
+    prefactor); delta may be any real but negative values are flagged.
     """
     return _step(schedule, score, z_t, t, s, "generalized", eps,
                  rho=rho, gamma=gamma, delta=delta)
@@ -238,16 +239,24 @@ def make_time_grid(schedule: Schedule, grid_kind: str, steps: int,
 
     ``uniform_t`` spaces nodes evenly in t; ``uniform_lambda`` spaces them
     evenly in lambda (equidistributing the per-step SNR change) and maps
-    back through the lambda inverse.  Endpoints are exact.
+    back through the lambda inverse.  Endpoints are exact.  The one check
+    of a run's window: an endpoint outside the schedule window, or t_end >
+    t_start, is a ConfigError; t_end == t_start gives the grid [t_start].
     """
     if grid_kind not in GRID_KINDS:
         raise ConfigError(f"unknown grid kind {grid_kind!r}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     t_start, t_end = float(t_start), float(t_end)
-    if t_end >= t_start:
-        raise ValueError("need t_end < t_start for a backward grid")
-    schedule._check_t(np.array([t_end, t_start]))
+    for name, value in (("t_start", t_start), ("t_end", t_end)):
+        try:
+            schedule._check_t(value)
+        except ValueError as exc:
+            raise ConfigError(f"{name}={value}: {exc}") from exc
+    if t_end > t_start:
+        raise ConfigError("need t_end <= t_start")
+    if t_end == t_start:
+        return np.array([t_start])
     if grid_kind == "uniform_t":
         grid = np.linspace(t_start, t_end, steps + 1)
     else:
@@ -266,7 +275,8 @@ class SamplerConfig:
 
     ``t_start``/``t_end`` default to the schedule window at run time.
     ``substeps`` only matters for kind="exact_reference" (sub-steps per
-    grid interval).
+    grid interval).  Construction checks fields one by one; the window is
+    :func:`make_time_grid`'s rule and gamma = -1 is :func:`_affine_table`'s.
     """
 
     kind: str = "generalized"
@@ -294,13 +304,8 @@ class SamplerConfig:
                               f"expected one of {SAMPLER_KINDS}")
         if self.grid_kind not in GRID_KINDS:
             raise ConfigError(f"unknown grid kind {self.grid_kind!r}")
-        if self.kind == "generalized" and self.gamma == -1.0:
-            raise ConfigError("gamma = -1 is excluded for the generalized step")
         if not (0.0 <= self.eta <= 1.0):
             raise ConfigError("eta must lie in [0, 1]")
-        if (self.t_start is not None and self.t_end is not None
-                and self.t_end > self.t_start):
-            raise ConfigError("need t_end <= t_start")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -327,7 +332,8 @@ def sample(schedule: Schedule, score: ScoreModel, config, n: int, d: int,
     (seed, purpose, step, trajectory row), so the returned samples are a
     pure function of (config, n, d) regardless of ``threads`` or any other
     batching.  Raises NumericalError, naming the step, its interval and the
-    first bad row (and cell), if a trajectory goes non-finite.
+    first bad row (and cell), if a trajectory goes non-finite; a bad window
+    or gamma = -1 is a ConfigError from the function that owns the rule.
 
     ``config`` is one SamplerConfig or a sequence of cells that differ only
     in rho, gamma and delta; one config runs as a one-cell sequence.  Returns
@@ -349,24 +355,13 @@ def sample(schedule: Schedule, score: ScoreModel, config, n: int, d: int,
         raise ValueError("cells may differ only in rho, gamma and delta")
     params = {name: np.reshape([getattr(c, name) for c in cells], (-1, 1, 1, 1))
               for name in ("rho", "gamma", "delta")}
-    t_start = schedule.t_max if config.t_start is None else float(config.t_start)
-    t_end = schedule.t_min if config.t_end is None else float(config.t_end)
-    for name, value in (("t_start", t_start), ("t_end", t_end)):
-        try:
-            schedule._check_t(value)
-        except ValueError as exc:
-            raise ConfigError(f"{name}={value}: {exc}") from exc
-    if t_end > t_start:
-        raise ConfigError("need t_end <= t_start")
-    seed = int(config.seed)
-
-    sigma_start = float(schedule.sigma(t_start))
-    if t_end == t_start:
-        grid = np.array([t_start])
-    else:
-        grid = make_time_grid(schedule, config.grid_kind, config.steps,
-                              t_start, t_end)
+    grid = make_time_grid(
+        schedule, config.grid_kind, config.steps,
+        schedule.t_max if config.t_start is None else config.t_start,
+        schedule.t_min if config.t_end is None else config.t_end)
     n_steps = len(grid) - 1
+    sigma_start = float(schedule.sigma(grid[0]))
+    seed = int(config.seed)
 
     # exact_reference: the generalized table on the refined grid, with the
     # draw for refined step i addressed as step i; states stay on the grid

@@ -35,6 +35,38 @@ GMM2D_CONFIG = {
     "sampler": {"kind": "generalized", "rho": 1.0, "steps": 12, "seed": 5},
 }
 
+GAUSS2D_CONFIG = {
+    "schedule": {"name": "VP"},
+    "gmm": {"weights": [1.0], "means": [[0.0, 0.0]], "covs": [[1.0, 2.0]]},
+    "sampler": {"kind": "generalized", "rho": 1.0, "steps": 12, "seed": 5},
+}
+
+# runs the quality report or the generalized table cannot serve, each with
+# the exit code and the one stderr line it must end in
+EXACT_REFERENCE_GAMMA_MINUS_ONE = {
+    **UNIT_CONFIG, "sampler": {"kind": "exact_reference", "gamma": -1.0,
+                               "steps": 3, "substeps": 2, "seed": 7}}
+SINGULAR_GAUSS2D = {**GAUSS2D_CONFIG, "gmm": {
+    "weights": [1.0], "means": [[0.0, 0.0]],
+    "covs": [[[1.0, 1.0], [1.0, 1.0]]]}}
+ZERO_COV = {**UNIT_CONFIG, "gmm": {"weights": [1.0], "means": [[0.3]],
+                                   "covs": [[[0.0]]]}}
+UNSERVED_RUNS = [
+    (EXACT_REFERENCE_GAMMA_MINUS_ONE, ["sample", "-n", "8"], 2,
+     "config error: gamma = -1 is excluded for the generalized step"),
+    (GAUSS2D_CONFIG, ["sample", "-n", "2"], 2,
+     "config error: -n must exceed the dimension 2 for the Gaussian-fit KL, "
+     "got 2"),
+    (SINGULAR_GAUSS2D, ["sample", "-n", "8"], 3,
+     "numerical failure: target covariance must be positive definite"),
+    (ZERO_COV, ["sample", "-n", "8"], 3,
+     "numerical failure: target covariance is zero: no relative covariance "
+     "error"),
+    (ZERO_COV, ["sweep", "-n", "8", "--gammas", "1", "--deltas", "1"], 3,
+     "numerical failure: target covariance is zero: no relative covariance "
+     "error"),
+]
+
 
 def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
@@ -440,6 +472,18 @@ def test_bad_sweep_cell_exits_2_and_writes_nothing(tmp_path, capsys, flag,
     assert err == f"config error: {message}\n"
 
 
+@pytest.mark.parametrize("cfg,argv,code,message", UNSERVED_RUNS, ids=[
+    "exact_reference_gamma_minus_one", "n_not_above_dim", "singular_target",
+    "zero_cov_sample", "zero_cov_sweep"])
+def test_unserved_run_exits_cleanly_and_writes_nothing(tmp_path, cfg, argv,
+                                                       code, message):
+    out = tmp_path / "out"
+    rc, err = run_cli(argv + ["--config", write_config(tmp_path, cfg),
+                              "--out", str(out)])
+    assert (rc, err) == (code, message + "\n")
+    assert not out.exists()
+
+
 def test_uncreatable_out_dir_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, UNIT_CONFIG)
     blocker = tmp_path / "file"
@@ -546,7 +590,8 @@ GRIDS = st.sampled_from(["1", "0.5,1", "0:2:3", "-2:2:3", "0", "0,50", "",
 @st.composite
 def fuzzed_config(draw):
     cfg = json.loads(json.dumps(draw(st.sampled_from([UNIT_CONFIG,
-                                                      GMM2D_CONFIG]))))
+                                                      GMM2D_CONFIG,
+                                                      GAUSS2D_CONFIG]))))
     cfg["sampler"]["steps"] = 3
     for _ in range(draw(st.integers(0, 3))):
         section = draw(st.sampled_from(sorted(FIELDS)))
@@ -607,6 +652,11 @@ def run_cli(argv) -> tuple[int, str]:
 
 @settings(max_examples=200)
 @given(fuzzed_config(), fuzzed_flags())
+@example(EXACT_REFERENCE_GAMMA_MINUS_ONE, ["sample", "-n", "8"])
+@example(GAUSS2D_CONFIG, ["sample", "-n", "2"])
+@example(SINGULAR_GAUSS2D, ["sample", "-n", "8"])
+@example(ZERO_COV, ["sample", "-n", "8"])
+@example(ZERO_COV, ["sweep", "-n", "8", "--gammas", "1", "--deltas", "1"])
 def test_fuzzed_runs_keep_the_exit_code_contract(cfg, flags):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"

@@ -299,6 +299,22 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             make_time_grid(vp, "uniform_t", 5, 0.2, 0.8)
 
+    @pytest.mark.parametrize("grid_kind", ["uniform_t", "uniform_lambda"])
+    def test_equal_endpoints_give_one_node(self, vp, grid_kind):
+        grid = make_time_grid(vp, grid_kind, 5, 0.8, 0.8)
+        np.testing.assert_array_equal(grid, [0.8])
+
+    @pytest.mark.parametrize("t_start,t_end,name,value", [
+        (5.0, 0.5, "t_start", 5.0),
+        (0.5, 1e-6, "t_end", 1e-6),
+        (-1.0, -2.0, "t_start", -1.0),
+    ])
+    def test_endpoint_outside_window_is_config_error(self, vp, t_start, t_end,
+                                                     name, value):
+        with pytest.raises(ConfigError,
+                           match=rf"{name}={value}: .*\[{vp.t_min}, {vp.t_max}\]"):
+            make_time_grid(vp, "uniform_lambda", 5, t_start, t_end)
+
     @pytest.mark.parametrize("steps", [10, 100, 200])
     def test_uniform_lambda_matches_scalar_bisection(self, any_schedule, steps):
         sched = any_schedule
@@ -369,9 +385,16 @@ class TestSamplerConfig:
         with pytest.raises(ConfigError):
             SamplerConfig(kind="non_markovian", eta=1.5)
 
-    def test_rejects_gamma_minus_one(self):
-        with pytest.raises(ConfigError):
-            SamplerConfig(kind="generalized", gamma=-1.0)
+    def test_rejects_gamma_minus_one(self, vp, unit_score):
+        # the rule lives beside the 1/(1+gamma) division, so it holds for
+        # every kind built from the generalized table, exact_reference too
+        for kind in ("generalized", "exact_reference"):
+            cfg = SamplerConfig(kind=kind, gamma=-1.0, steps=2, substeps=2)
+            with pytest.raises(ConfigError, match="gamma = -1 is excluded"):
+                sample(vp, unit_score, cfg, n=2, d=1)
+        with pytest.raises(ConfigError, match="gamma = -1 is excluded"):
+            step_generalized(vp, unit_score, np.zeros((1, 1)), 0.5, 0.4,
+                             0.0, -1.0, 1.0)
 
     def test_rejects_unknown_field(self):
         with pytest.raises(ConfigError):
