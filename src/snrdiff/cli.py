@@ -14,9 +14,12 @@ Exit codes: 0 success, 1 verification failure, 2 invalid configuration
 or arguments, including an output directory that cannot be created or
 written (IO error), 3 numerical failure.  The quality report needs
 ``-n`` >= 2, and ``-n`` above the dimension for a one-component target's
-Gaussian-fit KL; both are checked before sampling (2).  A target
-covariance that is zero, or singular for that KL, leaves the report
-undefined (3).
+Gaussian-fit KL; both are checked before sampling (2).  A target mean
+or covariance that is not finite, a zero target covariance, or one that
+is singular for that KL leaves the report undefined (3); ``sample`` and
+``sweep`` check this before sampling too.  ``info`` exits 3 when a
+mixture's Monte Carlo MMSE is not finite at some lambda, naming the
+lambda, its t and the first non-finite row.
 
 A command builds the text of every output file before writing any, writes
 each to a temp file beside its target and renames them into place only
@@ -44,7 +47,8 @@ from .infotheory import (
     mmse_gaussian,
     mmse_mc,
 )
-from .metrics import energy_distance, gaussian_kl_fit, moment_report
+from .metrics import (check_target, energy_distance, gaussian_kl_fit,
+                      moment_report)
 from .samplers import SamplerConfig, sample, sampler_config_from_dict
 from .schedule import Schedule, eval_schedule, make_schedule, schedule_from_dict
 from .snr_space import t_of_lambda, tilde_eval
@@ -207,9 +211,11 @@ def cmd_sample(args) -> int:
     sampler_cfg = _resolve_sampler(args, cfg)
     threads = _threads(args)
     n = _sample_count(args)
-    if gmm.n_components == 1 and n <= gmm.dim:
+    single = gmm.n_components == 1
+    if single and n <= gmm.dim:
         raise ConfigError(f"-n must exceed the dimension {gmm.dim} for the "
                           f"Gaussian-fit KL, got {n}")
+    check_target(gmm.mean(), gmm.cov(), kl=single)
 
     result = sample(sched, oracle_score_model(gmm, sched), sampler_cfg, n=n,
                     d=gmm.dim, threads=threads,
@@ -246,6 +252,7 @@ def cmd_sweep(args) -> int:
     gammas = _parse_grid(args.gammas, "gamma")
     deltas = _parse_grid(args.deltas, "delta")
     rhos = _parse_grid(args.rhos, "rho")
+    check_target(gmm.mean(), gmm.cov())
 
     cells = [replace(base, kind="generalized", rho=r, gamma=g, delta=d)
              for g in gammas for d in deltas for r in rhos]

@@ -50,11 +50,31 @@ def _as_samples(x) -> np.ndarray:
     return x[np.lexsort(x.T[::-1])]
 
 
+def check_target(mean, cov, *, kl: bool = False) -> None:
+    """Raise NumericalError unless a sample set can be scored against a
+    target of this mean and covariance.
+
+    The moment report needs a finite mean and a finite, nonzero covariance
+    (its covariance error is relative to the covariance's Frobenius norm);
+    the Gaussian-fit KL (``kl=True``) also needs the covariance positive
+    definite.  Everything here is known from the target alone, so a run can
+    call this before it draws any samples.
+    """
+    for name, value in (("mean", mean), ("covariance", cov)):
+        if not np.all(np.isfinite(value)):
+            raise NumericalError(f"target {name} is not finite")
+    if np.linalg.norm(cov) == 0.0:
+        raise NumericalError("target covariance is zero: no relative "
+                             "covariance error")
+    if kl and np.linalg.slogdet(cov)[0] <= 0:
+        raise NumericalError("target covariance must be positive definite")
+
+
 def moment_report(samples, target: GmmSpec) -> SampleQualityReport:
     """Empirical mean/covariance vs. the analytic mixture moments.
 
-    The covariance error is relative to the target's Frobenius norm, so a
-    zero target covariance raises NumericalError.
+    The covariance error is relative to the target's Frobenius norm; a
+    target that :func:`check_target` rejects raises NumericalError.
     """
     x = _as_samples(samples)
     if x.shape[0] < 2:
@@ -63,14 +83,12 @@ def moment_report(samples, target: GmmSpec) -> SampleQualityReport:
         raise ValueError(
             f"dimension mismatch: samples D={x.shape[1]}, target D={target.dim}"
         )
-    mean_err = float(np.linalg.norm(x.mean(axis=0) - target.mean()))
+    ref_mean, ref_cov = target.mean(), target.cov()
+    check_target(ref_mean, ref_cov)
+    mean_err = float(np.linalg.norm(x.mean(axis=0) - ref_mean))
     emp_cov = np.cov(x, rowvar=False, ddof=1).reshape(target.dim, target.dim)
-    ref_cov = target.cov()
-    ref_norm = np.linalg.norm(ref_cov)
-    if ref_norm == 0.0:
-        raise NumericalError("target covariance is zero: no relative "
-                             "covariance error")
-    cov_err = float(np.linalg.norm(emp_cov - ref_cov) / ref_norm)
+    cov_err = float(np.linalg.norm(emp_cov - ref_cov)
+                    / np.linalg.norm(ref_cov))
     return SampleQualityReport(mean_error_l2=mean_err,
                                cov_frobenius_error=cov_err,
                                n=x.shape[0])
@@ -139,9 +157,9 @@ def energy_distance(a, b) -> float:
 def gaussian_kl_fit(samples, target_mean, target_cov) -> float:
     """Fit a Gaussian to the samples and return KL(fitted || target).
 
-    The fit needs n > D samples (ValueError otherwise); a target covariance
-    that is not positive definite, or a singular fitted one, raises
-    NumericalError.
+    The fit needs n > D samples (ValueError otherwise); a target that
+    :func:`check_target` rejects for the KL, or a singular fitted
+    covariance, raises NumericalError.
     """
     x = _as_samples(samples)
     n, d = x.shape
@@ -151,9 +169,8 @@ def gaussian_kl_fit(samples, target_mean, target_cov) -> float:
         target_cov = target_cov[None, None]
     if n <= d:
         raise ValueError("need more samples than dimensions to fit")
-    sign_t, logdet_t = np.linalg.slogdet(target_cov)
-    if sign_t <= 0:
-        raise NumericalError("target covariance must be positive definite")
+    check_target(target_mean, target_cov, kl=True)
+    logdet_t = np.linalg.slogdet(target_cov)[1]
 
     fit_mean = x.mean(axis=0)
     fit_cov = np.cov(x, rowvar=False, ddof=1).reshape(d, d)

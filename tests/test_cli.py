@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import snrdiff
-from snrdiff import rng, samplers, snr_space
+from snrdiff import cli, rng, samplers, snr_space
 from snrdiff.cli import _csv_text, main
 
 UNIT_CONFIG = {
@@ -51,6 +51,14 @@ SINGULAR_GAUSS2D = {**GAUSS2D_CONFIG, "gmm": {
     "covs": [[[1.0, 1.0], [1.0, 1.0]]]}}
 ZERO_COV = {**UNIT_CONFIG, "gmm": {"weights": [1.0], "means": [[0.3]],
                                    "covs": [[[0.0]]]}}
+# finite parameters, but the mixture covariance overflows and every MC
+# squared error is NaN
+HUGE_MEAN = {"schedule": {"name": "VP"}, "gmm": {
+    "weights": [0.5, 0.5], "means": [[1e200, 0.0], [0.0, 0.0]],
+    "covs": [[1.0, 1.0], [1.0, 1.0]]}, "sampler": {"seed": 3}}
+HUGE_MEAN_RUNS = [["info", "--lambdas=-2:2:3", "--mc-n", "200"],
+                  ["sample", "-n", "8"],
+                  ["sweep", "-n", "8", "--gammas", "1", "--deltas", "1"]]
 UNSERVED_RUNS = [
     (EXACT_REFERENCE_GAMMA_MINUS_ONE, ["sample", "-n", "8"], 2,
      "config error: gamma = -1 is excluded for the generalized step"),
@@ -65,7 +73,20 @@ UNSERVED_RUNS = [
     (ZERO_COV, ["sweep", "-n", "8", "--gammas", "1", "--deltas", "1"], 3,
      "numerical failure: target covariance is zero: no relative covariance "
      "error"),
+    (HUGE_MEAN, HUGE_MEAN_RUNS[0], 3,
+     "numerical failure: Monte Carlo MMSE is not finite at lambda=-2.0 "
+     "(t=0.45734578720875707): row 0 has squared error nan"),
+    (HUGE_MEAN, HUGE_MEAN_RUNS[1], 3,
+     "numerical failure: target covariance is not finite"),
+    (HUGE_MEAN, HUGE_MEAN_RUNS[2], 3,
+     "numerical failure: target covariance is not finite"),
 ]
+# the runs whose target the quality report cannot score
+UNSCORABLE_TARGETS = [
+    (SINGULAR_GAUSS2D, ["sample", "-n", "8"]),
+    (ZERO_COV, ["sample", "-n", "8"]),
+    (ZERO_COV, ["sweep", "-n", "8", "--gammas", "1", "--deltas", "1"]),
+    (HUGE_MEAN, HUGE_MEAN_RUNS[1]), (HUGE_MEAN, HUGE_MEAN_RUNS[2])]
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -474,7 +495,8 @@ def test_bad_sweep_cell_exits_2_and_writes_nothing(tmp_path, capsys, flag,
 
 @pytest.mark.parametrize("cfg,argv,code,message", UNSERVED_RUNS, ids=[
     "exact_reference_gamma_minus_one", "n_not_above_dim", "singular_target",
-    "zero_cov_sample", "zero_cov_sweep"])
+    "zero_cov_sample", "zero_cov_sweep", "huge_mean_info", "huge_mean_sample",
+    "huge_mean_sweep"])
 def test_unserved_run_exits_cleanly_and_writes_nothing(tmp_path, cfg, argv,
                                                        code, message):
     out = tmp_path / "out"
@@ -482,6 +504,19 @@ def test_unserved_run_exits_cleanly_and_writes_nothing(tmp_path, cfg, argv,
                               "--out", str(out)])
     assert (rc, err) == (code, message + "\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cfg,argv", UNSCORABLE_TARGETS,
+                         ids=["singular_target", "zero_cov_sample",
+                              "zero_cov_sweep", "huge_mean_sample",
+                              "huge_mean_sweep"])
+def test_unscorable_target_exits_3_before_sampling(tmp_path, monkeypatch, cfg,
+                                                   argv):
+    calls = []
+    monkeypatch.setattr(cli, "sample", lambda *a, **k: calls.append(a))
+    rc, _ = run_cli(argv + ["--config", write_config(tmp_path, cfg),
+                            "--out", str(tmp_path / "out")])
+    assert (rc, calls) == (3, [])
 
 
 def test_uncreatable_out_dir_exits_2(tmp_path, capsys):
@@ -650,6 +685,24 @@ def run_cli(argv) -> tuple[int, str]:
     return rc, err.getvalue()
 
 
+def assert_finite_outputs(out: Path) -> None:
+    """Every number in the files of ``out`` is finite; only report.json's
+    ``gaussian_kl`` may be null."""
+    for path in out.iterdir():
+        if path.suffix == ".csv":
+            table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            assert np.isfinite(table).all(), path.name
+            continue
+
+        def reject(constant):
+            raise AssertionError(f"{path.name} holds {constant}")
+
+        for key, value in json.loads(path.read_text(),
+                                     parse_constant=reject).items():
+            assert isinstance(value, (int, float)) and np.isfinite(value) \
+                or (value is None and key == "gaussian_kl"), (path.name, key)
+
+
 @settings(max_examples=200)
 @given(fuzzed_config(), fuzzed_flags())
 @example(EXACT_REFERENCE_GAMMA_MINUS_ONE, ["sample", "-n", "8"])
@@ -657,6 +710,9 @@ def run_cli(argv) -> tuple[int, str]:
 @example(SINGULAR_GAUSS2D, ["sample", "-n", "8"])
 @example(ZERO_COV, ["sample", "-n", "8"])
 @example(ZERO_COV, ["sweep", "-n", "8", "--gammas", "1", "--deltas", "1"])
+@example(HUGE_MEAN, HUGE_MEAN_RUNS[0])
+@example(HUGE_MEAN, HUGE_MEAN_RUNS[1])
+@example(HUGE_MEAN, HUGE_MEAN_RUNS[2])
 def test_fuzzed_runs_keep_the_exit_code_contract(cfg, flags):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
@@ -667,3 +723,5 @@ def test_fuzzed_runs_keep_the_exit_code_contract(cfg, flags):
         assert rc in (0, 2, 3), err
         if rc != 0:
             assert not out.exists() or not any(out.iterdir())
+        else:
+            assert_finite_outputs(out)

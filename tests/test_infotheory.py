@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,9 @@ from snrdiff import (
     single_gaussian,
     tilde_eval,
 )
+from snrdiff import infotheory
+from snrdiff.gmm import posterior_mean
+from snrdiff.snr_space import t_of_lambda
 from snrdiff.verify import check_mc_estimators
 
 # frozen closed forms: 0.5*log(2)
@@ -234,3 +239,99 @@ def test_array_kong_points_equal_scalar_points_bitwise():
     lams = np.linspace(1e-3, 12.0, 1999)
     _assert_array_is_scalar_calls(
         kong_point(lams), [kong_point(float(lam)) for lam in lams], S1)
+
+
+# -- the Monte Carlo pass's row blocks ----------------------------------------
+
+def _mixture(k, d, full, seed=0):
+    gen = np.random.default_rng(seed)
+    if full:
+        a = gen.normal(size=(k, d, d))
+        covs = a @ a.transpose(0, 2, 1) / d + 0.2 * np.eye(d)
+    else:
+        covs = np.stack([np.diag(gen.random(d) + 0.1) for _ in range(k)])
+    return GmmSpec(np.full(k, 1.0 / k), gen.normal(0.0, 1.5, (k, d)), covs)
+
+
+MIXTURES = {"d2_full": (2, 2, True), "d16_full": (3, 16, True),
+            "d16_diag": (4, 16, False)}
+
+
+def test_row_blocks_follow_the_block_rule():
+    rows = infotheory._MC_ROWS
+    assert rows >= 8 and rows & (rows - 1) == 0
+    for n in (1, 2, rows - 1, rows, rows + 1, rows + 2, 2 * rows,
+              2 * rows + 1, 2 * rows + 5, 3 * rows + 1):
+        blocks = infotheory._row_blocks(n)
+        assert all(lo % rows == 0 for lo, _ in blocks)
+        assert [0, *(hi for _, hi in blocks)] == [*(lo for lo, _ in blocks), n]
+        assert n == 1 or min(hi - lo for lo, hi in blocks) > 1
+        assert len(blocks) == max(1, -(-(n - 1) // rows))
+
+
+@pytest.mark.parametrize("mixture", MIXTURES)
+@pytest.mark.parametrize("extra", [0, 1, 5])
+def test_posterior_mean_on_block_slices_is_bitwise(vp, mixture, extra):
+    gmm = _mixture(*MIXTURES[mixture])
+    n = 2 * infotheory._MC_ROWS + extra
+    z = np.random.default_rng(1).normal(0.0, 2.0, (n, gmm.dim))
+    blocks = infotheory._row_blocks(n)
+    assert len(blocks) > 1
+    for t in t_of_lambda(vp, np.linspace(-5.0, 5.0, 7)):
+        whole = posterior_mean(gmm, vp, t, z)
+        sliced = np.concatenate([posterior_mean(gmm, vp, t, z[lo:hi])
+                                 for lo, hi in blocks])
+        assert sliced.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("mixture", MIXTURES)
+@pytest.mark.parametrize("n", [128, 129, 137, 257])
+def test_mc_estimates_do_not_depend_on_block_size(monkeypatch, vp, mixture,
+                                                  n):
+    # a single row's error moves the mean only now and then, so many lambdas
+    gmm = _mixture(*MIXTURES[mixture])
+    lams = np.linspace(-5.0, 5.0, 21)
+    x = np.linspace(-1.0, 1.0, gmm.dim)
+
+    def estimates():
+        batch = mmse_mc(gmm, vp, lams, n, seed=3)
+        return [batch.value, batch.stderr, mmse_mc(gmm, vp, 0.3, n, seed=3),
+                [pointwise_mmse_mc(gmm, vp, x, lam, n, seed=4)
+                 for lam in lams[::4]]]
+
+    default = estimates()
+    for rows in (8, 64):
+        monkeypatch.setattr(infotheory, "_MC_ROWS", rows)
+        assert len(infotheory._row_blocks(n)) > 1
+        got = estimates()
+        assert [np.asarray(v).tobytes() for v in got] \
+            == [np.asarray(v).tobytes() for v in default]
+
+
+def test_non_finite_mc_estimate_names_lambda_t_and_row(vp):
+    gmm = GmmSpec(np.array([0.5, 0.5]), np.array([[1e200, 0.0], [0.0, 0.0]]),
+                  np.array([np.eye(2), np.eye(2)]))
+    with np.errstate(all="ignore"), pytest.raises(NumericalError) as info:
+        mmse_mc(gmm, vp, np.array([-1.0, 1.5]), 200, seed=1)
+    assert str(info.value) == (
+        f"Monte Carlo MMSE is not finite at lambda=-1.0 "
+        f"(t={t_of_lambda(vp, -1.0)}): row 3 has squared error nan")
+
+
+def test_squared_error_pass_holds_one_block_beyond_its_own_buffers(vp):
+    gmm = _mixture(2, 2, True)
+    n, d, k = 200_000, gmm.dim, gmm.n_components
+    lams = np.array([-2.0, 0.0, 2.0])
+    t = t_of_lambda(vp, lams)
+    x = sample_data(gmm, n, seed=1)
+    tracemalloc.start()
+    try:
+        infotheory._squared_error_mc(gmm, vp, x, lams, t, n, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    own = 8 * n * (d + 1)  # eps (n, D) and the squared errors (n,)
+    # a block's working set: a few (K, D, rows), (rows, K) and (rows, D)
+    # arrays
+    block = 8 * infotheory._MC_ROWS * (k * d + k + d)
+    assert peak <= own + 6 * block, (peak, own, block)
