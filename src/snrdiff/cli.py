@@ -17,9 +17,13 @@ written (IO error), 3 numerical failure.  The quality report needs
 Gaussian-fit KL; both are checked before sampling (2).  A target mean
 or covariance that is not finite, a zero target covariance, or one that
 is singular for that KL leaves the report undefined (3); ``sample`` and
-``sweep`` check this before sampling too.  ``info`` exits 3 when a
-mixture's Monte Carlo MMSE is not finite at some lambda, naming the
-lambda, its t and the first non-finite row.
+``sweep`` check this before sampling too.  A quality value that still
+comes out non-finite (samples near 1e160 overflow the moment errors)
+exits 3 naming the metric.  ``info`` exits 3 when a mixture's Monte Carlo
+MMSE is not finite at some lambda, naming the lambda, its t and the first
+non-finite row.  Every such failure is detected explicitly, so commands
+run with numpy's floating-point warnings silenced (in ``sample``'s worker
+threads too): a failing run prints its one ``numerical failure:`` line.
 
 A command builds the text of every output file before writing any, writes
 each to a temp file beside its target and renames them into place only
@@ -189,12 +193,22 @@ def cmd_schedules(args) -> int:
     return EXIT_OK
 
 
+def _check_quality(metrics: dict, where: str = "") -> None:
+    """Raise NumericalError naming the first quality metric that is not
+    finite; ``None`` (a KL that was not computed) passes."""
+    for name, value in metrics.items():
+        if value is not None and not np.isfinite(value):
+            raise NumericalError(
+                f"quality metric {name} is not finite ({value}){where}")
+
+
 def _quality_report(x, gmm, seed):
     report = moment_report(x, gmm)
     reference = sample_data(gmm, x.shape[0], seed)
     report.energy_distance = energy_distance(x, reference)
     if gmm.n_components == 1:
         report.gaussian_kl = gaussian_kl_fit(x, gmm.means[0], gmm.covs[0])
+    _check_quality(report.to_dict())
     return report
 
 
@@ -269,6 +283,9 @@ def cmd_sweep(args) -> int:
     out_dir = Path(args.out)
     header = ["gamma", "delta", "rho", "mean_error_l2",
               "cov_frobenius_error", "energy_distance"]
+    for g, d, r, *metrics in table.tolist():
+        _check_quality(dict(zip(header[3:], metrics)),
+                       f" at gamma={g:g}, delta={d:g}, rho={r:g}")
     best = table[np.argmin(table[:, 5])].tolist()
     _write_outputs(out_dir, {
         "sweep.csv": _csv_text(header, table),
@@ -406,7 +423,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

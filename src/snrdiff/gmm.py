@@ -37,6 +37,16 @@ otherwise take most of the package's import time.  It stays scipy's
 because that version adds the largest term through ``log1p``, which keeps
 its accuracy where the sum of the other terms is near 0; a plain max-shift
 ``log(sum(exp))`` would lose it.
+
+A one-component mixture is a Gaussian, and its score and posterior mean
+are affine in z: the responsibilities are r = 1 for every row.  For
+:func:`exact_score` and :func:`posterior_mean`, :func:`_components` then
+forms only the whitened residual, with no quadratic form, log joint or
+normalisation.  These are the floating-point operations the mixture kernel
+performs once r = 1, so the results are the same bits; and they stay exact
+where the quadratic form would overflow (a mean near 1e160), which in the
+mixture kernel turns r, and with it every output, into NaN.
+:func:`log_marginal_density` forms the log joint at every K.
 """
 
 from __future__ import annotations
@@ -229,7 +239,14 @@ def marginal_at(gmm: GmmSpec, schedule: Schedule, t: float) -> GmmSpec:
     )
 
 
-def _components(gmm: GmmSpec, a: float, s2: float, z: np.ndarray, scale=1.0):
+def _log_norm(gmm: GmmSpec, c: np.ndarray) -> np.ndarray:
+    """log(weight_k / sqrt(det(2 pi C_k))) for eigenvalues c of C_k, (K,)."""
+    return (np.log(gmm.weights) - 0.5 * np.log(c).sum(axis=1)
+            - 0.5 * gmm.dim * np.log(2.0 * np.pi))
+
+
+def _components(gmm: GmmSpec, a: float, s2: float, z: np.ndarray, scale=1.0,
+                joint: bool = True):
     """Per-component terms of the noisy mixture for rows z of shape (N, D).
 
     Component k of z_t has mean a m_k and covariance Q_k diag(c_k) Q_k^T,
@@ -237,6 +254,12 @@ def _components(gmm: GmmSpec, a: float, s2: float, z: np.ndarray, scale=1.0):
     the log joint log(weight_k N(z; a m_k, C_k)), both (N, K), and the
     whitened residual w = sum_k r_k Q_k diag(scale_k / c_k) Q_k^T (z - a m_k),
     (N, D).
+
+    With ``joint=False`` the caller reads only r and w.  A one-component
+    mixture then has r = 1 in every row, and the call returns
+    (None, None, w) with w the residual alone: no log joint and no
+    normalisation, bitwise the mixture kernel's w wherever its log joint
+    is finite (see the module docstring).
 
     Diagonal mixtures compute rows first.  Full ones compute rows last,
     v = Q_k^T (z - a m_k) as (K, D, N), and return transposed views, so
@@ -248,12 +271,13 @@ def _components(gmm: GmmSpec, a: float, s2: float, z: np.ndarray, scale=1.0):
     gain = scale * inv_c
     m = a * gmm.means
     q = gmm._evecs
-    log_norm = (np.log(gmm.weights) - 0.5 * np.log(c).sum(axis=1)
-                - 0.5 * gmm.dim * np.log(2.0 * np.pi))
+    affine = not joint and gmm.n_components == 1
     if q is None:
+        if affine:
+            return None, None, z * gain[0] - gain[0] * m[0]
         quad = ((z * z) @ inv_c.T - 2.0 * z @ (m * inv_c).T
                 + np.sum(m * m * inv_c, axis=1))
-        logp = log_norm - 0.5 * quad
+        logp = _log_norm(gmm, c) - 0.5 * quad
         e = np.exp(logp - logp.max(axis=1, keepdims=True))
         r = e / e.sum(axis=1, keepdims=True)
         return r, logp, z * (r @ gain) - r @ (gain * m)
@@ -261,9 +285,12 @@ def _components(gmm: GmmSpec, a: float, s2: float, z: np.ndarray, scale=1.0):
     # steps work in place so that a call fills few fresh N-long buffers
     v = q.transpose(0, 2, 1) @ (np.ascontiguousarray(z.T)[None]
                                 - m[:, :, None])
+    if affine:
+        v *= gain[:, :, None]
+        return None, None, (q @ v)[0].T
     logp = np.einsum("kdn,kdn,kd->kn", v, v, inv_c)
     logp *= -0.5
-    logp += log_norm[:, None]
+    logp += _log_norm(gmm, c)[:, None]
     r = logp - logp.max(axis=0)
     np.exp(r, out=r)
     r /= r.sum(axis=0)
@@ -297,7 +324,7 @@ def exact_score(gmm: GmmSpec, schedule: Schedule, t: float, z) -> np.ndarray:
     s2 = float(schedule.sigma(t)) ** 2
     zf, lead = _flatten(z, gmm.dim)
     # score = sum_k r_k C_k^{-1}(a m_k - z)
-    _, _, w = _components(gmm, a, s2, zf)
+    _, _, w = _components(gmm, a, s2, zf, joint=False)
     return (-w).reshape(lead + (gmm.dim,))
 
 
@@ -307,8 +334,9 @@ def posterior_mean(gmm: GmmSpec, schedule: Schedule, t: float, z) -> np.ndarray:
     s2 = float(schedule.sigma(t)) ** 2
     zf, lead = _flatten(z, gmm.dim)
     # per-component linear-Gaussian posterior: m_k + a Sigma_k C_k^{-1}(z - a m_k)
-    r, _, w = _components(gmm, a, s2, zf, a * gmm._evals)
-    return (r @ gmm.means + w).reshape(lead + (gmm.dim,))
+    r, _, w = _components(gmm, a, s2, zf, a * gmm._evals, joint=False)
+    mean = gmm.means[0] if r is None else r @ gmm.means
+    return (mean + w).reshape(lead + (gmm.dim,))
 
 
 def oracle_score_model(gmm: GmmSpec, schedule: Schedule):

@@ -49,6 +49,7 @@ invariant on variance-preserving schedules only; ``euler_backward``, and
 
 from __future__ import annotations
 
+import contextvars
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict, replace
@@ -403,9 +404,15 @@ def sample(schedule: Schedule, score: ScoreModel, config, n: int, d: int,
     if threads == 1 or n < 2 * threads:
         run_rows(0, n)
     else:
+        # each worker runs in a copy of the caller's context, so numpy's
+        # errstate (a context variable) holds in the pool as in the caller
         bounds = np.linspace(0, n, threads + 1).astype(int).tolist()
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_rows, bounds[:-1], bounds[1:]))
+            futures = [pool.submit(contextvars.copy_context().run, run_rows,
+                                   lo, hi)
+                       for lo, hi in zip(bounds[:-1], bounds[1:])]
+            for future in futures:
+                future.result()
 
     x = out[0] if single else out
     return (x, grid, states) if return_trajectories else x

@@ -300,8 +300,17 @@ class Schedule:
             raise ConfigError(f"{self.name}: dlambda/dt must be negative")
 
     def _check_t(self, t) -> np.ndarray:
+        """``t`` as a float array, or a ValueError if any time lies outside
+        the window (NaN passes).  A 0-d time is compared as a float: the
+        two ``np.any`` calls would cost most of a scalar evaluation."""
         t = np.asarray(t, dtype=float)
-        if np.any(t < self.t_min - _WINDOW_ATOL) or np.any(t > self.t_max + _WINDOW_ATOL):
+        lo, hi = self.t_min - _WINDOW_ATOL, self.t_max + _WINDOW_ATOL
+        if t.ndim == 0:
+            v = float(t)
+            outside = v < lo or v > hi
+        else:
+            outside = np.any(t < lo) or np.any(t > hi)
+        if outside:
             raise ValueError(
                 f"t outside schedule window [{self.t_min}, {self.t_max}]"
             )

@@ -59,6 +59,18 @@ HUGE_MEAN = {"schedule": {"name": "VP"}, "gmm": {
 HUGE_MEAN_RUNS = [["info", "--lambdas=-2:2:3", "--mc-n", "200"],
                   ["sample", "-n", "8"],
                   ["sweep", "-n", "8", "--gammas", "1", "--deltas", "1"]]
+# a finite target that samples exactly, but whose samples near 1e160
+# overflow the moment errors
+HUGE_ONE_MEAN = {"schedule": {"name": "VP"}, "gmm": {
+    "weights": [1.0], "means": [[1e160]], "covs": [[1.0]]},
+    "sampler": {"seed": 3}}
+HUGE_ONE_MEAN_RUNS = [["sample", "-n", "50"],
+                      ["sweep", "-n", "50", "--gammas", "1", "--deltas", "1"]]
+# a scorable target whose quadratic form overflows mid-run, inside the
+# sampler's worker threads when there are several
+OVERFLOWING_MIXTURE = {"schedule": {"name": "VP"}, "gmm": {
+    "weights": [0.5, 0.5], "means": [[1.3e154], [-1.3e154]],
+    "covs": [[1e-6], [1e-6]]}, "sampler": {"seed": 3, "steps": 8}}
 UNSERVED_RUNS = [
     (EXACT_REFERENCE_GAMMA_MINUS_ONE, ["sample", "-n", "8"], 2,
      "config error: gamma = -1 is excluded for the generalized step"),
@@ -80,7 +92,20 @@ UNSERVED_RUNS = [
      "numerical failure: target covariance is not finite"),
     (HUGE_MEAN, HUGE_MEAN_RUNS[2], 3,
      "numerical failure: target covariance is not finite"),
+    (HUGE_ONE_MEAN, HUGE_ONE_MEAN_RUNS[0], 3,
+     "numerical failure: quality metric mean_error_l2 is not finite (inf)"),
+    (HUGE_ONE_MEAN, HUGE_ONE_MEAN_RUNS[1], 3,
+     "numerical failure: quality metric mean_error_l2 is not finite (inf) "
+     "at gamma=1, delta=1, rho=1"),
+    (OVERFLOWING_MIXTURE, ["sample", "-n", "16"], 3,
+     "numerical failure: non-finite state at step 5 "
+     "(t=0.11188097290315374 -> s=0.031686417908586915): row 0 holds nan"),
 ]
+UNSERVED_IDS = ["exact_reference_gamma_minus_one", "n_not_above_dim",
+                "singular_target", "zero_cov_sample", "zero_cov_sweep",
+                "huge_mean_info", "huge_mean_sample", "huge_mean_sweep",
+                "huge_one_mean_sample", "huge_one_mean_sweep",
+                "overflowing_mixture"]
 # the runs whose target the quality report cannot score
 UNSCORABLE_TARGETS = [
     (SINGULAR_GAUSS2D, ["sample", "-n", "8"]),
@@ -297,7 +322,6 @@ class TestSampleCommand:
         assert not out.exists()
         assert f"config error: {named}" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numerical_blowup_exits_3(self, tmp_path):
         cfg_data = json.loads(json.dumps(UNIT_CONFIG))
         cfg_data["sampler"].update({"gamma": 500.0, "steps": 8})
@@ -493,16 +517,42 @@ def test_bad_sweep_cell_exits_2_and_writes_nothing(tmp_path, capsys, flag,
     assert err == f"config error: {message}\n"
 
 
-@pytest.mark.parametrize("cfg,argv,code,message", UNSERVED_RUNS, ids=[
-    "exact_reference_gamma_minus_one", "n_not_above_dim", "singular_target",
-    "zero_cov_sample", "zero_cov_sweep", "huge_mean_info", "huge_mean_sample",
-    "huge_mean_sweep"])
+@pytest.mark.parametrize("cfg,argv,code,message", UNSERVED_RUNS,
+                         ids=UNSERVED_IDS)
 def test_unserved_run_exits_cleanly_and_writes_nothing(tmp_path, cfg, argv,
                                                        code, message):
     out = tmp_path / "out"
     rc, err = run_cli(argv + ["--config", write_config(tmp_path, cfg),
                               "--out", str(out)])
     assert (rc, err) == (code, message + "\n")
+    assert not out.exists()
+
+
+def run_process(argv) -> subprocess.CompletedProcess:
+    """``python -m snrdiff.cli argv`` in a child importing this snrdiff,
+    installed or not."""
+    src = str(Path(snrdiff.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "snrdiff.cli", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+# numpy's floating-point warnings would print to a process's stderr ahead of
+# the failure line, from the main thread or from sample's worker threads
+OVERFLOW_RUNS = {name: run for run, name in zip(UNSERVED_RUNS, UNSERVED_IDS)
+                 if name.startswith(("huge", "overflowing"))}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("cfg,argv,code,message", OVERFLOW_RUNS.values(),
+                         ids=OVERFLOW_RUNS.keys())
+def test_numerical_failure_is_one_stderr_line(tmp_path, cfg, argv, code,
+                                              message, threads):
+    out = tmp_path / "out"
+    proc = run_process(argv + ["--config", write_config(tmp_path, cfg),
+                               "--out", str(out), "--threads", threads])
+    assert (proc.returncode, proc.stderr) == (code, message + "\n")
     assert not out.exists()
 
 
@@ -573,14 +623,8 @@ class TestVerifyCommand:
 
 class TestConsoleEntry:
     def test_module_invocation(self, tmp_path):
-        # the child imports the same snrdiff as this test, installed or not
-        src = str(Path(snrdiff.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "snrdiff.cli", "schedules",
-             "--schedule", "VE", "--out", str(tmp_path)],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = run_process(["schedules", "--schedule", "VE",
+                            "--out", str(tmp_path)])
         assert proc.returncode == 0
         assert (tmp_path / "schedules.csv").exists()
 
@@ -713,6 +757,8 @@ def assert_finite_outputs(out: Path) -> None:
 @example(HUGE_MEAN, HUGE_MEAN_RUNS[0])
 @example(HUGE_MEAN, HUGE_MEAN_RUNS[1])
 @example(HUGE_MEAN, HUGE_MEAN_RUNS[2])
+@example(HUGE_ONE_MEAN, HUGE_ONE_MEAN_RUNS[0])
+@example(HUGE_ONE_MEAN, HUGE_ONE_MEAN_RUNS[1])
 def test_fuzzed_runs_keep_the_exit_code_contract(cfg, flags):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"

@@ -297,10 +297,11 @@ class TestSpectralOracle:
         assert all(np.all(np.isfinite(o)) for o in outs)
 
 
-def rows_first_components(gmm, a, s2, z, scale=1.0):
+def rows_first_components(gmm, a, s2, z, scale=1.0, joint=True):
     """The full-covariance kernel that ``gmm._components`` replaced, kept
     as its reference for mixtures with a full covariance: rows first,
-    (K, N, D) and (N, K), with the quadratic form an ``einsum`` over d."""
+    (K, N, D) and (N, K), with the quadratic form an ``einsum`` over d.
+    It forms r and logp whether or not the caller reads them (``joint``)."""
     c = a * a * gmm._evals + s2
     inv_c = 1.0 / c
     gain = scale * inv_c
@@ -373,3 +374,70 @@ class TestRowsLastKernel:
             assert g.shape == w.shape
             assert (np.linalg.norm(g - w)
                     <= ROWS_LAST_RTOL * np.linalg.norm(w))
+
+
+real_components = gmm_module._components
+
+
+def mixture_components(gmm, a, s2, z, scale=1.0, joint=True):
+    """``gmm._components`` as it runs for every K, r and logp formed
+    whether or not the caller reads them: the one-component shortcut off."""
+    return real_components(gmm, a, s2, z, scale)
+
+ONE_COMPONENT_CASES = [(d, full) for d in (1, 2, 3, 16)
+                       for full in ((False,) if d == 1 else (False, True))]
+
+
+class TestOneComponent:
+    """The one-component path (r = 1, no log joint) against the kernels it
+    short-cuts: the diagonal mixture kernel, which it matches bit for bit
+    at any D, and the rows-first full-covariance reference."""
+
+    @pytest.mark.parametrize("d,full", ONE_COMPONENT_CASES)
+    def test_matches_mixture_kernel(self, any_schedule, d, full):
+        gmm = random_mixture(np.random.default_rng(d), 1, d, [full])
+        reference = rows_first_components if full else mixture_components
+        bitwise = not full or d <= 2
+        lo, hi = any_schedule.t_min, any_schedule.t_max
+        for t in (lo, 0.5 * (lo + hi), hi):
+            for n in (0, 1, 300):
+                z = (noisy_draws(gmm, any_schedule, t, n, seed=d) if n
+                     else np.empty((0, d)))
+                got = kernel_outputs(gmm, any_schedule, t, z)
+                with mock.patch.object(gmm_module, "_components", reference):
+                    want = kernel_outputs(gmm, any_schedule, t, z)
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape
+                    if bitwise:
+                        assert g.tobytes() == w.tobytes()
+                    else:
+                        assert (np.linalg.norm(g - w)
+                                <= ROWS_LAST_RTOL * np.linalg.norm(w))
+                # the closed form: score = -(Sigma_t)^{-1} (z - alpha m)
+                a, s = float(any_schedule.alpha(t)), float(any_schedule.sigma(t))
+                cov_t = a * a * gmm.covs[0] + s * s * np.eye(d)
+                closed = -np.linalg.solve(cov_t, (z - a * gmm.means[0]).T).T
+                score = got[-3]
+                assert (np.linalg.norm(score - closed)
+                        <= 1e-12 * np.linalg.norm(closed))
+
+    @pytest.mark.parametrize("cov", [[[1.0]], [[1.0, 0.5], [0.5, 1.0]]])
+    def test_exact_where_the_quadratic_form_overflows(self, vp, cov):
+        d = len(cov)
+        gmm = single_gaussian(np.full(d, 1e160), cov)
+        t = vp.t_min
+        a, s = float(vp.alpha(t)), float(vp.sigma(t))
+        # rows 1e160 away from the mean: their squared distance overflows
+        z = np.linspace(-2.0, 2.0, 5 * d).reshape(5, d)
+        with np.errstate(all="ignore"):
+            assert np.isnan(mixture_components(gmm, a, s * s, z)[2]).all()
+            score = exact_score(gmm, vp, t, z)
+            mean = posterior_mean(gmm, vp, t, z)
+        cov_t = a * a * gmm.covs[0] + s * s * np.eye(d)
+        np.testing.assert_allclose(
+            score, -np.linalg.solve(cov_t, (z - a * gmm.means[0]).T).T,
+            rtol=1e-12)
+        # the mean cancels against the shrunk residual: a few ulp of 1e160
+        np.testing.assert_allclose(
+            mean, gmm.means[0] + a * (gmm.covs[0] @ -score.T).T,
+            rtol=0.0, atol=1e-14 * 1e160)

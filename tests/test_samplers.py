@@ -751,3 +751,36 @@ def test_cells_reject_other_differences_and_trajectories(vp, unit_score,
     with pytest.raises(ValueError, match=match):
         sample(vp, unit_score, cells, n=4, d=1,
                return_trajectories=trajectories)
+
+
+# the discretised sampler on a 1-D Gaussian target N(mu, nu) under the exact
+# oracle: each step is affine in z, so the law stays Gaussian and its two
+# moments follow a scalar recursion from the (A, B, C) table
+EXACT_LAW_KINDS = [
+    ("generalized", dict(rho=1.0, gamma=0.5, delta=1.0)),
+    ("kingma", {}),
+    ("non_markovian", dict(eta=0.5)),
+    ("euler_backward", dict(rho=1.0)),
+]
+
+
+@pytest.mark.parametrize("kind,params", EXACT_LAW_KINDS,
+                         ids=[k for k, _ in EXACT_LAW_KINDS])
+def test_sample_follows_the_exact_discrete_law(vp, kind, params):
+    mu, nu, n = 0.5, 0.7, 50_000
+    cfg = SamplerConfig(kind=kind, steps=20, grid_kind="uniform_t", seed=11,
+                        **params)
+    grid = make_time_grid(vp, "uniform_t", 20, vp.t_max, vp.t_min)
+    a, b, c = samplers_mod._affine_table(vp, grid, kind, **params)
+    # z_s = A z + B eps_hat + C xi, eps_hat = sigma_t (z - alpha_t mu) / c_t
+    m, v = 0.0, float(vp.sigma(grid[0])) ** 2
+    for k, t in enumerate(grid[:-1]):
+        alpha_t, sigma_t = float(vp.alpha(t)), float(vp.sigma(t))
+        c_t = alpha_t ** 2 * nu + sigma_t ** 2
+        a_eff = a[k] + b[k] * sigma_t / c_t
+        m = a_eff * m - b[k] * sigma_t * alpha_t * mu / c_t
+        v = a_eff ** 2 * v + (0.0 if c is None else c[k] ** 2)
+    x = sample(vp, oracle_score_model(single_gaussian([mu], [[nu]]), vp),
+               cfg, n=n, d=1)[:, 0]
+    assert abs(x.mean() - m) <= 5.0 * np.sqrt(v / n)
+    assert abs(x.var(ddof=1) - v) <= 5.0 * v * np.sqrt(2.0 / (n - 1))

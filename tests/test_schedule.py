@@ -107,6 +107,40 @@ class TestPointValues:
                 assert getattr(batch, f)[i] == getattr(one, f)
 
 
+def inside_window(schedule, t) -> bool:
+    try:
+        schedule._check_t(t)
+    except ValueError:
+        return False
+    return True
+
+
+class TestWindowCheck:
+    """A 0-d time is checked as a float; arrays through ``np.any``.  The two
+    give one verdict: edges within 1e-12 pass, NaN passes, infinities and
+    anything further out do not."""
+
+    def test_scalar_and_array_verdicts_agree(self, any_schedule):
+        lo, hi = any_schedule.t_min, any_schedule.t_max
+        mid = 0.5 * (lo + hi)
+        cases = {lo: True, hi: True, mid: True, lo - 5e-13: True,
+                 hi + 5e-13: True, lo - 2e-12: False, hi + 2e-12: False,
+                 -1.0: False, 2.0: False, float("nan"): True,
+                 float("inf"): False, float("-inf"): False}
+        for t, inside in cases.items():
+            forms = [t, np.float64(t), np.array(t), np.array([t]),
+                     np.array([mid, t]), np.array([[t], [mid]])]
+            assert [inside_window(any_schedule, f) for f in forms] \
+                == [inside] * len(forms), t
+
+    def test_scalar_time_reaches_the_family_as_a_0d_array(self, vp):
+        t = vp._check_t(0.5)
+        assert isinstance(t, np.ndarray) and t.shape == () \
+            and t.dtype == float
+        assert vp._check_t(np.array([0.5])).shape == (1,)
+        assert np.isnan(vp.alpha(float("nan")))
+
+
 class TestSnr:
     def test_fm_ot_midpoint(self, fm_ot):
         assert snr(fm_ot, 0.5) == 1.0
