@@ -56,7 +56,6 @@ from .metrics import (check_target, energy_distance, gaussian_kl_fit,
 from .samplers import SamplerConfig, sample, sampler_config_from_dict
 from .schedule import Schedule, eval_schedule, make_schedule, schedule_from_dict
 from .snr_space import t_of_lambda, tilde_eval
-from .verify import run_verify
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -351,6 +350,8 @@ def cmd_snrspace(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_verify  # only this command needs the suite
+
     results = run_verify(args.level)
     failed = [r for r in results if not r.ok]
     for r in results:

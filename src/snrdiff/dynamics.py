@@ -14,6 +14,11 @@ The reverse-time dynamics form a one-parameter family: for any real rho,
     dz = (f z - (1 + rho^2)/2 g^2 score) dt + rho g dw
 
 runs the process backward; rho = 0 is the deterministic probability flow.
+
+:func:`forward_coeffs` and :func:`transition` take scalar times, giving
+floats, or arrays, giving arrays whose entries are the scalar calls' bits;
+so the forward simulator and the backward samplers read a grid's
+coefficients as one table.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 
 from . import rng
 from .errors import NumericalError
-from .schedule import Schedule
+from .schedule import Schedule, float_or_array
 
 _G2_TOL = 1e-12
 SCORE_TAGS = ("score", "eps", "data")
@@ -33,36 +38,31 @@ SCORE_TAGS = ("score", "eps", "data")
 
 @dataclass(frozen=True)
 class DriftDiffusion:
-    """Forward SDE coefficients at one time: drift factor f, diffusion g."""
+    """Forward SDE coefficients at a time: drift factor f, diffusion g."""
 
-    f: float
-    g: float
+    f: float | np.ndarray
+    g: float | np.ndarray
 
 
 @dataclass(frozen=True)
 class TransitionKernel:
     """q(z_t | z_s) = N(mean_coeff * z_s, variance * I) for s <= t."""
 
-    mean_coeff: float
-    variance: float
+    mean_coeff: float | np.ndarray
+    variance: float | np.ndarray
 
 
-def _drift_diffusion(schedule: Schedule, t):
-    """Forward SDE drift factor f and diffusion g at a time or time array."""
+def forward_coeffs(schedule: Schedule, t) -> DriftDiffusion:
+    """Drift and diffusion of the forward SDE at a time or time array."""
     sigma = schedule.sigma(t)
     g2 = -schedule.dlambda_dt(t) * sigma * sigma
     bad = g2 < -_G2_TOL * np.maximum(1.0, np.abs(g2))
     if np.any(bad):
         raise NumericalError(f"negative diffusion radicand g^2={g2[bad]} at "
                              f"t={np.asarray(t)[bad]}; schedule broken")
-    return (schedule.dalpha_dt(t) / schedule.alpha(t),
-            np.sqrt(np.maximum(g2, 0.0)))
-
-
-def forward_coeffs(schedule: Schedule, t: float) -> DriftDiffusion:
-    """Drift and diffusion of the forward SDE at time t."""
-    f, g = _drift_diffusion(schedule, float(t))
-    return DriftDiffusion(f=float(f), g=float(g))
+    return DriftDiffusion(
+        f=float_or_array(schedule.dalpha_dt(t) / schedule.alpha(t)),
+        g=float_or_array(np.sqrt(np.maximum(g2, 0.0))))
 
 
 def _exp_diff(lam_t, lam_s):
@@ -73,18 +73,21 @@ def _exp_diff(lam_t, lam_s):
     return np.exp(-lam_s) * np.expm1(lam_s - lam_t)
 
 
-def transition(schedule: Schedule, s: float, t: float) -> TransitionKernel:
-    """Transition kernel of the forward process from time s to time t >= s."""
-    s, t = float(s), float(t)
-    if s > t:
-        raise ValueError(f"transition requires s <= t, got s={s} > t={t}")
-    alpha_t = float(schedule.alpha(t))
-    alpha_s = float(schedule.alpha(s))
-    lam_t = float(schedule.lam(t))
-    lam_s = float(schedule.lam(s))
-    variance = alpha_t * alpha_t * float(_exp_diff(lam_t, lam_s))
-    return TransitionKernel(mean_coeff=alpha_t / alpha_s,
-                            variance=max(variance, 0.0))
+def transition(schedule: Schedule, s, t) -> TransitionKernel:
+    """Transition kernel of the forward process from time s to time t >= s;
+    s and t broadcast against each other.  Raises ValueError, naming the
+    first offending pair, if any s > t."""
+    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    bad = s > t
+    if np.any(bad):
+        s, t = np.broadcast_arrays(s, t)
+        raise ValueError(f"transition requires s <= t, got s={s[bad][0]} > "
+                         f"t={t[bad][0]}")
+    alpha_t = schedule.alpha(t)
+    variance = alpha_t * alpha_t * _exp_diff(schedule.lam(t), schedule.lam(s))
+    return TransitionKernel(
+        mean_coeff=float_or_array(alpha_t / schedule.alpha(s)),
+        variance=float_or_array(np.maximum(variance, 0.0)))
 
 
 class ScoreModel:
@@ -189,23 +192,28 @@ def euler_maruyama_forward(
     if z.ndim == 0:
         z = z[None]
     if z.ndim == 1:
-        z = np.broadcast_to(z, (n_paths, z.shape[0])).copy()
+        z = np.broadcast_to(z, (n_paths, z.shape[0]))
     if z.shape[0] != n_paths:
         raise ValueError("z0 leading dimension must match n_paths")
+    z = z.copy()  # stepped in place
 
     times = np.linspace(schedule.t_min, schedule.t_max, steps + 1)
+    dt = np.diff(times)
+    coeffs = forward_coeffs(schedule, times[:-1])
+    noise_scale = coeffs.g * np.sqrt(dt)
     gen = rng.stream(seed, rng.PURPOSE_FORWARD)
     path = [z.copy()] if return_path else None
+    tmp, buf = np.empty_like(z), np.empty_like(z)
     for k in range(steps):
-        t = float(times[k])
-        dt = float(times[k + 1] - times[k])
-        coeffs = forward_coeffs(schedule, t)
-        z = z + coeffs.f * z * dt
+        np.multiply(coeffs.f[k], z, out=tmp)
+        tmp *= dt[k]
+        z += tmp
         if not zero_noise:
-            z = z + coeffs.g * np.sqrt(dt) * gen.standard_normal(z.shape)
+            gen.standard_normal(out=buf)
+            buf *= noise_scale[k]
+            z += buf
         if return_path:
             path.append(z.copy())
     if return_path:
         return times, np.stack(path)
     return z
-

@@ -43,8 +43,8 @@ import numpy as np
 from . import rng
 from .errors import ConfigError, NumericalError
 from .gmm import GmmSpec, sample_data, posterior_mean
-from .schedule import Schedule
-from .snr_space import SnrPoint, float_or_array, t_of_lambda
+from .schedule import Schedule, float_or_array
+from .snr_space import SnrPoint, t_of_lambda
 
 # rows per block of the Monte Carlo pass, a power of two (see the module
 # docstring).  On a 2-D, 2-component info run (20,000 rows, 97 lambdas),

@@ -57,7 +57,7 @@ from dataclasses import dataclass, asdict, replace
 import numpy as np
 
 from . import rng
-from .dynamics import ScoreModel, _drift_diffusion, _exp_diff
+from .dynamics import ScoreModel, _exp_diff, forward_coeffs
 from .errors import ConfigError, NumericalError, finite_real, integer
 from .schedule import Schedule
 from .snr_space import t_of_lambda
@@ -115,11 +115,11 @@ def _affine_table(schedule: Schedule, times: np.ndarray, kind: str,
         return a, b, (np.sqrt(beta2) if eta != 0.0 else None)
 
     if kind == "euler_backward":
-        f, g = _drift_diffusion(schedule, times[:-1])
+        sde = forward_coeffs(schedule, times[:-1])
         h = np.diff(times)
-        a = 1.0 + f * h
-        b = 0.5 * (1.0 + rho * rho) * g ** 2 * h / sigma_t
-        return a, b, (rho * g * np.sqrt(-h) if np.any(rho != 0.0) else None)
+        a = 1.0 + sde.f * h
+        b = 0.5 * (1.0 + rho * rho) * sde.g ** 2 * h / sigma_t
+        return a, b, (rho * sde.g * np.sqrt(-h) if np.any(rho != 0.0) else None)
 
     if np.any(gamma == -1.0):
         raise ConfigError("gamma = -1 is excluded for the generalized step")

@@ -83,6 +83,13 @@ class SchedulePoint:
     dlambda_dt: float | np.ndarray
 
 
+def float_or_array(x):
+    """``x`` as a float if it is a scalar, else as a float array: the
+    scalar-or-array rule of the package's evaluation functions."""
+    x = np.asarray(x, dtype=float)
+    return float(x) if x.ndim == 0 else x
+
+
 def _vp_fns(params: dict) -> dict[str, Callable]:
     bmin, bd = float(params["beta_min"]), float(params["beta_d"])
 
@@ -419,23 +426,12 @@ def schedule_from_dict(spec: dict) -> Schedule:
 
 
 def eval_schedule(schedule: Schedule, t) -> SchedulePoint:
-    """Evaluate all schedule fields and analytic derivatives at ``t``."""
+    """Evaluate all schedule fields and analytic derivatives at ``t``: a
+    scalar gives a point of floats, an array a point of arrays."""
     t = schedule._check_t(t)
-    scalar = t.ndim == 0
-    point = SchedulePoint(
-        t=t,
-        alpha=schedule.alpha(t),
-        sigma=schedule.sigma(t),
-        lam=schedule.lam(t),
-        dalpha_dt=schedule.dalpha_dt(t),
-        dsigma_dt=schedule.dsigma_dt(t),
-        dlambda_dt=schedule.dlambda_dt(t),
-    )
-    if scalar:
-        point = SchedulePoint(*(float(getattr(point, f)) for f in
-                                ("t", "alpha", "sigma", "lam",
-                                 "dalpha_dt", "dsigma_dt", "dlambda_dt")))
-    return point
+    return SchedulePoint(*map(float_or_array, (
+        t, schedule.alpha(t), schedule.sigma(t), schedule.lam(t),
+        schedule.dalpha_dt(t), schedule.dsigma_dt(t), schedule.dlambda_dt(t))))
 
 
 def snr(schedule: Schedule, t):

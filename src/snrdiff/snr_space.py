@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .schedule import Schedule
+from .schedule import Schedule, float_or_array
 
 _BISECT_CAP = 200
 
@@ -39,12 +39,6 @@ class SnrPoint:
     tilde_sigma: float | np.ndarray
     dtilde_alpha_dlambda: float | np.ndarray
     dtilde_sigma_dlambda: float | np.ndarray
-
-
-def float_or_array(x):
-    """``x`` as a float if it is a scalar, else as a float array."""
-    x = np.asarray(x, dtype=float)
-    return float(x) if x.ndim == 0 else x
 
 
 def _bisect(schedule: Schedule, lam: np.ndarray) -> np.ndarray:

@@ -5,10 +5,10 @@ identities as tests: acceptance tests 01-10 in ``tests/test_acceptance.py``
 assert them, so every tolerance, grid, sample count and seed lives here.
 
 ``run_verify("fast")`` runs the ten exact identities and finite-difference
-checks, about 1 s on a 2-core machine.  ``run_verify("full")`` adds the
-six Monte Carlo and convergence studies, 25-31 s on the same machine,
+checks, about 2 s on a shared 2-core machine.  ``run_verify("full")`` adds
+the six Monte Carlo and convergence studies, 34-45 s on the same machine,
 almost all of it the 100k-path, 10k-step forward simulation of
-``check_forward_marginals``.  Each check is independent and reports a
+``check_forward_marginals``; its 10^9 normal draws alone take 27 s there.  Each check is independent and reports a
 one-line detail string with its measured numbers, so a failure names
 exactly what broke.  A NaN anywhere fails its check: worst-case errors
 accumulate with ``np.maximum``, which keeps a NaN that the builtin ``max``
@@ -126,16 +126,15 @@ def check_schedule_identities() -> CheckResult:
 def check_chapman_kolmogorov() -> CheckResult:
     gen = np.random.default_rng(20240817)
     worst = 0.0
-    for name, sched in _schedules().items():
-        for _ in range(100):
-            r, sm, tm = np.sort(gen.uniform(sched.t_min, sched.t_max, 3))
-            k_rt = transition(sched, r, tm)
-            k_rs = transition(sched, r, sm)
-            k_st = transition(sched, sm, tm)
-            worst = np.maximum(worst, _rel(k_rt.mean_coeff,
-                                           k_rs.mean_coeff * k_st.mean_coeff))
-            composed = k_st.mean_coeff ** 2 * k_rs.variance + k_st.variance
-            worst = np.maximum(worst, _rel(k_rt.variance, composed))
+    for sched in _schedules().values():
+        r, sm, tm = np.sort(gen.uniform(sched.t_min, sched.t_max, (100, 3))).T
+        k_rt = transition(sched, r, tm)
+        k_rs = transition(sched, r, sm)
+        k_st = transition(sched, sm, tm)
+        worst = np.maximum(worst, _rel(k_rt.mean_coeff,
+                                       k_rs.mean_coeff * k_st.mean_coeff))
+        composed = k_st.mean_coeff ** 2 * k_rs.variance + k_st.variance
+        worst = np.maximum(worst, _rel(k_rt.variance, composed))
     return CheckResult("chapman_kolmogorov", worst <= 1e-10,
                        f"composition max rel error {worst:.2e} "
                        "(100 random triples per schedule)")
@@ -143,13 +142,13 @@ def check_chapman_kolmogorov() -> CheckResult:
 
 def check_forward_variance_identity() -> CheckResult:
     worst = 0.0
-    for name, sched in _schedules().items():
-        for t in _interior_grid(sched):
-            c = forward_coeffs(sched, float(t))
-            s = float(sched.sigma(t))
-            lhs = c.g ** 2 + 2.0 * c.f * s * s
-            rhs = 2.0 * s * float(sched.dsigma_dt(t))
-            worst = np.maximum(worst, _rel(lhs, rhs))
+    for sched in _schedules().values():
+        t = _interior_grid(sched)
+        c = forward_coeffs(sched, t)
+        s = sched.sigma(t)
+        lhs = c.g ** 2 + 2.0 * c.f * s * s
+        rhs = 2.0 * s * sched.dsigma_dt(t)
+        worst = np.maximum(worst, _rel(lhs, rhs))
     return CheckResult("forward_variance_identity", worst <= 1e-9,
                        f"max residual {worst:.2e}")
 

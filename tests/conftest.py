@@ -66,3 +66,18 @@ def interior_grid(schedule, n=200, margin=1e-4):
     span = schedule.t_max - schedule.t_min
     return np.linspace(schedule.t_min + margin * span,
                        schedule.t_max - margin * span, n)
+
+
+def blended_warp(schedule, lin=0.6):
+    """Endpoint-fixing strictly increasing warp with analytic derivative."""
+    lo, hi = schedule.t_min, schedule.t_max
+
+    def warp(t):
+        u = (np.asarray(t, float) - lo) / (hi - lo)
+        return lo + (hi - lo) * (lin * u + (1.0 - lin) * u * u)
+
+    def dwarp(t):
+        u = (np.asarray(t, float) - lo) / (hi - lo)
+        return lin + 2.0 * (1.0 - lin) * u
+
+    return warp, dwarp

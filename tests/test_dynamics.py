@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from snrdiff import (
+    DriftDiffusion,
+    TransitionKernel,
     backward_drift,
     convert_score_model,
     euler_maruyama_forward,
@@ -10,11 +12,100 @@ from snrdiff import (
     oracle_score_model,
     posterior_mean,
     single_gaussian,
+    time_warp,
     transition,
 )
+from snrdiff import rng
 from snrdiff.dynamics import ScoreModel
 
-from conftest import interior_grid
+from conftest import BUILTIN, blended_warp, interior_grid
+
+
+def reference_forward(schedule, z0, steps, seed, n_paths, zero_noise=False):
+    """The per-step loop that the table-driven simulator replaced: a scalar
+    coefficient call and fresh arrays for each step.  Returns the path."""
+    z = np.broadcast_to(np.asarray(z0, dtype=float), (n_paths, len(z0)))
+    times = np.linspace(schedule.t_min, schedule.t_max, steps + 1)
+    gen = rng.stream(seed, rng.PURPOSE_FORWARD)
+    path = [z.copy()]
+    for k in range(steps):
+        t = float(times[k])
+        dt = float(times[k + 1] - times[k])
+        coeffs = forward_coeffs(schedule, t)
+        z = z + coeffs.f * z * dt
+        if not zero_noise:
+            z = z + coeffs.g * np.sqrt(dt) * gen.standard_normal(z.shape)
+        path.append(z)
+    return np.stack(path)
+
+
+def assert_same_bits(got, expected):
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.shape == expected.shape
+    # bitwise: -0.0 and NaN payloads count too
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.fixture(params=[*BUILTIN, "warped VP"])
+def api_schedule(request):
+    """The four families and a time-warped VP, which has no closed forms
+    beyond its inner schedule's."""
+    if request.param == "warped VP":
+        vp = make_schedule("VP")
+        return time_warp(vp, *blended_warp(vp))
+    return make_schedule(request.param)
+
+
+class TestScalarOrArray:
+    def test_array_coeffs_are_the_scalar_calls(self, api_schedule):
+        ts = np.linspace(api_schedule.t_min, api_schedule.t_max, 2001)
+        got = forward_coeffs(api_schedule, ts)
+        scalar = [forward_coeffs(api_schedule, float(t)) for t in ts]
+        for field in ("f", "g"):
+            assert_same_bits(getattr(got, field),
+                             [getattr(c, field) for c in scalar])
+
+    def test_array_transition_is_the_scalar_calls(self, api_schedule):
+        gen = np.random.default_rng(5)
+        s, t = np.sort(gen.uniform(api_schedule.t_min, api_schedule.t_max,
+                                   (1000, 2))).T
+        s[:10] = t[:10]  # equal times: the identity kernel
+        got = transition(api_schedule, s, t)
+        scalar = [transition(api_schedule, float(a), float(b))
+                  for a, b in zip(s, t)]
+        for field in ("mean_coeff", "variance"):
+            assert_same_bits(getattr(got, field),
+                             [getattr(k, field) for k in scalar])
+
+    def test_array_shape_is_kept(self, api_schedule):
+        ts = np.linspace(api_schedule.t_min, api_schedule.t_max, 12)
+        ts = ts.reshape(3, 4)
+        c = forward_coeffs(api_schedule, ts)
+        k = transition(api_schedule, api_schedule.t_min, ts)
+        for value in (c.f, c.g, k.mean_coeff, k.variance):
+            assert value.shape == (3, 4)
+
+    @pytest.mark.parametrize("wrap", [float, np.float64, np.asarray],
+                             ids=["float", "float64", "0-d"])
+    def test_scalar_gives_floats(self, api_schedule, wrap):
+        s = wrap(api_schedule.t_min + 0.25 * (api_schedule.t_max
+                                               - api_schedule.t_min))
+        t = wrap(0.5 * (api_schedule.t_min + api_schedule.t_max))
+        c, k = forward_coeffs(api_schedule, t), transition(api_schedule, s, t)
+        assert isinstance(c, DriftDiffusion)
+        assert isinstance(k, TransitionKernel)
+        for value in (c.f, c.g, k.mean_coeff, k.variance):
+            assert type(value) is float
+
+    def test_transition_rejects_any_reversed_pair(self, api_schedule):
+        lo, hi = api_schedule.t_min, api_schedule.t_max
+        s = np.array([lo, 0.6 * hi, 0.5 * hi])
+        t = np.array([hi, 0.4 * hi, 0.2 * hi])
+        with pytest.raises(ValueError,
+                           match=f"s={0.6 * hi} > t={0.4 * hi}"):
+            transition(api_schedule, s, t)
+        with pytest.raises(ValueError):
+            transition(api_schedule, hi, np.array([hi, lo]))
 
 
 class TestForwardCoeffs:
@@ -161,6 +252,26 @@ class TestBackwardDrift:
 
 
 class TestForwardSimulation:
+    @pytest.mark.parametrize("zero_noise", [False, True],
+                             ids=["noise", "zero_noise"])
+    def test_matches_the_per_step_loop_bitwise(self, any_schedule,
+                                               zero_noise):
+        z0 = np.array([1.0, -0.5])
+        expected = reference_forward(any_schedule, z0, 200, 13, 1000,
+                                     zero_noise)
+        z = euler_maruyama_forward(any_schedule, z0, steps=200, seed=13,
+                                   n_paths=1000, zero_noise=zero_noise)
+        assert_same_bits(z, expected[-1])
+        times, path = euler_maruyama_forward(
+            any_schedule, z0, steps=200, seed=13, n_paths=1000,
+            zero_noise=zero_noise, return_path=True)
+        assert_same_bits(path, expected)
+
+    def test_leaves_the_initial_state_alone(self, vp):
+        z0 = np.ones((4, 2))
+        euler_maruyama_forward(vp, z0, steps=5, seed=1, n_paths=4)
+        assert np.array_equal(z0, np.ones((4, 2)))
+
     def test_single_deterministic_step(self, vp):
         z = euler_maruyama_forward(vp, np.array([2.0]), steps=1, seed=0,
                                    zero_noise=True)

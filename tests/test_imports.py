@@ -1,9 +1,10 @@
-"""Which scipy modules a fresh interpreter loads.
+"""Which modules a fresh interpreter loads.
 
 scipy is imported where it is used (``ndtri`` in ``rng.row_normals``,
 ``cdist`` for the D > 1 energy distance, ``logsumexp`` in
 ``gmm.log_marginal_density``), so importing the package and running the
-commands that need none of them load no scipy module.
+commands that need none of them load no scipy module.  Likewise the check
+suite ``snrdiff.verify`` is imported by the ``verify`` command alone.
 """
 
 import json
@@ -28,16 +29,15 @@ SCALAR_CONFIG = {
     "sampler": {"steps": 10, "seed": 3},
 }
 
-# the script prints the scipy modules loaded after running its body
+# the script prints the modules loaded after running its body
 PROBE = """
 import json, sys
 {body}
-print(json.dumps(sorted(m for m in sys.modules
-                        if m == "scipy" or m.startswith("scipy."))))
+print(json.dumps(sorted(sys.modules)))
 """
 
 
-def loaded_scipy_modules(body: str) -> list[str]:
+def loaded_modules(body: str) -> list[str]:
     src = str(Path(snrdiff.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -45,6 +45,11 @@ def loaded_scipy_modules(body: str) -> list[str]:
         text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def loaded_scipy_modules(body: str) -> list[str]:
+    return [m for m in loaded_modules(body)
+            if m == "scipy" or m.startswith("scipy.")]
 
 
 def cli_body(tmp_path, argv, cfg=None) -> str:
@@ -59,6 +64,10 @@ def cli_body(tmp_path, argv, cfg=None) -> str:
 
 def test_import_loads_no_scipy():
     assert loaded_scipy_modules("import snrdiff, snrdiff.cli") == []
+
+
+def test_cli_import_leaves_the_check_suite_out():
+    assert "snrdiff.verify" not in loaded_modules("import snrdiff.cli")
 
 
 @pytest.mark.parametrize("argv,cfg", [

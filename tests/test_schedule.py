@@ -102,8 +102,9 @@ class TestPointValues:
         batch = eval_schedule(any_schedule, ts)
         for i, t in enumerate(ts):
             one = eval_schedule(any_schedule, float(t))
-            for f in ("alpha", "sigma", "lam", "dalpha_dt", "dsigma_dt",
+            for f in ("t", "alpha", "sigma", "lam", "dalpha_dt", "dsigma_dt",
                       "dlambda_dt"):
+                assert type(getattr(one, f)) is float
                 assert getattr(batch, f)[i] == getattr(one, f)
 
 

@@ -12,25 +12,10 @@ from snrdiff import (
 )
 from snrdiff.snr_space import _bisect, _newton
 
-from conftest import FAMILY_PARAMS, draw_schedule
+from conftest import FAMILY_PARAMS, blended_warp, draw_schedule
 
 # frozen: -2*log(0.01)
 VE_LAMBDA_AT_0 = 9.210340371976184
-
-
-def blended_warp(schedule, lin=0.6):
-    """Endpoint-fixing strictly increasing warp with analytic derivative."""
-    lo, hi = schedule.t_min, schedule.t_max
-
-    def warp(t):
-        u = (np.asarray(t, float) - lo) / (hi - lo)
-        return lo + (hi - lo) * (lin * u + (1.0 - lin) * u * u)
-
-    def dwarp(t):
-        u = (np.asarray(t, float) - lo) / (hi - lo)
-        return lin + 2.0 * (1.0 - lin) * u
-
-    return warp, dwarp
 
 
 class TestLambdaInverse:
