@@ -6,9 +6,12 @@ file, and seed: reruns produce byte-identical files.  Each CSV is a float
 table in 17 significant digits; ids and step numbers print as integers.
 
 ``sample`` runs one config as a one-cell pass and ``sweep`` runs all its
-cells in one pass.  ``--threads`` splits the rows of that pass; outputs do
-not change.  ``sample --trajectories`` writes ``trajectories.csv``, one row
-per (sample, grid node), from the pass's (steps + 1, n, d) state array.
+cells in one pass.  ``--threads`` is the most worker threads that pass
+splits its rows across; a small pass runs on one, and outputs do not change.
+Only ``sample`` and ``sweep`` use it; ``info``, ``schedules`` and
+``snrspace`` ignore it.  ``sample --trajectories`` writes
+``trajectories.csv``, one row per (sample, grid node), from the pass's
+(steps + 1, n, d) state array.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration
 or arguments, including an output directory that cannot be created or
@@ -373,7 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="seed override")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--threads", type=int,
-                       help="worker threads (default: SNRDIFF_THREADS or 1)")
+                       help="most worker threads for sample and sweep; a "
+                            "small pass runs on one (default: "
+                            "SNRDIFF_THREADS or 1)")
         p.add_argument("--schedule",
                        help="built-in schedule name (overrides config)")
 

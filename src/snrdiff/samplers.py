@@ -50,6 +50,7 @@ invariant on variance-preserving schedules only; ``euler_backward``, and
 from __future__ import annotations
 
 import contextvars
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict, replace
@@ -70,6 +71,13 @@ GRID_KINDS = ("uniform_t", "uniform_lambda")
 # (step_kingma, the independent transcription, keeps it).  Used by mutation
 # tests to confirm which verification checks catch it.
 _MUTATE_FLIP_EPS_BRACKET = False
+
+# State values (cells x rows x d) each worker must get per step for a split
+# of sample's rows to pay.  Every worker makes ~16 short numpy calls a step;
+# on smaller shares the GIL hand-offs between them cost more than another
+# core saves.  On a 2-core host two workers broke even at 10k to 24k values
+# a step on 1-D, D = 2 and D = 16 targets.
+_GRAIN = 8192
 
 
 def _draw(shape, eps) -> np.ndarray:
@@ -325,6 +333,21 @@ def sampler_config_from_dict(spec: dict) -> SamplerConfig:
         raise ConfigError(f"bad sampler config: {exc}") from exc
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker_count(threads: int, cores: int, cells: int, n: int,
+                  d: int) -> int:
+    """Workers for a pass of ``cells`` x n rows x d state values: at most
+    ``threads``, ``cores`` and n, each worker given at least _GRAIN values
+    per step, and at least one."""
+    return max(1, min(threads, cores, n, cells * n * d // _GRAIN))
+
+
 def sample(schedule: Schedule, score: ScoreModel, config, n: int, d: int,
            threads: int = 1, return_trajectories: bool = False):
     """Run the configured backward pass for n trajectories of dimension d.
@@ -332,9 +355,12 @@ def sample(schedule: Schedule, score: ScoreModel, config, n: int, d: int,
     The prior is z ~ N(0, sigma(t_start)^2 I).  Noise is addressed by
     (seed, purpose, step, trajectory row), so the returned samples are a
     pure function of (config, n, d) regardless of ``threads`` or any other
-    batching.  Raises NumericalError, naming the step, its interval and the
-    first bad row (and cell), if a trajectory goes non-finite; a bad window
-    or gamma = -1 is a ConfigError from the function that owns the rule.
+    batching.  ``threads`` is the most worker threads the rows are split
+    across: a pass gets at most one per usable core, one per row and one
+    per _GRAIN state values (cells x n x d) a step, so a small pass runs on
+    one.  Raises NumericalError, naming the step, its interval and the first
+    bad row (and cell), if a trajectory goes non-finite; a bad window or
+    gamma = -1 is a ConfigError from the function that owns the rule.
 
     ``config`` is one SamplerConfig or a sequence of cells that differ only
     in rho, gamma and delta; one config runs as a one-cell sequence.  Returns
@@ -400,14 +426,14 @@ def sample(schedule: Schedule, score: ScoreModel, config, n: int, d: int,
                 states[k + 1, row_start:row_stop] = z
         out[:, row_start:row_stop] = z
 
-    threads = max(1, int(threads))
-    if threads == 1 or n < 2 * threads:
+    workers = _worker_count(int(threads), _usable_cores(), len(cells), n, d)
+    if workers == 1:
         run_rows(0, n)
     else:
         # each worker runs in a copy of the caller's context, so numpy's
         # errstate (a context variable) holds in the pool as in the caller
-        bounds = np.linspace(0, n, threads + 1).astype(int).tolist()
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        bounds = np.linspace(0, n, workers + 1).astype(int).tolist()
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(contextvars.copy_context().run, run_rows,
                                    lo, hi)
                        for lo, hi in zip(bounds[:-1], bounds[1:])]

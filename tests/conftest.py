@@ -1,8 +1,10 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
 
-from snrdiff import make_schedule, oracle_score_model, single_gaussian
+from snrdiff import make_schedule, oracle_score_model, samplers, single_gaussian
 
 # Property tests draw the same examples on every run.
 settings.register_profile("deterministic", derandomize=True, database=None,
@@ -81,3 +83,21 @@ def blended_warp(schedule, lin=0.6):
         return lin + 2.0 * (1.0 - lin) * u
 
     return warp, dwarp
+
+
+@pytest.fixture
+def split_pools(monkeypatch):
+    """Let ``sample`` split any pass of two or more rows across up to
+    ``threads`` workers, whatever the pass size and the host's cores; the
+    returned list gets the worker count of each pool it starts."""
+    sizes = []
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(samplers, "_GRAIN", 1)
+    monkeypatch.setattr(samplers, "_usable_cores", lambda: 64)
+    monkeypatch.setattr(samplers, "ThreadPoolExecutor", Pool)
+    return sizes

@@ -68,7 +68,7 @@ def test_10_information_derivatives():
     _accept(10, verify.check_info_derivatives)
 
 
-def test_11_sweep_harness(tmp_path):
+def test_11_sweep_harness(tmp_path, split_pools):
     config = {
         "schedule": {"name": "VP"},
         "gmm": {
@@ -90,6 +90,7 @@ def test_11_sweep_harness(tmp_path):
                             "--out", str(tmp_path / "t3")]) == 0
     bytes_t1 = (tmp_path / "t1" / "sweep.csv").read_bytes()
     assert bytes_t1 == (tmp_path / "t3" / "sweep.csv").read_bytes()
+    assert split_pools == [3]
 
     rows = bytes_t1.decode().strip().split("\n")
     header = rows[0].split(",")

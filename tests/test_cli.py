@@ -228,7 +228,8 @@ class TestSampleCommand:
         assert header == ["sample_id", "step", "t", "z_0"]
         assert len(rows) == 3 * 25
 
-    def test_trajectories_match_records_at_any_thread_count(self, tmp_path):
+    def test_trajectories_match_records_at_any_thread_count(self, tmp_path,
+                                                           split_pools):
         sched = snrdiff.schedule_from_dict(GMM2D_CONFIG["schedule"])
         gmm = snrdiff.gmm_from_dict(GMM2D_CONFIG["gmm"])
         for kind in ("generalized", "exact_reference"):
@@ -260,6 +261,7 @@ class TestSampleCommand:
                     for i in range(9) for k, t in enumerate(times))
             assert texts[0] == per_value_csv_text(
                 ["sample_id", "step", "t", "z_0", "z_1"], rows)
+        assert split_pools == [2, 2]
 
     def test_missing_gmm_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {"schedule": {"name": "VP"},
@@ -363,7 +365,7 @@ class TestSweepCommand:
             rtol=1e-12,
         )
 
-    def test_thread_count_does_not_change_bytes(self, tmp_path):
+    def test_thread_count_does_not_change_bytes(self, tmp_path, split_pools):
         cfg = write_config(tmp_path, GMM2D_CONFIG)
         for label, threads in (("t1", "1"), ("t3", "3")):
             main(["sweep", "--config", cfg, "-n", "64",
@@ -372,14 +374,16 @@ class TestSweepCommand:
                   "--out", str(tmp_path / label)])
         assert (tmp_path / "t1" / "sweep.csv").read_bytes() \
             == (tmp_path / "t3" / "sweep.csv").read_bytes()
+        assert split_pools == [3]
 
-    def test_threads_env_var(self, tmp_path, monkeypatch):
+    def test_threads_env_var(self, tmp_path, monkeypatch, split_pools):
         cfg = write_config(tmp_path, GMM2D_CONFIG)
         monkeypatch.setenv("SNRDIFF_THREADS", "2")
         rc = main(["sweep", "--config", cfg, "-n", "32", "--gammas", "1",
                    "--deltas", "1", "--rhos", "1",
                    "--out", str(tmp_path / "env")])
         assert rc == 0
+        assert split_pools == [2]
 
 
 class TestInfoCommand:
@@ -528,14 +532,34 @@ def test_unserved_run_exits_cleanly_and_writes_nothing(tmp_path, cfg, argv,
     assert not out.exists()
 
 
-def run_process(argv) -> subprocess.CompletedProcess:
-    """``python -m snrdiff.cli argv`` in a child importing this snrdiff,
-    installed or not."""
+def run_process(argv, code=None) -> subprocess.CompletedProcess:
+    """``python -m snrdiff.cli argv``, or ``python -c code argv``, in a child
+    importing this snrdiff, installed or not."""
     src = str(Path(snrdiff.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "snrdiff.cli", *argv],
+    entry = ["-m", "snrdiff.cli"] if code is None else ["-c", code]
+    return subprocess.run([sys.executable, *entry, *argv],
                           capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": path})
+
+
+# the CLI in a child whose sample splits any pass of two or more rows, as the
+# split_pools fixture does in-process; it prints "pool <workers>" for each
+# pool it starts
+SPLITTING_CLI = """
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from snrdiff import cli, samplers
+
+class Pool(ThreadPoolExecutor):
+    def __init__(self, max_workers):
+        print("pool", max_workers)
+        super().__init__(max_workers)
+
+samplers._GRAIN, samplers._usable_cores = 1, lambda: 64
+samplers.ThreadPoolExecutor = Pool
+sys.exit(cli.main(sys.argv[1:]))
+"""
 
 
 # numpy's floating-point warnings would print to a process's stderr ahead of
@@ -551,9 +575,15 @@ def test_numerical_failure_is_one_stderr_line(tmp_path, cfg, argv, code,
                                               message, threads):
     out = tmp_path / "out"
     proc = run_process(argv + ["--config", write_config(tmp_path, cfg),
-                               "--out", str(out), "--threads", threads])
+                               "--out", str(out), "--threads", threads],
+                       SPLITTING_CLI)
     assert (proc.returncode, proc.stderr) == (code, message + "\n")
     assert not out.exists()
+    # the huge-mean target is rejected before sampling; the others sample,
+    # and at two threads in two workers
+    pools = ["pool 2"] if threads == "2" and cfg is not HUGE_MEAN else []
+    assert [line for line in proc.stdout.splitlines()
+            if line.startswith("pool")] == pools
 
 
 @pytest.mark.parametrize("cfg,argv", UNSCORABLE_TARGETS,

@@ -430,6 +430,9 @@ class TestSamplerConfig:
             sample(vp, unit_score, cfg, n=4, d=1)
 
 
+GRAIN = samplers_mod._GRAIN
+
+
 class TestSampleLoop:
     def test_prior_only_run(self, vp, unit_score):
         cfg = SamplerConfig(kind="generalized", steps=10, seed=21,
@@ -444,11 +447,65 @@ class TestSampleLoop:
         b = sample(vp, unit_score, cfg, n=64, d=1)
         assert np.array_equal(a, b)
 
-    def test_thread_count_does_not_change_output(self, vp, unit_score):
+    def test_thread_count_does_not_change_output(self, vp, unit_score,
+                                                 split_pools):
         cfg = SamplerConfig(kind="kingma", steps=15, seed=13)
         serial = sample(vp, unit_score, cfg, n=101, d=1, threads=1)
         threaded = sample(vp, unit_score, cfg, n=101, d=1, threads=4)
         assert np.array_equal(serial, threaded)
+        assert split_pools == [4]
+
+    @pytest.mark.parametrize("cfg,n,d", [
+        # above the real grain, unpatched: one 1-D config and a 2-cell
+        # sweep of 2-D rows
+        (SamplerConfig(kind="kingma", steps=4, seed=13), 40000, 1),
+        ([SamplerConfig(steps=4, seed=13),
+          SamplerConfig(steps=4, seed=13, gamma=0.5, delta=0.8)], 10000, 2),
+    ], ids=["one_config", "two_cells"])
+    def test_thread_count_does_not_change_output_above_grain(
+            self, vp, unit_score, cfg, n, d):
+        cells = 1 if isinstance(cfg, SamplerConfig) else len(cfg)
+        assert samplers_mod._worker_count(3, 3, cells, n, d) == 3
+        model = unit_score if d == 1 else oracle_score_model(
+            single_gaussian([0.5, -0.5], [[1.0, 0.3], [0.3, 0.6]]), vp)
+        runs = [sample(vp, model, cfg, n=n, d=d, threads=threads)
+                for threads in (1, 2, 3)]
+        assert np.array_equal(runs[0], runs[1])
+        assert np.array_equal(runs[0], runs[2])
+
+    @pytest.mark.parametrize("threads,cores,cells,n,d,want", [
+        (1, 2, 1, 10 * GRAIN, 1, 1),      # one thread asked for
+        (2, 2, 1, GRAIN - 1, 1, 1),       # below the grain
+        (2, 2, 1, GRAIN, 1, 1),           # at it: one worker's share
+        (2, 2, 1, 2 * GRAIN - 1, 1, 1),   # short of two shares
+        (2, 2, 1, 2 * GRAIN, 1, 2),       # two shares
+        (2, 2, 1, 10 * GRAIN, 1, 2),      # above: capped by threads
+        (2, 2, 2, GRAIN, 1, 2),           # cells count toward the values
+        (3, 8, 3, GRAIN // 2, 2, 3),      # ... and so does d
+        (3, 8, 2, GRAIN // 2, 2, 2),
+        (10**5, 2, 1, 10**6, 1, 2),       # capped by the usable cores
+        (10**5, 64, 1, 10**6, 1, 64),
+        (10**5, 64, 4, 10**6, 1, 64),
+        (10**5, 1, 4, 10**6, 1, 1),
+        (8, 8, 1, 3, 10 * GRAIN, 3),      # at most one worker per row
+        (0, 2, 1, 10 * GRAIN, 1, 1),      # at least one worker
+        (-1, 2, 1, 10 * GRAIN, 1, 1),
+    ])
+    def test_worker_count(self, threads, cores, cells, n, d, want):
+        assert samplers_mod._worker_count(threads, cores, cells, n, d) == want
+
+    def test_sample_wide_sized_pass_starts_no_pool(self, vp, unit_score,
+                                                  monkeypatch):
+        # 10k 1-D rows hold too few values per step for a second worker
+        # to pay, at any thread count and on any host
+        def no_pool(max_workers):
+            raise AssertionError(f"started a pool of {max_workers}")
+
+        monkeypatch.setattr(samplers_mod, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(samplers_mod, "_usable_cores", lambda: 64)
+        cfg = SamplerConfig(steps=4, grid_kind="uniform_t", seed=3)
+        for threads in (2, 3, 10**5):
+            sample(vp, unit_score, cfg, n=10000, d=1, threads=threads)
 
     def test_prefix_stability_under_batch_growth(self, vp, unit_score):
         # row-addressed noise: the first k trajectories do not depend on n
@@ -457,7 +514,7 @@ class TestSampleLoop:
         large = sample(vp, unit_score, cfg, n=64, d=1)
         assert np.array_equal(small, large[:16])
 
-    def test_non_finite_state_raises(self, vp):
+    def test_non_finite_state_raises(self, vp, split_pools):
         bad = ScoreModel(lambda z, t: np.full_like(z, np.nan), "score")
         cfg = SamplerConfig(kind="generalized", rho=0.0, gamma=0.0, steps=4,
                             seed=1)
@@ -478,6 +535,7 @@ class TestSampleLoop:
                             seed=seed)
         with pytest.raises(NumericalError, match=rf"step 0 .*row {row} holds nan"):
             sample(vp, one_bad, cfg, n=n, d=1, threads=2)
+        assert split_pools == [2]
 
         # in a cell sequence the message also names the cell; the cells
         # share the prior, so the state gains its cell axis after step 0
@@ -652,7 +710,8 @@ CELL_PARAMS = [(0.0, 0.5, 1.0), (1.0, 1.0, 0.5), (0.5, 0.0, 2.0),
                                   "exact_reference", "kingma",
                                   "non_markovian"])
 @pytest.mark.parametrize("mixture", sorted(CELL_MIXTURES))
-def test_cells_equal_stacked_single_runs(any_schedule, mixture, kind, threads):
+def test_cells_equal_stacked_single_runs(any_schedule, mixture, kind, threads,
+                                        split_pools):
     gmm = gmm_from_dict(CELL_MIXTURES[mixture])
     model = oracle_score_model(gmm, any_schedule)
     # eta moves only non_markovian, whose table ignores (rho, gamma, delta)
@@ -661,6 +720,7 @@ def test_cells_equal_stacked_single_runs(any_schedule, mixture, kind, threads):
     got = sample(any_schedule, model, cells, n=7, d=gmm.dim, threads=threads)
     want = [sample(any_schedule, model, c, n=7, d=gmm.dim) for c in cells]
     np.testing.assert_array_equal(got, np.stack(want))
+    assert split_pools == ([2] if threads == 2 else [])
 
 
 LAMBDA_GMM = {"weights": [0.3, 0.7], "means": [[-1.0, 0.5], [1.2, -0.3]],
