@@ -6,12 +6,13 @@ file, and seed: reruns produce byte-identical files.  Each CSV is a float
 table in 17 significant digits; ids and step numbers print as integers.
 
 ``sample`` runs one config as a one-cell pass and ``sweep`` runs all its
-cells in one pass.  ``--threads`` is the most worker threads that pass
-splits its rows across; a small pass runs on one, and outputs do not change.
-Only ``sample`` and ``sweep`` use it; ``info``, ``schedules`` and
-``snrspace`` ignore it.  ``sample --trajectories`` writes
-``trajectories.csv``, one row per (sample, grid node), from the pass's
-(steps + 1, n, d) state array.
+cells in one pass.  ``--threads`` (default 1) goes straight to
+:func:`~snrdiff.samplers.sample`, which decides how many worker threads the
+pass splits its rows across; a small pass runs on one.  Neither the outputs
+nor a numerical failure's message depend on it.  Only ``sample`` and
+``sweep`` use it; ``info``, ``schedules`` and ``snrspace`` ignore it.
+``sample --trajectories`` writes ``trajectories.csv``, one row per (sample,
+grid node), from the pass's (steps + 1, n, d) state array.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration
 or arguments, including an output directory that cannot be created or
@@ -146,18 +147,6 @@ def _resolve_sampler(args, cfg: dict) -> SamplerConfig:
     return sampler_config_from_dict(spec)
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("SNRDIFF_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"bad SNRDIFF_THREADS value {env!r}") from exc
-    return 1
-
-
 def _parse_grid(text: str, what: str) -> list[float]:
     """Parse 'lo:hi:count' (inclusive linspace) or a comma list of values;
     the grid must hold at least one value."""
@@ -225,7 +214,6 @@ def cmd_sample(args) -> int:
     sched = _resolve_schedule(args, cfg)
     gmm = _resolve_gmm(cfg)
     sampler_cfg = _resolve_sampler(args, cfg)
-    threads = _threads(args)
     n = _sample_count(args)
     single = gmm.n_components == 1
     if single and n <= gmm.dim:
@@ -234,7 +222,7 @@ def cmd_sample(args) -> int:
     check_target(gmm.mean(), gmm.cov(), kl=single)
 
     result = sample(sched, oracle_score_model(gmm, sched), sampler_cfg, n=n,
-                    d=gmm.dim, threads=threads,
+                    d=gmm.dim, threads=args.threads,
                     return_trajectories=args.trajectories)
     x, times, states = result if args.trajectories else (result, None, None)
     report = _quality_report(x, gmm, sampler_cfg.seed)
@@ -263,7 +251,6 @@ def cmd_sweep(args) -> int:
     sched = _resolve_schedule(args, cfg)
     gmm = _resolve_gmm(cfg)
     base = _resolve_sampler(args, cfg)
-    threads = _threads(args)
     n = _sample_count(args)
     gammas = _parse_grid(args.gammas, "gamma")
     deltas = _parse_grid(args.deltas, "delta")
@@ -273,7 +260,7 @@ def cmd_sweep(args) -> int:
     cells = [replace(base, kind="generalized", rho=r, gamma=g, delta=d)
              for g in gammas for d in deltas for r in rhos]
     xs = sample(sched, oracle_score_model(gmm, sched), cells, n=n, d=gmm.dim,
-                threads=threads)
+                threads=args.threads)
     reference = sample_data(gmm, n, base.seed)
     reports = [moment_report(x, gmm) for x in xs]
     table = np.column_stack([
@@ -315,8 +302,8 @@ def cmd_info(args) -> int:
         if not single:
             raise ConfigError("--kong needs a single-Gaussian gmm "
                               "(closed forms only)")
-        if min(lams) <= 0.0:
-            raise ConfigError("--kong needs a lambda grid with lambda > 0")
+        if not all(0.0 < lam < np.inf for lam in lams):
+            raise ConfigError("--kong needs a lambda grid of finite lambda > 0")
         points = kong_point(np.array(lams))
     else:
         sched = _resolve_schedule(args, cfg)
@@ -375,10 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON run config")
         p.add_argument("--seed", type=int, help="seed override")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int,
+        p.add_argument("--threads", type=int, default=1,
                        help="most worker threads for sample and sweep; a "
-                            "small pass runs on one (default: "
-                            "SNRDIFF_THREADS or 1)")
+                            "small pass runs on one, and neither outputs "
+                            "nor failure messages change (default: 1)")
         p.add_argument("--schedule",
                        help="built-in schedule name (overrides config)")
 

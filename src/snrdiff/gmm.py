@@ -89,6 +89,9 @@ class GmmSpec:
             c = c[None]
         if c.ndim != 3:
             raise ConfigError("covs must be a (K, D, D) array")
+        if m.ndim != 2 or 0 in m.shape:
+            raise ConfigError(f"means must be a (K, D) array with K, D >= 1, "
+                              f"got shape {m.shape}")
         k, d = m.shape
         if w.shape != (k,) or c.shape != (k, d, d):
             raise ConfigError(

@@ -95,8 +95,8 @@ def moment_report(samples, target: GmmSpec) -> SampleQualityReport:
 
 
 def _pairwise_distance_sum(a: np.ndarray, b: np.ndarray) -> float:
-    """Sum of all pairwise Euclidean distances, accumulated in a fixed
-    block order so the result is independent of threading."""
+    """Sum of all pairwise Euclidean distances, over _BLOCK x _BLOCK
+    blocks so no distance matrix holds more than _BLOCK^2 entries."""
     from scipy.spatial.distance import cdist  # deferred: see module docstring
 
     total = 0.0

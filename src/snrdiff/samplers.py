@@ -359,8 +359,9 @@ def sample(schedule: Schedule, score: ScoreModel, config, n: int, d: int,
     across: a pass gets at most one per usable core, one per row and one
     per _GRAIN state values (cells x n x d) a step, so a small pass runs on
     one.  Raises NumericalError, naming the step, its interval and the first
-    bad row (and cell), if a trajectory goes non-finite; a bad window or
-    gamma = -1 is a ConfigError from the function that owns the rule.
+    bad row (and cell) of the pass, whatever ``threads``, if a trajectory
+    goes non-finite; a bad window or gamma = -1 is a ConfigError from the
+    function that owns the rule.
 
     ``config`` is one SamplerConfig or a sequence of cells that differ only
     in rho, gamma and delta; one config runs as a one-cell sequence.  Returns
@@ -401,7 +402,9 @@ def sample(schedule: Schedule, score: ScoreModel, config, n: int, d: int,
     states = np.empty((n_steps + 1, n, d)) if return_trajectories else None
     out = np.empty((len(cells), n, d))
 
-    def run_rows(row_start: int, row_stop: int) -> None:
+    def run_rows(row_start: int, row_stop: int):
+        """Run rows [row_start, row_stop) into ``out``, or return their first
+        non-finite state as ((step, [cell,] row), message)."""
         z = sigma_start * rng.row_normals(seed, rng.PURPOSE_PRIOR, 0,
                                           row_start, row_stop, d)
         if return_trajectories:
@@ -418,27 +421,31 @@ def sample(schedule: Schedule, score: ScoreModel, config, n: int, d: int,
             if not np.all(np.isfinite(z)):
                 *cell, row, col = np.argwhere(~np.isfinite(z))[0]
                 where = "" if single or not cell else f" of cell {cell[0]}"
-                raise NumericalError(
-                    f"non-finite state at step {k} (t={grid[k]} -> "
-                    f"s={grid[k + 1]}): row {row_start + row}{where} holds "
-                    f"{z[(*cell, row, col)]}")
+                return ((k, *cell, row_start + row),
+                        f"non-finite state at step {k} (t={grid[k]} -> "
+                        f"s={grid[k + 1]}): row {row_start + row}{where} holds "
+                        f"{z[(*cell, row, col)]}")
             if return_trajectories:
                 states[k + 1, row_start:row_stop] = z
         out[:, row_start:row_stop] = z
+        return None
 
+    # one span of rows per worker; each worker runs in a copy of the caller's
+    # context, so numpy's errstate (a context variable) holds in the pool
     workers = _worker_count(int(threads), _usable_cores(), len(cells), n, d)
+    bounds = np.linspace(0, n, workers + 1).astype(int).tolist()
+    spans = list(zip(bounds[:-1], bounds[1:]))
     if workers == 1:
-        run_rows(0, n)
+        failures = [run_rows(*spans[0])]
     else:
-        # each worker runs in a copy of the caller's context, so numpy's
-        # errstate (a context variable) holds in the pool as in the caller
-        bounds = np.linspace(0, n, workers + 1).astype(int).tolist()
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(contextvars.copy_context().run, run_rows,
-                                   lo, hi)
-                       for lo, hi in zip(bounds[:-1], bounds[1:])]
-            for future in futures:
-                future.result()
+                                   *span) for span in spans]
+        failures = [future.result() for future in futures]
+    # the earliest (step, cell, row): what one worker over all rows meets
+    failures = [f for f in failures if f is not None]
+    if failures:
+        raise NumericalError(min(failures)[1])
 
     x = out[0] if single else out
     return (x, grid, states) if return_trajectories else x

@@ -85,7 +85,7 @@ def t_of_lambda(schedule: Schedule, lam):
     lam = np.asarray(lam, dtype=float)
     lo, hi = schedule.lambda_range()
     tol = 1e-12 * np.maximum(1.0, np.abs(lam))
-    bad = ~((lam >= lo - tol) & (lam <= hi + tol))
+    bad = ~(np.isfinite(lam) & (lam >= lo - tol) & (lam <= hi + tol))
     if np.any(bad):
         raise ConfigError(f"lambda={lam[bad].flat[0]} outside attainable "
                           f"range [{lo}, {hi}]")

@@ -5,14 +5,14 @@ identities as tests: acceptance tests 01-10 in ``tests/test_acceptance.py``
 assert them, so every tolerance, grid, sample count and seed lives here.
 
 ``run_verify("fast")`` runs the ten exact identities and finite-difference
-checks, about 2 s on a shared 2-core machine.  ``run_verify("full")`` adds
-the six Monte Carlo and convergence studies, 34-45 s on the same machine,
-almost all of it the 100k-path, 10k-step forward simulation of
-``check_forward_marginals``; its 10^9 normal draws alone take 27 s there.  Each check is independent and reports a
-one-line detail string with its measured numbers, so a failure names
-exactly what broke.  A NaN anywhere fails its check: worst-case errors
-accumulate with ``np.maximum``, which keeps a NaN that the builtin ``max``
-would drop.
+checks; ``snrdiff verify --level fast`` takes 0.4-0.5 s on a shared 2-core
+Xeon.  ``run_verify("full")`` adds the six Monte Carlo and convergence
+studies, 19-22 s on the same machine, almost all of it the 100k-path,
+10k-step forward simulation of ``check_forward_marginals``.  Each check is
+independent and reports a one-line detail string with its measured
+numbers, so a failure names exactly what broke.  A NaN anywhere fails its
+check: worst-case errors accumulate with ``np.maximum``, which keeps a NaN
+that the builtin ``max`` would drop.
 """
 
 from __future__ import annotations

@@ -71,6 +71,12 @@ HUGE_ONE_MEAN_RUNS = [["sample", "-n", "50"],
 OVERFLOWING_MIXTURE = {"schedule": {"name": "VP"}, "gmm": {
     "weights": [0.5, 0.5], "means": [[1.3e154], [-1.3e154]],
     "covs": [[1e-6], [1e-6]]}, "sampler": {"seed": 3, "steps": 8}}
+# mixtures whose means are not a (K, D) array with K, D >= 1
+THREE_AXIS_MEANS = {**UNIT_CONFIG, "gmm": {"weights": [1.0],
+                                           "means": [[[0.0]]],
+                                           "covs": [[[1.0]]]}}
+ZERO_DIM_MIXTURE = {**UNIT_CONFIG, "gmm": {"weights": [1.0], "means": [[]],
+                                           "covs": [[]]}}
 UNSERVED_RUNS = [
     (EXACT_REFERENCE_GAMMA_MINUS_ONE, ["sample", "-n", "8"], 2,
      "config error: gamma = -1 is excluded for the generalized step"),
@@ -100,12 +106,26 @@ UNSERVED_RUNS = [
     (OVERFLOWING_MIXTURE, ["sample", "-n", "16"], 3,
      "numerical failure: non-finite state at step 5 "
      "(t=0.11188097290315374 -> s=0.031686417908586915): row 0 holds nan"),
+    (THREE_AXIS_MEANS, ["sample", "-n", "8"], 2,
+     "config error: means must be a (K, D) array with K, D >= 1, got shape "
+     "(1, 1, 1)"),
+    (THREE_AXIS_MEANS, ["info"], 2,
+     "config error: means must be a (K, D) array with K, D >= 1, got shape "
+     "(1, 1, 1)"),
+    (ZERO_DIM_MIXTURE, ["sample", "-n", "8"], 2,
+     "config error: means must be a (K, D) array with K, D >= 1, got shape "
+     "(1, 0)"),
+    (ZERO_DIM_MIXTURE, ["info"], 2,
+     "config error: means must be a (K, D) array with K, D >= 1, got shape "
+     "(1, 0)"),
 ]
 UNSERVED_IDS = ["exact_reference_gamma_minus_one", "n_not_above_dim",
                 "singular_target", "zero_cov_sample", "zero_cov_sweep",
                 "huge_mean_info", "huge_mean_sample", "huge_mean_sweep",
                 "huge_one_mean_sample", "huge_one_mean_sweep",
-                "overflowing_mixture"]
+                "overflowing_mixture", "three_axis_means_sample",
+                "three_axis_means_info", "zero_dim_mixture_sample",
+                "zero_dim_mixture_info"]
 # the runs whose target the quality report cannot score
 UNSCORABLE_TARGETS = [
     (SINGULAR_GAUSS2D, ["sample", "-n", "8"]),
@@ -376,14 +396,16 @@ class TestSweepCommand:
             == (tmp_path / "t3" / "sweep.csv").read_bytes()
         assert split_pools == [3]
 
-    def test_threads_env_var(self, tmp_path, monkeypatch, split_pools):
+    def test_threads_come_only_from_the_flag(self, tmp_path, monkeypatch,
+                                             split_pools):
+        # no environment variable stands in for --threads, which defaults to 1
         cfg = write_config(tmp_path, GMM2D_CONFIG)
         monkeypatch.setenv("SNRDIFF_THREADS", "2")
         rc = main(["sweep", "--config", cfg, "-n", "32", "--gammas", "1",
                    "--deltas", "1", "--rhos", "1",
                    "--out", str(tmp_path / "env")])
         assert rc == 0
-        assert split_pools == [2]
+        assert split_pools == []
 
 
 class TestInfoCommand:
@@ -418,6 +440,18 @@ class TestInfoCommand:
         assert rc == 2
         assert not out.exists()
         assert "lambda=50.0 outside attainable range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lambdas", ["0,1", "nan", "1,nan", "1e400"])
+    def test_kong_lambda_not_finite_and_positive_exits_2(self, tmp_path,
+                                                        lambdas):
+        out = tmp_path / "out"
+        rc, err = run_cli(["info", "--config", write_config(tmp_path,
+                                                            UNIT_CONFIG),
+                           "--kong", f"--lambdas={lambdas}",
+                           "--out", str(out)])
+        assert (rc, err) == (2, "config error: --kong needs a lambda grid "
+                                "of finite lambda > 0\n")
+        assert not out.exists()
 
     def test_too_few_mc_draws_exits_2_and_writes_nothing(self, tmp_path,
                                                           capsys):
@@ -665,7 +699,8 @@ class TestConsoleEntry:
 # rejected, not about how large a run may be
 SMALL_JUNK = st.sampled_from([
     None, True, False, 0, -1, 1, 3, 0.5, -0.5, 1e308, float("nan"),
-    float("inf"), "", "abc", "VP", [], [1, 2], [[1.0]], {}, {"a": 1},
+    float("inf"), "", "abc", "VP", [], [[]], [1, 2], [[1.0]], [[[0.0]]], {},
+    {"a": 1},
 ]).map(copy.deepcopy)
 JUNK = SMALL_JUNK | st.just(2**70)
 SMALL_INT = st.sampled_from([-1, 0, 1, 2, 3])
@@ -789,6 +824,12 @@ def assert_finite_outputs(out: Path) -> None:
 @example(HUGE_MEAN, HUGE_MEAN_RUNS[2])
 @example(HUGE_ONE_MEAN, HUGE_ONE_MEAN_RUNS[0])
 @example(HUGE_ONE_MEAN, HUGE_ONE_MEAN_RUNS[1])
+@example(THREE_AXIS_MEANS, ["sample", "-n", "8"])
+@example(THREE_AXIS_MEANS, ["info"])
+@example(ZERO_DIM_MIXTURE, ["sample", "-n", "8"])
+@example(ZERO_DIM_MIXTURE, ["info"])
+@example(UNIT_CONFIG, ["info", "--lambdas=1,nan", "--kong"])
+@example(UNIT_CONFIG, ["info", "--lambdas=1e400"])
 def test_fuzzed_runs_keep_the_exit_code_contract(cfg, flags):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"

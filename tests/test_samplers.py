@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -546,6 +547,45 @@ class TestSampleLoop:
         with pytest.raises(NumericalError,
                            match=r"step 1 \(t=.* -> .*row 0 of cell 1 holds nan"):
             sample(vp, cell_bad, cells, n=4, d=1)
+
+    @pytest.mark.parametrize("config,where", [
+        (SamplerConfig(rho=0.0, gamma=0.0, steps=12, seed=4), ""),
+        ([SamplerConfig(rho=0.0, gamma=0.0, steps=12, seed=4),
+          SamplerConfig(rho=0.0, gamma=0.5, delta=0.8, steps=12, seed=4)],
+         " of cell 1"),
+        (SamplerConfig(kind="non_markovian", steps=12, seed=4), ""),
+    ], ids=["one_config", "two_cells", "non_markovian"])
+    def test_failure_message_does_not_depend_on_threads(self, vp, split_pools,
+                                                         config, where):
+        # the last row goes non-finite at step 3 and row 0 at step 10, so a
+        # split pass meets step 10 first in its first span; of two cells,
+        # only the last fails.  A zero eps-hat scales every state by
+        # alpha_s/alpha_t alone, so the zero-score run's trajectories say
+        # which row is which.
+        n = 8
+        first = config if isinstance(config, SamplerConfig) else config[0]
+        null = ScoreModel(lambda z, t: 0.0 * z, "eps")
+        _, grid, states = sample(vp, null, first, n=n, d=1,
+                                 return_trajectories=True)
+        bad_rows = {float(grid[3]): states[3, n - 1],
+                    float(grid[10]): states[10, 0]}
+
+        def eps(z, t):
+            bad = z == bad_rows.get(t, np.nan)
+            if z.ndim == 3:
+                bad[:-1] = False
+            return np.where(bad, np.nan, 0.0)
+
+        messages = []
+        for threads in (1, 2, 3):
+            with pytest.raises(NumericalError) as err:
+                sample(vp, ScoreModel(eps, "eps"), config, n=n, d=1,
+                       threads=threads)
+            messages.append(str(err.value))
+        assert messages == [messages[0]] * 3
+        assert re.match(rf"non-finite state at step 3 \(t=.* -> .*\): "
+                        rf"row {n - 1}{where} holds nan$", messages[0])
+        assert split_pools == [2, 3]
 
     def test_trajectories_recorded(self, vp, unit_score):
         # one (steps + 1, n, d) array on the grid: the prior first, x last;

@@ -78,7 +78,7 @@ class TestArrayInverse:
             assert got == ti
         assert type(t_of_lambda(vp, np.float64(0.0))) is float
 
-    @pytest.mark.parametrize("bad", [100.0, -100.0, np.nan])
+    @pytest.mark.parametrize("bad", [100.0, -100.0, np.nan, np.inf, -np.inf])
     def test_out_of_range_entry_raises(self, vp, bad):
         lams = np.array([0.0, 1.0, bad, 2.0])
         with pytest.raises(ConfigError, match="lambda=") as info:
