@@ -18,7 +18,9 @@ Exit codes: 0 success, 1 verification failure, 2 invalid configuration
 or arguments, including an output directory that cannot be created or
 written (IO error), 3 numerical failure.  The quality report needs
 ``-n`` >= 2, and ``-n`` above the dimension for a one-component target's
-Gaussian-fit KL; both are checked before sampling (2).  A target mean
+Gaussian-fit KL; both are checked before sampling (2).  ``-n`` and a
+mixture's ``--mc-n`` may not exceed the rows numpy can index in an array of
+8-byte values, 2**60 - 1 on a 64-bit build, checked before any draw (2).  A target mean
 or covariance that is not finite, a zero target covariance, or one that
 is singular for that KL leaves the report undefined (3); ``sample`` and
 ``sweep`` check this before sampling too.  A quality value that still
@@ -55,8 +57,8 @@ from .infotheory import (
     mmse_gaussian,
     mmse_mc,
 )
-from .metrics import (check_target, energy_distance, gaussian_kl_fit,
-                      moment_report)
+from .metrics import (_canonical, _gaussian_kl, _moment_report, check_target,
+                      energy_distance)
 from .samplers import SamplerConfig, sample, sampler_config_from_dict
 from .schedule import Schedule, eval_schedule, make_schedule, schedule_from_dict
 from .snr_space import t_of_lambda, tilde_eval
@@ -193,20 +195,38 @@ def _check_quality(metrics: dict, where: str = "") -> None:
                 f"quality metric {name} is not finite ({value}){where}")
 
 
-def _quality_report(x, gmm, seed):
-    report = moment_report(x, gmm)
-    reference = sample_data(gmm, x.shape[0], seed)
-    report.energy_distance = energy_distance(x, reference)
+def _quality_report(x, gmm, seed, target):
+    """The report of samples x: what ``moment_report``, ``energy_distance``
+    and, for one component, ``gaussian_kl_fit`` give, with x put in
+    canonical order once.  ``target`` is gmm's (mean, cov), which the caller
+    has checked, for the KL too when gmm has one component."""
+    rows = _canonical(x)
+    report = _moment_report(rows, *target)
+    report.energy_distance = energy_distance(
+        rows, sample_data(gmm, x.shape[0], seed))
     if gmm.n_components == 1:
-        report.gaussian_kl = gaussian_kl_fit(x, gmm.means[0], gmm.covs[0])
+        report.gaussian_kl = _gaussian_kl(rows, gmm.means[0], gmm.covs[0])
     _check_quality(report.to_dict())
     return report
+
+
+# numpy indexes an array's bytes with np.intp, and every run builds at least
+# one array of 8-byte values per row, so no run can take more rows than this
+_MAX_ROWS = np.iinfo(np.intp).max // 8
+
+
+def _row_count(option: str, n: int) -> int:
+    """``n``, or a ConfigError naming ``option`` if it exceeds _MAX_ROWS."""
+    if n > _MAX_ROWS:
+        raise ConfigError(f"{option} must be at most {_MAX_ROWS}, got {n}: "
+                          "numpy cannot index more rows of 8-byte values")
+    return n
 
 
 def _sample_count(args) -> int:
     if args.n < 2:
         raise ConfigError(f"-n must be >= 2 for the quality report, got {args.n}")
-    return args.n
+    return _row_count("-n", args.n)
 
 
 def cmd_sample(args) -> int:
@@ -219,13 +239,14 @@ def cmd_sample(args) -> int:
     if single and n <= gmm.dim:
         raise ConfigError(f"-n must exceed the dimension {gmm.dim} for the "
                           f"Gaussian-fit KL, got {n}")
-    check_target(gmm.mean(), gmm.cov(), kl=single)
+    target = gmm.mean(), gmm.cov()
+    check_target(*target, kl=single)
 
     result = sample(sched, oracle_score_model(gmm, sched), sampler_cfg, n=n,
                     d=gmm.dim, threads=args.threads,
                     return_trajectories=args.trajectories)
     x, times, states = result if args.trajectories else (result, None, None)
-    report = _quality_report(x, gmm, sampler_cfg.seed)
+    report = _quality_report(x, gmm, sampler_cfg.seed, target)
 
     files = {
         "samples.csv": _csv_text(
@@ -255,19 +276,21 @@ def cmd_sweep(args) -> int:
     gammas = _parse_grid(args.gammas, "gamma")
     deltas = _parse_grid(args.deltas, "delta")
     rhos = _parse_grid(args.rhos, "rho")
-    check_target(gmm.mean(), gmm.cov())
+    target = gmm.mean(), gmm.cov()
+    check_target(*target)
 
     cells = [replace(base, kind="generalized", rho=r, gamma=g, delta=d)
              for g in gammas for d in deltas for r in rhos]
     xs = sample(sched, oracle_score_model(gmm, sched), cells, n=n, d=gmm.dim,
                 threads=args.threads)
     reference = sample_data(gmm, n, base.seed)
-    reports = [moment_report(x, gmm) for x in xs]
+    rows = [_canonical(x) for x in xs]
+    reports = [_moment_report(x, *target) for x in rows]
     table = np.column_stack([
         [c.gamma for c in cells], [c.delta for c in cells],
         [c.rho for c in cells], [r.mean_error_l2 for r in reports],
         [r.cov_frobenius_error for r in reports],
-        [energy_distance(x, reference) for x in xs]])
+        [energy_distance(x, reference) for x in rows]])
 
     out_dir = Path(args.out)
     header = ["gamma", "delta", "rho", "mean_error_l2",
@@ -297,6 +320,7 @@ def cmd_info(args) -> int:
         if seed is None:
             raise ConfigError("mixtures need a seed for Monte Carlo estimates")
         seed = integer("seed", seed)
+        mc_n = _row_count("--mc-n", args.mc_n)
 
     if args.kong:
         if not single:
@@ -314,7 +338,7 @@ def cmd_info(args) -> int:
     if single:
         mmse = mmse_gaussian(gmm.covs[0], points)
     else:
-        mmse = mmse_mc(gmm, sched, points.lam, args.mc_n, seed, t=t).value
+        mmse = mmse_mc(gmm, sched, points.lam, mc_n, seed, t=t).value
     columns = {"lambda": points.lam, "mmse": mmse,
                "dmi_dlambda": dmi_dlambda(points, mmse)}
     if single:

@@ -12,6 +12,14 @@ pooled samples evaluates exactly in O((n+m) log(n+m)).  D > 1 sums all
 pairwise distances with blocked ``cdist``, whose module
 (``scipy.spatial``) is imported on first use: only D > 1 reaches it, and
 importing it takes longer than a whole 1-D run's metrics.
+
+The moments, the Gaussian-fit KL and the D > 1 energy distance sum over
+the samples in canonical (lexicographic) row order, so each is exactly
+permutation-invariant.  The private ``_moment_report`` and ``_gaussian_kl``
+take samples already in that order and a target already checked, and the
+public functions call them after doing both: a command that scores one
+sample set against several metrics, or several sets against one target
+(``sweep``'s cells), sorts each set and checks the target once.
 """
 
 from __future__ import annotations
@@ -40,13 +48,19 @@ class SampleQualityReport:
         return asdict(self)
 
 
-def _as_samples(x) -> np.ndarray:
+def _as_rows(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
     if x.ndim != 2:
         raise ValueError("samples must be a (n, D) array")
-    # canonical row order: summations become exactly permutation-invariant
+    return x
+
+
+def _canonical(x) -> np.ndarray:
+    """Samples as (n, D) rows in canonical (lexicographic) order, so that
+    summations over them are exactly permutation-invariant."""
+    x = _as_rows(x)
     return x[np.lexsort(x.T[::-1])]
 
 
@@ -76,7 +90,7 @@ def moment_report(samples, target: GmmSpec) -> SampleQualityReport:
     The covariance error is relative to the target's Frobenius norm; a
     target that :func:`check_target` rejects raises NumericalError.
     """
-    x = _as_samples(samples)
+    x = _canonical(samples)
     if x.shape[0] < 2:
         raise ValueError("need at least 2 samples")
     if x.shape[1] != target.dim:
@@ -85,13 +99,20 @@ def moment_report(samples, target: GmmSpec) -> SampleQualityReport:
         )
     ref_mean, ref_cov = target.mean(), target.cov()
     check_target(ref_mean, ref_cov)
+    return _moment_report(x, ref_mean, ref_cov)
+
+
+def _moment_report(x: np.ndarray, ref_mean, ref_cov) -> SampleQualityReport:
+    """:func:`moment_report` of canonical samples x (n >= 2) against a
+    target mean and covariance of their dimension that
+    :func:`check_target` accepts."""
+    n, d = x.shape
     mean_err = float(np.linalg.norm(x.mean(axis=0) - ref_mean))
-    emp_cov = np.cov(x, rowvar=False, ddof=1).reshape(target.dim, target.dim)
+    emp_cov = np.cov(x, rowvar=False, ddof=1).reshape(d, d)
     cov_err = float(np.linalg.norm(emp_cov - ref_cov)
                     / np.linalg.norm(ref_cov))
     return SampleQualityReport(mean_error_l2=mean_err,
-                               cov_frobenius_error=cov_err,
-                               n=x.shape[0])
+                               cov_frobenius_error=cov_err, n=n)
 
 
 def _pairwise_distance_sum(a: np.ndarray, b: np.ndarray) -> float:
@@ -137,8 +158,13 @@ def energy_distance(a, b) -> float:
     of an exact rational reference.  D > 1 sums the three pairwise terms
     with blocked ``cdist``; they cancel, so its error scales with E||A-B||
     rather than with the result (2.1e-14 relative seen on 1-D sets).
+
+    Only D > 1 puts the rows in canonical order first.  The 1-D path sorts
+    the pooled values itself, and rows that tie there sit on a gap of zero,
+    which adds exactly nothing whatever their order, so any row order gives
+    its bits.
     """
-    a, b = _as_samples(a), _as_samples(b)
+    a, b = _as_rows(a), _as_rows(b)
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise ValueError("both sample sets must be nonempty")
     if a.shape[1] != b.shape[1]:
@@ -147,6 +173,7 @@ def energy_distance(a, b) -> float:
         raise ValueError("sample sets must be finite")
     if a.shape[1] == 1:
         return _energy_distance_1d(a[:, 0], b[:, 0])
+    a, b = _canonical(a), _canonical(b)
     n, m = a.shape[0], b.shape[0]
     cross = _pairwise_distance_sum(a, b) / (n * m)
     within_a = _pairwise_distance_sum(a, a) / (n * n)
@@ -161,15 +188,23 @@ def gaussian_kl_fit(samples, target_mean, target_cov) -> float:
     :func:`check_target` rejects for the KL, or a singular fitted
     covariance, raises NumericalError.
     """
-    x = _as_samples(samples)
-    n, d = x.shape
+    x = _canonical(samples)
     target_mean = np.atleast_1d(np.asarray(target_mean, dtype=float))
     target_cov = np.asarray(target_cov, dtype=float)
     if target_cov.ndim == 0:
         target_cov = target_cov[None, None]
-    if n <= d:
+    if x.shape[0] <= x.shape[1]:
         raise ValueError("need more samples than dimensions to fit")
     check_target(target_mean, target_cov, kl=True)
+    return _gaussian_kl(x, target_mean, target_cov)
+
+
+def _gaussian_kl(x: np.ndarray, target_mean: np.ndarray,
+                 target_cov: np.ndarray) -> float:
+    """:func:`gaussian_kl_fit` of canonical samples x (n > D) against a
+    (D,) mean and (D, D) covariance that ``check_target(..., kl=True)``
+    accepts."""
+    n, d = x.shape
     logdet_t = np.linalg.slogdet(target_cov)[1]
 
     fit_mean = x.mean(axis=0)

@@ -16,6 +16,19 @@ by a splitmix64 chain.  Two access patterns are provided:
   number of blocks, and normals come from the inverse CDF so that exactly
   one word feeds one value.
 
+A counter-based generator's whole state is its (key, counter) pair, plus
+the buffer of words already drawn from the current block.  So
+:func:`row_normals` keeps one ``Philox`` per thread and re-keys it on every
+call through its ``state`` setter: key, counter, an empty buffer
+(``buffer_pos = 4``) and no cached 32-bit half (``has_uint32 = 0``,
+``uinteger = 0``), the state a fresh ``Philox(key=..., counter=...)`` starts
+in.  No call can see what an earlier one drew, and the draws are the fresh
+generator's bits.  Setting the state takes a few microseconds where
+constructing a ``Philox`` takes about 20, and a 100-step sampler pass makes
+one call per step.  Each generator lives as long as its thread, so
+concurrent workers never share one, and what it holds is overwritten on
+every call: it carries nothing from one call, or one run, to the next.
+
 The inverse CDF is ``scipy.special.ndtri``, imported inside
 :func:`row_normals` on first use so that importing the package loads no
 scipy module (commands that draw no row noise, such as ``info`` and
@@ -28,6 +41,8 @@ Purpose tags keep independent uses of the same user seed from colliding.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -70,6 +85,24 @@ def _uniform_open(raw: np.ndarray) -> np.ndarray:
     return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
 
+_local = threading.local()
+
+
+def _rekeyed(key: int, counter: int) -> Philox:
+    """This thread's Philox, set to the state ``Philox(key=key,
+    counter=counter)`` starts in."""
+    try:
+        bg = _local.philox
+    except AttributeError:
+        bg = _local.philox = Philox(key=0)
+    bg.state = {"bit_generator": "Philox",
+                "state": {"counter": (counter & _MASK64, counter >> 64, 0, 0),
+                          "key": (key & _MASK64, key >> 64)},
+                "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+                "has_uint32": 0, "uinteger": 0}
+    return bg
+
+
 def row_normals(
     seed: int,
     purpose: int,
@@ -81,20 +114,24 @@ def row_normals(
     """Standard normals for rows [row_start, row_stop), shape (rows, width).
 
     The value at (row, column) depends only on the key material and the
-    absolute row index, never on how rows are batched.
+    absolute row index, never on how rows are batched.  Row r reads Philox
+    counter r * ceil(width / 4) of the key's stream; each of its first
+    ``width`` words w becomes the open-interval uniform (w >> 11 + 1/2) / 2**53
+    and then its inverse normal CDF.  The words come from this thread's
+    generator with its whole state reset for the call (see the module
+    docstring), so they are those of a Philox constructed for it.
     """
     from scipy.special import ndtri  # deferred: see the module docstring
 
-    rows = int(row_stop) - int(row_start)
-    if rows < 0 or width < 1:
-        raise ValueError("need row_stop >= row_start and width >= 1")
+    row_start = int(row_start)
+    rows = int(row_stop) - row_start
+    if row_start < 0 or rows < 0 or width < 1:
+        raise ValueError("need 0 <= row_start <= row_stop and width >= 1")
     if rows == 0:
         return np.empty((0, width))
     blocks_per_row = -(-width // 4)  # ceil; one block = 4 uint64 words
-    bg = Philox(
-        key=philox_key(seed, purpose, context),
-        counter=int(row_start) * blocks_per_row,
-    )
+    bg = _rekeyed(philox_key(seed, purpose, context),
+                  row_start * blocks_per_row)
     raw = bg.random_raw(rows * blocks_per_row * 4)
     words = np.asarray(raw, dtype=np.uint64).reshape(rows, blocks_per_row * 4)
     return ndtri(_uniform_open(words[:, :width]))

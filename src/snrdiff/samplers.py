@@ -53,7 +53,7 @@ import contextvars
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -320,6 +320,12 @@ class SamplerConfig:
         return asdict(self)
 
 
+# the fields a pass's cells may differ in, and the ones they must share
+_CELL_FIELDS = ("rho", "gamma", "delta")
+_SHARED_FIELDS = tuple(name for name in SamplerConfig.__dataclass_fields__
+                       if name not in _CELL_FIELDS)
+
+
 def sampler_config_from_dict(spec: dict) -> SamplerConfig:
     if not isinstance(spec, dict):
         raise ConfigError("sampler spec must be a JSON object")
@@ -378,11 +384,11 @@ def sample(schedule: Schedule, score: ScoreModel, config, n: int, d: int,
     if not cells or (return_trajectories and not single):
         raise ValueError("need one or more cells and no trajectories")
     config = cells[0]
-    if any(replace(c, rho=config.rho, gamma=config.gamma,
-                   delta=config.delta) != config for c in cells):
+    if len({tuple(getattr(c, name) for name in _SHARED_FIELDS)
+            for c in cells}) > 1:
         raise ValueError("cells may differ only in rho, gamma and delta")
     params = {name: np.reshape([getattr(c, name) for c in cells], (-1, 1, 1, 1))
-              for name in ("rho", "gamma", "delta")}
+              for name in _CELL_FIELDS}
     grid = make_time_grid(
         schedule, config.grid_kind, config.steps,
         schedule.t_max if config.t_start is None else config.t_start,

@@ -8,6 +8,7 @@ import sys
 import tempfile
 import traceback
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import snrdiff
-from snrdiff import cli, rng, samplers, snr_space
+from snrdiff import (cli, energy_distance, gaussian_kl_fit, gmm_from_dict,
+                     make_schedule, moment_report, oracle_score_model, rng,
+                     sample, sample_data, sampler_config_from_dict, samplers,
+                     snr_space)
 from snrdiff.cli import _csv_text, main
 
 UNIT_CONFIG = {
@@ -71,6 +75,12 @@ HUGE_ONE_MEAN_RUNS = [["sample", "-n", "50"],
 OVERFLOWING_MIXTURE = {"schedule": {"name": "VP"}, "gmm": {
     "weights": [0.5, 0.5], "means": [[1.3e154], [-1.3e154]],
     "covs": [[1e-6], [1e-6]]}, "sampler": {"seed": 3, "steps": 8}}
+MIXTURE_1D = {**UNIT_CONFIG, "gmm": {"weights": [0.5, 0.5],
+                                     "means": [[-1.0], [1.0]],
+                                     "covs": [[[0.3]], [[0.3]]]}}
+# row counts too large for any array numpy can index
+OVERSIZED_RUNS = [["sample", "-n", "100000000000000000000"],
+                  ["info", "--mc-n", "100000000000000000000"]]
 # mixtures whose means are not a (K, D) array with K, D >= 1
 THREE_AXIS_MEANS = {**UNIT_CONFIG, "gmm": {"weights": [1.0],
                                            "means": [[[0.0]]],
@@ -118,6 +128,12 @@ UNSERVED_RUNS = [
     (ZERO_DIM_MIXTURE, ["info"], 2,
      "config error: means must be a (K, D) array with K, D >= 1, got shape "
      "(1, 0)"),
+    (MIXTURE_1D, OVERSIZED_RUNS[0], 2,
+     "config error: -n must be at most 1152921504606846975, got "
+     "100000000000000000000: numpy cannot index more rows of 8-byte values"),
+    (MIXTURE_1D, OVERSIZED_RUNS[1], 2,
+     "config error: --mc-n must be at most 1152921504606846975, got "
+     "100000000000000000000: numpy cannot index more rows of 8-byte values"),
 ]
 UNSERVED_IDS = ["exact_reference_gamma_minus_one", "n_not_above_dim",
                 "singular_target", "zero_cov_sample", "zero_cov_sweep",
@@ -125,7 +141,8 @@ UNSERVED_IDS = ["exact_reference_gamma_minus_one", "n_not_above_dim",
                 "huge_one_mean_sample", "huge_one_mean_sweep",
                 "overflowing_mixture", "three_axis_means_sample",
                 "three_axis_means_info", "zero_dim_mixture_sample",
-                "zero_dim_mixture_info"]
+                "zero_dim_mixture_info", "oversized_n_sample",
+                "oversized_mc_n_info"]
 # the runs whose target the quality report cannot score
 UNSCORABLE_TARGETS = [
     (SINGULAR_GAUSS2D, ["sample", "-n", "8"]),
@@ -406,6 +423,46 @@ class TestSweepCommand:
                    "--out", str(tmp_path / "env")])
         assert rc == 0
         assert split_pools == []
+
+
+    @pytest.mark.parametrize("cfg", [UNIT_CONFIG, GMM2D_CONFIG],
+                             ids=["gauss_1d", "mixture_2d"])
+    def test_rows_are_the_public_metrics_of_each_cell(self, tmp_path, cfg):
+        # the target moments, checked once, and each cell's samples, put in
+        # canonical order once, give the public calls' bits per cell
+        gammas, deltas = [0.5, 1.0, 1.5], [0.9, 1.1]
+        main(["sweep", "--config", write_config(tmp_path, cfg), "-n", "48",
+              "--gammas", "0.5,1.0,1.5", "--deltas", "0.9,1.1",
+              "--out", str(tmp_path)])
+        _, rows = read_rows(tmp_path / "sweep.csv")
+        sched = make_schedule(cfg["schedule"]["name"])
+        gmm = gmm_from_dict(cfg["gmm"])
+        base = sampler_config_from_dict(cfg["sampler"])
+        cells = [replace(base, kind="generalized", rho=1.0, gamma=g, delta=d)
+                 for g in gammas for d in deltas]
+        xs = sample(sched, oracle_score_model(gmm, sched), cells, n=48,
+                    d=gmm.dim)
+        reference = sample_data(gmm, 48, base.seed)
+        assert len(rows) == len(cells)
+        for row, cell, x in zip(rows, cells, xs):
+            report = moment_report(x, gmm)
+            assert [float(v) for v in row] == [
+                cell.gamma, cell.delta, cell.rho, report.mean_error_l2,
+                report.cov_frobenius_error, energy_distance(x, reference)]
+
+
+@pytest.mark.parametrize("cfg", [UNIT_CONFIG, GMM2D_CONFIG],
+                         ids=["gauss_1d", "mixture_2d"])
+def test_quality_report_is_the_public_metrics(cfg):
+    gmm = gmm_from_dict(cfg["gmm"])
+    x = sample_data(gmm, 64, 11)[::-1] * 1.1
+    report = cli._quality_report(x, gmm, 5, (gmm.mean(), gmm.cov()))
+    want = moment_report(x, gmm)
+    want.energy_distance = energy_distance(x, sample_data(gmm, 64, 5))
+    if gmm.n_components == 1:
+        want.gaussian_kl = gaussian_kl_fit(x, gmm.means[0], gmm.covs[0])
+    assert (report.gaussian_kl is None) == (gmm.n_components > 1)
+    assert report.to_dict() == want.to_dict()
 
 
 class TestInfoCommand:
@@ -830,6 +887,8 @@ def assert_finite_outputs(out: Path) -> None:
 @example(ZERO_DIM_MIXTURE, ["info"])
 @example(UNIT_CONFIG, ["info", "--lambdas=1,nan", "--kong"])
 @example(UNIT_CONFIG, ["info", "--lambdas=1e400"])
+@example(MIXTURE_1D, OVERSIZED_RUNS[0])
+@example(MIXTURE_1D, OVERSIZED_RUNS[1])
 def test_fuzzed_runs_keep_the_exit_code_contract(cfg, flags):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"

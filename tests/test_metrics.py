@@ -99,6 +99,17 @@ class TestEnergyDistance:
         )
         np.testing.assert_allclose(energy_distance(a, b), direct, rtol=1e-10)
 
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_1d_bits_do_not_depend_on_row_order(self, ties):
+        # the 1-D path sorts the pooled values itself; rows that tie sit on
+        # a zero gap, so the unsorted sets give the sorted sets' bits
+        gen = np.random.default_rng(8)
+        a, b = random_sets(gen, 300, 240, ties)
+        want = energy_distance(np.sort(a), np.sort(b))
+        for _ in range(5):
+            assert energy_distance(gen.permutation(a),
+                                   gen.permutation(b)) == want
+
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_raises(self, d, bad):

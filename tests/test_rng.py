@@ -1,10 +1,39 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
-from numpy.random import Philox
+from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
-from snrdiff import rng
+from snrdiff import SamplerConfig, make_schedule, oracle_score_model, rng
+from snrdiff import sample, single_gaussian
+
+
+def fresh_philox_normals(seed, purpose, context, row_start, row_stop, width):
+    """row_normals drawn from a Philox constructed for the call."""
+    blocks = -(-width // 4)
+    bg = Philox(key=rng.philox_key(seed, purpose, context),
+                counter=row_start * blocks)
+    words = bg.random_raw((row_stop - row_start) * blocks * 4)
+    words = words.reshape(-1, blocks * 4)[:, :width]
+    return ndtri(((words >> np.uint64(11)).astype(np.float64) + 0.5)
+                 * 2.0**-53)
+
+
+# (seed, purpose, context, row_start, row_stop, width) of draws that differ
+# in every field from their neighbours
+DRAWS = [(seed, purpose, context, start, start + rows, width)
+         for seed, purpose, context, start, rows, width in [
+             (0, rng.PURPOSE_STEP, 0, 0, 1, 1),
+             (2024, rng.PURPOSE_PRIOR, 9, 37, 24, 5),
+             (2**64 - 1, rng.PURPOSE_STEP, 99, 2**40, 7, 16),
+             (7, rng.PURPOSE_MC, 3, 1, 300, 1),
+             (0, rng.PURPOSE_STEP, 1, 5, 2, 5),
+             (2024, rng.PURPOSE_STEP, 9, 36, 26, 16),
+             (13, rng.PURPOSE_FORWARD, 2**63, 10**6, 33, 5),
+             (2**32, rng.PURPOSE_DATA, 0, 3, 64, 1)]]
 
 
 class TestRowNormals:
@@ -43,6 +72,71 @@ class TestRowNormals:
                               width)
         assert got.tobytes() == expected.tobytes()
 
+    def test_interleaved_calls_match_fresh_generators(self):
+        # one thread's generator is re-keyed for every call, so calls in
+        # any order, after a draw that leaves its buffer part-read and a
+        # 32-bit half cached, give the fresh generator's bits
+        for order in (DRAWS, DRAWS[::-1], DRAWS[1::2] + DRAWS[::2]):
+            for draw in order:
+                dirty = rng._rekeyed(rng.philox_key(1, 2), 3)
+                dirty.random_raw(2)
+                Generator(dirty).integers(0, 2**32, dtype=np.uint32)
+                got = rng.row_normals(*draw)
+                assert got.tobytes() == fresh_philox_normals(*draw).tobytes()
+
+    def test_concurrent_threads_match_one_thread(self):
+        # four threads (more than the cores of a small host) drawing at
+        # once, each on its own generator, give the one-thread bits
+        expected = [rng.row_normals(*draw).tobytes() for draw in DRAWS]
+        results, errors = {}, []
+        start = threading.Barrier(4)
+
+        def worker(k):
+            try:
+                start.wait(timeout=30)
+                for rep in range(20):
+                    for i in range(len(DRAWS)):
+                        j = (i + k + rep) % len(DRAWS)
+                        got = rng.row_normals(*DRAWS[j]).tobytes()
+                        results.setdefault((k, j), set()).add(got)
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,))
+                       for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 4 * len(DRAWS)
+        assert all(got == {expected[j]} for (_, j), got in results.items())
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_sample_builds_at_most_one_generator_per_worker(
+            self, monkeypatch, threads):
+        built = []
+
+        def counting_philox(*args, **kwargs):
+            built.append(threading.get_ident())
+            return Philox(*args, **kwargs)
+
+        monkeypatch.setattr(rng, "Philox", counting_philox)
+        vp = make_schedule("VP")
+        gmm = single_gaussian([0.5, -0.5], [[1.0, 0.3], [0.3, 0.6]])
+        cfg = SamplerConfig(steps=100, seed=3)
+        # 3 workers at threads=3: 3 x 8192 state values a step
+        sample(vp, oracle_score_model(gmm, vp), cfg, n=12288, d=2,
+               threads=threads)
+        assert len(built) <= threads
+        assert len(set(built)) == len(built)
+
     def test_row_addressing(self):
         # row i of any span equals the single-row draw at absolute index i
         for i in (0, 5, 17):
@@ -71,6 +165,12 @@ class TestRowNormals:
         assert abs(x.mean()) < 0.01
         assert abs(x.std() - 1.0) < 0.01
         assert np.all(np.isfinite(x))
+
+    @pytest.mark.parametrize("start,stop,width", [(-1, 2, 1), (5, 4, 1),
+                                                  (0, 2, 0)])
+    def test_bad_range_raises(self, start, stop, width):
+        with pytest.raises(ValueError, match="row_start"):
+            rng.row_normals(0, rng.PURPOSE_STEP, 0, start, stop, width)
 
     def test_empty_range(self):
         x = rng.row_normals(0, rng.PURPOSE_STEP, 0, 10, 10, 3)
