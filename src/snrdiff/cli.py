@@ -229,12 +229,31 @@ def _sample_count(args) -> int:
     return _row_count("-n", args.n)
 
 
+def _check_width(n: int, per_row: int) -> None:
+    """ConfigError naming ``-n`` unless n rows of ``per_row`` 8-byte values
+    fit numpy's index; called before any draw.
+
+    ``per_row`` is that of the first array ``samplers.sample`` builds: the
+    trajectory states (one row of d per node) or the cells' final states.
+    Every later array with more values a row (noise words, the reference
+    draw's factors, the trajectories table) is built only after that one
+    fit in memory, and memory bounds n far below this check.
+    """
+    if n * per_row > _MAX_ROWS:
+        raise ConfigError(f"-n must be at most {_MAX_ROWS // per_row} for "
+                          f"this run, got {n}: its sampled states hold "
+                          f"{per_row} 8-byte values per row, and numpy "
+                          f"cannot index more than {_MAX_ROWS}")
+
+
 def cmd_sample(args) -> int:
     cfg = _load_config(args.config)
     sched = _resolve_schedule(args, cfg)
     gmm = _resolve_gmm(cfg)
     sampler_cfg = _resolve_sampler(args, cfg)
     n = _sample_count(args)
+    _check_width(n, gmm.dim * (sampler_cfg.steps + 1 if args.trajectories
+                               else 1))
     single = gmm.n_components == 1
     if single and n <= gmm.dim:
         raise ConfigError(f"-n must exceed the dimension {gmm.dim} for the "
@@ -276,6 +295,7 @@ def cmd_sweep(args) -> int:
     gammas = _parse_grid(args.gammas, "gamma")
     deltas = _parse_grid(args.deltas, "delta")
     rhos = _parse_grid(args.rhos, "rho")
+    _check_width(n, gmm.dim * len(gammas) * len(deltas) * len(rhos))
     target = gmm.mean(), gmm.cov()
     check_target(*target)
 

@@ -9,9 +9,15 @@ In one dimension the energy distance equals twice the integrated squared
 difference of the two empirical CDFs (Szekely & Rizzo, "Energy statistics:
 A class of statistics based on distances", 2013), which one sort of the
 pooled samples evaluates exactly in O((n+m) log(n+m)).  D > 1 sums all
-pairwise distances with blocked ``cdist``, whose module
-(``scipy.spatial``) is imported on first use: only D > 1 reaches it, and
-importing it takes longer than a whole 1-D run's metrics.
+pairwise distances with ``cdist``, whose module (``scipy.spatial``) is
+imported on first use: only D > 1 reaches it, and importing it takes
+longer than a whole 1-D run's metrics.  Two constants shape that sum.
+``_BLOCK`` fixes its order: the rows pair up in _BLOCK x _BLOCK blocks,
+whose totals add left to right, each total the bits of
+``cdist(block_a, block_b).sum()``.  ``_LEAF`` bounds its memory: a block's
+total is formed down numpy's own pairwise-summation tree, and no
+``cdist`` call returns more than _LEAF distances plus two rows.  The bits
+are pinned by ``tests/test_metrics.py::TestPairwiseDistanceSum``.
 
 The moments, the Gaussian-fit KL and the D > 1 energy distance sum over
 the samples in canonical (lexicographic) row order, so each is exactly
@@ -32,6 +38,9 @@ from .errors import NumericalError
 from .gmm import GmmSpec
 
 _BLOCK = 2048
+_LEAF = 2 ** 18
+# numpy adds a run of at most this many float64 values without splitting it
+_PAIRWISE_RUN = 128
 
 
 @dataclass
@@ -116,15 +125,41 @@ def _moment_report(x: np.ndarray, ref_mean, ref_cov) -> SampleQualityReport:
 
 
 def _pairwise_distance_sum(a: np.ndarray, b: np.ndarray) -> float:
-    """Sum of all pairwise Euclidean distances, over _BLOCK x _BLOCK
-    blocks so no distance matrix holds more than _BLOCK^2 entries."""
+    """Sum of all pairwise Euclidean distances between the rows of a and b.
+
+    The rows pair up in _BLOCK x _BLOCK blocks, and the block totals add in
+    loop order.  Each total is ``float(cdist(block_a, block_b).sum())`` bit
+    for bit, with no distance matrix of the block formed: numpy sums a
+    contiguous float64 array by pairwise summation (Higham 1993), cutting
+    a run of more than _PAIRWISE_RUN values at half its length rounded down
+    to a multiple of 8.  The walk below cuts the block's raveled distances
+    the same way until a run holds at most _LEAF values, computes ``cdist``
+    for just the rows that run touches (``cdist`` computes each pair on its
+    own, so a row's distances are the same bits in any call), sums the
+    run's slice with numpy, and adds the run totals back up the tree.
+    ``TestPairwiseDistanceSum`` compares it with the matrix form.
+    """
     from scipy.spatial.distance import cdist  # deferred: see module docstring
+
+    def run_sum(rows: np.ndarray, cols: np.ndarray, lo: int, hi: int) -> float:
+        # entries [lo, hi) of cdist(rows, cols).ravel(), summed as numpy would
+        count = hi - lo
+        if count > max(_LEAF, _PAIRWISE_RUN):
+            half = count // 2
+            half -= half % 8
+            return (run_sum(rows, cols, lo, lo + half)
+                    + run_sum(rows, cols, lo + half, hi))
+        width = cols.shape[0]
+        first, stop = lo // width, -(-hi // width)
+        dist = cdist(rows[first:stop], cols).ravel()
+        return float(dist[lo - first * width:hi - first * width].sum())
 
     total = 0.0
     for i in range(0, a.shape[0], _BLOCK):
         block = a[i:i + _BLOCK]
         for j in range(0, b.shape[0], _BLOCK):
-            total += float(cdist(block, b[j:j + _BLOCK]).sum())
+            cols = b[j:j + _BLOCK]
+            total += run_sum(block, cols, 0, block.shape[0] * cols.shape[0])
     return total
 
 
@@ -156,8 +191,11 @@ def energy_distance(a, b) -> float:
     D = 1 uses the CDF identity ED = 2 * integral (F_a - F_b)^2 dx: a sum of
     nonnegative terms, bitwise symmetric in (a, b), within 2.2e-16 relative
     of an exact rational reference.  D > 1 sums the three pairwise terms
-    with blocked ``cdist``; they cancel, so its error scales with E||A-B||
-    rather than with the result (2.1e-14 relative seen on 1-D sets).
+    with ``cdist`` in the order ``_BLOCK`` fixes, holding at most about
+    _LEAF distances (2 MB) at a time; the bits are those of summing each
+    block's full distance matrix, pinned by ``TestPairwiseDistanceSum``.
+    The terms cancel, so its error scales with E||A-B|| rather than with
+    the result (2.1e-14 relative seen on 1-D sets).
 
     Only D > 1 puts the rows in canonical order first.  The 1-D path sorts
     the pooled values itself, and rows that tie there sit on a gap of zero,

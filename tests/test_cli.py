@@ -78,9 +78,19 @@ OVERFLOWING_MIXTURE = {"schedule": {"name": "VP"}, "gmm": {
 MIXTURE_1D = {**UNIT_CONFIG, "gmm": {"weights": [0.5, 0.5],
                                      "means": [[-1.0], [1.0]],
                                      "covs": [[[0.3]], [[0.3]]]}}
-# row counts too large for any array numpy can index
+# a D = 16 mixture, the shape of the benchmark's mixture_sample
+MIXTURE_16D = {**UNIT_CONFIG, "gmm": {"weights": [0.5, 0.5],
+                                      "means": [[-1.0] * 16, [1.0] * 16],
+                                      "covs": [[0.5] * 16, [1.0] * 16]}}
+# row counts too large for any array numpy can index: past the row cap, or
+# under it but past the first array of the run on n rows (sweep's 55 default
+# cells on MIXTURE_1D, 16 values a row on MIXTURE_16D, 25 trajectory nodes
+# on MIXTURE_1D)
 OVERSIZED_RUNS = [["sample", "-n", "100000000000000000000"],
-                  ["info", "--mc-n", "100000000000000000000"]]
+                  ["info", "--mc-n", "100000000000000000000"],
+                  ["sweep", "-n", "144115188075855872"],
+                  ["sample", "-n", "576460752303423488"],
+                  ["sample", "-n", "72057594037927936", "--trajectories"]]
 # mixtures whose means are not a (K, D) array with K, D >= 1
 THREE_AXIS_MEANS = {**UNIT_CONFIG, "gmm": {"weights": [1.0],
                                            "means": [[[0.0]]],
@@ -134,6 +144,18 @@ UNSERVED_RUNS = [
     (MIXTURE_1D, OVERSIZED_RUNS[1], 2,
      "config error: --mc-n must be at most 1152921504606846975, got "
      "100000000000000000000: numpy cannot index more rows of 8-byte values"),
+    (MIXTURE_1D, OVERSIZED_RUNS[2], 2,
+     "config error: -n must be at most 20962209174669945 for this run, got "
+     "144115188075855872: its sampled states hold 55 8-byte values per row, "
+     "and numpy cannot index more than 1152921504606846975"),
+    (MIXTURE_16D, OVERSIZED_RUNS[3], 2,
+     "config error: -n must be at most 72057594037927935 for this run, got "
+     "576460752303423488: its sampled states hold 16 8-byte values per row, "
+     "and numpy cannot index more than 1152921504606846975"),
+    (MIXTURE_1D, OVERSIZED_RUNS[4], 2,
+     "config error: -n must be at most 46116860184273879 for this run, got "
+     "72057594037927936: its sampled states hold 25 8-byte values per row, "
+     "and numpy cannot index more than 1152921504606846975"),
 ]
 UNSERVED_IDS = ["exact_reference_gamma_minus_one", "n_not_above_dim",
                 "singular_target", "zero_cov_sample", "zero_cov_sweep",
@@ -142,7 +164,9 @@ UNSERVED_IDS = ["exact_reference_gamma_minus_one", "n_not_above_dim",
                 "overflowing_mixture", "three_axis_means_sample",
                 "three_axis_means_info", "zero_dim_mixture_sample",
                 "zero_dim_mixture_info", "oversized_n_sample",
-                "oversized_mc_n_info"]
+                "oversized_mc_n_info", "oversized_cells_sweep",
+                "oversized_d16_sample",
+                "oversized_trajectories_sample"]
 # the runs whose target the quality report cannot score
 UNSCORABLE_TARGETS = [
     (SINGULAR_GAUSS2D, ["sample", "-n", "8"]),
@@ -889,6 +913,9 @@ def assert_finite_outputs(out: Path) -> None:
 @example(UNIT_CONFIG, ["info", "--lambdas=1e400"])
 @example(MIXTURE_1D, OVERSIZED_RUNS[0])
 @example(MIXTURE_1D, OVERSIZED_RUNS[1])
+@example(MIXTURE_1D, OVERSIZED_RUNS[2])
+@example(MIXTURE_16D, OVERSIZED_RUNS[3])
+@example(MIXTURE_1D, OVERSIZED_RUNS[4])
 def test_fuzzed_runs_keep_the_exit_code_contract(cfg, flags):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"

@@ -1,9 +1,12 @@
 import json
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import distance
 
 from snrdiff import (
     NumericalError,
@@ -13,6 +16,7 @@ from snrdiff import (
     sample_data,
     single_gaussian,
 )
+from snrdiff import metrics
 from snrdiff.metrics import _pairwise_distance_sum
 
 # frozen: 0.5*(2 - 1 - log(2))
@@ -189,6 +193,86 @@ class TestEnergyDistance1d:
     def test_matches_cdist_and_swaps_on_random_sets(self, a, b):
         assert_matches_cdist(a, b)
         assert energy_distance(a, b) == energy_distance(b, a)
+
+
+def matrix_sum(a, b, block=2048):
+    """The pairwise distance sum with each block's distance matrix formed
+    whole: the reference whose bits the leaf walk keeps."""
+    total = 0.0
+    for i in range(0, a.shape[0], block):
+        rows = a[i:i + block]
+        for j in range(0, b.shape[0], block):
+            total += float(distance.cdist(rows, b[j:j + block]).sum())
+    return total
+
+
+def assert_matrix_bits(a, b, block=2048):
+    got, want = _pairwise_distance_sum(a, b), matrix_sum(a, b, block)
+    assert got == want, (
+        f"leaf walk {got!r} != matrix sum {want!r} for shapes {a.shape} x "
+        f"{b.shape}: numpy {np.__version__} no longer sums a contiguous "
+        "float64 array down the pairwise tree metrics._pairwise_distance_sum "
+        "copies (halves rounded down to a multiple of 8, runs of at most "
+        f"{metrics._PAIRWISE_RUN} unsplit), or cdist's bits depend on "
+        "which rows one call holds")
+
+
+class TestPairwiseDistanceSum:
+    @pytest.mark.parametrize("d", [2, 3, 16])
+    @pytest.mark.parametrize("n,m", [(2000, 2000), (1999, 2048), (2047, 1023),
+                                     (1, 2048), (4000, 5000)])
+    def test_matches_matrix_sum(self, n, m, d):
+        gen = np.random.default_rng(n + m + d)
+        a = gen.normal(size=(n, d))
+        b = gen.normal(0.5, 2.0, size=(m, d))
+        assert_matrix_bits(a, b)
+        assert_matrix_bits(b, b)
+
+    @given(n=st.integers(1, 150), m=st.integers(1, 150),
+           d=st.integers(2, 4), block=st.integers(1, 160),
+           seed=st.integers(0, 2**32 - 1), ties=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_small_leaves_match_matrix_sum(self, n, m, d, block, seed, ties):
+        # _LEAF below numpy's unsplit run: every cut numpy makes becomes a
+        # leaf, so deep trees and leaves that split rows run on small sets
+        gen = np.random.default_rng(seed)
+        a, b = gen.normal(size=(n, d)), gen.normal(size=(m, d))
+        if ties:
+            a, b = np.round(a), np.round(b)
+        with mock.patch.object(metrics, "_LEAF", 64), \
+                mock.patch.object(metrics, "_BLOCK", block):
+            assert_matrix_bits(a, b, block)
+
+    def test_energy_distance_peak_memory(self):
+        gen = np.random.default_rng(2)
+        a, b = gen.normal(size=(2000, 16)), gen.normal(size=(2000, 16))
+        energy_distance(a[:3], b[:3])  # import scipy.spatial outside the trace
+        tracemalloc.start()
+        try:
+            energy_distance(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 2000 x 2000 distance matrix alone is 32 MB
+        assert peak < 8e6, f"energy_distance peaked at {peak / 1e6:.1f} MB"
+
+    def test_no_cdist_call_exceeds_a_leaf(self, monkeypatch):
+        gen = np.random.default_rng(3)
+        a, b = gen.normal(size=(2000, 16)), gen.normal(size=(4000, 16))
+        want = matrix_sum(a, b)
+        shapes = []
+        cdist = distance.cdist
+
+        def recording_cdist(x, y):
+            out = cdist(x, y)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(distance, "cdist", recording_cdist)
+        assert _pairwise_distance_sum(a, b) == want
+        assert shapes
+        for rows, cols in shapes:
+            assert rows * cols <= metrics._LEAF + 2 * cols, (rows, cols)
 
 
 class TestGaussianKlFit:
