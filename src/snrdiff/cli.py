@@ -12,17 +12,21 @@ pass splits its rows across; a small pass runs on one.  Neither the outputs
 nor a numerical failure's message depend on it.  Only ``sample`` and
 ``sweep`` use it; ``info``, ``schedules`` and ``snrspace`` ignore it.
 ``sample --trajectories`` writes ``trajectories.csv``, one row per (sample,
-grid node), from the pass's (steps + 1, n, d) state array.
+grid node), from the pass's (steps + 1, n, d) state array.  Both score
+their cells in one :func:`~snrdiff.metrics.quality_reports` pass.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration
 or arguments, including an output directory that cannot be created or
 written (IO error), 3 numerical failure.  The quality report needs
 ``-n`` >= 2, and ``-n`` above the dimension for a one-component target's
-Gaussian-fit KL; both are checked before sampling (2).  ``-n`` and a
-mixture's ``--mc-n`` may not exceed the rows numpy can index in an array of
-8-byte values, 2**60 - 1 on a 64-bit build, checked before any draw (2).  A target mean
-or covariance that is not finite, a zero target covariance, or one that
-is singular for that KL leaves the report undefined (3); ``sample`` and
+Gaussian-fit KL; both are checked before sampling (2).  ``-n``, a
+mixture's ``--mc-n``, ``--grid`` and the count of a ``lo:hi:count`` grid
+may not exceed the rows numpy can index in an array of 8-byte values,
+2**60 - 1 on a 64-bit build, checked before any draw (2).  A count under
+that cap whose arrays do not fit in memory exits 2 with one
+``config error: out of memory:`` line.  A target mean or covariance
+that is not finite, a zero target covariance, or one that is singular
+for that KL leaves the report undefined (3); ``sample`` and
 ``sweep`` check this before sampling too.  A quality value that still
 comes out non-finite (samples near 1e160 overflow the moment errors)
 exits 3 naming the metric.  ``info`` exits 3 when a mixture's Monte Carlo
@@ -43,7 +47,6 @@ import json
 import os
 import sys
 import uuid
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -57,9 +60,11 @@ from .infotheory import (
     mmse_gaussian,
     mmse_mc,
 )
-from .metrics import (_canonical, _gaussian_kl, _moment_report, check_target,
-                      energy_distance)
-from .samplers import SamplerConfig, sample, sampler_config_from_dict
+# energy_distance stays bound here: bench/selftest.py traces it by this name
+from .metrics import (check_target, energy_distance,  # noqa: F401
+                      quality_reports)
+from .samplers import (SamplerConfig, generalized_cells, sample,
+                       sampler_config_from_dict)
 from .schedule import Schedule, eval_schedule, make_schedule, schedule_from_dict
 from .snr_space import t_of_lambda, tilde_eval
 
@@ -151,14 +156,17 @@ def _resolve_sampler(args, cfg: dict) -> SamplerConfig:
 
 def _parse_grid(text: str, what: str) -> list[float]:
     """Parse 'lo:hi:count' (inclusive linspace) or a comma list of values;
-    the grid must hold at least one value."""
+    the grid must hold at least one value, and a count passes _row_count."""
     try:
         if ":" in text:
             lo, hi, count = text.split(":")
+            count = _row_count(f"{what} grid count", int(count))
             values = [float(v) for v in
-                      np.linspace(float(lo), float(hi), int(count))]
+                      np.linspace(float(lo), float(hi), count)]
         else:
             values = [float(v) for v in text.split(",") if v]
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"cannot parse {what} grid {text!r}") from exc
     if not values:
@@ -169,7 +177,7 @@ def _parse_grid(text: str, what: str) -> list[float]:
 def _grid_size(args) -> int:
     if args.grid < 1:
         raise ConfigError(f"--grid must be >= 1, got {args.grid}")
-    return args.grid
+    return _row_count("--grid", args.grid)
 
 
 def cmd_schedules(args) -> int:
@@ -196,16 +204,12 @@ def _check_quality(metrics: dict, where: str = "") -> None:
 
 
 def _quality_report(x, gmm, seed, target):
-    """The report of samples x: what ``moment_report``, ``energy_distance``
-    and, for one component, ``gaussian_kl_fit`` give, with x put in
-    canonical order once.  ``target`` is gmm's (mean, cov), which the caller
-    has checked, for the KL too when gmm has one component."""
-    rows = _canonical(x)
-    report = _moment_report(rows, *target)
-    report.energy_distance = energy_distance(
-        rows, sample_data(gmm, x.shape[0], seed))
-    if gmm.n_components == 1:
-        report.gaussian_kl = _gaussian_kl(rows, gmm.means[0], gmm.covs[0])
+    """The report of samples x: the one-cell quality pass, with the
+    Gaussian-fit KL when gmm has one component.  ``target`` is gmm's
+    (mean, cov), which the caller has checked, for the KL too."""
+    kl = (gmm.means[0], gmm.covs[0]) if gmm.n_components == 1 else None
+    report, = quality_reports(x[None], *target,
+                              sample_data(gmm, x.shape[0], seed), kl)
     _check_quality(report.to_dict())
     return report
 
@@ -299,18 +303,13 @@ def cmd_sweep(args) -> int:
     target = gmm.mean(), gmm.cov()
     check_target(*target)
 
-    cells = [replace(base, kind="generalized", rho=r, gamma=g, delta=d)
-             for g in gammas for d in deltas for r in rhos]
+    cells = generalized_cells(base, gammas, deltas, rhos)
     xs = sample(sched, oracle_score_model(gmm, sched), cells, n=n, d=gmm.dim,
                 threads=args.threads)
-    reference = sample_data(gmm, n, base.seed)
-    rows = [_canonical(x) for x in xs]
-    reports = [_moment_report(x, *target) for x in rows]
-    table = np.column_stack([
-        [c.gamma for c in cells], [c.delta for c in cells],
-        [c.rho for c in cells], [r.mean_error_l2 for r in reports],
-        [r.cov_frobenius_error for r in reports],
-        [energy_distance(x, reference) for x in rows]])
+    reports = quality_reports(xs, *target, sample_data(gmm, n, base.seed))
+    table = np.array([[c.gamma, c.delta, c.rho, r.mean_error_l2,
+                       r.cov_frobenius_error, r.energy_distance]
+                      for c, r in zip(cells, reports)])
 
     out_dir = Path(args.out)
     header = ["gamma", "delta", "rho", "mean_error_l2",
@@ -468,6 +467,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"config error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

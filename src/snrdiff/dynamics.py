@@ -24,7 +24,6 @@ coefficients as one table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -95,63 +94,67 @@ class ScoreModel:
 
     Tags: ``"score"`` for the score s(z, t), ``"eps"`` for noise prediction,
     ``"data"`` for the denoiser x_hat.  The three are interchangeable given
-    the schedule:
+    alpha = alpha(t) and sigma = sigma(t):
 
-        score = -eps / sigma(t),      x_hat = (z + sigma(t)^2 score) / alpha(t).
+        score = -eps / sigma,      x_hat = (z + sigma^2 score) / alpha.
 
-    Instances are stateless wrappers; the underlying callable must be safe
-    to call concurrently.
+    A model given its ``schedule`` is time-free, ``fn(z, alpha, sigma)``;
+    with ``at`` = (alpha(t), sigma(t)) given, no evaluation calls a schedule.
+    Stateless wrappers: the callable must be safe to call concurrently.
     """
 
-    def __init__(self, fn: Callable[[np.ndarray, float], np.ndarray], tag: str):
+    def __init__(self, fn, tag: str, schedule: Schedule | None = None):
         if tag not in SCORE_TAGS:
             raise ValueError(f"unknown score-model tag {tag!r}; "
                              f"expected one of {SCORE_TAGS}")
-        self.fn = fn
-        self.tag = tag
+        self.fn, self.tag, self.schedule = fn, tag, schedule
 
-    def __call__(self, z, t):
-        return np.asarray(self.fn(z, float(t)), dtype=float)
+    def __call__(self, z, t, at=None):
+        args = ((float(t),) if self.schedule is None
+                else at or _levels(self.schedule, t))
+        return np.asarray(self.fn(z, *args), dtype=float)
 
-    def score(self, schedule: Schedule, z, t) -> np.ndarray:
+    def score(self, schedule: Schedule, z, t, at=None) -> np.ndarray:
         """Evaluate as a score regardless of the native tag."""
         z = np.asarray(z, dtype=float)
-        out = self(z, t)
+        out = self(z, t, at)
         if self.tag == "score":
             return out
-        sigma = float(schedule.sigma(t))
+        alpha, sigma = at or _levels(schedule, t)
         if self.tag == "eps":
             return -out / sigma
-        alpha = float(schedule.alpha(t))
         # data tag: invert x_hat = (z + sigma^2 score)/alpha
         return (alpha * out - z) / (sigma * sigma)
 
-    def eps(self, schedule: Schedule, z, t) -> np.ndarray:
+    def eps(self, schedule: Schedule, z, t, at=None) -> np.ndarray:
         """Evaluate as a noise prediction regardless of the native tag."""
         if self.tag == "eps":
-            return self(z, t)
-        return -float(schedule.sigma(t)) * self.score(schedule, z, t)
+            return self(z, t, at)
+        at = at or _levels(schedule, t)
+        return -at[1] * self.score(schedule, z, t, at)
 
-    def data(self, schedule: Schedule, z, t) -> np.ndarray:
+    def data(self, schedule: Schedule, z, t, at=None) -> np.ndarray:
         """Evaluate as a denoiser x_hat regardless of the native tag."""
         if self.tag == "data":
-            return self(z, t)
+            return self(z, t, at)
         z = np.asarray(z, dtype=float)
-        sigma = float(schedule.sigma(t))
-        alpha = float(schedule.alpha(t))
-        return (z + sigma * sigma * self.score(schedule, z, t)) / alpha
+        alpha, sigma = at = at or _levels(schedule, t)
+        return (z + sigma * sigma * self.score(schedule, z, t, at)) / alpha
+
+
+def _levels(schedule: Schedule, t) -> tuple[float, float]:
+    """(alpha(t), sigma(t)) at a scalar time, as floats."""
+    return float(schedule.alpha(t)), float(schedule.sigma(t))
 
 
 def convert_score_model(model: ScoreModel, target_tag: str,
                         schedule: Schedule) -> ScoreModel:
-    """Wrap a model so it natively returns the target quantity."""
-    if target_tag not in SCORE_TAGS:
-        raise ValueError(f"unknown score-model tag {target_tag!r}")
+    """Wrap a model so it natively returns the target quantity: the tags
+    name its conversion methods."""
     if target_tag == model.tag:
         return model
-    method = {"score": ScoreModel.score, "eps": ScoreModel.eps,
-              "data": ScoreModel.data}[target_tag]
-    return ScoreModel(lambda z, t: method(model, schedule, z, t), target_tag)
+    return ScoreModel(lambda z, t: getattr(model, target_tag)(schedule, z, t),
+                      target_tag)
 
 
 def backward_drift(schedule: Schedule, score_model: ScoreModel, rho: float,

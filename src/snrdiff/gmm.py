@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .dynamics import ScoreModel
+from .dynamics import ScoreModel, _levels
 from .errors import ConfigError
 from .schedule import Schedule
 
@@ -232,13 +232,12 @@ def marginal_at(gmm: GmmSpec, schedule: Schedule, t: float) -> GmmSpec:
     Component weights are preserved; means scale by alpha and covariances
     become alpha^2 Sigma_k + sigma^2 I.
     """
-    a = float(schedule.alpha(t))
-    s2 = float(schedule.sigma(t)) ** 2
+    a, s = _levels(schedule, t)
     eye = np.eye(gmm.dim)
     return GmmSpec(
         gmm.weights.copy(),
         a * gmm.means,
-        a * a * gmm.covs + s2 * eye[None],
+        a * a * gmm.covs + s ** 2 * eye[None],
     )
 
 
@@ -246,6 +245,18 @@ def _log_norm(gmm: GmmSpec, c: np.ndarray) -> np.ndarray:
     """log(weight_k / sqrt(det(2 pi C_k))) for eigenvalues c of C_k, (K,)."""
     return (np.log(gmm.weights) - 0.5 * np.log(c).sum(axis=1)
             - 0.5 * gmm.dim * np.log(2.0 * np.pi))
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """The (N, 1) row maxima of x (N, K), NaN where a row holds one, as
+    K - 1 ``np.maximum`` calls over columns: numpy's ``max(axis=1)`` runs
+    one inner loop per row.  Every value is exact; only the sign of a tie
+    between 0.0 and -0.0 may differ, which no ``x - max`` changes in value
+    and no ``exp`` of it in bits."""
+    top = x[:, :1]
+    for k in range(1, x.shape[1]):
+        top = np.maximum(top, x[:, k:k + 1])
+    return top
 
 
 def _components(gmm: GmmSpec, a: float, s2: float, z: np.ndarray, scale=1.0,
@@ -281,7 +292,7 @@ def _components(gmm: GmmSpec, a: float, s2: float, z: np.ndarray, scale=1.0,
         quad = ((z * z) @ inv_c.T - 2.0 * z @ (m * inv_c).T
                 + np.sum(m * m * inv_c, axis=1))
         logp = _log_norm(gmm, c) - 0.5 * quad
-        e = np.exp(logp - logp.max(axis=1, keepdims=True))
+        e = np.exp(logp - _row_max(logp))
         r = e / e.sum(axis=1, keepdims=True)
         return r, logp, z * (r @ gain) - r @ (gain * m)
     # rows last: (K, D, N) and (K, N), so every inner loop runs over N; the
@@ -312,10 +323,9 @@ def _flatten(z, d):
 
 def log_marginal_density(gmm: GmmSpec, schedule: Schedule, t: float, z) -> np.ndarray:
     """log p(z_t) of the noisy mixture; z may be (..., D)."""
-    a = float(schedule.alpha(t))
-    s2 = float(schedule.sigma(t)) ** 2
+    a, s = _levels(schedule, t)
     zf, lead = _flatten(z, gmm.dim)
-    _, logp, _ = _components(gmm, a, s2, zf)
+    _, logp, _ = _components(gmm, a, s ** 2, zf)
     from scipy.special import logsumexp  # deferred: see the module docstring
 
     return logsumexp(logp, axis=1).reshape(lead)
@@ -323,28 +333,25 @@ def log_marginal_density(gmm: GmmSpec, schedule: Schedule, t: float, z) -> np.nd
 
 def exact_score(gmm: GmmSpec, schedule: Schedule, t: float, z) -> np.ndarray:
     """Exact gradient of log p(z_t) at z; z may be (..., D)."""
-    a = float(schedule.alpha(t))
-    s2 = float(schedule.sigma(t)) ** 2
-    zf, lead = _flatten(z, gmm.dim)
-    # score = sum_k r_k C_k^{-1}(a m_k - z)
-    _, _, w = _components(gmm, a, s2, zf, joint=False)
-    return (-w).reshape(lead + (gmm.dim,))
+    return oracle_score_model(gmm, schedule)(z, t)
 
 
 def posterior_mean(gmm: GmmSpec, schedule: Schedule, t: float, z) -> np.ndarray:
     """Exact denoiser E[x | z_t = z]; z may be (..., D)."""
-    a = float(schedule.alpha(t))
-    s2 = float(schedule.sigma(t)) ** 2
+    a, s = _levels(schedule, t)
     zf, lead = _flatten(z, gmm.dim)
     # per-component linear-Gaussian posterior: m_k + a Sigma_k C_k^{-1}(z - a m_k)
-    r, _, w = _components(gmm, a, s2, zf, a * gmm._evals, joint=False)
+    r, _, w = _components(gmm, a, s ** 2, zf, a * gmm._evals, joint=False)
     mean = gmm.means[0] if r is None else r @ gmm.means
     return (mean + w).reshape(lead + (gmm.dim,))
 
 
-def oracle_score_model(gmm: GmmSpec, schedule: Schedule):
-    """The exact score of the noisy mixture, wrapped as a ScoreModel."""
-    def fn(z, t):
-        return exact_score(gmm, schedule, float(t), z)
+def oracle_score_model(gmm: GmmSpec, schedule: Schedule) -> ScoreModel:
+    """The exact score of the noisy mixture as a time-free ScoreModel."""
+    def fn(z, alpha, sigma):
+        zf, lead = _flatten(z, gmm.dim)
+        # score = sum_k r_k C_k^{-1}(a m_k - z)
+        _, _, w = _components(gmm, alpha, sigma ** 2, zf, joint=False)
+        return (-w).reshape(lead + (gmm.dim,))
 
-    return ScoreModel(fn, "score")
+    return ScoreModel(fn, "score", schedule)

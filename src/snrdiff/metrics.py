@@ -19,13 +19,14 @@ total is formed down numpy's own pairwise-summation tree, and no
 ``cdist`` call returns more than _LEAF distances plus two rows.  The bits
 are pinned by ``tests/test_metrics.py::TestPairwiseDistanceSum``.
 
-The moments, the Gaussian-fit KL and the D > 1 energy distance sum over
-the samples in canonical (lexicographic) row order, so each is exactly
-permutation-invariant.  The private ``_moment_report`` and ``_gaussian_kl``
-take samples already in that order and a target already checked, and the
-public functions call them after doing both: a command that scores one
-sample set against several metrics, or several sets against one target
-(``sweep``'s cells), sorts each set and checks the target once.
+The moments, the Gaussian-fit KL and the energy distance sum over the
+samples in canonical (lexicographic) row order, so each is exactly
+permutation-invariant.  :func:`quality_reports` is the one quality pass of
+``sample`` (one cell) and ``sweep`` (every cell): it takes the (cells, n, D)
+stack, a target checked once by the caller and one reference draw, puts
+each set in canonical order once, sorts the reference once and, at D > 1,
+sums the reference's self-term once, and gives each cell the bits the
+public per-set functions give it.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ from .gmm import GmmSpec
 
 _BLOCK = 2048
 _LEAF = 2 ** 18
+# pooled values the 1-D energy distance sorts in one call: 32 KB
+_STACK = 2 ** 12
 # numpy adds a run of at most this many float64 values without splitting it
 _PAIRWISE_RUN = 128
 
@@ -163,22 +166,57 @@ def _pairwise_distance_sum(a: np.ndarray, b: np.ndarray) -> float:
     return total
 
 
-def _energy_distance_1d(a: np.ndarray, b: np.ndarray) -> float:
-    """2 * integral of (F_a - F_b)^2 over the pooled sample range.
+def _energy_distances_1d(a: np.ndarray, b: np.ndarray) -> list[float]:
+    """2 * integral of (F_a - F_b)^2 over the pooled sample range, for each
+    row of the (cells, n) stack a against the (m,) sample b.
 
     Each point of ``a`` weighs +m and each point of ``b`` weighs -n, so the
     running sum of the sorted weights is n*m*(F_a - F_b) on each gap between
-    consecutive pooled values, in exact integer arithmetic.
+    consecutive pooled values, in exact integer arithmetic.  Blocks of
+    cells of at most _STACK pooled values sort at once; each cell's total is
+    its own dot.  The sorts are stable, so sorting b first moves no bit.
     """
-    n, m = a.size, b.size
-    pooled = np.concatenate([a, b])
-    order = np.argsort(pooled, kind="stable")
+    cells, n = a.shape
+    m = b.size
+    b = np.sort(b, kind="stable")
     weights = np.concatenate([np.full(n, m, dtype=np.int64),
                               np.full(m, -n, dtype=np.int64)])
-    # c**2 overflows int64 once n*m exceeds ~3e9: square in float
-    c = np.cumsum(weights[order])[:-1].astype(float)
-    gaps = np.diff(pooled[order])
-    return 2.0 * float((c * c) @ gaps) / (n * m) ** 2
+    step = max(1, _STACK // (n + m))
+    out = []
+    for lo in range(0, cells, step):
+        block = a[lo:lo + step]
+        pooled = np.concatenate(
+            [block, np.broadcast_to(b, (block.shape[0], m))], axis=1)
+        order = np.argsort(pooled, axis=1, kind="stable")
+        gaps = np.diff(np.take_along_axis(pooled, order, axis=1), axis=1)
+        # c**2 overflows int64 once n*m exceeds ~3e9: square in float
+        c = np.cumsum(weights[order], axis=1)[:, :-1].astype(float)
+        out += [2.0 * float((row * row) @ gap) / (n * m) ** 2
+                for row, gap in zip(c, gaps)]
+    return out
+
+
+def _energy_distances(xs, b: np.ndarray) -> list[float]:
+    """:func:`energy_distance` from each canonical (n, D) set of the stack
+    xs to the rows b, with b sorted, and at D > 1 its self-term summed,
+    once."""
+    if xs.shape[1] == 0 or b.shape[0] == 0:
+        raise ValueError("both sample sets must be nonempty")
+    if xs.shape[2] != b.shape[1]:
+        raise ValueError("dimension mismatch between sample sets")
+    if not (np.isfinite(xs).all() and np.isfinite(b).all()):
+        raise ValueError("sample sets must be finite")
+    if b.shape[1] == 1:
+        return _energy_distances_1d(xs[..., 0], b[:, 0])
+    b = _canonical(b)
+    n, m = xs.shape[1], b.shape[0]
+    within_b = _pairwise_distance_sum(b, b) / (m * m)
+    out = []
+    for a in xs:
+        cross = _pairwise_distance_sum(a, b) / (n * m)
+        within_a = _pairwise_distance_sum(a, a) / (n * n)
+        out.append(max(2.0 * cross - within_a - within_b, 0.0))
+    return out
 
 
 def energy_distance(a, b) -> float:
@@ -197,26 +235,32 @@ def energy_distance(a, b) -> float:
     The terms cancel, so its error scales with E||A-B|| rather than with
     the result (2.1e-14 relative seen on 1-D sets).
 
-    Only D > 1 puts the rows in canonical order first.  The 1-D path sorts
-    the pooled values itself, and rows that tie there sit on a gap of zero,
-    which adds exactly nothing whatever their order, so any row order gives
-    its bits.
+    Both sets are put in canonical order first.  At D = 1 that moves no
+    bit: the pooled sort is stable, and rows that tie sit on a gap of zero,
+    which adds exactly nothing whatever their order.
     """
-    a, b = _as_rows(a), _as_rows(b)
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise ValueError("both sample sets must be nonempty")
-    if a.shape[1] != b.shape[1]:
-        raise ValueError("dimension mismatch between sample sets")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("sample sets must be finite")
-    if a.shape[1] == 1:
-        return _energy_distance_1d(a[:, 0], b[:, 0])
-    a, b = _canonical(a), _canonical(b)
-    n, m = a.shape[0], b.shape[0]
-    cross = _pairwise_distance_sum(a, b) / (n * m)
-    within_a = _pairwise_distance_sum(a, a) / (n * n)
-    within_b = _pairwise_distance_sum(b, b) / (m * m)
-    return max(2.0 * cross - within_a - within_b, 0.0)
+    return _energy_distances(_canonical(a)[None], _as_rows(b))[0]
+
+
+def quality_reports(xs, target_mean, target_cov, reference,
+                    kl_target=None) -> list[SampleQualityReport]:
+    """Bit for bit :func:`moment_report` and :func:`energy_distance` of
+    each set of the (cells, n, D) stack ``xs`` against one target, which
+    :func:`check_target` has passed, and one ``reference`` draw; with
+    :func:`gaussian_kl_fit` against ``kl_target`` = (mean, cov) if given.
+    Each set is sorted once (at D = 1 the stack in one call), and the
+    reference once, with its D > 1 self-term."""
+    xs = np.asarray(xs, dtype=float)
+    rows = (np.sort(xs, axis=1, kind="stable") if xs.shape[2] == 1
+            else np.stack([_canonical(x) for x in xs]))
+    reports = []
+    for x, distance in zip(rows, _energy_distances(rows, _as_rows(reference))):
+        report = _moment_report(x, target_mean, target_cov)
+        report.energy_distance = distance
+        if kl_target is not None:
+            report.gaussian_kl = _gaussian_kl(x, *kl_target)
+        reports.append(report)
+    return reports
 
 
 def gaussian_kl_fit(samples, target_mean, target_cov) -> float:

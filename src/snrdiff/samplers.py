@@ -50,6 +50,7 @@ invariant on variance-preserving schedules only; ``euler_backward``, and
 from __future__ import annotations
 
 import contextvars
+import itertools
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -58,7 +59,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import rng
-from .dynamics import ScoreModel, _exp_diff, forward_coeffs
+from .dynamics import ScoreModel, _exp_diff, _levels, forward_coeffs
 from .errors import ConfigError, NumericalError, finite_real, integer
 from .schedule import Schedule
 from .snr_space import t_of_lambda
@@ -103,11 +104,11 @@ def non_markovian_beta2(schedule: Schedule, s, t, eta: float):
 def _affine_table(schedule: Schedule, times: np.ndarray, kind: str,
                   rho: float = 0.0, gamma: float = 0.0, delta: float = 1.0,
                   eta: float = 0.0):
-    """(A, B, C) of z_s = A z_t + B eps_hat(z_t, t) + C xi on each interval
-    times[k] -> times[k+1], k on the last axis; rho, gamma and delta may be
-    arrays.  C is None when the kind's parameters inject no noise.  For
-    exact_reference, ``times`` must be the refined grid.  The one check of
-    gamma = -1, which the 1/(1+gamma) prefactor excludes: a ConfigError."""
+    """(A, B, C, at) of z_s = A z_t + B eps_hat(z_t, t) + C xi on each
+    interval times[k] -> times[k+1] (k last), at[k] the score's (alpha,
+    sigma) at times[k]; rho, gamma, delta may be arrays.  C is None when no
+    noise is injected.  exact_reference takes the refined grid.  The one
+    check of gamma = -1 (the 1/(1+gamma) prefactor): a ConfigError."""
     if kind == "kingma":
         rho = gamma = delta = 1.0
     rho, gamma, delta = (np.asarray(v, dtype=float) for v in (rho, gamma, delta))
@@ -115,19 +116,20 @@ def _affine_table(schedule: Schedule, times: np.ndarray, kind: str,
     alpha, sigma = schedule.alpha(times), schedule.sigma(times)
     alpha_t, alpha_s = alpha[:-1], alpha[1:]
     sigma_t, sigma_s = sigma[:-1], sigma[1:]
+    at = list(zip(alpha_t.tolist(), sigma_t.tolist()))
 
     if kind == "non_markovian":
         beta2 = non_markovian_beta2(schedule, times[1:], times[:-1], eta)
         a = alpha_s / alpha_t
         b = np.sqrt(sigma_s ** 2 - beta2) - a * sigma_t
-        return a, b, (np.sqrt(beta2) if eta != 0.0 else None)
+        return a, b, (np.sqrt(beta2) if eta != 0.0 else None), at
 
     if kind == "euler_backward":
         sde = forward_coeffs(schedule, times[:-1])
         h = np.diff(times)
         a = 1.0 + sde.f * h
         b = 0.5 * (1.0 + rho * rho) * sde.g ** 2 * h / sigma_t
-        return a, b, (rho * sde.g * np.sqrt(-h) if np.any(rho != 0.0) else None)
+        return a, b, rho * sde.g * np.sqrt(-h) if np.any(rho != 0.0) else None, at
 
     if np.any(gamma == -1.0):
         raise ConfigError("gamma = -1 is excluded for the generalized step")
@@ -146,7 +148,7 @@ def _affine_table(schedule: Schedule, times: np.ndarray, kind: str,
     if np.any(rho != 0.0):
         c = (rho * alpha_t * np.sqrt(_exp_diff(lam_t, lam_s))
              * _power(a, 1.0 - delta) * _power(sigma_s / sigma_t, delta))
-    return a, b, c
+    return a, b, c, at
 
 
 def _power(x: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -164,8 +166,8 @@ def _refine(grid: np.ndarray, substeps: int) -> np.ndarray:
 def _affine_step(schedule: Schedule, score: ScoreModel, z, t: float, table,
                  k: int, xi=None) -> np.ndarray:
     """Step k of the table applied to z at time t, with noise draw xi."""
-    a, b, c = table
-    out = a[..., k] * z + b[..., k] * score.eps(schedule, z, t)
+    a, b, c, at = table
+    out = a[..., k] * z + b[..., k] * score.eps(schedule, z, t, at[k])
     return out if xi is None else out + c[..., k] * xi
 
 
@@ -212,12 +214,12 @@ def step_kingma(schedule: Schedule, score: ScoreModel, z_t, t: float,
     if s == t:
         return z.copy()
 
-    alpha_t, alpha_s = float(schedule.alpha(t)), float(schedule.alpha(s))
-    sigma_t, sigma_s = float(schedule.sigma(t)), float(schedule.sigma(s))
+    alpha_t, sigma_t = _levels(schedule, t)
+    alpha_s, sigma_s = _levels(schedule, s)
     lam_t, lam_s = float(schedule.lam(t)), float(schedule.lam(s))
 
     bracket = np.exp(-lam_s) * np.expm1(lam_s - lam_t)
-    eps_hat = score.eps(schedule, z, t)
+    eps_hat = score.eps(schedule, z, t, (alpha_t, sigma_t))
     mean = (alpha_s / alpha_t) * z \
         - alpha_s * bracket * np.exp(0.5 * lam_t) * eps_hat
     noise_coef = alpha_t * np.sqrt(bracket) * (sigma_s / sigma_t)
@@ -339,6 +341,28 @@ def sampler_config_from_dict(spec: dict) -> SamplerConfig:
         raise ConfigError(f"bad sampler config: {exc}") from exc
 
 
+def generalized_cells(base: SamplerConfig, gammas, deltas,
+                      rhos) -> list[SamplerConfig]:
+    """``base`` as a generalized cell at each (gamma, delta, rho) of the
+    grid, gamma slowest and rho fastest.  Each cell equals
+    ``dataclasses.replace(base, kind="generalized", rho=, gamma=, delta=)``,
+    and the first bad value gives the ConfigError that building them in
+    order would; but each distinct value is checked once, and base's other
+    fields not again."""
+    checked, cells = set(), []
+    for gamma, delta, rho in itertools.product(gammas, deltas, rhos):
+        for name, value in (("rho", rho), ("gamma", gamma), ("delta", delta)):
+            key = name, type(value), value  # True == 1.0, but only one passes
+            if key not in checked:
+                finite_real(name, value)
+                checked.add(key)
+        cell = object.__new__(SamplerConfig)
+        cell.__dict__.update(base.__dict__, kind="generalized", rho=rho,
+                             gamma=gamma, delta=delta)
+        cells.append(cell)
+    return cells
+
+
 def _usable_cores() -> int:
     """Cores this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -424,7 +448,7 @@ def sample(schedule: Schedule, score: ScoreModel, config, n: int, d: int,
             if (i + 1) % stride:
                 continue
             k = i // stride
-            if not np.all(np.isfinite(z)):
+            if not np.isfinite(z).all():
                 *cell, row, col = np.argwhere(~np.isfinite(z))[0]
                 where = "" if single or not cell else f" of cell {cell[0]}"
                 return ((k, *cell, row_start + row),

@@ -1,10 +1,12 @@
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
 
-from snrdiff import make_schedule, oracle_score_model, samplers, single_gaussian
+from snrdiff import (Schedule, make_schedule, oracle_score_model, samplers,
+                     single_gaussian)
 
 # Property tests draw the same examples on every run.
 settings.register_profile("deterministic", derandomize=True, database=None,
@@ -101,3 +103,29 @@ def split_pools(monkeypatch):
     monkeypatch.setattr(samplers, "_usable_cores", lambda: 64)
     monkeypatch.setattr(samplers, "ThreadPoolExecutor", Pool)
     return sizes
+
+
+class ScalarCalls:
+    """Scalar-time calls of the Schedule methods, by name, made while
+    ``counting`` is set."""
+
+    def __init__(self):
+        self.counting = False
+        self.calls = Counter()
+
+
+@pytest.fixture
+def scalar_schedule_calls(monkeypatch):
+    """Wrap the public Schedule methods so that every call on a scalar time
+    made while the returned record's ``counting`` is set adds one to its
+    ``calls`` under the method's name."""
+    record = ScalarCalls()
+    for name in ("alpha", "sigma", "lam", "dalpha_dt", "dsigma_dt",
+                 "dlambda_dt"):
+        def counted(self, t, _name=name, _method=getattr(Schedule, name)):
+            if record.counting and np.ndim(t) == 0:
+                record.calls[_name] += 1
+            return _method(self, t)
+
+        monkeypatch.setattr(Schedule, name, counted)
+    return record

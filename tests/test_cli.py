@@ -17,7 +17,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import snrdiff
 from snrdiff import (cli, energy_distance, gaussian_kl_fit, gmm_from_dict,
-                     make_schedule, moment_report, oracle_score_model, rng,
+                     make_schedule, metrics, moment_report, oracle_score_model,
+                     rng,
                      sample, sample_data, sampler_config_from_dict, samplers,
                      snr_space)
 from snrdiff.cli import _csv_text, main
@@ -91,6 +92,17 @@ OVERSIZED_RUNS = [["sample", "-n", "100000000000000000000"],
                   ["sweep", "-n", "144115188075855872"],
                   ["sample", "-n", "576460752303423488"],
                   ["sample", "-n", "72057594037927936", "--trajectories"]]
+# grid counts: past the row cap, or under it but holding 728 TiB of values,
+# which no allocation serves
+OVERSIZED_GRIDS = [["schedules", "--schedule", "VP", "--grid", str(10**14)],
+                   ["schedules", "--schedule", "VP", "--grid", str(10**21)],
+                   ["snrspace", "--schedule", "VP", "--grid", str(10**21)],
+                   ["sweep", "-n", "8", f"--gammas=0.5:1.5:{10**14}"],
+                   ["sweep", "-n", "8", f"--deltas=0.5:1.5:{10**21}"],
+                   ["info", f"--lambdas=-1:1:{10**14}"]]
+OUT_OF_MEMORY = ("config error: out of memory: Unable to allocate 728. TiB "
+                 "for an array with shape (100000000000000,) and data type "
+                 "float64")
 # mixtures whose means are not a (K, D) array with K, D >= 1
 THREE_AXIS_MEANS = {**UNIT_CONFIG, "gmm": {"weights": [1.0],
                                            "means": [[[0.0]]],
@@ -156,6 +168,19 @@ UNSERVED_RUNS = [
      "config error: -n must be at most 46116860184273879 for this run, got "
      "72057594037927936: its sampled states hold 25 8-byte values per row, "
      "and numpy cannot index more than 1152921504606846975"),
+    (UNIT_CONFIG, OVERSIZED_GRIDS[0], 2, OUT_OF_MEMORY),
+    (UNIT_CONFIG, OVERSIZED_GRIDS[1], 2,
+     "config error: --grid must be at most 1152921504606846975, got "
+     "1000000000000000000000: numpy cannot index more rows of 8-byte values"),
+    (UNIT_CONFIG, OVERSIZED_GRIDS[2], 2,
+     "config error: --grid must be at most 1152921504606846975, got "
+     "1000000000000000000000: numpy cannot index more rows of 8-byte values"),
+    (UNIT_CONFIG, OVERSIZED_GRIDS[3], 2, OUT_OF_MEMORY),
+    (UNIT_CONFIG, OVERSIZED_GRIDS[4], 2,
+     "config error: delta grid count must be at most 1152921504606846975, "
+     "got 1000000000000000000000: numpy cannot index more rows of 8-byte "
+     "values"),
+    (UNIT_CONFIG, OVERSIZED_GRIDS[5], 2, OUT_OF_MEMORY),
 ]
 UNSERVED_IDS = ["exact_reference_gamma_minus_one", "n_not_above_dim",
                 "singular_target", "zero_cov_sample", "zero_cov_sweep",
@@ -166,7 +191,10 @@ UNSERVED_IDS = ["exact_reference_gamma_minus_one", "n_not_above_dim",
                 "zero_dim_mixture_info", "oversized_n_sample",
                 "oversized_mc_n_info", "oversized_cells_sweep",
                 "oversized_d16_sample",
-                "oversized_trajectories_sample"]
+                "oversized_trajectories_sample", "out_of_memory_schedules",
+                "oversized_grid_schedules", "oversized_grid_snrspace",
+                "out_of_memory_sweep_gammas", "oversized_sweep_deltas",
+                "out_of_memory_info_lambdas"]
 # the runs whose target the quality report cannot score
 UNSCORABLE_TARGETS = [
     (SINGULAR_GAUSS2D, ["sample", "-n", "8"]),
@@ -473,6 +501,26 @@ class TestSweepCommand:
             assert [float(v) for v in row] == [
                 cell.gamma, cell.delta, cell.rho, report.mean_error_l2,
                 report.cov_frobenius_error, energy_distance(x, reference)]
+
+    def test_reference_self_term_is_summed_once(self, tmp_path, monkeypatch):
+        self_sums = []
+        pair_sum = metrics._pairwise_distance_sum
+
+        def recording(a, b):
+            if a is b:
+                self_sums.append(a.copy())
+            return pair_sum(a, b)
+
+        monkeypatch.setattr(metrics, "_pairwise_distance_sum", recording)
+        assert main(["sweep", "--config", write_config(tmp_path, GMM2D_CONFIG),
+                     "-n", "40", "--gammas", "0.5,1,1.5", "--deltas", "1",
+                     "--out", str(tmp_path)]) == 0
+        base = sampler_config_from_dict(GMM2D_CONFIG["sampler"])
+        reference = metrics._canonical(sample_data(
+            gmm_from_dict(GMM2D_CONFIG["gmm"]), 40, base.seed))
+        # one self-term per cell, and the reference's once for the pass
+        assert len(self_sums) == 4
+        assert sum(np.array_equal(x, reference) for x in self_sums) == 1
 
 
 @pytest.mark.parametrize("cfg", [UNIT_CONFIG, GMM2D_CONFIG],
@@ -916,6 +964,12 @@ def assert_finite_outputs(out: Path) -> None:
 @example(MIXTURE_1D, OVERSIZED_RUNS[2])
 @example(MIXTURE_16D, OVERSIZED_RUNS[3])
 @example(MIXTURE_1D, OVERSIZED_RUNS[4])
+@example(UNIT_CONFIG, OVERSIZED_GRIDS[0])
+@example(UNIT_CONFIG, OVERSIZED_GRIDS[1])
+@example(UNIT_CONFIG, OVERSIZED_GRIDS[2])
+@example(UNIT_CONFIG, OVERSIZED_GRIDS[3])
+@example(UNIT_CONFIG, OVERSIZED_GRIDS[4])
+@example(UNIT_CONFIG, OVERSIZED_GRIDS[5])
 def test_fuzzed_runs_keep_the_exit_code_contract(cfg, flags):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
@@ -928,3 +982,13 @@ def test_fuzzed_runs_keep_the_exit_code_contract(cfg, flags):
             assert not out.exists() or not any(out.iterdir())
         else:
             assert_finite_outputs(out)
+
+
+def test_memory_error_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 8.00 EiB")
+
+    monkeypatch.setattr(cli, "cmd_schedules", exhausted)
+    assert main(["schedules", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == ("config error: out of memory: Unable "
+                                       "to allocate 8.00 EiB\n")

@@ -441,3 +441,30 @@ class TestOneComponent:
         np.testing.assert_allclose(
             mean, gmm.means[0] + a * (gmm.covs[0] @ -score.T).T,
             rtol=0.0, atol=1e-14 * 1e160)
+
+
+ROW_MAX_VALUES = np.array([-0.0, 0.0, 1.5, -1.5, -745.0, 709.0, np.inf,
+                           -np.inf, np.nan, 5e-324])
+
+
+def as_bits(x):
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 9, 16, 17])
+def test_row_max_is_numpys_row_max(k):
+    gen = np.random.default_rng(k)
+    x = gen.normal(scale=300.0, size=(4000, k))
+    special = gen.random(size=x.shape) < 0.4
+    x[special] = gen.choice(ROW_MAX_VALUES, size=int(special.sum()))
+    x[:4] = [[-0.0] * k, [0.0] * k, [-np.inf] * k, [np.nan] * k]
+    got, want = gmm_module._row_max(x)[:, 0], x.max(axis=1)
+    # bitwise, except that a tie of 0.0 and -0.0 may keep either sign
+    same = as_bits(got) == as_bits(want)
+    zero_tie = (got == 0.0) & (want == 0.0)
+    assert np.all(same | zero_tie | (np.isnan(got) & np.isnan(want)))
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    # and the softmax numerator the oracle forms from it has the same bits
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(as_bits(np.exp(x - got[:, None])),
+                              as_bits(np.exp(x - want[:, None])))

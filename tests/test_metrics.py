@@ -300,3 +300,108 @@ class TestGaussianKlFit:
     def test_needs_enough_samples(self):
         with pytest.raises(ValueError):
             gaussian_kl_fit(np.zeros((2, 2)), [0.0, 0.0], np.eye(2))
+
+
+def report_bits(report):
+    """A report's values with the sign of zero kept: float.hex tells -0.0
+    from 0.0, where == does not."""
+    return {k: v.hex() if isinstance(v, float) else v
+            for k, v in report.to_dict().items()}
+
+
+def public_report_bits(x, target, reference, kl):
+    """What the public per-set functions give for one cell."""
+    report = moment_report(x, target)
+    report.energy_distance = energy_distance(x, reference)
+    if kl:
+        report.gaussian_kl = gaussian_kl_fit(x, target.means[0],
+                                             target.covs[0])
+    return report_bits(report)
+
+
+def tied_stack(gen, cells, n, d):
+    """(cells, n, d) samples with ties within and across cells, and both
+    signed zeros."""
+    pool = np.array([-0.0, 0.0, 1.0, -1.0, 0.5, 2.0])
+    xs = gen.normal(size=(cells, n, d))
+    pick = gen.random(size=xs.shape) < 0.5
+    xs[pick] = gen.choice(pool, size=int(pick.sum()))
+    return xs
+
+
+class TestQualityReports:
+    @pytest.mark.parametrize("cells,n,m", [(1, 2, 2), (60, 2, 3), (5, 3, 2),
+                                           (25, 256, 256), (7, 301, 257),
+                                           (1, 3000, 3000), (3, 3000, 2999)])
+    def test_1d_is_the_public_metrics_bitwise(self, cells, n, m):
+        gen = np.random.default_rng(cells * 10007 + n)
+        target = single_gaussian([0.25], [[1.5]])
+        xs = tied_stack(gen, cells, n, 1)
+        reference = tied_stack(gen, 1, m, 1)[0]
+        kl = n > 100  # a tied pair has no Gaussian fit
+        reports = metrics.quality_reports(
+            xs, target.mean(), target.cov(), reference,
+            (target.means[0], target.covs[0]) if kl else None)
+        assert len(reports) == cells
+        for x, report in zip(xs, reports):
+            assert report_bits(report) == public_report_bits(
+                x, target, reference, kl)
+
+    @given(cells=st.integers(1, 60), n=st.integers(2, 40),
+           m=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_1d_drawn_stacks_are_the_public_metrics(self, cells, n, m, seed):
+        gen = np.random.default_rng(seed)
+        target = single_gaussian([-0.5], [[0.3]])
+        xs = tied_stack(gen, cells, n, 1)
+        reference = tied_stack(gen, 1, m, 1)[0]
+        reports = metrics.quality_reports(xs, target.mean(), target.cov(),
+                                          reference)
+        for x, report in zip(xs, reports):
+            assert report_bits(report) == public_report_bits(
+                x, target, reference, kl=False)
+
+    def test_d2_past_one_block_is_the_public_metrics(self):
+        # n > _BLOCK: each pair sum spans several blocks
+        gen = np.random.default_rng(21)
+        target = sample_target_2d()
+        xs = tied_stack(gen, 2, metrics._BLOCK + 52, 2)
+        reference = gen.normal(size=(metrics._BLOCK + 11, 2))
+        reports = metrics.quality_reports(xs, target.mean(), target.cov(),
+                                          reference)
+        for x, report in zip(xs, reports):
+            assert report_bits(report) == public_report_bits(
+                x, target, reference, kl=False)
+
+    def test_reference_self_term_is_summed_once_per_pass(self, monkeypatch):
+        gen = np.random.default_rng(4)
+        target = sample_target_2d()
+        xs = gen.normal(size=(4, 30, 2))
+        reference = gen.normal(size=(25, 2))
+        pairs = []
+        pair_sum = metrics._pairwise_distance_sum
+        monkeypatch.setattr(metrics, "_pairwise_distance_sum",
+                            lambda a, b: pairs.append((a, b)) or pair_sum(a, b))
+        metrics.quality_reports(xs, target.mean(), target.cov(), reference)
+        sorted_reference = metrics._canonical(reference)
+        reference_self = [a is b and np.array_equal(a, sorted_reference)
+                          for a, b in pairs]
+        # a cross and a self term per cell, and one reference self-term
+        assert len(pairs) == 2 * len(xs) + 1
+        assert sum(reference_self) == 1
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_raises(self, d, bad):
+        target = single_gaussian(np.zeros(d), np.eye(d))
+        xs, reference = np.zeros((3, 4, d)), np.ones((5, d))
+        for arr in (xs[2, 1], reference[4]):
+            arr[d - 1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                metrics.quality_reports(xs, target.mean(), target.cov(),
+                                        reference)
+            arr[d - 1] = 0.0
+
+
+def sample_target_2d():
+    return single_gaussian([0.1, -0.2], np.array([[1.0, 0.3], [0.3, 0.5]]))

@@ -9,6 +9,7 @@ import snrdiff.samplers as samplers_mod
 from snrdiff import rng
 from snrdiff import (
     ConfigError,
+    GmmSpec,
     NumericalError,
     SamplerConfig,
     backward_drift,
@@ -871,7 +872,7 @@ def test_sample_follows_the_exact_discrete_law(vp, kind, params):
     cfg = SamplerConfig(kind=kind, steps=20, grid_kind="uniform_t", seed=11,
                         **params)
     grid = make_time_grid(vp, "uniform_t", 20, vp.t_max, vp.t_min)
-    a, b, c = samplers_mod._affine_table(vp, grid, kind, **params)
+    a, b, c, _ = samplers_mod._affine_table(vp, grid, kind, **params)
     # z_s = A z + B eps_hat + C xi, eps_hat = sigma_t (z - alpha_t mu) / c_t
     m, v = 0.0, float(vp.sigma(grid[0])) ** 2
     for k, t in enumerate(grid[:-1]):
@@ -884,3 +885,85 @@ def test_sample_follows_the_exact_discrete_law(vp, kind, params):
                cfg, n=n, d=1)[:, 0]
     assert abs(x.mean() - m) <= 5.0 * np.sqrt(v / n)
     assert abs(x.var(ddof=1) - v) <= 5.0 * v * np.sqrt(2.0 / (n - 1))
+
+
+ALL_KINDS = [
+    ("generalized", dict(rho=0.8, gamma=0.4, delta=1.1)),
+    ("kingma", {}),
+    ("non_markovian", dict(eta=0.5)),
+    ("euler_backward", dict(rho=1.0)),
+    ("exact_reference", dict(rho=0.5, substeps=3)),
+]
+
+
+@pytest.mark.parametrize("kind,params", ALL_KINDS,
+                         ids=[k for k, _ in ALL_KINDS])
+@pytest.mark.parametrize("gmm", [
+    single_gaussian([0.3], [[0.8]]),
+    GmmSpec(np.array([0.3, 0.7]), np.array([[-1.0, 0.5], [1.0, 0.0]]),
+            np.array([[[0.5, 0.2], [0.2, 0.4]], np.eye(2)])),
+], ids=["gaussian_1d", "mixture_2d"])
+def test_step_loop_makes_no_scalar_schedule_call(vp, kind, params, gmm,
+                                                 scalar_schedule_calls,
+                                                 monkeypatch):
+    # the oracle reads (alpha, sigma) from the table, not from the schedule
+    steps = []
+    step = samplers_mod._affine_step
+
+    def counted_step(*args, **kwargs):
+        steps.append(args[4])
+        scalar_schedule_calls.counting = True
+        try:
+            return step(*args, **kwargs)
+        finally:
+            scalar_schedule_calls.counting = False
+
+    monkeypatch.setattr(samplers_mod, "_affine_step", counted_step)
+    cfg = SamplerConfig(kind=kind, steps=100, seed=3, **params)
+    sample(vp, oracle_score_model(gmm, vp), cfg, n=6, d=gmm.dim)
+    assert len(steps) == 100 * cfg.substeps ** (kind == "exact_reference")
+    assert scalar_schedule_calls.calls == {}
+    # the count is live: the oracle asked at a time does call the schedule
+    scalar_schedule_calls.counting = True
+    oracle_score_model(gmm, vp).eps(vp, np.zeros((2, gmm.dim)), 0.5)
+    assert scalar_schedule_calls.calls == {"alpha": 1, "sigma": 1}
+
+
+@pytest.mark.parametrize("grid_kind", ["uniform_t", "uniform_lambda"])
+@pytest.mark.parametrize("substeps", [1, 4])
+def test_table_levels_are_the_scalar_calls_bits(any_schedule, grid_kind,
+                                                substeps):
+    # the levels the step hands the score are the bits the score's own
+    # scalar schedule calls at t would give
+    grid = make_time_grid(any_schedule, grid_kind, 200, any_schedule.t_max,
+                          any_schedule.t_min)
+    times = samplers_mod._refine(grid, substeps)
+    at = samplers_mod._affine_table(any_schedule, times, "kingma")[3]
+    assert len(at) == len(times) - 1
+    for t, (alpha, sigma) in zip(times[:-1].tolist(), at):
+        assert (alpha, sigma) == (float(any_schedule.alpha(t)),
+                                  float(any_schedule.sigma(t))), t
+
+
+GRID_VALUES = st.sampled_from([0.5, 1.0, 1, -0.0, 2.5, float("nan"),
+                               float("inf"), True, "1"])
+
+
+@given(gammas=st.lists(GRID_VALUES, min_size=1, max_size=3),
+       deltas=st.lists(GRID_VALUES, min_size=1, max_size=3),
+       rhos=st.lists(GRID_VALUES, min_size=1, max_size=3))
+@settings(max_examples=300)
+def test_generalized_cells_are_the_replace_built_cells(gammas, deltas, rhos):
+    base = SamplerConfig(kind="non_markovian", eta=0.3, steps=7, seed=4,
+                         grid_kind="uniform_t", t_end=0.2)
+    try:
+        want = [replace(base, kind="generalized", rho=r, gamma=g, delta=d)
+                for g in gammas for d in deltas for r in rhos]
+    except ConfigError as exc:
+        with pytest.raises(ConfigError) as got:
+            samplers_mod.generalized_cells(base, gammas, deltas, rhos)
+        assert str(got.value) == str(exc)
+    else:
+        got = samplers_mod.generalized_cells(base, gammas, deltas, rhos)
+        assert got == want
+        assert [c.to_dict() for c in got] == [c.to_dict() for c in want]
