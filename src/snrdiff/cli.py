@@ -22,9 +22,10 @@ written (IO error), 3 numerical failure.  The quality report needs
 Gaussian-fit KL; both are checked before sampling (2).  ``-n``, a
 mixture's ``--mc-n``, ``--grid`` and the count of a ``lo:hi:count`` grid
 may not exceed the rows numpy can index in an array of 8-byte values,
-2**60 - 1 on a 64-bit build, checked before any draw (2).  A count under
-that cap whose arrays do not fit in memory exits 2 with one
-``config error: out of memory:`` line.  A target mean or covariance
+2**60 - 1 on a 64-bit build, nor may the steps + 1 nodes of a sampler's
+time grid, or the substeps + 1 of an ``exact_reference`` step; all are
+checked before any draw (2).  A count under that cap whose arrays do not
+fit in memory exits 2 with one ``config error: out of memory:`` line.  A target mean or covariance
 that is not finite, a zero target covariance, or one that is singular
 for that KL leaves the report undefined (3); ``sample`` and
 ``sweep`` check this before sampling too.  A quality value that still
@@ -43,8 +44,10 @@ when all are written, so a failure leaves no partial output behind.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
+import shutil
 import sys
 import uuid
 from pathlib import Path
@@ -151,7 +154,13 @@ def _resolve_sampler(args, cfg: dict) -> SamplerConfig:
         spec["seed"] = args.seed
     if "seed" not in spec:
         raise ConfigError("a seed is required (config 'sampler.seed' or --seed)")
-    return sampler_config_from_dict(spec)
+    config = sampler_config_from_dict(spec)
+    # the time grid holds steps + 1 nodes, and exact_reference splits each
+    # of its intervals at substeps + 1
+    _row_count("sampler steps", config.steps, 1)
+    if config.kind == "exact_reference":
+        _row_count("sampler substeps", config.substeps, 1)
+    return config
 
 
 def _parse_grid(text: str, what: str) -> list[float]:
@@ -219,11 +228,13 @@ def _quality_report(x, gmm, seed, target):
 _MAX_ROWS = np.iinfo(np.intp).max // 8
 
 
-def _row_count(option: str, n: int) -> int:
-    """``n``, or a ConfigError naming ``option`` if it exceeds _MAX_ROWS."""
-    if n > _MAX_ROWS:
-        raise ConfigError(f"{option} must be at most {_MAX_ROWS}, got {n}: "
-                          "numpy cannot index more rows of 8-byte values")
+def _row_count(option: str, n: int, extra: int = 0) -> int:
+    """``n``, or a ConfigError naming ``option`` if an array of n + extra
+    rows would exceed _MAX_ROWS."""
+    if n + extra > _MAX_ROWS:
+        raise ConfigError(f"{option} must be at most {_MAX_ROWS - extra}, "
+                          f"got {n}: numpy cannot index more rows of 8-byte "
+                          "values")
     return n
 
 
@@ -394,12 +405,21 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse builds a help formatter for every add_argument, and each one
+    # asks the terminal for its width; ask once, and give every parser a
+    # formatter of the width argparse derives from it
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="snrdiff",
         description="Signal-to-noise diffusion schedules, samplers, and "
                     "information curves with closed-form oracles.",
+        formatter_class=formatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=functools.partial(argparse.ArgumentParser,
+                                       formatter_class=formatter))
 
     def common(p):
         p.add_argument("--config", help="JSON run config")

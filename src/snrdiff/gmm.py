@@ -30,6 +30,18 @@ adds the quadratic form's d terms from left to right, while the rows-first
 left to right only up to D = 2.  The two agree to a few ulp of the terms
 (within 1e-13 relative) but not bit for bit.
 
+The full-covariance branch of :func:`_components` takes an optional flat
+workspace and writes each temporary, (K, D, N), (K, N) and (D, N), into a
+view of it through ``out=``.  The Monte Carlo MMSE pass calls the kernel
+on block after block of the same size, and one workspace per pass spares
+it an allocation, and the page faults of fresh (K, D, N) arrays, at every
+step of every block.  Without a workspace each step allocates its result,
+which is how the sampler's oracle and the public oracles call it, once
+per step on arrays of any size.  The diagonal branch takes none: its
+products over D and K are the rows-first kernel's, kept as they are, and
+its MMSE pass stays rows first.  :func:`_posterior_mean` is the one
+formula for E[x | z]; :func:`posterior_mean` and the pass both call it.
+
 :func:`log_marginal_density` combines the components with
 ``scipy.special.logsumexp``, imported there on first use: no sampling or
 information command calls it, and importing ``scipy.special`` would
@@ -51,6 +63,7 @@ mixture kernel turns r, and with it every output, into NaN.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,7 +223,9 @@ def sample_data(gmm: GmmSpec, n: int, seed: int) -> np.ndarray:
     """Draw n i.i.d. samples, deterministically given the seed.
 
     Component indices come first from the stream, then one standard-normal
-    vector per sample, so the output is independent of any batching.
+    vector per sample, so the output is independent of any batching.  Each
+    component transforms its own rows with its Cholesky factor, so the
+    draw holds O(n d) values, not a factor per row.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -219,11 +234,12 @@ def sample_data(gmm: GmmSpec, n: int, seed: int) -> np.ndarray:
     comp = np.searchsorted(np.cumsum(gmm.weights), u, side="right")
     comp = np.minimum(comp, gmm.n_components - 1)
     eps = g.standard_normal((n, gmm.dim))
-    chols = np.stack([
-        np.linalg.cholesky(gmm.covs[k] + COV_FLOOR * np.eye(gmm.dim))
-        for k in range(gmm.n_components)
-    ])
-    return gmm.means[comp] + np.einsum("nij,nj->ni", chols[comp], eps)
+    x = np.empty_like(eps)
+    for k in range(gmm.n_components):
+        rows = np.flatnonzero(comp == k)
+        chol = np.linalg.cholesky(gmm.covs[k] + COV_FLOOR * np.eye(gmm.dim))
+        x[rows] = gmm.means[k] + np.einsum("ij,nj->ni", chol, eps[rows])
+    return x
 
 
 def marginal_at(gmm: GmmSpec, schedule: Schedule, t: float) -> GmmSpec:
@@ -259,8 +275,35 @@ def _row_max(x: np.ndarray) -> np.ndarray:
     return top
 
 
+def _work_shapes(gmm: GmmSpec, n: int) -> tuple[tuple[int, ...], ...]:
+    """Shapes of the views the full-covariance kernel carves from a
+    workspace for n rows: the centred and the rotated rows (K, D, N), the
+    log joint and the responsibilities (K, N), a row reduction (N,) and the
+    residual (D, N)."""
+    k, d = gmm._evals.shape
+    return (k, d, n), (k, d, n), (k, n), (k, n), (n,), (d, n)
+
+
+def _work_size(gmm: GmmSpec, n: int) -> int:
+    """Floats of a workspace that serves :func:`_components` at n rows."""
+    return sum(math.prod(shape) for shape in _work_shapes(gmm, n))
+
+
+def _views(work, shapes):
+    """C-contiguous views of consecutive pieces of the flat buffer ``work``,
+    or Nones when there is no buffer, so ``out=`` allocates."""
+    if work is None:
+        return [None] * len(shapes)
+    views, at = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(work[at:at + size].reshape(shape))
+        at += size
+    return views
+
+
 def _components(gmm: GmmSpec, a: float, s2: float, z: np.ndarray, scale=1.0,
-                joint: bool = True):
+                joint: bool = True, work=None):
     """Per-component terms of the noisy mixture for rows z of shape (N, D).
 
     Component k of z_t has mean a m_k and covariance Q_k diag(c_k) Q_k^T,
@@ -279,6 +322,11 @@ def _components(gmm: GmmSpec, a: float, s2: float, z: np.ndarray, scale=1.0,
     v = Q_k^T (z - a m_k) as (K, D, N), and return transposed views, so
     their r, logp and w are not C-contiguous; see the module docstring
     for which inputs give bitwise the results of the rows-first kernel.
+    A full mixture reads z through ``z.T``, copied only when that is not
+    C-contiguous.  Given a flat ``work`` of at least :func:`_work_size`
+    floats, it writes every temporary, and so its results, into views of
+    ``work``, valid until the next call on it; with ``None`` each step
+    allocates its result.  Diagonal mixtures ignore ``work``.
     """
     c = a * a * gmm._evals + s2
     inv_c = 1.0 / c
@@ -296,21 +344,25 @@ def _components(gmm: GmmSpec, a: float, s2: float, z: np.ndarray, scale=1.0,
         r = e / e.sum(axis=1, keepdims=True)
         return r, logp, z * (r @ gain) - r @ (gain * m)
     # rows last: (K, D, N) and (K, N), so every inner loop runs over N; the
-    # steps work in place so that a call fills few fresh N-long buffers
-    v = q.transpose(0, 2, 1) @ (np.ascontiguousarray(z.T)[None]
-                                - m[:, :, None])
+    # steps work in place or in the workspace, so that a call fills few
+    # fresh N-long buffers, and with a workspace none
+    diff, v, logp, r, top, w = _views(work, _work_shapes(gmm, z.shape[0]))
+    diff = np.subtract(np.ascontiguousarray(z.T)[None], m[:, :, None],
+                       out=diff)
+    v = np.matmul(q.transpose(0, 2, 1), diff, out=v)
+    qv = None if work is None else diff  # diff is spent
     if affine:
         v *= gain[:, :, None]
-        return None, None, (q @ v)[0].T
-    logp = np.einsum("kdn,kdn,kd->kn", v, v, inv_c)
+        return None, None, np.matmul(q, v, out=qv)[0].T
+    logp = np.einsum("kdn,kdn,kd->kn", v, v, inv_c, out=logp)
     logp *= -0.5
     logp += _log_norm(gmm, c)[:, None]
-    r = logp - logp.max(axis=0)
+    r = np.subtract(logp, logp.max(axis=0, out=top), out=r)
     np.exp(r, out=r)
-    r /= r.sum(axis=0)
+    r /= r.sum(axis=0, out=top)
     v *= gain[:, :, None]
     v *= r[:, None, :]
-    return r.T, logp.T, (q @ v).sum(axis=0).T
+    return r.T, logp.T, np.matmul(q, v, out=qv).sum(axis=0, out=w).T
 
 
 def _flatten(z, d):
@@ -336,14 +388,25 @@ def exact_score(gmm: GmmSpec, schedule: Schedule, t: float, z) -> np.ndarray:
     return oracle_score_model(gmm, schedule)(z, t)
 
 
+def _posterior_mean(gmm: GmmSpec, a: float, s2: float, z: np.ndarray,
+                    work=None, out=None) -> np.ndarray:
+    """E[x | z] for rows z (N, D) of the channel at levels (a, s2): the
+    responsibility-weighted per-component linear-Gaussian posterior means
+    m_k + a Sigma_k C_k^{-1}(z - a m_k), written into ``out`` if given.
+    ``work`` goes to :func:`_components`."""
+    r, _, w = _components(gmm, a, s2, z, a * gmm._evals, joint=False,
+                          work=work)
+    if r is None:
+        return np.add(gmm.means[0], w, out=out)
+    mean = np.matmul(r, gmm.means, out=out)
+    return np.add(mean, w, out=mean)
+
+
 def posterior_mean(gmm: GmmSpec, schedule: Schedule, t: float, z) -> np.ndarray:
     """Exact denoiser E[x | z_t = z]; z may be (..., D)."""
     a, s = _levels(schedule, t)
     zf, lead = _flatten(z, gmm.dim)
-    # per-component linear-Gaussian posterior: m_k + a Sigma_k C_k^{-1}(z - a m_k)
-    r, _, w = _components(gmm, a, s ** 2, zf, a * gmm._evals, joint=False)
-    mean = gmm.means[0] if r is None else r @ gmm.means
-    return (mean + w).reshape(lead + (gmm.dim,))
+    return _posterior_mean(gmm, a, s ** 2, zf).reshape(lead + (gmm.dim,))
 
 
 def oracle_score_model(gmm: GmmSpec, schedule: Schedule) -> ScoreModel:

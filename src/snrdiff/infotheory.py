@@ -20,17 +20,29 @@ the square-root channel (tilde_alpha = sqrt(lambda), tilde_sigma = 1,
 where lambda is the SNR itself) recovers dI/dlambda = mmse / 2.
 
 The Monte Carlo pass walks its N rows in blocks of ``_MC_ROWS`` (a power
-of two) at every lambda, so the posterior mean's temporaries are a block
-long and stay allocated from one lambda to the next, not N long and
-returned to the OS after each.  Every block starts at a multiple of
+of two) at every lambda.  Every block temporary (z, the posterior mean's
+kernel arrays, the error) is a view of one workspace allocated once per
+pass, so no block allocates.  Every block starts at a multiple of
 ``_MC_ROWS``, and a 1-row tail joins the block before it.  Each row's
 squared error depends only on that row, and numpy's kernels give a row the
 same bits in such a block as in the whole pass; they do not for a lone
 row, which takes other BLAS paths, nor for blocks at other offsets, which
 change the last bits at D = 16.  The squared errors go into one N-long
 buffer, and the estimate and its standard error are reduced from it in
-one pass, as before blocking: summing per-block partial results would
-round differently.
+one pass: summing per-block partial results would round differently.
+
+A mixture with a full covariance runs the pass rows last, as its kernel
+computes (see :mod:`snrdiff.gmm`): z and, where the sum below allows, the
+error are (D, rows) blocks, and eps and x are read through ``.T`` views
+rather than copied.  The kernel then reads z through ``z.T`` with no copy.
+The squared error of a row must add its D terms in the order a rows-first
+``einsum("nd,nd->n")`` does.  At D <= 2 that is the squares added in
+order, so a rows-last error is squared and summed over its D rows.  At
+D >= 3 the einsum itself sums it, on the layout the posterior mean has:
+the F-order view of the (D, rows) block for K = 1, and a C-order (rows, D)
+block for K >= 2, where the einsum adds a row in SIMD-lane order and no
+other layout gives its bits.  Diagonal mixtures keep the rows-first kernel,
+so their z and error are (rows, D) blocks.
 """
 
 from __future__ import annotations
@@ -42,14 +54,18 @@ import numpy as np
 
 from . import rng
 from .errors import ConfigError, NumericalError
-from .gmm import GmmSpec, sample_data, posterior_mean
+# posterior_mean stays bound here: bench/selftest.py traces it by this name
+from .gmm import (GmmSpec, _posterior_mean, _work_size,
+                  posterior_mean, sample_data)  # noqa: F401
 from .schedule import Schedule, float_or_array
 from .snr_space import SnrPoint, t_of_lambda
 
 # rows per block of the Monte Carlo pass, a power of two (see the module
-# docstring).  On a 2-D, 2-component info run (20,000 rows, 97 lambdas),
-# 8,192 took 0.5k page faults where no blocks took 23k; 16,384 took 28k,
-# and 4,096 took as few as 8,192 but ran slower on per-block overhead.
+# docstring).  The workspace holds about (2 K D + 2 K + 3 D + 1) floats a
+# row.  On a 2-D, 2-component info run (20,000 rows, 97 lambdas), 8,192 ran
+# fastest; 16,384 ran about 6% slower, 4,096 18% and 2,048 44%, and an
+# invocation took 26 minor page faults at 8,192, 41 at 16,384 and 300-350
+# at 4,096 and 2,048.
 _MC_ROWS = 8192
 
 
@@ -189,39 +205,69 @@ def _squared_error_mc(gmm: GmmSpec, schedule: Schedule, x, lam, t, n: int,
     """Mean and standard error of ||x - E[x|z]||^2 over the same n channel
     draws at each lambda and its time t, for x one point or n rows.
 
-    Each lambda walks the rows in the blocks of :func:`_row_blocks`, calls
-    ``posterior_mean`` on each, and writes the block's squared errors into
-    one n-long buffer, reduced once over all n rows.  Row r's error depends
-    only on row r, and a block that starts at a multiple of a power of two
-    and holds more than one row gives each row the bits the whole pass
-    gives it, so the result is bitwise the unblocked one.  A non-finite
-    estimate raises NumericalError naming the lambda, its t and the first
-    non-finite row.
+    Each lambda walks the rows in the blocks of :func:`_row_blocks` and
+    writes the block's squared errors into one n-long buffer, reduced once
+    over all n rows.  Every block temporary is a view of one workspace
+    allocated per pass, laid out as the module docstring says.  Row r's
+    error depends only on row r, and a block that starts at a multiple of
+    a power of two and holds more than one row gives each row the bits the
+    whole pass gives it, so the result is bitwise the unblocked one.  A
+    non-finite estimate raises NumericalError naming the lambda, its t and
+    the first non-finite row.
     """
     lam, t = np.asarray(lam), np.asarray(t)
-    alpha, sigma = schedule.alpha(t), schedule.sigma(t)
-    eps = rng.stream(seed, rng.PURPOSE_MC).standard_normal((n, gmm.dim))
+    alpha, sigma = schedule.alpha(t.ravel()), schedule.sigma(t.ravel())
+    d = gmm.dim
+    eps = rng.stream(seed, rng.PURPOSE_MC).standard_normal((n, d))
+    x = x[None] if x.ndim == 1 else x
     blocks = _row_blocks(n)
+    most = max(hi - lo for lo, hi in blocks)
+    full = gmm._evecs is not None
+    err_last = full and (d <= 2 or gmm.n_components == 1)
+    work = np.empty(2 * d * most + (_work_size(gmm, most) if full else 0))
+    kernel_work = work[2 * d * most:] if full else None
+
+    def block(at: int, rows: int, rows_last: bool) -> np.ndarray:
+        """The (rows, D) view of a C-contiguous block of ``work`` starting
+        at float ``at``, stored (D, rows) when ``rows_last``."""
+        flat = work[at:at + d * rows]
+        return flat.reshape(d, rows).T if rows_last else flat.reshape(rows, d)
+
+    def last(a: np.ndarray) -> np.ndarray:
+        """A (rows, D) array in the z blocks' layout."""
+        return a.T if full else a
+
     sq = np.empty(n)
-    value, stderr = np.empty(t.shape), np.empty(t.shape)
-    for i, ti in np.ndenumerate(t):
+    value, stderr = np.empty(t.size), np.empty(t.size)
+    for i, ti in enumerate(t.ravel()):
+        a, s = float(alpha[i]), float(sigma[i])
         for lo, hi in blocks:
-            xb = x if x.ndim == 1 else x[lo:hi]
-            z = sigma[i] * eps[lo:hi]
-            z += alpha[i] * xb
-            err = posterior_mean(gmm, schedule, ti, z)
-            np.subtract(xb, err, out=err)
-            np.einsum("nd,nd->n", err, err, out=sq[lo:hi])
+            rows = hi - lo
+            xb = x if len(x) == 1 else x[lo:hi]
+            z, ax = block(0, rows, full), block(d * rows, rows, full)
+            np.multiply(last(eps[lo:hi]), s, out=last(z))
+            np.multiply(last(xb), a, out=last(ax))
+            z += ax
+            # a full kernel reads z.T, which is then a C-contiguous block
+            err = _posterior_mean(gmm, a, s ** 2, z, work=kernel_work,
+                                  out=block(d * rows, rows, err_last))
+            xs, es = (xb.T, err.T) if err_last else (xb, err)
+            np.subtract(xs, es, out=es)
+            if err_last and d <= 2:
+                np.square(es, out=es)
+                np.sum(es, axis=0, out=sq[lo:hi])
+            else:
+                np.einsum("nd,nd->n", err, err, out=sq[lo:hi])
         value[i], stderr[i] = sq.mean(), sq.std(ddof=1) / math.sqrt(n)
         if not math.isfinite(value[i]):
             bad = np.flatnonzero(~np.isfinite(sq))
             why = (f"row {bad[0]} has squared error {sq[bad[0]]}" if bad.size
                    else "the mean of the squared errors overflows")
             raise NumericalError(f"Monte Carlo MMSE is not finite at "
-                                 f"lambda={lam[i]} (t={ti}): {why}")
+                                 f"lambda={lam.ravel()[i]} (t={ti}): {why}")
     if t.ndim == 0:
-        return McEstimate(float(value), float(stderr))
-    return McEstimate(value, stderr)
+        return McEstimate(float(value[0]), float(stderr[0]))
+    return McEstimate(value.reshape(t.shape), stderr.reshape(t.shape))
 
 
 def mmse_mc(gmm: GmmSpec, schedule: Schedule, lam, n: int,

@@ -1,8 +1,10 @@
+import argparse
 import contextlib
 import copy
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -100,6 +102,12 @@ OVERSIZED_GRIDS = [["schedules", "--schedule", "VP", "--grid", str(10**14)],
                    ["sweep", "-n", "8", f"--gammas=0.5:1.5:{10**14}"],
                    ["sweep", "-n", "8", f"--deltas=0.5:1.5:{10**21}"],
                    ["info", f"--lambdas=-1:1:{10**14}"]]
+# sampler configs whose time grid numpy cannot index: steps + 1 nodes, or
+# substeps + 1 per interval on exact_reference
+OVERSIZED_STEPS = {**UNIT_CONFIG, "sampler": {**UNIT_CONFIG["sampler"],
+                                              "steps": 10**21}}
+OVERSIZED_SUBSTEPS = {**UNIT_CONFIG, "sampler": {
+    "kind": "exact_reference", "steps": 3, "substeps": 10**21, "seed": 7}}
 OUT_OF_MEMORY = ("config error: out of memory: Unable to allocate 728. TiB "
                  "for an array with shape (100000000000000,) and data type "
                  "float64")
@@ -181,6 +189,13 @@ UNSERVED_RUNS = [
      "got 1000000000000000000000: numpy cannot index more rows of 8-byte "
      "values"),
     (UNIT_CONFIG, OVERSIZED_GRIDS[5], 2, OUT_OF_MEMORY),
+    (OVERSIZED_STEPS, ["sample", "-n", "8"], 2,
+     "config error: sampler steps must be at most 1152921504606846974, got "
+     "1000000000000000000000: numpy cannot index more rows of 8-byte values"),
+    (OVERSIZED_SUBSTEPS, ["sample", "-n", "8"], 2,
+     "config error: sampler substeps must be at most 1152921504606846974, "
+     "got 1000000000000000000000: numpy cannot index more rows of 8-byte "
+     "values"),
 ]
 UNSERVED_IDS = ["exact_reference_gamma_minus_one", "n_not_above_dim",
                 "singular_target", "zero_cov_sample", "zero_cov_sweep",
@@ -194,7 +209,8 @@ UNSERVED_IDS = ["exact_reference_gamma_minus_one", "n_not_above_dim",
                 "oversized_trajectories_sample", "out_of_memory_schedules",
                 "oversized_grid_schedules", "oversized_grid_snrspace",
                 "out_of_memory_sweep_gammas", "oversized_sweep_deltas",
-                "out_of_memory_info_lambdas"]
+                "out_of_memory_info_lambdas", "oversized_steps_sample",
+                "oversized_substeps_sample"]
 # the runs whose target the quality report cannot score
 UNSCORABLE_TARGETS = [
     (SINGULAR_GAUSS2D, ["sample", "-n", "8"]),
@@ -970,6 +986,8 @@ def assert_finite_outputs(out: Path) -> None:
 @example(UNIT_CONFIG, OVERSIZED_GRIDS[3])
 @example(UNIT_CONFIG, OVERSIZED_GRIDS[4])
 @example(UNIT_CONFIG, OVERSIZED_GRIDS[5])
+@example(OVERSIZED_STEPS, ["sample", "-n", "8"])
+@example(OVERSIZED_SUBSTEPS, ["sample", "-n", "8"])
 def test_fuzzed_runs_keep_the_exit_code_contract(cfg, flags):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
@@ -992,3 +1010,38 @@ def test_memory_error_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
     assert main(["schedules", "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == ("config error: out of memory: Unable "
                                        "to allocate 8.00 EiB\n")
+
+
+# -- the argument parser -------------------------------------------------------
+
+def all_parsers(parser):
+    """The top parser and every subcommand's, by command ("" for the top)."""
+    sub, = (a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction))
+    return {"": parser, **sub.choices}
+
+
+@pytest.mark.parametrize("columns", ["60", "200"])
+def test_help_is_argparse_default_help(monkeypatch, capsys, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    for command, parser in all_parsers(cli.build_parser()).items():
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"] if command else ["--help"])
+        assert exit_.value.code == 0
+        got = capsys.readouterr().out
+        # argparse's own formatter asks the terminal on every use
+        parser.formatter_class = argparse.HelpFormatter
+        assert got == parser.format_help(), command
+
+
+def test_build_parser_asks_the_terminal_once(monkeypatch):
+    calls = []
+    size = shutil.get_terminal_size
+
+    def counted(*args):
+        calls.append(args)
+        return size(*args)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counted)
+    cli.build_parser()
+    assert len(calls) <= 1

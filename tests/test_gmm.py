@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -20,7 +21,7 @@ from snrdiff import (
     single_gaussian,
     transition,
 )
-from snrdiff import gmm as gmm_module
+from snrdiff import gmm as gmm_module, rng
 
 from conftest import BUILTIN
 
@@ -110,6 +111,46 @@ class TestSampling:
         assert np.array_equal(a, b)
         c = sample_data(two_bumps, 500, seed=100)
         assert not np.array_equal(a, c)
+
+
+def gathered_sample_data(gmm, n, seed):
+    """The draw that ``sample_data`` replaced, kept as its reference: one
+    Cholesky factor gathered per row, an (n, d, d) array, for one einsum."""
+    g = rng.stream(seed, rng.PURPOSE_DATA)
+    u = g.random(n)
+    comp = np.searchsorted(np.cumsum(gmm.weights), u, side="right")
+    comp = np.minimum(comp, gmm.n_components - 1)
+    eps = g.standard_normal((n, gmm.dim))
+    chols = np.stack([
+        np.linalg.cholesky(gmm.covs[k] + gmm_module.COV_FLOOR * np.eye(gmm.dim))
+        for k in range(gmm.n_components)
+    ])
+    return gmm.means[comp] + np.einsum("nij,nj->ni", chols[comp], eps)
+
+
+class TestSampleDataByComponent:
+    def test_bitwise_the_gathered_draw(self):
+        gen = np.random.default_rng(5)
+        for d in range(1, 17):
+            for k in range(1, 9):
+                gmm = random_mixture(gen, k, d, gen.random(k) < 0.5)
+                for n in (1, 7, 300):
+                    got = sample_data(gmm, n, seed=d * k + n)
+                    want = gathered_sample_data(gmm, n, seed=d * k + n)
+                    assert got.tobytes() == want.tobytes(), (d, k, n)
+
+    def test_holds_order_n_d(self):
+        # the mixture_sample shape, where one factor a row would be 16x the
+        # output
+        gmm = random_mixture(np.random.default_rng(2), 8, 16, [False] * 8)
+        n, d = 2000, 16
+        tracemalloc.start()
+        try:
+            sample_data(gmm, n, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n * 6 * d, peak
 
 
 class TestMarginal:
@@ -297,11 +338,12 @@ class TestSpectralOracle:
         assert all(np.all(np.isfinite(o)) for o in outs)
 
 
-def rows_first_components(gmm, a, s2, z, scale=1.0, joint=True):
+def rows_first_components(gmm, a, s2, z, scale=1.0, joint=True, work=None):
     """The full-covariance kernel that ``gmm._components`` replaced, kept
     as its reference for mixtures with a full covariance: rows first,
     (K, N, D) and (N, K), with the quadratic form an ``einsum`` over d.
-    It forms r and logp whether or not the caller reads them (``joint``)."""
+    It forms r and logp whether or not the caller reads them (``joint``),
+    and allocates whether or not it is given a workspace (``work``)."""
     c = a * a * gmm._evals + s2
     inv_c = 1.0 / c
     gain = scale * inv_c
@@ -379,10 +421,10 @@ class TestRowsLastKernel:
 real_components = gmm_module._components
 
 
-def mixture_components(gmm, a, s2, z, scale=1.0, joint=True):
+def mixture_components(gmm, a, s2, z, scale=1.0, joint=True, work=None):
     """``gmm._components`` as it runs for every K, r and logp formed
     whether or not the caller reads them: the one-component shortcut off."""
-    return real_components(gmm, a, s2, z, scale)
+    return real_components(gmm, a, s2, z, scale, work=work)
 
 ONE_COMPONENT_CASES = [(d, full) for d in (1, 2, 3, 16)
                        for full in ((False,) if d == 1 else (False, True))]
@@ -468,3 +510,24 @@ def test_row_max_is_numpys_row_max(k):
     with np.errstate(invalid="ignore"):
         assert np.array_equal(as_bits(np.exp(x - got[:, None])),
                               as_bits(np.exp(x - want[:, None])))
+
+
+@pytest.mark.parametrize("k,d,full", SPECTRAL_CASES)
+def test_components_with_a_workspace_are_the_allocating_bits(vp, k, d, full):
+    gmm = random_mixture(np.random.default_rng(k * d), k, d, [full] * k)
+    t = 0.4 * vp.t_max
+    a, s2 = float(vp.alpha(t)), float(vp.sigma(t)) ** 2
+    for n in (0, 1, 300):
+        z = noisy_draws(gmm, vp, t, n, seed=d) if n else np.empty((0, d))
+        work = np.full(gmm_module._work_size(gmm, n), np.nan)
+        # z as the rows-last pass hands it over too: the .T of a (D, n) block
+        for rows in (z, np.ascontiguousarray(z.T).T):
+            for scale, joint in ((1.0, True), (a * gmm._evals, False)):
+                want = gmm_module._components(gmm, a, s2, rows, scale, joint)
+                got = gmm_module._components(gmm, a, s2, rows, scale, joint,
+                                             work=work)
+                for g, w in zip(got, want):
+                    assert (g is None) == (w is None)
+                    if w is not None:
+                        assert g.shape == w.shape
+                        assert g.tobytes() == w.tobytes()

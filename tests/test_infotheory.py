@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,7 @@ from snrdiff import (
     single_gaussian,
     tilde_eval,
 )
-from snrdiff import infotheory
+from snrdiff import infotheory, rng
 from snrdiff.gmm import posterior_mean
 from snrdiff.snr_space import t_of_lambda
 from snrdiff.verify import check_mc_estimators
@@ -335,3 +336,71 @@ def test_squared_error_pass_holds_one_block_beyond_its_own_buffers(vp):
     # arrays
     block = 8 * infotheory._MC_ROWS * (k * d + k + d)
     assert peak <= own + 6 * block, (peak, own, block)
+
+
+def reference_squared_error_mc(gmm, schedule, x, lam, t, n, seed):
+    """The Monte Carlo pass that the rows-last workspace pass replaced, kept
+    as its reference: each block builds z rows first, calls the public
+    ``posterior_mean`` and sums the error with ``einsum``."""
+    lam, t = np.asarray(lam), np.asarray(t)
+    alpha, sigma = schedule.alpha(t), schedule.sigma(t)
+    eps = rng.stream(seed, rng.PURPOSE_MC).standard_normal((n, gmm.dim))
+    sq = np.empty(n)
+    value, stderr = np.empty(t.shape), np.empty(t.shape)
+    for i, ti in np.ndenumerate(t):
+        for lo, hi in infotheory._row_blocks(n):
+            xb = x if x.ndim == 1 else x[lo:hi]
+            z = sigma[i] * eps[lo:hi]
+            z += alpha[i] * xb
+            err = posterior_mean(gmm, schedule, ti, z)
+            np.subtract(xb, err, out=err)
+            np.einsum("nd,nd->n", err, err, out=sq[lo:hi])
+        value[i], stderr[i] = sq.mean(), sq.std(ddof=1) / math.sqrt(n)
+    if t.ndim == 0:
+        return float(value), float(stderr)
+    return value, stderr
+
+
+PASS_CASES = [(d, k, full) for d in (1, 2, 3, 5, 16) for k in (1, 2, 3, 8)
+              for full in ((False,) if d == 1 else (False, True))]
+
+
+@pytest.mark.parametrize("d,k,full", PASS_CASES)
+def test_mc_pass_is_the_reference_pass_bitwise(monkeypatch, fm_ot, d, k,
+                                               full):
+    gmm = _mixture(k, d, full, seed=d + k)
+    lams = np.linspace(-5.0, 5.0, 5)
+    t = t_of_lambda(fm_ot, lams)
+    x = np.linspace(-1.0, 1.0, d)
+
+    def same(n):
+        batch = mmse_mc(gmm, fm_ot, lams, n, seed=3)
+        want = reference_squared_error_mc(
+            gmm, fm_ot, sample_data(gmm, n, 3), lams, t, n, seed=3)
+        assert batch.value.tobytes() == want[0].tobytes()
+        assert batch.stderr.tobytes() == want[1].tobytes()
+        point = pointwise_mmse_mc(gmm, fm_ot, x, lams[1], n, seed=4)
+        want = reference_squared_error_mc(gmm, fm_ot, x, lams[1], t[1], n,
+                                          seed=4)
+        assert np.array(point).tobytes() == np.array(want).tobytes()
+
+    # two blocks of the default size, the second of two rows
+    same(infotheory._MC_ROWS + 2)
+    # and small blocks: whole ones, a 1-row tail joined to the one before,
+    # and a short last block
+    monkeypatch.setattr(infotheory, "_MC_ROWS", 64)
+    for n in (100, 128, 129, 130, 200):
+        same(n)
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_mc_pass_makes_no_scalar_schedule_call(scalar_schedule_calls, vp,
+                                               full):
+    gmm = _mixture(2, 2, full)
+    lams = np.linspace(-3.0, 3.0, 4)
+    t = t_of_lambda(vp, lams)
+    x = sample_data(gmm, 300, seed=1)
+    scalar_schedule_calls.counting = True
+    infotheory._squared_error_mc(gmm, vp, x, lams, t, 300, seed=2)
+    infotheory._squared_error_mc(gmm, vp, x[0], lams[0], t[0], 300, seed=2)
+    assert not scalar_schedule_calls.calls
