@@ -8,8 +8,10 @@ table in 17 significant digits; ids and step numbers print as integers.
 ``sample`` runs one config as a one-cell pass and ``sweep`` runs all its
 cells in one pass.  ``--threads`` (default 1) goes straight to
 :func:`~snrdiff.samplers.sample`, which decides how many worker threads the
-pass splits its rows across; a small pass runs on one.  Neither the outputs
-nor a numerical failure's message depend on it.  Only ``sample`` and
+pass splits its rows across; a small pass runs on one.  A one-worker pass
+that injects at least 4096 noise values a step gives a spare thread its
+step noise to draw ahead.  Neither the outputs nor a numerical failure's
+message depend on it.  Only ``sample`` and
 ``sweep`` use it; ``info``, ``schedules`` and ``snrspace`` ignore it.
 ``sample --trajectories`` writes ``trajectories.csv``, one row per (sample,
 grid node), from the pass's (steps + 1, n, d) state array.  Both score
@@ -19,13 +21,15 @@ Exit codes: 0 success, 1 verification failure, 2 invalid configuration
 or arguments, including an output directory that cannot be created or
 written (IO error), 3 numerical failure.  The quality report needs
 ``-n`` >= 2, and ``-n`` above the dimension for a one-component target's
-Gaussian-fit KL; both are checked before sampling (2).  ``-n``, a
-mixture's ``--mc-n``, ``--grid`` and the count of a ``lo:hi:count`` grid
-may not exceed the rows numpy can index in an array of 8-byte values,
-2**60 - 1 on a 64-bit build, nor may the steps + 1 nodes of a sampler's
-time grid, or the substeps + 1 of an ``exact_reference`` step; all are
-checked before any draw (2).  A count under that cap whose arrays do not
-fit in memory exits 2 with one ``config error: out of memory:`` line.  A target mean or covariance
+Gaussian-fit KL; both are checked before sampling (2).  ``-n`` and a
+mixture's ``--mc-n`` may not exceed the rows numpy can index in an array
+of 8-byte values, 2**60 - 1 on a 64-bit build.  Grid node counts stop at
+the largest count ``np.linspace`` accepts, 2**60 - 65, as it counts in
+float64: a ``--grid``, the count of a ``lo:hi:count`` grid, the steps + 1
+nodes of a sampler's time grid and the substeps + 1 of an
+``exact_reference`` step.  All are checked before any draw (2).  A count
+under its cap whose arrays do not fit in memory exits 2 with one
+``config error: out of memory:`` line.  A target mean or covariance
 that is not finite, a zero target covariance, or one that is singular
 for that KL leaves the report undefined (3); ``sample`` and
 ``sweep`` check this before sampling too.  A quality value that still
@@ -77,10 +81,13 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _csv_text(header: list[str], table) -> str:
+def _csv_text(header: list[str], table, int_columns: int = 0) -> str:
     """CSV of ``table`` (a 2-D array or equal rows), each value a float in
-    17 significant digits: an integer below 2**53 prints as ``str`` gives."""
-    row = ",".join(["%.17g"] * len(header))
+    17 significant digits: an integer below 2**53 prints as ``str`` gives.
+    The first ``int_columns`` columns hold integers below 2**53 and print
+    through ``%d``, the same text."""
+    row = ",".join(["%d"] * int_columns
+                   + ["%.17g"] * (len(header) - int_columns))
     lines = [row % tuple(r) for r in np.asarray(table, dtype=float).tolist()]
     return "\n".join([",".join(header), *lines]) + "\n"
 
@@ -157,19 +164,20 @@ def _resolve_sampler(args, cfg: dict) -> SamplerConfig:
     config = sampler_config_from_dict(spec)
     # the time grid holds steps + 1 nodes, and exact_reference splits each
     # of its intervals at substeps + 1
-    _row_count("sampler steps", config.steps, 1)
+    _row_count("sampler steps", config.steps, 1, _MAX_NODES)
     if config.kind == "exact_reference":
-        _row_count("sampler substeps", config.substeps, 1)
+        _row_count("sampler substeps", config.substeps, 1, _MAX_NODES)
     return config
 
 
 def _parse_grid(text: str, what: str) -> list[float]:
     """Parse 'lo:hi:count' (inclusive linspace) or a comma list of values;
-    the grid must hold at least one value, and a count passes _row_count."""
+    the grid must hold at least one value, and a count at most _MAX_NODES."""
     try:
         if ":" in text:
             lo, hi, count = text.split(":")
-            count = _row_count(f"{what} grid count", int(count))
+            count = _row_count(f"{what} grid count", int(count), 0,
+                               _MAX_NODES)
             values = [float(v) for v in
                       np.linspace(float(lo), float(hi), count)]
         else:
@@ -186,7 +194,7 @@ def _parse_grid(text: str, what: str) -> list[float]:
 def _grid_size(args) -> int:
     if args.grid < 1:
         raise ConfigError(f"--grid must be >= 1, got {args.grid}")
-    return _row_count("--grid", args.grid)
+    return _row_count("--grid", args.grid, 0, _MAX_NODES)
 
 
 def cmd_schedules(args) -> int:
@@ -226,13 +234,18 @@ def _quality_report(x, gmm, seed, target):
 # numpy indexes an array's bytes with np.intp, and every run builds at least
 # one array of 8-byte values per row, so no run can take more rows than this
 _MAX_ROWS = np.iinfo(np.intp).max // 8
+# np.linspace counts its values in float64, so a count just under _MAX_ROWS
+# can round up past it (within 64 of 2**60 on a 64-bit build) and fail
+# inside numpy: grid node counts stop at the largest count that does not
+_MAX_NODES = next(k for k in range(_MAX_ROWS, 0, -1) if float(k) <= _MAX_ROWS)
 
 
-def _row_count(option: str, n: int, extra: int = 0) -> int:
-    """``n``, or a ConfigError naming ``option`` if an array of n + extra
-    rows would exceed _MAX_ROWS."""
-    if n + extra > _MAX_ROWS:
-        raise ConfigError(f"{option} must be at most {_MAX_ROWS - extra}, "
+def _row_count(option: str, n: int, extra: int = 0,
+               cap: int = _MAX_ROWS) -> int:
+    """``n``, or a ConfigError naming ``option`` if n + extra exceeds
+    ``cap``: _MAX_ROWS rows, or _MAX_NODES grid nodes."""
+    if n + extra > cap:
+        raise ConfigError(f"{option} must be at most {cap - extra}, "
                           f"got {n}: numpy cannot index more rows of 8-byte "
                           "values")
     return n
@@ -285,7 +298,7 @@ def cmd_sample(args) -> int:
     files = {
         "samples.csv": _csv_text(
             ["sample_id"] + [f"x_{j}" for j in range(gmm.dim)],
-            np.column_stack([np.arange(n), x])),
+            np.column_stack([np.arange(n), x]), 1),
         "report.json": _json_text(report.to_dict()),
     }
     if states is not None:
@@ -294,7 +307,8 @@ def cmd_sample(args) -> int:
             ["sample_id", "step", "t"] + [f"z_{j}" for j in range(gmm.dim)],
             np.column_stack([np.repeat(np.arange(n), nodes),
                              np.tile(np.arange(nodes), n), np.tile(times, n),
-                             states.transpose(1, 0, 2).reshape(-1, gmm.dim)]))
+                             states.transpose(1, 0, 2).reshape(-1, gmm.dim)]),
+            2)
     out_dir = Path(args.out)
     _write_outputs(out_dir, files)
     print(f"wrote {out_dir / 'samples.csv'} and {out_dir / 'report.json'}")
@@ -426,9 +440,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="seed override")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--threads", type=int, default=1,
-                       help="most worker threads for sample and sweep; a "
-                            "small pass runs on one, and neither outputs "
-                            "nor failure messages change (default: 1)")
+                       help="most threads for sample and sweep: workers "
+                            "split a large pass's rows, or a spare thread "
+                            "draws a one-worker pass's step noise ahead; "
+                            "neither outputs nor failure messages change "
+                            "(default: 1)")
         p.add_argument("--schedule",
                        help="built-in schedule name (overrides config)")
 

@@ -39,6 +39,16 @@ index stays its last axis, and the cells share the grid, every noise draw
 and each score call.  A trajectory is the (steps + 1, n, d) array of states
 on the grid.
 
+``threads`` gives :func:`sample` its thread budget.  A pass with enough
+state values a step splits its rows across workers (:func:`_worker_count`).
+A pass on one worker that injects noise, may use a second thread and core,
+and draws at least _NOISE_GRAIN values a step (:func:`_helper_count`) keeps
+every update on the calling thread and gives one spare thread its step
+noise: the spare thread draws the steps ahead, and the update, when its own
+step is not drawn yet, draws the next unclaimed one itself rather than wait
+(:class:`_StepNoise`).  Every draw covers all rows, so the bits are those of
+the one-thread pass.
+
 On a ``uniform_lambda`` grid between the same lambda endpoints,
 ``generalized``, ``kingma`` and ``non_markovian`` at eta = 0 give the same
 x = z/alpha(t_end) on every schedule: their coefficients depend on the
@@ -52,6 +62,7 @@ from __future__ import annotations
 import contextvars
 import itertools
 import os
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
@@ -79,6 +90,13 @@ _MUTATE_FLIP_EPS_BRACKET = False
 # core saves.  On a 2-core host two workers broke even at 10k to 24k values
 # a step on 1-D, D = 2 and D = 16 targets.
 _GRAIN = 8192
+
+# Noise values (n x d) a step's draw must hold for a pass on one row worker
+# to give a spare thread the draws of the steps ahead.  On a 2-core host a
+# 1-D pass slowed at 1k rows and gained from 2.5k rows up.
+_NOISE_GRAIN = 4096
+# Bytes of draws the spare thread may hold ahead of the update.
+_WINDOW_BYTES = 1 << 20
 
 
 def _draw(shape, eps) -> np.ndarray:
@@ -378,6 +396,97 @@ def _worker_count(threads: int, cores: int, cells: int, n: int,
     return max(1, min(threads, cores, n, cells * n * d // _GRAIN))
 
 
+def _helper_count(threads: int, cores: int, workers: int,
+                  noise_values: int) -> int:
+    """Spare threads for a pass on ``workers`` row workers that draws
+    ``noise_values`` noise values a step (0 if it injects none): one when
+    the pass runs on one worker, ``threads`` and ``cores`` both allow
+    another, and each draw holds at least _NOISE_GRAIN values; else none.
+    A pass split across rows keeps its row split."""
+    return int(workers == 1 < min(threads, cores)
+               and noise_values >= _NOISE_GRAIN)
+
+
+class _StepNoise:
+    """The full-width noise draws of a pass's steps, shared by the thread
+    running the update and one spare thread that draws the steps ahead.
+
+    Steps are claimed in order from one counter and each is drawn once, by
+    whichever thread claims it; no claim runs ``window`` or more steps ahead
+    of the step the update takes next.  The update does not wait while a
+    step is left to claim: when its own step is still being drawn, it draws
+    the next unclaimed one.  A draw is ``rng.row_normals`` over all rows, so
+    its bits are those of the one-thread pass.
+    """
+
+    def __init__(self, seed: int, steps: int, n: int, d: int, window: int):
+        self._draw_args = seed, n, d
+        self._steps, self._window = steps, window
+        self._cond = threading.Condition()
+        self._claimed = 0  # steps claimed by either thread
+        self._taken = 0    # steps the update has taken
+        self._ready = {}   # step -> its draw, not yet taken
+        self._error = None
+        self._closed = False
+
+    def _draw(self, i: int) -> np.ndarray:
+        seed, n, d = self._draw_args
+        return rng.row_normals(seed, rng.PURPOSE_STEP, i, 0, n, d)
+
+    def _claim(self):
+        """The next unclaimed step inside the window, or None; call with
+        the lock held."""
+        if (self._closed or self._claimed == self._steps
+                or self._claimed - self._taken >= self._window):
+            return None
+        self._claimed += 1
+        return self._claimed - 1
+
+    def fill(self) -> None:
+        """The spare thread: draw claimed steps until every step is claimed
+        or the pass closes; a failed draw is handed to the update."""
+        try:
+            while True:
+                with self._cond:
+                    while (i := self._claim()) is None:
+                        if self._closed or self._claimed == self._steps:
+                            return
+                        self._cond.wait()
+                xi = self._draw(i)
+                with self._cond:
+                    self._ready[i] = xi
+                    self._cond.notify_all()
+        except BaseException as exc:
+            with self._cond:
+                self._error = exc
+                self._cond.notify_all()
+            raise
+
+    def take(self, i: int) -> np.ndarray:
+        """Step i's draw; the update takes steps 0, 1, ... in order."""
+        while True:
+            with self._cond:
+                if self._error is not None:
+                    raise self._error
+                if i in self._ready:
+                    self._taken = i + 1
+                    self._cond.notify_all()
+                    return self._ready.pop(i)
+                j = self._claim()
+                if j is None:
+                    self._cond.wait()
+                    continue
+            xi = self._draw(j)
+            with self._cond:
+                self._ready[j] = xi
+
+    def close(self) -> None:
+        """End the pass: the spare thread claims no further step."""
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
+
+
 def sample(schedule: Schedule, score: ScoreModel, config, n: int, d: int,
            threads: int = 1, return_trajectories: bool = False):
     """Run the configured backward pass for n trajectories of dimension d.
@@ -385,10 +494,14 @@ def sample(schedule: Schedule, score: ScoreModel, config, n: int, d: int,
     The prior is z ~ N(0, sigma(t_start)^2 I).  Noise is addressed by
     (seed, purpose, step, trajectory row), so the returned samples are a
     pure function of (config, n, d) regardless of ``threads`` or any other
-    batching.  ``threads`` is the most worker threads the rows are split
-    across: a pass gets at most one per usable core, one per row and one
+    batching.  ``threads`` is the most threads the pass may use.  Its rows
+    split across at most one worker per usable core, one per row and one
     per _GRAIN state values (cells x n x d) a step, so a small pass runs on
-    one.  Raises NumericalError, naming the step, its interval and the first
+    one.  A stochastic pass left on one worker, with another thread and
+    core to spare and at least _NOISE_GRAIN noise values (n x d) a step,
+    gets one spare thread that draws its step noise ahead of the update;
+    every thread started is joined before ``sample`` returns or raises.
+    Raises NumericalError, naming the step, its interval and the first
     bad row (and cell) of the pass, whatever ``threads``, if a trajectory
     goes non-finite; a bad window or gamma = -1 is a ConfigError from the
     function that owns the rule.
@@ -432,16 +545,19 @@ def sample(schedule: Schedule, score: ScoreModel, config, n: int, d: int,
     states = np.empty((n_steps + 1, n, d)) if return_trajectories else None
     out = np.empty((len(cells), n, d))
 
-    def run_rows(row_start: int, row_stop: int):
-        """Run rows [row_start, row_stop) into ``out``, or return their first
-        non-finite state as ((step, [cell,] row), message)."""
+    def run_rows(row_start: int, row_stop: int, noise=None):
+        """Run rows [row_start, row_stop) into ``out``, taking each step's
+        draw from ``noise`` if given, or return their first non-finite state
+        as ((step, [cell,] row), message)."""
         z = sigma_start * rng.row_normals(seed, rng.PURPOSE_PRIOR, 0,
                                           row_start, row_stop, d)
         if return_trajectories:
             states[0, row_start:row_stop] = z
         for i in range(len(times) - 1):
             xi = None
-            if stochastic:
+            if noise is not None:
+                xi = noise.take(i)
+            elif stochastic:
                 xi = rng.row_normals(seed, rng.PURPOSE_STEP, i,
                                      row_start, row_stop, d)
             z = _affine_step(schedule, score, z, float(times[i]), table, i, xi)
@@ -460,18 +576,32 @@ def sample(schedule: Schedule, score: ScoreModel, config, n: int, d: int,
         out[:, row_start:row_stop] = z
         return None
 
-    # one span of rows per worker; each worker runs in a copy of the caller's
-    # context, so numpy's errstate (a context variable) holds in the pool
-    workers = _worker_count(int(threads), _usable_cores(), len(cells), n, d)
+    # one span of rows per worker, or one worker and a spare thread drawing
+    # its noise; each pool thread runs in a copy of the caller's context, so
+    # numpy's errstate (a context variable) holds in the pool
+    threads, cores = int(threads), _usable_cores()
+    workers = _worker_count(threads, cores, len(cells), n, d)
+    helpers = _helper_count(threads, cores, workers, n * d if stochastic else 0)
     bounds = np.linspace(0, n, workers + 1).astype(int).tolist()
     spans = list(zip(bounds[:-1], bounds[1:]))
-    if workers == 1:
+    if workers + helpers == 1:
         failures = [run_rows(*spans[0])]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(contextvars.copy_context().run, run_rows,
-                                   *span) for span in spans]
-        failures = [future.result() for future in futures]
+        failures = []
+        with ThreadPoolExecutor(max_workers=helpers or workers) as pool:
+            if helpers:
+                noise = _StepNoise(seed, len(times) - 1, n, d,
+                                   max(1, _WINDOW_BYTES // (8 * n * d)))
+                futures = [pool.submit(contextvars.copy_context().run,
+                                       noise.fill)]
+                try:
+                    failures.append(run_rows(0, n, noise))
+                finally:
+                    noise.close()
+            else:
+                futures = [pool.submit(contextvars.copy_context().run,
+                                       run_rows, *span) for span in spans]
+        failures += [future.result() for future in futures]
     # the earliest (step, cell, row): what one worker over all rows meets
     failures = [f for f in failures if f is not None]
     if failures:

@@ -108,6 +108,13 @@ OVERSIZED_STEPS = {**UNIT_CONFIG, "sampler": {**UNIT_CONFIG["sampler"],
                                               "steps": 10**21}}
 OVERSIZED_SUBSTEPS = {**UNIT_CONFIG, "sampler": {
     "kind": "exact_reference", "steps": 3, "substeps": 10**21, "seed": 7}}
+# node counts under the row cap that np.linspace, counting in float64,
+# rounds up to 2**60 values: the cap itself as a grid, and steps + 1 nodes
+# one short of it
+ROUNDED_UP_GRID = ["schedules", "--schedule", "VP", "--grid",
+                   "1152921504606846975"]
+ROUNDED_UP_STEPS = {**UNIT_CONFIG, "sampler": {**UNIT_CONFIG["sampler"],
+                                               "steps": 1152921504606846974}}
 OUT_OF_MEMORY = ("config error: out of memory: Unable to allocate 728. TiB "
                  "for an array with shape (100000000000000,) and data type "
                  "float64")
@@ -178,24 +185,30 @@ UNSERVED_RUNS = [
      "and numpy cannot index more than 1152921504606846975"),
     (UNIT_CONFIG, OVERSIZED_GRIDS[0], 2, OUT_OF_MEMORY),
     (UNIT_CONFIG, OVERSIZED_GRIDS[1], 2,
-     "config error: --grid must be at most 1152921504606846975, got "
+     "config error: --grid must be at most 1152921504606846911, got "
      "1000000000000000000000: numpy cannot index more rows of 8-byte values"),
     (UNIT_CONFIG, OVERSIZED_GRIDS[2], 2,
-     "config error: --grid must be at most 1152921504606846975, got "
+     "config error: --grid must be at most 1152921504606846911, got "
      "1000000000000000000000: numpy cannot index more rows of 8-byte values"),
     (UNIT_CONFIG, OVERSIZED_GRIDS[3], 2, OUT_OF_MEMORY),
     (UNIT_CONFIG, OVERSIZED_GRIDS[4], 2,
-     "config error: delta grid count must be at most 1152921504606846975, "
+     "config error: delta grid count must be at most 1152921504606846911, "
      "got 1000000000000000000000: numpy cannot index more rows of 8-byte "
      "values"),
     (UNIT_CONFIG, OVERSIZED_GRIDS[5], 2, OUT_OF_MEMORY),
     (OVERSIZED_STEPS, ["sample", "-n", "8"], 2,
-     "config error: sampler steps must be at most 1152921504606846974, got "
+     "config error: sampler steps must be at most 1152921504606846910, got "
      "1000000000000000000000: numpy cannot index more rows of 8-byte values"),
     (OVERSIZED_SUBSTEPS, ["sample", "-n", "8"], 2,
-     "config error: sampler substeps must be at most 1152921504606846974, "
+     "config error: sampler substeps must be at most 1152921504606846910, "
      "got 1000000000000000000000: numpy cannot index more rows of 8-byte "
      "values"),
+    (UNIT_CONFIG, ROUNDED_UP_GRID, 2,
+     "config error: --grid must be at most 1152921504606846911, got "
+     "1152921504606846975: numpy cannot index more rows of 8-byte values"),
+    (ROUNDED_UP_STEPS, ["sample", "-n", "8"], 2,
+     "config error: sampler steps must be at most 1152921504606846910, got "
+     "1152921504606846974: numpy cannot index more rows of 8-byte values"),
 ]
 UNSERVED_IDS = ["exact_reference_gamma_minus_one", "n_not_above_dim",
                 "singular_target", "zero_cov_sample", "zero_cov_sweep",
@@ -210,7 +223,8 @@ UNSERVED_IDS = ["exact_reference_gamma_minus_one", "n_not_above_dim",
                 "oversized_grid_schedules", "oversized_grid_snrspace",
                 "out_of_memory_sweep_gammas", "oversized_sweep_deltas",
                 "out_of_memory_info_lambdas", "oversized_steps_sample",
-                "oversized_substeps_sample"]
+                "oversized_substeps_sample", "rounded_up_grid_schedules",
+                "rounded_up_steps_sample"]
 # the runs whose target the quality report cannot score
 UNSCORABLE_TARGETS = [
     (SINGULAR_GAUSS2D, ["sample", "-n", "8"]),
@@ -262,6 +276,21 @@ def test_csv_text_writes_integer_columns_as_str(rows):
     header = ["sample_id", "step", "x"]
     table = np.array(rows, dtype=float).reshape(len(rows), 3)
     assert _csv_text(header, table) == per_value_csv_text(header, rows)
+
+
+@pytest.mark.parametrize("int_columns", [1, 2])
+def test_csv_text_integer_columns_keep_the_float_text(int_columns):
+    # ids and steps below 2**53: %d writes what %.17g does
+    ids = [0, 1, 10**15, 2**53 - 1]
+    table = np.column_stack([ids, ids[::-1], [0.1, -0.0, 1e300, 5e-324]])
+    header = ["sample_id", "step", "x"]
+    text = _csv_text(header, table, int_columns)
+    assert text == _csv_text(header, table)
+    assert text.splitlines()[1:] == [
+        f"{a},{b},{x}" for a, b, x in zip(ids, ids[::-1],
+                                           ["0.10000000000000001", "-0",
+                                            "1.0000000000000001e+300",
+                                            "4.9406564584124654e-324"])]
 
 
 class TestSchedulesCommand:
@@ -988,6 +1017,8 @@ def assert_finite_outputs(out: Path) -> None:
 @example(UNIT_CONFIG, OVERSIZED_GRIDS[5])
 @example(OVERSIZED_STEPS, ["sample", "-n", "8"])
 @example(OVERSIZED_SUBSTEPS, ["sample", "-n", "8"])
+@example(UNIT_CONFIG, ROUNDED_UP_GRID)
+@example(ROUNDED_UP_STEPS, ["sample", "-n", "8"])
 def test_fuzzed_runs_keep_the_exit_code_contract(cfg, flags):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
@@ -1000,6 +1031,17 @@ def test_fuzzed_runs_keep_the_exit_code_contract(cfg, flags):
             assert not out.exists() or not any(out.iterdir())
         else:
             assert_finite_outputs(out)
+
+
+def test_node_cap_is_the_largest_count_linspace_accepts():
+    # at the cap numpy only fails to allocate (exit 2 through the
+    # MemoryError line); one past it, np.linspace rounds the count up to
+    # more values than numpy can index
+    with pytest.raises(MemoryError):
+        np.linspace(0.0, 1.0, cli._MAX_NODES)
+    with pytest.raises(ValueError, match="array is too big"):
+        np.linspace(0.0, 1.0, cli._MAX_NODES + 1)
+    assert cli._MAX_NODES <= cli._MAX_ROWS
 
 
 def test_memory_error_exits_2_with_one_line(tmp_path, monkeypatch, capsys):

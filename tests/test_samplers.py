@@ -1,4 +1,7 @@
 import re
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -433,6 +436,7 @@ class TestSamplerConfig:
 
 
 GRAIN = samplers_mod._GRAIN
+NOISE_GRAIN = samplers_mod._NOISE_GRAIN
 
 
 class TestSampleLoop:
@@ -495,19 +499,6 @@ class TestSampleLoop:
     ])
     def test_worker_count(self, threads, cores, cells, n, d, want):
         assert samplers_mod._worker_count(threads, cores, cells, n, d) == want
-
-    def test_sample_wide_sized_pass_starts_no_pool(self, vp, unit_score,
-                                                  monkeypatch):
-        # 10k 1-D rows hold too few values per step for a second worker
-        # to pay, at any thread count and on any host
-        def no_pool(max_workers):
-            raise AssertionError(f"started a pool of {max_workers}")
-
-        monkeypatch.setattr(samplers_mod, "ThreadPoolExecutor", no_pool)
-        monkeypatch.setattr(samplers_mod, "_usable_cores", lambda: 64)
-        cfg = SamplerConfig(steps=4, grid_kind="uniform_t", seed=3)
-        for threads in (2, 3, 10**5):
-            sample(vp, unit_score, cfg, n=10000, d=1, threads=threads)
 
     def test_prefix_stability_under_batch_growth(self, vp, unit_score):
         # row-addressed noise: the first k trajectories do not depend on n
@@ -617,6 +608,242 @@ class TestSampleLoop:
         x = sample(vp, model, cfg, n=10000, d=1)
         rep = moment_report(x, unit_gmm)
         assert rep.cov_frobenius_error < 0.02
+
+
+# one stochastic config of each kind; exact_reference draws per sub-step
+HELPER_KINDS = {
+    "generalized": SamplerConfig(rho=1.0, gamma=0.5, delta=0.8, steps=7,
+                                 seed=11),
+    "kingma": SamplerConfig(kind="kingma", steps=7, seed=11),
+    "non_markovian": SamplerConfig(kind="non_markovian", eta=0.5, steps=7,
+                                   seed=11),
+    "euler_backward": SamplerConfig(kind="euler_backward", rho=0.5, steps=7,
+                                    seed=11),
+    "exact_reference": SamplerConfig(kind="exact_reference", steps=3,
+                                     substeps=4, seed=11),
+}
+
+
+def gaussian_model(schedule, d):
+    """The oracle of a correlated d-dimensional Gaussian."""
+    cov = 0.5 * np.eye(d) + 0.1
+    return oracle_score_model(single_gaussian(np.linspace(-0.5, 0.5, d), cov),
+                              schedule)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Give ``sample`` two usable cores; the returned list gets the size of
+    each pool it starts, so 1 is a noise helper and 2 a row split."""
+    sizes = []
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers, thread_name_prefix="sample-pool")
+
+    monkeypatch.setattr(samplers_mod, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(samplers_mod, "ThreadPoolExecutor", Pool)
+    return sizes
+
+
+def bounded(*args, **kwargs):
+    """``sample(*args, **kwargs)`` on a thread of its own: its result, or its
+    exception raised again; fails if it runs for more than a minute."""
+    result = {}
+
+    def run():
+        try:
+            result["value"] = sample(*args, **kwargs)
+        except BaseException as exc:  # raised below, in the test's thread
+            result["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive(), "sample did not return within a minute"
+    if "error" in result:
+        raise result["error"]
+    return result["value"]
+
+
+@pytest.fixture
+def no_thread_left():
+    """Fail a test that leaves a thread running past its return or raise."""
+    before = set(threading.enumerate())
+    yield
+    assert set(threading.enumerate()) == before
+
+
+class TestNoiseHelper:
+    @pytest.mark.parametrize("threads,cores,workers,values,want", [
+        (2, 2, 1, NOISE_GRAIN, 1),          # a wide one-worker pass
+        (2, 2, 1, 10**4, 1),
+        (10**5, 2, 1, 10**4, 1),            # one helper at most
+        (10**5, 64, 1, 10**9, 1),
+        (2, 2, 1, NOISE_GRAIN - 1, 0),      # below the noise grain
+        (2, 2, 1, 0, 0),                    # a deterministic pass
+        (1, 2, 1, 10**4, 0),                # one thread asked for
+        (0, 2, 1, 10**4, 0),
+        (-1, 2, 1, 10**4, 0),
+        (2, 1, 1, 10**4, 0),                # one usable core
+        (10**5, 1, 1, 10**4, 0),
+        (2, 2, 2, 10**4, 0),                # a row split keeps its split
+        (10**5, 64, 3, 10**9, 0),
+    ])
+    def test_helper_count(self, threads, cores, workers, values, want):
+        before = threading.enumerate()
+        assert samplers_mod._helper_count(threads, cores, workers,
+                                          values) == want
+        assert threading.enumerate() == before
+
+    def test_helper_starts_for_a_wide_stochastic_one_worker_pass(
+            self, vp, unit_score, pools, monkeypatch, no_thread_left):
+        cfg = SamplerConfig(steps=4, grid_kind="uniform_t", seed=3)
+        deterministic = [
+            replace(cfg, rho=0.0), replace(cfg, kind="non_markovian"),
+            replace(cfg, kind="euler_backward", rho=0.0)]
+        runs = [(cfg, 10000, 2, [1]),       # sample_wide's pass
+                (cfg, NOISE_GRAIN, 2, [1]),
+                (cfg, NOISE_GRAIN - 1, 2, []),
+                (cfg, 1000, 2, []),
+                (cfg, 10000, 1, []),
+                (cfg, 10000, 10**5, [1]),
+                *[(c, 10000, 2, []) for c in deterministic],
+                (cfg, 2 * GRAIN, 2, [2])]   # split across rows instead
+        for config, n, threads, want in runs:
+            pools.clear()
+            bounded(vp, unit_score, config, n=n, d=1, threads=threads)
+            assert pools == want, (config.kind, config.rho, n, threads)
+        # one usable core: no helper at any thread count
+        monkeypatch.setattr(samplers_mod, "_usable_cores", lambda: 1)
+        pools.clear()
+        sample(vp, unit_score, cfg, n=10000, d=1, threads=2)
+        assert pools == []
+
+    @pytest.mark.parametrize("window", [1, 2, 7, 64],
+                             ids=lambda w: f"window{w}")
+    @pytest.mark.parametrize("d", [1, 2, 16])
+    @pytest.mark.parametrize("kind", list(HELPER_KINDS))
+    def test_helper_pass_is_bitwise_the_one_thread_pass(
+            self, vp, pools, monkeypatch, no_thread_left, kind, d, window):
+        # windows of one step, of a few, one short of the pass and past it
+        config = HELPER_KINDS[kind]
+        n = NOISE_GRAIN // d
+        monkeypatch.setattr(samplers_mod, "_WINDOW_BYTES", 8 * n * d * window)
+        model = gaussian_model(vp, d)
+        serial = sample(vp, model, config, n=n, d=d, threads=1,
+                        return_trajectories=True)
+        assert pools == []
+        helped = bounded(vp, model, config, n=n, d=d, threads=2,
+                         return_trajectories=True)
+        assert pools == [1]
+        for a, b in zip(serial, helped):
+            assert a.tobytes() == b.tobytes()
+
+    def test_draws_each_step_once_under_fast_switching(
+            self, vp, pools, monkeypatch, no_thread_left):
+        # two threads claiming 300 steps through windows of 1 and 2 steps,
+        # switching as often as the interpreter allows: a step drawn twice
+        # or lost would show in the draw counts or the bits.  A draw of step
+        # j starts only once the update has taken step j - window, so after
+        # it began the score call of step j - window - 1.
+        config = SamplerConfig(steps=300, seed=5)
+        grid = make_time_grid(vp, config.grid_kind, 300, vp.t_max, vp.t_min)
+        step_of = {t: k for k, t in enumerate(grid.tolist())}
+        scored = [-1]
+        ahead = []
+        row_normals = rng.row_normals
+
+        def eps(z, t):
+            scored.append(step_of[t])
+            return 0.5 * z
+
+        def counted(seed, purpose, context, *rows):
+            if purpose == rng.PURPOSE_STEP:
+                ahead.append((context, context - scored[-1]))
+            return row_normals(seed, purpose, context, *rows)
+
+        model = ScoreModel(eps, "eps")
+        serial = sample(vp, model, config, n=NOISE_GRAIN, d=1)
+        monkeypatch.setattr(rng, "row_normals", counted)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for window in (1, 2):
+                monkeypatch.setattr(samplers_mod, "_WINDOW_BYTES",
+                                    8 * NOISE_GRAIN * window)
+                scored[:], ahead[:] = [-1], []
+                helped = bounded(vp, model, config, n=NOISE_GRAIN, d=1,
+                                 threads=2)
+                assert sorted(step for step, _ in ahead) == list(range(300))
+                assert max(lead for _, lead in ahead) <= window + 1
+                assert helped.tobytes() == serial.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+        assert pools == [1, 1]
+
+    def test_non_finite_state_raises_the_one_thread_message(
+            self, vp, pools, no_thread_left):
+        # the largest prior row goes non-finite at step 2
+        n, seed = NOISE_GRAIN, 8
+        prior = rng.row_normals(seed, rng.PURPOSE_PRIOR, 0, 0, n, 1)[:, 0]
+        row = int(np.argmax(prior))
+        config = SamplerConfig(steps=6, seed=seed)
+        grid = make_time_grid(vp, config.grid_kind, 6, vp.t_max, vp.t_min)
+
+        def eps(z, t):
+            bad = np.zeros(z.shape, bool)
+            if t == grid[2]:
+                bad[..., row, :] = True
+            return np.where(bad, np.nan, 0.5 * z)
+
+        messages = []
+        for threads in (1, 2):
+            with pytest.raises(NumericalError) as err:
+                bounded(vp, ScoreModel(eps, "eps"), config, n=n, d=1,
+                        threads=threads)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert re.match(rf"non-finite state at step 2 .*row {row} holds nan$",
+                        messages[0])
+        assert pools == [1]
+
+    def test_failed_helper_draw_propagates(self, vp, pools, monkeypatch,
+                                           no_thread_left):
+        # the helper's first draw raises; the update's own first draw waits
+        # for it, so the helper does claim a step
+        helper_failed = threading.Event()
+        row_normals = rng.row_normals
+
+        def faulty(seed, purpose, context, *rows):
+            if threading.current_thread().name.startswith("sample-pool"):
+                helper_failed.set()
+                raise RuntimeError(f"draw of step {context} failed")
+            if purpose == rng.PURPOSE_STEP:
+                assert helper_failed.wait(timeout=30)
+            return row_normals(seed, purpose, context, *rows)
+
+        monkeypatch.setattr(rng, "row_normals", faulty)
+        with pytest.raises(RuntimeError, match=r"draw of step \d+ failed"):
+            bounded(vp, gaussian_model(vp, 1), SamplerConfig(steps=20, seed=2),
+                    n=NOISE_GRAIN, d=1, threads=2)
+        assert pools == [1]
+
+    def test_failed_update_stops_the_helper(self, vp, pools, no_thread_left):
+        # the score raises at step 3, with the helper drawing steps ahead
+        config = SamplerConfig(steps=40, seed=2)
+        grid = make_time_grid(vp, config.grid_kind, 40, vp.t_max, vp.t_min)
+
+        def eps(z, t):
+            if t == grid[3]:
+                raise ValueError("score failed")
+            return 0.5 * z
+
+        with pytest.raises(ValueError, match="score failed"):
+            bounded(vp, ScoreModel(eps, "eps"), config, n=NOISE_GRAIN, d=1,
+                    threads=2)
+        assert pools == [1]
 
 
 class TestMutationHook:
