@@ -2,8 +2,13 @@
 
 Subcommands: ``schedules``, ``sample``, ``sweep``, ``info``, ``snrspace``,
 ``verify``.  Every command is a pure function of its arguments, config
-file, and seed: reruns produce byte-identical files.  Each CSV is a float
-table in 17 significant digits; ids and step numbers print as integers.
+file, and seed: reruns produce byte-identical files.  Each CSV value is
+Python's ``'%.17g' % v`` text; ids and step numbers print through ``%d``,
+the same text below 2**53.  A table of 512 values or more is formatted in
+numpy (:mod:`snrdiff.csvtext`): finite |v| in [1e-3, 2**52), and ids in
+[0, 2**53), print from their digits in exact integer arithmetic, and every
+other value (zero, tiny, huge, inf, nan) through ``'%.17g' % v`` itself,
+so the bytes are the same.
 
 ``sample`` runs one config as a one-cell pass and ``sweep`` runs all its
 cells in one pass.  ``--threads`` (default 1) goes straight to
@@ -81,15 +86,35 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
+# a table of fewer values prints row by row; below this, numpy's per-call
+# cost exceeds the formatting
+_CSV_SMALL = 512
+
+
 def _csv_text(header: list[str], table, int_columns: int = 0) -> str:
-    """CSV of ``table`` (a 2-D array or equal rows), each value a float in
-    17 significant digits: an integer below 2**53 prints as ``str`` gives.
-    The first ``int_columns`` columns hold integers below 2**53 and print
-    through ``%d``, the same text."""
-    row = ",".join(["%d"] * int_columns
-                   + ["%.17g"] * (len(header) - int_columns))
-    lines = [row % tuple(r) for r in np.asarray(table, dtype=float).tolist()]
-    return "\n".join([",".join(header), *lines]) + "\n"
+    """CSV of ``table`` (a 2-D array or equal rows), each value a float
+    printed as Python's ``'%.17g' % v``: an integer below 2**53 prints as
+    ``str`` gives.  The first ``int_columns`` columns hold integers below
+    2**53 and print through ``%d``, the same text.
+
+    A table of _CSV_SMALL values or more is formatted in numpy by
+    :mod:`snrdiff.csvtext`, the same bytes: finite |v| in [1e-3, 2**52),
+    and integer columns in [0, 2**53), print from their digits in exact
+    integer arithmetic, and any other value (zero, tiny, huge, inf, nan)
+    through ``'%.17g' % v`` (``'%d' % v``) itself.
+    """
+    table = np.asarray(table, dtype=float)
+    if table.size < _CSV_SMALL:
+        row = ",".join(["%d"] * int_columns
+                       + ["%.17g"] * (len(header) - int_columns))
+        lines = [row % tuple(r) for r in table.tolist()]
+        return "\n".join([",".join(header), *lines]) + "\n"
+    # imported here: a command that writes only small tables never compiles
+    # or loads the formatter
+    from .csvtext import csv_rows
+
+    return (",".join(header) + "\n"
+            + csv_rows(table.reshape(-1, len(header)), int_columns))
 
 
 def _json_text(obj) -> str:

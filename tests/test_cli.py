@@ -5,22 +5,26 @@ import io
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
 import traceback
+import tracemalloc
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import snrdiff
-from snrdiff import (cli, energy_distance, gaussian_kl_fit, gmm_from_dict,
-                     make_schedule, metrics, moment_report, oracle_score_model,
-                     rng,
+from snrdiff import (cli, csvtext, energy_distance, gaussian_kl_fit,
+                     gmm_from_dict, make_schedule, metrics, moment_report,
+                     oracle_score_model, rng,
                      sample, sample_data, sampler_config_from_dict, samplers,
                      snr_space)
 from snrdiff.cli import _csv_text, main
@@ -253,8 +257,114 @@ def per_value_csv_text(header, rows):
     return "\n".join(lines) + "\n"
 
 
+def per_row_csv_text(header, table, int_columns=0):
+    """The per-row formatter ``csvtext`` replaced for tables of
+    ``cli._CSV_SMALL`` values or more: one ``%`` format per row."""
+    row = ",".join(["%d"] * int_columns
+                   + ["%.17g"] * (len(header) - int_columns))
+    lines = [row % tuple(r) for r in np.asarray(table, dtype=float).tolist()]
+    return "\n".join([",".join(header), *lines]) + "\n"
+
+
+@contextlib.contextmanager
+def numpy_csv(block=None):
+    """Let ``_csv_text`` format every table in numpy, ``block`` values at a
+    time (by default csvtext's own block)."""
+    with mock.patch.object(cli, "_CSV_SMALL", 0), \
+            mock.patch.object(csvtext, "_BLOCK", block or csvtext._BLOCK):
+        yield
+
+
+def assert_csv_exact(header, table, int_columns=0, expected=None):
+    """``_csv_text`` writes ``expected`` (by default the per-row text) both
+    by its own size rule and formatted in numpy."""
+    if expected is None:
+        expected = per_row_csv_text(header, table, int_columns)
+    assert _csv_text(header, table, int_columns) == expected
+    with numpy_csv():
+        assert _csv_text(header, table, int_columns) == expected
+
+
+def float_of_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def bits_of_float(x):
+    return struct.unpack("<Q", struct.pack("<d", x))[0]
+
+
+def neighbours(x, k=40):
+    """The k floats on each side of a positive finite x, and x."""
+    return [float_of_bits(bits_of_float(x) + i) for i in range(-k, k + 1)]
+
+
+def scaled_to_17_digits(x):
+    """x times the power of ten that puts its 17 significant digits before
+    the point, exactly."""
+    exponent = int(f"{x:.16e}".split("e")[1])
+    return Fraction(x) * Fraction(10) ** (16 - exponent)
+
+
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
                1e300, -1e300, float("inf"), float("-inf"), float("nan")]
+# x = t / 2**(17 - X) with t odd and t * 5**(17 - X) an 18-digit integer
+# ending in 5: a double exactly half-way at 17 digits, in each decade X of
+# the numpy formatter's range, on either parity of the 17th digit
+HALF_WAY = [t / 2.0**(17 - e) for e in range(-3, 16)
+            for t0 in [-(-10**17 // 5**(17 - e)) | 1]
+            for t in range(t0, min(t0 + 80, 2**53), 2)]
+FLOAT_FAMILIES = {
+    # the 40 floats on each side of each power of ten, 1e-4 to 1e16
+    "powers_of_ten": [x for k in range(-4, 17)
+                      for x in neighbours(float(f"1e{k}"))],
+    # 17 nines and more: the largest values below each next power of ten
+    "nines": [float(f"9.99999999999999{j:02d}e{k}") for k in range(-4, 17)
+              for j in range(100)],
+    "half_way": HALF_WAY,
+    # the numpy formatter's range [1e-3, 2**52), each binade's first float
+    "range_edges": [*neighbours(1e-3), *neighbours(2.0**52),
+                    *(2.0**k for k in range(-12, 54))],
+    "zeros_subnormals_inf_nan": [0.0, 5e-324, 1e-320, 2.2250738585072009e-308,
+                                 2.2250738585072014e-308, float("inf"),
+                                 float("nan")],
+}
+
+
+def test_half_way_family_holds_ties():
+    scaled = [scaled_to_17_digits(x) for x in HALF_WAY]
+    assert scaled_to_17_digits(0.1).denominator != 2
+    assert all(v.denominator == 2 for v in scaled)
+    # half to even rounds both ways: down from an even floor, up from an
+    # odd one
+    assert {v.numerator // 2 % 2 for v in scaled} == {0, 1}
+
+
+@pytest.mark.parametrize("family", FLOAT_FAMILIES)
+@pytest.mark.parametrize("cols", [1, 3])
+def test_csv_text_is_percent_17g_of_edge_families(family, cols):
+    values = FLOAT_FAMILIES[family]
+    values = values + [-x for x in values]
+    values += [0.5] * (-len(values) % cols)
+    table = np.array(values).reshape(-1, cols)
+    header = [f"c{j}" for j in range(cols)]
+    expected = per_value_csv_text(header, table.tolist())
+    assert_csv_exact(header, table, expected=expected)
+
+
+RAW_FLOATS = st.integers(0, 2**64 - 1).map(float_of_bits)
+# raw bit patterns land in [1e-3, 2**52) only 3% of the time
+FAST_FLOATS = st.builds(lambda bits, sign: float_of_bits(bits | sign << 63),
+                        st.integers(bits_of_float(1e-3),
+                                    bits_of_float(2.0**52) - 1),
+                        st.integers(0, 1))
+
+
+@given(st.integers(1, 6).flatmap(lambda cols: st.lists(st.lists(
+    RAW_FLOATS | FAST_FLOATS, min_size=cols, max_size=cols), min_size=1,
+    max_size=40)))
+def test_csv_text_is_percent_17g_of_raw_bit_patterns(rows):
+    header = [f"c{j}" for j in range(len(rows[0]))]
+    assert_csv_exact(header, rows, expected=per_value_csv_text(header, rows))
 
 
 @given(st.integers(1, 6).flatmap(lambda cols: st.lists(st.lists(
@@ -264,9 +374,9 @@ EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
 def test_csv_text_matches_per_value_floats(rows):
     header = [f"c{j}" for j in range(len(rows[0]) if rows else 1)]
     expected = per_value_csv_text(header, rows)
-    assert _csv_text(header, rows) == expected
+    assert_csv_exact(header, rows, expected=expected)
     table = np.array(rows, dtype=float).reshape(len(rows), len(header))
-    assert _csv_text(header, table) == expected
+    assert_csv_exact(header, table, expected=expected)
 
 
 @given(st.lists(st.tuples(st.integers(-2**53, 2**53), st.integers(0, 2**53),
@@ -275,22 +385,86 @@ def test_csv_text_matches_per_value_floats(rows):
 def test_csv_text_writes_integer_columns_as_str(rows):
     header = ["sample_id", "step", "x"]
     table = np.array(rows, dtype=float).reshape(len(rows), 3)
-    assert _csv_text(header, table) == per_value_csv_text(header, rows)
+    assert_csv_exact(header, table,
+                     expected=per_value_csv_text(header, rows))
 
 
 @pytest.mark.parametrize("int_columns", [1, 2])
 def test_csv_text_integer_columns_keep_the_float_text(int_columns):
     # ids and steps below 2**53: %d writes what %.17g does
-    ids = [0, 1, 10**15, 2**53 - 1]
-    table = np.column_stack([ids, ids[::-1], [0.1, -0.0, 1e300, 5e-324]])
+    ids = [0, 1, 9, 10, 99, 100, 10**15, 2**53 - 1]
+    table = np.column_stack([ids, ids[::-1], [0.1, -0.0, 1e300, 5e-324,
+                                              0.5, 1.5, 2.0, -3.25]])
     header = ["sample_id", "step", "x"]
     text = _csv_text(header, table, int_columns)
-    assert text == _csv_text(header, table)
+    assert_csv_exact(header, table, int_columns, text)
+    assert_csv_exact(header, table, 0, text)
     assert text.splitlines()[1:] == [
         f"{a},{b},{x}" for a, b, x in zip(ids, ids[::-1],
                                            ["0.10000000000000001", "-0",
                                             "1.0000000000000001e+300",
-                                            "4.9406564584124654e-324"])]
+                                            "4.9406564584124654e-324",
+                                            "0.5", "1.5", "2", "-3.25"])]
+
+
+@pytest.mark.parametrize("table", [
+    np.empty((0, 3)), [], np.array([[1.0, -2.5, 1e-7]]), [[3, 0.25, -1]],
+    [[0, 1.0, 2.0], [2**53 - 1, 3, 4.5]]], ids=[
+    "no_rows", "no_rows_list", "one_row", "one_row_list", "list_of_rows"])
+@pytest.mark.parametrize("int_columns", [0, 1])
+def test_csv_text_table_shapes(table, int_columns):
+    header = ["sample_id", "a", "b"]
+    assert_csv_exact(header, table, int_columns)
+    if not len(table):
+        assert _csv_text(header, table, int_columns) == "sample_id,a,b\n"
+
+
+@pytest.mark.parametrize("rows", [15, 16, 17])
+@pytest.mark.parametrize("int_columns", [0, 2])
+def test_csv_text_rows_around_a_block_multiple(rows, int_columns):
+    # blocks of 8 rows of 3 values: one below, at and one above two blocks
+    gen = np.random.default_rng(rows)
+    table = gen.standard_normal((rows, 3)) * 10.0 ** gen.integers(-5, 18,
+                                                                  (rows, 3))
+    table[:, :int_columns] = gen.integers(0, 2**53, (rows, int_columns))
+    table[3, -1] = 0.0
+    with numpy_csv(block=24):
+        assert _csv_text(["a", "b", "c"], table, int_columns) == \
+            per_row_csv_text(["a", "b", "c"], table, int_columns)
+
+
+@pytest.mark.parametrize("block", [7, 64])
+def test_trajectories_bytes_across_row_blocks(tmp_path, monkeypatch, block):
+    # a D = 2 mixture: 30 samples of 13 nodes, 390 rows of 5 values
+    argv = ["sample", "--config", write_config(tmp_path, GMM2D_CONFIG),
+            "-n", "30", "--trajectories"]
+    with mock.patch.object(cli, "_csv_text", per_row_csv_text):
+        assert main(argv + ["--out", str(tmp_path / "ref")]) == 0
+    with numpy_csv(block):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    for name in ("samples.csv", "trajectories.csv"):
+        assert (tmp_path / "out" / name).read_bytes() == \
+            (tmp_path / "ref" / name).read_bytes()
+    assert len((tmp_path / "out" / "trajectories.csv").read_text()
+               .splitlines()) == 391
+
+
+@pytest.mark.parametrize("rows,cols", [(10000, 2), (2000, 17)])
+def test_csv_text_peaks_no_higher_than_per_row(rows, cols):
+    # the samples.csv of sample_wide, and of a D = 16 mixture
+    gen = np.random.default_rng(0)
+    table = np.column_stack([np.arange(rows),
+                             gen.normal(1.0, 3.0, (rows, cols - 1))])
+    header = [f"c{j}" for j in range(cols)]
+    peaks = []
+    for csv_text in (per_row_csv_text, _csv_text):
+        tracemalloc.start()
+        try:
+            csv_text(header, table, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0]
 
 
 class TestSchedulesCommand:
@@ -869,8 +1043,11 @@ class TestConsoleEntry:
 
 # -- the exit-code contract under fuzzed configs and flags --------------------
 
-# steps, substeps and sizes stay small: the contract is about what is
-# rejected, not about how large a run may be
+# steps, substeps and sizes stay small, or are past any memory: the contract
+# is about what is rejected, not about how large a run may be.  10**14 rows
+# of 8-byte values (728 TiB) fail to allocate at once, and 10**21 is past
+# numpy's index; never draw a count that could really allocate gigabytes.
+HUGE_SIZES = [10**14, 10**21]
 SMALL_JUNK = st.sampled_from([
     None, True, False, 0, -1, 1, 3, 0.5, -0.5, 1e308, float("nan"),
     float("inf"), "", "abc", "VP", [], [[]], [1, 2], [[1.0]], [[[0.0]]], {},
@@ -878,6 +1055,13 @@ SMALL_JUNK = st.sampled_from([
 ]).map(copy.deepcopy)
 JUNK = SMALL_JUNK | st.just(2**70)
 SMALL_INT = st.sampled_from([-1, 0, 1, 2, 3])
+
+
+def sizes(*small):
+    """A size option's values: ``small`` ones, and the two huge ones."""
+    return st.sampled_from([*small, *HUGE_SIZES])
+
+
 FIELDS = {
     "schedule": st.sampled_from(["name", "params", "t_min", "t_max", "bogus"]),
     "gmm": st.sampled_from(["weights", "means", "covs", "dim", "bogus"]),
@@ -898,11 +1082,12 @@ VALUES = {
     "grid_kind": st.sampled_from(["uniform_t", "uniform_lambda"]) | JUNK,
     **dict.fromkeys(["rho", "gamma", "delta", "eta", "t_start", "t_end",
                      "t_min", "t_max"], st.floats(-2, 3) | JUNK),
-    "steps": SMALL_INT | SMALL_JUNK,
-    "substeps": SMALL_INT | SMALL_JUNK,
+    "steps": sizes(-1, 0, 1, 2, 3) | SMALL_JUNK,
+    "substeps": sizes(-1, 0, 1, 2, 3) | SMALL_JUNK,
 }
 GRIDS = st.sampled_from(["1", "0.5,1", "0:2:3", "-2:2:3", "0", "0,50", "",
-                         ",", "abc", "1:2:0", "1:2", "-1", "nan", "1e400"])
+                         ",", "abc", "1:2:0", "1:2", "-1", "nan", "1e400",
+                         *(f"-2:2:{n}" for n in HUGE_SIZES)])
 
 
 @st.composite
@@ -926,10 +1111,13 @@ def fuzzed_config(draw):
 
 @st.composite
 def fuzzed_flags(draw):
-    command = draw(st.sampled_from(["sample", "sweep", "info"]))
+    command = draw(st.sampled_from(["sample", "sweep", "info", "schedules",
+                                    "snrspace"]))
     flags = [command]
+    if command in ("schedules", "snrspace"):
+        flags += ["--grid", str(draw(sizes(-1, 0, 1, 3, 50)))]
     if command in ("sample", "sweep"):
-        flags += ["-n", str(draw(st.sampled_from([-1, 0, 1, 2, 5, 9])))]
+        flags += ["-n", str(draw(sizes(-1, 0, 1, 2, 5, 9)))]
     if command == "sample" and draw(st.booleans()):
         flags.append("--trajectories")
     if command == "sweep":
@@ -937,7 +1125,7 @@ def fuzzed_flags(draw):
             flags.append(f"{flag}={draw(GRIDS)}")
     if command == "info":
         flags += [f"--lambdas={draw(GRIDS)}",
-                  "--mc-n", str(draw(st.sampled_from([-1, 0, 99, 100, 150])))]
+                  "--mc-n", str(draw(sizes(-1, 0, 99, 100, 150)))]
         if draw(st.booleans()):
             flags.append("--kong")
     if draw(st.booleans()):
@@ -1028,9 +1216,62 @@ def test_fuzzed_runs_keep_the_exit_code_contract(cfg, flags):
         assert "Traceback" not in err, err
         assert rc in (0, 2, 3), err
         if rc != 0:
+            assert err.count("\n") == 1 and err.endswith("\n"), err
             assert not out.exists() or not any(out.iterdir())
         else:
             assert_finite_outputs(out)
+
+
+@st.composite
+def huge_size_runs(draw):
+    """(config, flags): a valid run that must allocate a huge count given
+    through one of the six size options."""
+    size = draw(st.sampled_from(HUGE_SIZES))
+    option = draw(st.sampled_from(["--grid", "count", "steps", "substeps",
+                                   "-n", "--mc-n"]))
+    mixtures = [GMM2D_CONFIG, MIXTURE_1D]
+    cfg = copy.deepcopy(draw(st.sampled_from(
+        mixtures if option == "--mc-n" else [UNIT_CONFIG, *mixtures])))
+    one_cell = ["--gammas", "1", "--deltas", "1"]
+    if option == "--grid":
+        flags = [draw(st.sampled_from(["schedules", "snrspace"])), "--grid",
+                 str(size)]
+    elif option == "count":
+        flag = draw(st.sampled_from(["--gammas", "--deltas", "--rhos",
+                                     "--lambdas"]))
+        flags = (["info"] if flag == "--lambdas" else ["sweep", "-n", "8"])
+        flags.append(f"{flag}=0:1:{size}")
+    elif option == "--mc-n":
+        flags = ["info", "--mc-n", str(size)]
+    else:
+        # sweep runs generalized cells, so only sample reaches substeps
+        command = draw(st.sampled_from(
+            ["sample"] if option == "substeps" else ["sample", "sweep"]))
+        flags = [command, "-n", "8"] + (one_cell if command == "sweep"
+                                        else [])
+        if option == "-n":
+            flags[2] = str(size)
+        else:
+            cfg["sampler"][option] = size
+            if option == "substeps":
+                cfg["sampler"]["kind"] = "exact_reference"
+    if flags[0] == "sample" and draw(st.booleans()):
+        flags.append("--trajectories")
+    return cfg, flags + ["--threads", str(draw(st.sampled_from([1, 2])))]
+
+
+@settings(max_examples=60)
+@given(huge_size_runs())
+def test_huge_size_exits_2_with_one_line(run):
+    cfg, flags = run
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = Path(tmp) / "out"
+        rc, err = run_cli(flags + ["--config", str(path), "--out", str(out)])
+        assert rc == 2, err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert not out.exists()
 
 
 def test_node_cap_is_the_largest_count_linspace_accepts():

@@ -4,7 +4,9 @@ scipy is imported where it is used (``ndtri`` in ``rng.row_normals``,
 ``cdist`` for the D > 1 energy distance, ``logsumexp`` in
 ``gmm.log_marginal_density``), so importing the package and running the
 commands that need none of them load no scipy module.  Likewise the check
-suite ``snrdiff.verify`` is imported by the ``verify`` command alone.
+suite ``snrdiff.verify`` is imported by the ``verify`` command alone, and
+the numpy CSV formatter ``snrdiff.csvtext`` by a command writing a table
+large enough to need it.
 """
 
 import json
@@ -68,6 +70,15 @@ def test_import_loads_no_scipy():
 
 def test_cli_import_leaves_the_check_suite_out():
     assert "snrdiff.verify" not in loaded_modules("import snrdiff.cli")
+
+
+def test_only_a_large_table_loads_the_csv_formatter(tmp_path):
+    # 49 lambdas of 3 values print row by row; 100 schedule rows of 6 in numpy
+    assert "snrdiff.csvtext" not in loaded_modules(cli_body(
+        tmp_path, ["info", "--lambdas=-3:3:49", "--mc-n", "200"],
+        MIXTURE_CONFIG))
+    assert "snrdiff.csvtext" in loaded_modules(cli_body(
+        tmp_path, ["schedules", "--schedule", "VP"]))
 
 
 @pytest.mark.parametrize("argv,cfg", [
