@@ -24,20 +24,22 @@ their cells in one :func:`~snrdiff.metrics.quality_reports` pass.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration
 or arguments, including an output directory that cannot be created or
-written (IO error), 3 numerical failure.  The quality report needs
-``-n`` >= 2, and ``-n`` above the dimension for a one-component target's
-Gaussian-fit KL; both are checked before sampling (2).  ``-n`` and a
-mixture's ``--mc-n`` may not exceed the rows numpy can index in an array
-of 8-byte values, 2**60 - 1 on a 64-bit build.  Grid node counts stop at
-the largest count ``np.linspace`` accepts, 2**60 - 65, as it counts in
-float64: a ``--grid``, the count of a ``lo:hi:count`` grid, the steps + 1
-nodes of a sampler's time grid and the substeps + 1 of an
-``exact_reference`` step.  All are checked before any draw (2).  A count
-under its cap whose arrays do not fit in memory exits 2 with one
-``config error: out of memory:`` line.  A target mean or covariance
-that is not finite, a zero target covariance, or one that is singular
-for that KL leaves the report undefined (3); ``sample`` and
-``sweep`` check this before sampling too.  A quality value that still
+written (IO error), 3 numerical failure.  Every count a user gives
+obeys one size rule, checked before any allocation (2): it is at least its
+least value, and the first array it sizes holds at most 2**60 - 65 8-byte
+values on a 64-bit build, the largest count ``np.linspace`` accepts (it
+counts in float64), which is within numpy's index.  The counts are a
+``--grid`` and the count of a ``lo:hi:count`` grid (at least 1), a
+sampler's ``steps`` and an ``exact_reference`` step's ``substeps``, each
+sizing a grid of one node more, ``-n`` (at least 2, for the quality
+report), whose states hold d values a row for each cell, or for each time
+grid node with ``--trajectories``, and a mixture's ``--mc-n`` (at least
+100).  ``-n`` must also exceed the dimension for a one-component target's
+Gaussian-fit KL (2).  A count under the cap whose arrays do not fit in
+memory exits 2 with one ``config error: out of memory`` line.  A target
+mean or covariance that is not finite, a zero target covariance, or one
+that is singular for that KL leaves the report undefined (3); ``sample``
+and ``sweep`` check this before sampling too.  A quality value that still
 comes out non-finite (samples near 1e160 overflow the moment errors)
 exits 3 naming the metric.  ``info`` exits 3 when a mixture's Monte Carlo
 MMSE is not finite at some lambda, naming the lambda, its t and the first
@@ -189,20 +191,19 @@ def _resolve_sampler(args, cfg: dict) -> SamplerConfig:
     config = sampler_config_from_dict(spec)
     # the time grid holds steps + 1 nodes, and exact_reference splits each
     # of its intervals at substeps + 1
-    _row_count("sampler steps", config.steps, 1, _MAX_NODES)
+    _count("sampler steps", config.steps, extra=1)
     if config.kind == "exact_reference":
-        _row_count("sampler substeps", config.substeps, 1, _MAX_NODES)
+        _count("sampler substeps", config.substeps, extra=1)
     return config
 
 
 def _parse_grid(text: str, what: str) -> list[float]:
     """Parse 'lo:hi:count' (inclusive linspace) or a comma list of values;
-    the grid must hold at least one value, and a count at most _MAX_NODES."""
+    the grid must hold at least one value, and its count obeys _count."""
     try:
         if ":" in text:
             lo, hi, count = text.split(":")
-            count = _row_count(f"{what} grid count", int(count), 0,
-                               _MAX_NODES)
+            count = _count(f"{what} grid count", int(count))
             values = [float(v) for v in
                       np.linspace(float(lo), float(hi), count)]
         else:
@@ -216,17 +217,11 @@ def _parse_grid(text: str, what: str) -> list[float]:
     return values
 
 
-def _grid_size(args) -> int:
-    if args.grid < 1:
-        raise ConfigError(f"--grid must be >= 1, got {args.grid}")
-    return _row_count("--grid", args.grid, 0, _MAX_NODES)
-
-
 def cmd_schedules(args) -> int:
     cfg = _load_config(args.config)
     sched = _resolve_schedule(args, cfg)
     p = eval_schedule(sched, np.linspace(sched.t_min, sched.t_max,
-                                         _grid_size(args)))
+                                         _count("--grid", args.grid)))
     table = np.column_stack([p.t, p.alpha, p.sigma, p.lam, p.dalpha_dt,
                              p.dlambda_dt])
     out = Path(args.out) / "schedules.csv"
@@ -256,47 +251,34 @@ def _quality_report(x, gmm, seed, target):
     return report
 
 
-# numpy indexes an array's bytes with np.intp, and every run builds at least
-# one array of 8-byte values per row, so no run can take more rows than this
-_MAX_ROWS = np.iinfo(np.intp).max // 8
-# np.linspace counts its values in float64, so a count just under _MAX_ROWS
-# can round up past it (within 64 of 2**60 on a 64-bit build) and fail
-# inside numpy: grid node counts stop at the largest count that does not
-_MAX_NODES = next(k for k in range(_MAX_ROWS, 0, -1) if float(k) <= _MAX_ROWS)
+# numpy indexes an array's bytes with np.intp, and np.linspace counts its
+# values in float64: the largest count whose float does not pass the index of
+# 8-byte values (2**60 - 65 on a 64-bit build, as 2**60 - 64 rounds up to
+# 2**60), so any array of this many 8-byte values can be asked for
+_MAX_COUNT = next(k for k in range(np.iinfo(np.intp).max // 8, 0, -1)
+                  if float(k) <= np.iinfo(np.intp).max // 8)
 
 
-def _row_count(option: str, n: int, extra: int = 0,
-               cap: int = _MAX_ROWS) -> int:
-    """``n``, or a ConfigError naming ``option`` if n + extra exceeds
-    ``cap``: _MAX_ROWS rows, or _MAX_NODES grid nodes."""
-    if n + extra > cap:
-        raise ConfigError(f"{option} must be at most {cap - extra}, "
-                          f"got {n}: numpy cannot index more rows of 8-byte "
-                          "values")
-    return n
+def _count(option: str, n: int, least: int = 1, width: int = 1,
+           extra: int = 0) -> int:
+    """``n``, or a ConfigError naming ``option`` unless n >= ``least`` and
+    (n + ``extra``) * ``width`` <= _MAX_COUNT; called before any allocation.
 
-
-def _sample_count(args) -> int:
-    if args.n < 2:
-        raise ConfigError(f"-n must be >= 2 for the quality report, got {args.n}")
-    return _row_count("-n", args.n)
-
-
-def _check_width(n: int, per_row: int) -> None:
-    """ConfigError naming ``-n`` unless n rows of ``per_row`` 8-byte values
-    fit numpy's index; called before any draw.
-
-    ``per_row`` is that of the first array ``samplers.sample`` builds: the
-    trajectory states (one row of d per node) or the cells' final states.
-    Every later array with more values a row (noise words, the reference
-    draw's factors, the trajectories table) is built only after that one
-    fit in memory, and memory bounds n far below this check.
+    ``(n + extra) * width`` is the number of values in the first array the
+    count sizes: ``extra`` adds a time grid's end node, and ``width`` is
+    the values a row, as in the (cells, n, d) states ``samplers.sample``
+    builds first.  Every later array with more values a row (noise words,
+    the reference draw's factors, the trajectories table) is built only
+    after that one fit in memory, and memory bounds n far below this cap.
     """
-    if n * per_row > _MAX_ROWS:
-        raise ConfigError(f"-n must be at most {_MAX_ROWS // per_row} for "
-                          f"this run, got {n}: its sampled states hold "
-                          f"{per_row} 8-byte values per row, and numpy "
-                          f"cannot index more than {_MAX_ROWS}")
+    if n < least:
+        raise ConfigError(f"{option} must be >= {least}, got {n}")
+    limit = _MAX_COUNT // width - extra
+    if n > limit:
+        raise ConfigError(f"{option} must be at most {limit}, got {n}: the "
+                          "array it sizes would exceed numpy's limit of "
+                          f"{_MAX_COUNT} 8-byte values")
+    return n
 
 
 def cmd_sample(args) -> int:
@@ -304,9 +286,9 @@ def cmd_sample(args) -> int:
     sched = _resolve_schedule(args, cfg)
     gmm = _resolve_gmm(cfg)
     sampler_cfg = _resolve_sampler(args, cfg)
-    n = _sample_count(args)
-    _check_width(n, gmm.dim * (sampler_cfg.steps + 1 if args.trajectories
-                               else 1))
+    n = _count("-n", args.n, least=2,
+               width=gmm.dim * (sampler_cfg.steps + 1 if args.trajectories
+                                else 1))
     single = gmm.n_components == 1
     if single and n <= gmm.dim:
         raise ConfigError(f"-n must exceed the dimension {gmm.dim} for the "
@@ -345,11 +327,11 @@ def cmd_sweep(args) -> int:
     sched = _resolve_schedule(args, cfg)
     gmm = _resolve_gmm(cfg)
     base = _resolve_sampler(args, cfg)
-    n = _sample_count(args)
     gammas = _parse_grid(args.gammas, "gamma")
     deltas = _parse_grid(args.deltas, "delta")
     rhos = _parse_grid(args.rhos, "rho")
-    _check_width(n, gmm.dim * len(gammas) * len(deltas) * len(rhos))
+    n = _count("-n", args.n, least=2,
+               width=gmm.dim * len(gammas) * len(deltas) * len(rhos))
     target = gmm.mean(), gmm.cov()
     check_target(*target)
 
@@ -389,7 +371,7 @@ def cmd_info(args) -> int:
         if seed is None:
             raise ConfigError("mixtures need a seed for Monte Carlo estimates")
         seed = integer("seed", seed)
-        mc_n = _row_count("--mc-n", args.mc_n)
+        mc_n = _count("--mc-n", args.mc_n, least=100)
 
     if args.kong:
         if not single:
@@ -422,7 +404,7 @@ def cmd_info(args) -> int:
 def cmd_snrspace(args) -> int:
     cfg = _load_config(args.config)
     sched = _resolve_schedule(args, cfg)
-    lams = np.linspace(*sched.lambda_range(), _grid_size(args))
+    lams = np.linspace(*sched.lambda_range(), _count("--grid", args.grid))
     t = t_of_lambda(sched, lams)
     table = np.column_stack([lams, sched.alpha(t), sched.sigma(t)])
     out = Path(args.out) / "snrspace.csv"
@@ -529,7 +511,9 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except MemoryError as exc:
-        print(f"config error: out of memory: {exc}", file=sys.stderr)
+        # a MemoryError from Python objects, not numpy, carries no text
+        detail = f": {exc}" if str(exc) else ""
+        print(f"config error: out of memory{detail}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -89,7 +89,7 @@ MIXTURE_1D = {**UNIT_CONFIG, "gmm": {"weights": [0.5, 0.5],
 MIXTURE_16D = {**UNIT_CONFIG, "gmm": {"weights": [0.5, 0.5],
                                       "means": [[-1.0] * 16, [1.0] * 16],
                                       "covs": [[0.5] * 16, [1.0] * 16]}}
-# row counts too large for any array numpy can index: past the row cap, or
+# row counts too large for any array numpy can index: past the size cap, or
 # under it but past the first array of the run on n rows (sweep's 55 default
 # cells on MIXTURE_1D, 16 values a row on MIXTURE_16D, 25 trajectory nodes
 # on MIXTURE_1D)
@@ -98,7 +98,7 @@ OVERSIZED_RUNS = [["sample", "-n", "100000000000000000000"],
                   ["sweep", "-n", "144115188075855872"],
                   ["sample", "-n", "576460752303423488"],
                   ["sample", "-n", "72057594037927936", "--trajectories"]]
-# grid counts: past the row cap, or under it but holding 728 TiB of values,
+# grid counts: past the size cap, or under it but holding 728 TiB of values,
 # which no allocation serves
 OVERSIZED_GRIDS = [["schedules", "--schedule", "VP", "--grid", str(10**14)],
                    ["schedules", "--schedule", "VP", "--grid", str(10**21)],
@@ -112,9 +112,9 @@ OVERSIZED_STEPS = {**UNIT_CONFIG, "sampler": {**UNIT_CONFIG["sampler"],
                                               "steps": 10**21}}
 OVERSIZED_SUBSTEPS = {**UNIT_CONFIG, "sampler": {
     "kind": "exact_reference", "steps": 3, "substeps": 10**21, "seed": 7}}
-# node counts under the row cap that np.linspace, counting in float64,
-# rounds up to 2**60 values: the cap itself as a grid, and steps + 1 nodes
-# one short of it
+# node counts under numpy's index that np.linspace, counting in float64,
+# rounds up to 2**60 values: 2**60 - 1 as a grid, and steps + 1 nodes one
+# short of it
 ROUNDED_UP_GRID = ["schedules", "--schedule", "VP", "--grid",
                    "1152921504606846975"]
 ROUNDED_UP_STEPS = {**UNIT_CONFIG, "sampler": {**UNIT_CONFIG["sampler"],
@@ -122,6 +122,9 @@ ROUNDED_UP_STEPS = {**UNIT_CONFIG, "sampler": {**UNIT_CONFIG["sampler"],
 OUT_OF_MEMORY = ("config error: out of memory: Unable to allocate 728. TiB "
                  "for an array with shape (100000000000000,) and data type "
                  "float64")
+# the reason every count past the size rule's cap gives
+PAST_LIMIT = (": the array it sizes would exceed numpy's limit of "
+              "1152921504606846911 8-byte values")
 # mixtures whose means are not a (K, D) array with K, D >= 1
 THREE_AXIS_MEANS = {**UNIT_CONFIG, "gmm": {"weights": [1.0],
                                            "means": [[[0.0]]],
@@ -170,49 +173,44 @@ UNSERVED_RUNS = [
      "config error: means must be a (K, D) array with K, D >= 1, got shape "
      "(1, 0)"),
     (MIXTURE_1D, OVERSIZED_RUNS[0], 2,
-     "config error: -n must be at most 1152921504606846975, got "
-     "100000000000000000000: numpy cannot index more rows of 8-byte values"),
+     "config error: -n must be at most 1152921504606846911, got "
+     "100000000000000000000" + PAST_LIMIT),
     (MIXTURE_1D, OVERSIZED_RUNS[1], 2,
-     "config error: --mc-n must be at most 1152921504606846975, got "
-     "100000000000000000000: numpy cannot index more rows of 8-byte values"),
+     "config error: --mc-n must be at most 1152921504606846911, got "
+     "100000000000000000000" + PAST_LIMIT),
     (MIXTURE_1D, OVERSIZED_RUNS[2], 2,
-     "config error: -n must be at most 20962209174669945 for this run, got "
-     "144115188075855872: its sampled states hold 55 8-byte values per row, "
-     "and numpy cannot index more than 1152921504606846975"),
+     "config error: -n must be at most 20962209174669943, got "
+     "144115188075855872" + PAST_LIMIT),
     (MIXTURE_16D, OVERSIZED_RUNS[3], 2,
-     "config error: -n must be at most 72057594037927935 for this run, got "
-     "576460752303423488: its sampled states hold 16 8-byte values per row, "
-     "and numpy cannot index more than 1152921504606846975"),
+     "config error: -n must be at most 72057594037927931, got "
+     "576460752303423488" + PAST_LIMIT),
     (MIXTURE_1D, OVERSIZED_RUNS[4], 2,
-     "config error: -n must be at most 46116860184273879 for this run, got "
-     "72057594037927936: its sampled states hold 25 8-byte values per row, "
-     "and numpy cannot index more than 1152921504606846975"),
+     "config error: -n must be at most 46116860184273876, got "
+     "72057594037927936" + PAST_LIMIT),
     (UNIT_CONFIG, OVERSIZED_GRIDS[0], 2, OUT_OF_MEMORY),
     (UNIT_CONFIG, OVERSIZED_GRIDS[1], 2,
      "config error: --grid must be at most 1152921504606846911, got "
-     "1000000000000000000000: numpy cannot index more rows of 8-byte values"),
+     "1000000000000000000000" + PAST_LIMIT),
     (UNIT_CONFIG, OVERSIZED_GRIDS[2], 2,
      "config error: --grid must be at most 1152921504606846911, got "
-     "1000000000000000000000: numpy cannot index more rows of 8-byte values"),
+     "1000000000000000000000" + PAST_LIMIT),
     (UNIT_CONFIG, OVERSIZED_GRIDS[3], 2, OUT_OF_MEMORY),
     (UNIT_CONFIG, OVERSIZED_GRIDS[4], 2,
      "config error: delta grid count must be at most 1152921504606846911, "
-     "got 1000000000000000000000: numpy cannot index more rows of 8-byte "
-     "values"),
+     "got 1000000000000000000000" + PAST_LIMIT),
     (UNIT_CONFIG, OVERSIZED_GRIDS[5], 2, OUT_OF_MEMORY),
     (OVERSIZED_STEPS, ["sample", "-n", "8"], 2,
      "config error: sampler steps must be at most 1152921504606846910, got "
-     "1000000000000000000000: numpy cannot index more rows of 8-byte values"),
+     "1000000000000000000000" + PAST_LIMIT),
     (OVERSIZED_SUBSTEPS, ["sample", "-n", "8"], 2,
      "config error: sampler substeps must be at most 1152921504606846910, "
-     "got 1000000000000000000000: numpy cannot index more rows of 8-byte "
-     "values"),
+     "got 1000000000000000000000" + PAST_LIMIT),
     (UNIT_CONFIG, ROUNDED_UP_GRID, 2,
      "config error: --grid must be at most 1152921504606846911, got "
-     "1152921504606846975: numpy cannot index more rows of 8-byte values"),
+     "1152921504606846975" + PAST_LIMIT),
     (ROUNDED_UP_STEPS, ["sample", "-n", "8"], 2,
      "config error: sampler steps must be at most 1152921504606846910, got "
-     "1152921504606846974: numpy cannot index more rows of 8-byte values"),
+     "1152921504606846974" + PAST_LIMIT),
 ]
 UNSERVED_IDS = ["exact_reference_gamma_minus_one", "n_not_above_dim",
                 "singular_target", "zero_cov_sample", "zero_cov_sweep",
@@ -1047,6 +1045,9 @@ class TestConsoleEntry:
 # is about what is rejected, not about how large a run may be.  10**14 rows
 # of 8-byte values (728 TiB) fail to allocate at once, and 10**21 is past
 # numpy's index; never draw a count that could really allocate gigabytes.
+# Each fault source is drawn valid three times in four, so that most runs get
+# past config parsing and reach the sampling and reporting paths; two of the
+# base configs sample into a numerical failure (exit 3).
 HUGE_SIZES = [10**14, 10**21]
 SMALL_JUNK = st.sampled_from([
     None, True, False, 0, -1, 1, 3, 0.5, -0.5, 1e308, float("nan"),
@@ -1054,12 +1055,18 @@ SMALL_JUNK = st.sampled_from([
     {"a": 1},
 ]).map(copy.deepcopy)
 JUNK = SMALL_JUNK | st.just(2**70)
-SMALL_INT = st.sampled_from([-1, 0, 1, 2, 3])
 
 
-def sizes(*small):
-    """A size option's values: ``small`` ones, and the two huge ones."""
-    return st.sampled_from([*small, *HUGE_SIZES])
+def mostly(valid, invalid):
+    """A value of ``valid`` three draws in four, else one of ``invalid``."""
+    return st.sampled_from([valid, valid, valid, invalid]).flatmap(
+        st.sampled_from)
+
+
+def sizes(valid, small):
+    """A size option's values: mostly ``valid`` ones, else ``small`` invalid
+    ones or the two huge ones."""
+    return mostly(valid, [*small, *HUGE_SIZES])
 
 
 FIELDS = {
@@ -1082,21 +1089,21 @@ VALUES = {
     "grid_kind": st.sampled_from(["uniform_t", "uniform_lambda"]) | JUNK,
     **dict.fromkeys(["rho", "gamma", "delta", "eta", "t_start", "t_end",
                      "t_min", "t_max"], st.floats(-2, 3) | JUNK),
-    "steps": sizes(-1, 0, 1, 2, 3) | SMALL_JUNK,
-    "substeps": sizes(-1, 0, 1, 2, 3) | SMALL_JUNK,
+    "steps": sizes([1, 2, 3], [-1, 0]) | SMALL_JUNK,
+    "substeps": sizes([1, 2, 3], [-1, 0]) | SMALL_JUNK,
 }
-GRIDS = st.sampled_from(["1", "0.5,1", "0:2:3", "-2:2:3", "0", "0,50", "",
-                         ",", "abc", "1:2:0", "1:2", "-1", "nan", "1e400",
-                         *(f"-2:2:{n}" for n in HUGE_SIZES)])
+GRIDS = mostly(["1", "0.5,1", "0:2:3", "-2:2:3", "0", "0,50"],
+               ["", ",", "abc", "1:2:0", "1:2", "-1", "nan", "1e400",
+                *(f"-2:2:{n}" for n in HUGE_SIZES)])
 
 
 @st.composite
 def fuzzed_config(draw):
-    cfg = json.loads(json.dumps(draw(st.sampled_from([UNIT_CONFIG,
-                                                      GMM2D_CONFIG,
-                                                      GAUSS2D_CONFIG]))))
+    cfg = json.loads(json.dumps(draw(st.sampled_from([
+        UNIT_CONFIG, GMM2D_CONFIG, GAUSS2D_CONFIG, HUGE_ONE_MEAN,
+        OVERFLOWING_MIXTURE]))))
     cfg["sampler"]["steps"] = 3
-    for _ in range(draw(st.integers(0, 3))):
+    for _ in range(draw(mostly([0], [1, 2, 3]))):
         section = draw(st.sampled_from(sorted(FIELDS)))
         action = draw(st.sampled_from(["set", "set", "drop", "replace"]))
         if action == "replace":
@@ -1115,9 +1122,9 @@ def fuzzed_flags(draw):
                                     "snrspace"]))
     flags = [command]
     if command in ("schedules", "snrspace"):
-        flags += ["--grid", str(draw(sizes(-1, 0, 1, 3, 50)))]
+        flags += ["--grid", str(draw(sizes([1, 3, 50], [-1, 0])))]
     if command in ("sample", "sweep"):
-        flags += ["-n", str(draw(sizes(-1, 0, 1, 2, 5, 9)))]
+        flags += ["-n", str(draw(sizes([3, 5, 9], [-1, 0, 1, 2])))]
     if command == "sample" and draw(st.booleans()):
         flags.append("--trajectories")
     if command == "sweep":
@@ -1125,7 +1132,7 @@ def fuzzed_flags(draw):
             flags.append(f"{flag}={draw(GRIDS)}")
     if command == "info":
         flags += [f"--lambdas={draw(GRIDS)}",
-                  "--mc-n", str(draw(sizes(-1, 0, 99, 100, 150)))]
+                  "--mc-n", str(draw(sizes([100, 150], [-1, 0, 99])))]
         if draw(st.booleans()):
             flags.append("--kong")
     if draw(st.booleans()):
@@ -1133,7 +1140,7 @@ def fuzzed_flags(draw):
     if draw(st.booleans()):
         flags += ["--seed", str(draw(st.sampled_from([-5, 0, 3, 2**70])))]
     if draw(st.booleans()):
-        flags += ["--schedule", draw(st.sampled_from(["VP", "FM_OT", "bogus"]))]
+        flags += ["--schedule", draw(mostly(["VP", "FM_OT"], ["bogus"]))]
     return flags
 
 
@@ -1279,20 +1286,89 @@ def test_node_cap_is_the_largest_count_linspace_accepts():
     # MemoryError line); one past it, np.linspace rounds the count up to
     # more values than numpy can index
     with pytest.raises(MemoryError):
-        np.linspace(0.0, 1.0, cli._MAX_NODES)
+        np.linspace(0.0, 1.0, cli._MAX_COUNT)
     with pytest.raises(ValueError, match="array is too big"):
-        np.linspace(0.0, 1.0, cli._MAX_NODES + 1)
-    assert cli._MAX_NODES <= cli._MAX_ROWS
+        np.linspace(0.0, 1.0, cli._MAX_COUNT + 1)
+    assert cli._MAX_COUNT <= np.iinfo(np.intp).max // 8
 
 
-def test_memory_error_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
+# (keywords, limit): the largest count the size rule passes is the largest n
+# with (n + extra) * width <= 2**60 - 65; least, width and extra default to
+# 1, 1 and 0
+COUNT_RULES = [({}, 1152921504606846911),
+               ({"least": 2}, 1152921504606846911),
+               ({"least": 100}, 1152921504606846911),
+               ({"extra": 1}, 1152921504606846910),
+               ({"least": 2, "width": 55}, 20962209174669943),
+               ({"least": 2, "width": 25}, 46116860184273876),
+               ({"width": 16, "extra": 1}, 72057594037927930)]
+
+
+@pytest.mark.parametrize("keywords,limit", COUNT_RULES)
+def test_count_passes_least_to_limit(keywords, limit):
+    least, width, extra = (keywords.get(k, v) for k, v in
+                           (("least", 1), ("width", 1), ("extra", 0)))
+    assert (limit + extra) * width <= cli._MAX_COUNT
+    assert (limit + 1 + extra) * width > cli._MAX_COUNT
+    for n in (least, limit):
+        assert cli._count("opt", n, **keywords) == n
+    with pytest.raises(snrdiff.ConfigError) as low:
+        cli._count("opt", least - 1, **keywords)
+    assert str(low.value) == f"opt must be >= {least}, got {least - 1}"
+    with pytest.raises(snrdiff.ConfigError) as high:
+        cli._count("opt", limit + 1, **keywords)
+    assert str(high.value) == (f"opt must be at most {limit}, got {limit + 1}"
+                               + PAST_LIMIT)
+
+
+# runs given the size rule's limit + 1 for each of the six size options, -n
+# at three widths: (config, flags, option, limit)
+CAP = 1152921504606846911
+LIMIT_RUNS = [
+    (UNIT_CONFIG, ["schedules", "--grid", str(CAP + 1)], "--grid", CAP),
+    (UNIT_CONFIG, ["snrspace", "--grid", str(CAP + 1)], "--grid", CAP),
+    (UNIT_CONFIG, ["sweep", "-n", "8", f"--rhos=0:1:{CAP + 1}"],
+     "rho grid count", CAP),
+    (UNIT_CONFIG, ["info", f"--lambdas=-1:1:{CAP + 1}"], "lambda grid count",
+     CAP),
+    ({**UNIT_CONFIG, "sampler": {**UNIT_CONFIG["sampler"], "steps": CAP}},
+     ["sample", "-n", "8"], "sampler steps", CAP - 1),
+    ({**UNIT_CONFIG, "sampler": {"kind": "exact_reference", "steps": 3,
+                                 "substeps": CAP, "seed": 7}},
+     ["sample", "-n", "8"], "sampler substeps", CAP - 1),
+    (UNIT_CONFIG, ["sample", "-n", str(CAP + 1)], "-n", CAP),
+    (MIXTURE_16D, ["sample", "-n", str(CAP // 400 + 1), "--trajectories"],
+     "-n", CAP // 400),
+    (MIXTURE_1D, ["sweep", "-n", str(CAP // 55 + 1)], "-n", CAP // 55),
+    (MIXTURE_1D, ["info", "--mc-n", str(CAP + 1)], "--mc-n", CAP),
+]
+
+
+@pytest.mark.parametrize("cfg,flags,option,limit", LIMIT_RUNS)
+def test_limit_plus_one_exits_2_before_allocating(tmp_path, cfg, flags,
+                                                  option, limit):
+    out = tmp_path / "out"
+    rc, err = run_cli(flags + ["--config", write_config(tmp_path, cfg),
+                               "--out", str(out)])
+    assert (rc, err) == (2, f"config error: {option} must be at most {limit}, "
+                            f"got {limit + 1}{PAST_LIMIT}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("exc,line", [
+    (MemoryError("Unable to allocate 8.00 EiB"),
+     "config error: out of memory: Unable to allocate 8.00 EiB\n"),
+    # Python objects, not a numpy array, running out of memory
+    (MemoryError(), "config error: out of memory\n"),
+])
+def test_memory_error_exits_2_with_one_line(tmp_path, monkeypatch, capsys,
+                                            exc, line):
     def exhausted(args):
-        raise MemoryError("Unable to allocate 8.00 EiB")
+        raise exc
 
     monkeypatch.setattr(cli, "cmd_schedules", exhausted)
     assert main(["schedules", "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == ("config error: out of memory: Unable "
-                                       "to allocate 8.00 EiB\n")
+    assert capsys.readouterr().err == line
 
 
 # -- the argument parser -------------------------------------------------------
