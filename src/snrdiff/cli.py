@@ -34,9 +34,11 @@ sampler's ``steps`` and an ``exact_reference`` step's ``substeps``, each
 sizing a grid of one node more, ``-n`` (at least 2, for the quality
 report), whose states hold d values a row for each cell, or for each time
 grid node with ``--trajectories``, and a mixture's ``--mc-n`` (at least
-100).  ``-n`` must also exceed the dimension for a one-component target's
-Gaussian-fit KL (2).  A count under the cap whose arrays do not fit in
-memory exits 2 with one ``config error: out of memory`` line.  A target
+100).  ``--threads`` of ``sample`` and ``sweep`` is at least 1 too, but it
+sizes no array, so it has no cap.  ``-n`` must also exceed the dimension
+for a one-component target's Gaussian-fit KL (2).  A count under the cap
+whose arrays do not fit in memory exits 2 with one ``config error: out of
+memory`` line.  A target
 mean or covariance that is not finite, a zero target covariance, or one
 that is singular for that KL leaves the report undefined (3); ``sample``
 and ``sweep`` check this before sampling too.  A quality value that still
@@ -55,6 +57,7 @@ when all are written, so a failure leaves no partial output behind.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -77,8 +80,7 @@ from .infotheory import (
 # energy_distance stays bound here: bench/selftest.py traces it by this name
 from .metrics import (check_target, energy_distance,  # noqa: F401
                       quality_reports)
-from .samplers import (SamplerConfig, generalized_cells, sample,
-                       sampler_config_from_dict)
+from .samplers import SamplerConfig, sample, sampler_config_from_dict
 from .schedule import Schedule, eval_schedule, make_schedule, schedule_from_dict
 from .snr_space import t_of_lambda, tilde_eval
 
@@ -281,7 +283,16 @@ def _count(option: str, n: int, least: int = 1, width: int = 1,
     return n
 
 
+def _threads(args) -> int:
+    """``--threads``, or a ConfigError unless it is at least 1; it sizes no
+    array, so _count's cap does not apply."""
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+    return args.threads
+
+
 def cmd_sample(args) -> int:
+    threads = _threads(args)
     cfg = _load_config(args.config)
     sched = _resolve_schedule(args, cfg)
     gmm = _resolve_gmm(cfg)
@@ -296,8 +307,8 @@ def cmd_sample(args) -> int:
     target = gmm.mean(), gmm.cov()
     check_target(*target, kl=single)
 
-    result = sample(sched, oracle_score_model(gmm, sched), sampler_cfg, n=n,
-                    d=gmm.dim, threads=args.threads,
+    result = sample(sched, oracle_score_model(gmm), sampler_cfg, n=n,
+                    d=gmm.dim, threads=threads,
                     return_trajectories=args.trajectories)
     x, times, states = result if args.trajectories else (result, None, None)
     report = _quality_report(x, gmm, sampler_cfg.seed, target)
@@ -323,6 +334,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    threads = _threads(args)
     cfg = _load_config(args.config)
     sched = _resolve_schedule(args, cfg)
     gmm = _resolve_gmm(cfg)
@@ -335,9 +347,11 @@ def cmd_sweep(args) -> int:
     target = gmm.mean(), gmm.cov()
     check_target(*target)
 
-    cells = generalized_cells(base, gammas, deltas, rhos)
-    xs = sample(sched, oracle_score_model(gmm, sched), cells, n=n, d=gmm.dim,
-                threads=args.threads)
+    cells = [dataclasses.replace(base, kind="generalized", rho=rho,
+                                 gamma=gamma, delta=delta)
+             for gamma in gammas for delta in deltas for rho in rhos]
+    xs = sample(sched, oracle_score_model(gmm), cells, n=n, d=gmm.dim,
+                threads=threads)
     reports = quality_reports(xs, *target, sample_data(gmm, n, base.seed))
     table = np.array([[c.gamma, c.delta, c.rho, r.mean_error_l2,
                        r.cov_frobenius_error, r.energy_distance]

@@ -90,56 +90,51 @@ def transition(schedule: Schedule, s, t) -> TransitionKernel:
 
 
 class ScoreModel:
-    """A function (z, t) -> array tagged by what it predicts.
+    """A function (z, alpha, sigma) -> array tagged by what it predicts.
 
-    Tags: ``"score"`` for the score s(z, t), ``"eps"`` for noise prediction,
-    ``"data"`` for the denoiser x_hat.  The three are interchangeable given
-    alpha = alpha(t) and sigma = sigma(t):
+    A model sees a schedule only through the levels of z = alpha x +
+    sigma eps, never through the clock; a caller at time t passes
+    (alpha(t), sigma(t)).  Tags: ``"score"`` for the score of z, ``"eps"``
+    for noise prediction, ``"data"`` for the denoiser x_hat.  The three are
+    interchangeable at the same levels:
 
         score = -eps / sigma,      x_hat = (z + sigma^2 score) / alpha.
 
-    A model given its ``schedule`` is time-free, ``fn(z, alpha, sigma)``;
-    with ``at`` = (alpha(t), sigma(t)) given, no evaluation calls a schedule.
     Stateless wrappers: the callable must be safe to call concurrently.
     """
 
-    def __init__(self, fn, tag: str, schedule: Schedule | None = None):
+    def __init__(self, fn, tag: str):
         if tag not in SCORE_TAGS:
             raise ValueError(f"unknown score-model tag {tag!r}; "
                              f"expected one of {SCORE_TAGS}")
-        self.fn, self.tag, self.schedule = fn, tag, schedule
+        self.fn, self.tag = fn, tag
 
-    def __call__(self, z, t, at=None):
-        args = ((float(t),) if self.schedule is None
-                else at or _levels(self.schedule, t))
-        return np.asarray(self.fn(z, *args), dtype=float)
+    def __call__(self, z, alpha: float, sigma: float) -> np.ndarray:
+        return np.asarray(self.fn(z, alpha, sigma), dtype=float)
 
-    def score(self, schedule: Schedule, z, t, at=None) -> np.ndarray:
+    def score(self, z, alpha: float, sigma: float) -> np.ndarray:
         """Evaluate as a score regardless of the native tag."""
         z = np.asarray(z, dtype=float)
-        out = self(z, t, at)
+        out = self(z, alpha, sigma)
         if self.tag == "score":
             return out
-        alpha, sigma = at or _levels(schedule, t)
         if self.tag == "eps":
             return -out / sigma
         # data tag: invert x_hat = (z + sigma^2 score)/alpha
         return (alpha * out - z) / (sigma * sigma)
 
-    def eps(self, schedule: Schedule, z, t, at=None) -> np.ndarray:
+    def eps(self, z, alpha: float, sigma: float) -> np.ndarray:
         """Evaluate as a noise prediction regardless of the native tag."""
         if self.tag == "eps":
-            return self(z, t, at)
-        at = at or _levels(schedule, t)
-        return -at[1] * self.score(schedule, z, t, at)
+            return self(z, alpha, sigma)
+        return -sigma * self.score(z, alpha, sigma)
 
-    def data(self, schedule: Schedule, z, t, at=None) -> np.ndarray:
+    def data(self, z, alpha: float, sigma: float) -> np.ndarray:
         """Evaluate as a denoiser x_hat regardless of the native tag."""
         if self.tag == "data":
-            return self(z, t, at)
+            return self(z, alpha, sigma)
         z = np.asarray(z, dtype=float)
-        alpha, sigma = at = at or _levels(schedule, t)
-        return (z + sigma * sigma * self.score(schedule, z, t, at)) / alpha
+        return (z + sigma * sigma * self.score(z, alpha, sigma)) / alpha
 
 
 def _levels(schedule: Schedule, t) -> tuple[float, float]:
@@ -147,14 +142,12 @@ def _levels(schedule: Schedule, t) -> tuple[float, float]:
     return float(schedule.alpha(t)), float(schedule.sigma(t))
 
 
-def convert_score_model(model: ScoreModel, target_tag: str,
-                        schedule: Schedule) -> ScoreModel:
+def convert_score_model(model: ScoreModel, target_tag: str) -> ScoreModel:
     """Wrap a model so it natively returns the target quantity: the tags
     name its conversion methods."""
     if target_tag == model.tag:
         return model
-    return ScoreModel(lambda z, t: getattr(model, target_tag)(schedule, z, t),
-                      target_tag)
+    return ScoreModel(getattr(model, target_tag), target_tag)
 
 
 def backward_drift(schedule: Schedule, score_model: ScoreModel, rho: float,
@@ -166,7 +159,7 @@ def backward_drift(schedule: Schedule, score_model: ScoreModel, rho: float,
     """
     z = np.asarray(z, dtype=float)
     coeffs = forward_coeffs(schedule, t)
-    score = score_model.score(schedule, z, t)
+    score = score_model.score(z, *_levels(schedule, t))
     return coeffs.f * z - 0.5 * (1.0 + rho * rho) * coeffs.g ** 2 * score
 
 

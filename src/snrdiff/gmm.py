@@ -385,7 +385,7 @@ def log_marginal_density(gmm: GmmSpec, schedule: Schedule, t: float, z) -> np.nd
 
 def exact_score(gmm: GmmSpec, schedule: Schedule, t: float, z) -> np.ndarray:
     """Exact gradient of log p(z_t) at z; z may be (..., D)."""
-    return oracle_score_model(gmm, schedule)(z, t)
+    return oracle_score_model(gmm)(z, *_levels(schedule, t))
 
 
 def _posterior_mean(gmm: GmmSpec, a: float, s2: float, z: np.ndarray,
@@ -409,12 +409,12 @@ def posterior_mean(gmm: GmmSpec, schedule: Schedule, t: float, z) -> np.ndarray:
     return _posterior_mean(gmm, a, s ** 2, zf).reshape(lead + (gmm.dim,))
 
 
-def oracle_score_model(gmm: GmmSpec, schedule: Schedule) -> ScoreModel:
-    """The exact score of the noisy mixture as a time-free ScoreModel."""
+def oracle_score_model(gmm: GmmSpec) -> ScoreModel:
+    """The exact score of the noisy mixture as a ScoreModel."""
     def fn(z, alpha, sigma):
         zf, lead = _flatten(z, gmm.dim)
         # score = sum_k r_k C_k^{-1}(a m_k - z)
         _, _, w = _components(gmm, alpha, sigma ** 2, zf, joint=False)
         return (-w).reshape(lead + (gmm.dim,))
 
-    return ScoreModel(fn, "score", schedule)
+    return ScoreModel(fn, "score")

@@ -111,16 +111,22 @@ def moment_report(samples, target: GmmSpec) -> SampleQualityReport:
         )
     ref_mean, ref_cov = target.mean(), target.cov()
     check_target(ref_mean, ref_cov)
-    return _moment_report(x, ref_mean, ref_cov)
+    return _moment_report(_moments(x), ref_mean, ref_cov)
 
 
-def _moment_report(x: np.ndarray, ref_mean, ref_cov) -> SampleQualityReport:
-    """:func:`moment_report` of canonical samples x (n >= 2) against a
-    target mean and covariance of their dimension that
-    :func:`check_target` accepts."""
+def _moments(x: np.ndarray) -> tuple:
+    """(n, mean, unbiased covariance) of canonical samples x (n, D): the
+    one place the quality metrics compute the sample moments."""
     n, d = x.shape
-    mean_err = float(np.linalg.norm(x.mean(axis=0) - ref_mean))
-    emp_cov = np.cov(x, rowvar=False, ddof=1).reshape(d, d)
+    return n, x.mean(axis=0), np.cov(x, rowvar=False, ddof=1).reshape(d, d)
+
+
+def _moment_report(moments, ref_mean, ref_cov) -> SampleQualityReport:
+    """:func:`moment_report` from the :func:`_moments` of n >= 2 samples,
+    against a target mean and covariance of their dimension that
+    :func:`check_target` accepts."""
+    n, emp_mean, emp_cov = moments
+    mean_err = float(np.linalg.norm(emp_mean - ref_mean))
     cov_err = float(np.linalg.norm(emp_cov - ref_cov)
                     / np.linalg.norm(ref_cov))
     return SampleQualityReport(mean_error_l2=mean_err,
@@ -255,10 +261,11 @@ def quality_reports(xs, target_mean, target_cov, reference,
             else np.stack([_canonical(x) for x in xs]))
     reports = []
     for x, distance in zip(rows, _energy_distances(rows, _as_rows(reference))):
-        report = _moment_report(x, target_mean, target_cov)
+        moments = _moments(x)
+        report = _moment_report(moments, target_mean, target_cov)
         report.energy_distance = distance
         if kl_target is not None:
-            report.gaussian_kl = _gaussian_kl(x, *kl_target)
+            report.gaussian_kl = _gaussian_kl(moments, *kl_target)
         reports.append(report)
     return reports
 
@@ -278,19 +285,17 @@ def gaussian_kl_fit(samples, target_mean, target_cov) -> float:
     if x.shape[0] <= x.shape[1]:
         raise ValueError("need more samples than dimensions to fit")
     check_target(target_mean, target_cov, kl=True)
-    return _gaussian_kl(x, target_mean, target_cov)
+    return _gaussian_kl(_moments(x), target_mean, target_cov)
 
 
-def _gaussian_kl(x: np.ndarray, target_mean: np.ndarray,
+def _gaussian_kl(moments, target_mean: np.ndarray,
                  target_cov: np.ndarray) -> float:
-    """:func:`gaussian_kl_fit` of canonical samples x (n > D) against a
-    (D,) mean and (D, D) covariance that ``check_target(..., kl=True)``
-    accepts."""
-    n, d = x.shape
+    """:func:`gaussian_kl_fit` from the :func:`_moments` of n > D samples,
+    against a (D,) mean and (D, D) covariance that
+    ``check_target(..., kl=True)`` accepts."""
+    _, fit_mean, fit_cov = moments
+    d = fit_mean.size
     logdet_t = np.linalg.slogdet(target_cov)[1]
-
-    fit_mean = x.mean(axis=0)
-    fit_cov = np.cov(x, rowvar=False, ddof=1).reshape(d, d)
     sign_f, logdet_f = np.linalg.slogdet(fit_cov)
     if sign_f <= 0:
         raise NumericalError("fitted covariance is singular")

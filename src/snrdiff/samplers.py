@@ -1,17 +1,19 @@
 """Backward-time samplers as one affine coefficient table.
 
 Every sampler kind moves a state from time ``t`` to an earlier time ``s``
-by z_s = A z_t + B eps_hat(z_t, t) + C xi with xi ~ N(0, I).
+by z_s = A z_t + B eps_hat(z_t, alpha_t, sigma_t) + C xi with xi ~ N(0, I).
 :func:`_affine_table` builds (A, B, C) for every interval of a time grid
-with one vectorized call per schedule function, and :func:`sample` runs
-one loop of that update.  The kinds map onto the table as follows:
+with one vectorized call per schedule function, and ``at``, each interval's
+(alpha_t, sigma_t), from the same arrays; :func:`sample` runs one loop of
+that update, handing the model ``at[k]``.  The kinds map onto the table as
+follows:
 
 * ``generalized``: the exponential integrator, already in eps_hat form,
 
       z_s = (alpha_s/alpha_t) z_t
             - (1+rho^2)/(1+gamma) alpha_s
               [e^{-(1+gamma) lam_t / 2} - e^{-(1+gamma) lam_s / 2}]
-              e^{gamma lam_t / 2} eps_hat(z_t, t)
+              e^{gamma lam_t / 2} eps_hat(z_t, alpha_t, sigma_t)
             + rho alpha_t sqrt(e^{-lam_t} - e^{-lam_s})
               (alpha_s/alpha_t)^{1-delta} (sigma_s/sigma_t)^delta xi;
 * ``kingma``: the ancestral step, ``generalized`` at rho = gamma = delta = 1;
@@ -25,8 +27,9 @@ one loop of that update.  The kinds map onto the table as follows:
 
 The public steppers, except :func:`step_kingma`, are one step of the same
 table, the step :func:`sample` takes.  ``step_kingma`` is an independent
-transcription, so its agreement with ``step_generalized`` at
-rho = gamma = delta = 1 is a real cross-check of the table.  Steppers take
+transcription with its own scalar schedule calls, so its agreement with
+``step_generalized`` at rho = gamma = delta = 1 is a real cross-check of
+the table.  Steppers take
 the noise draw only as the array ``eps``, which a stochastic step needs;
 :func:`sample` addresses noise by (seed, purpose, step, trajectory row), so
 results do not depend on how trajectories are batched or threaded.  The
@@ -60,7 +63,6 @@ invariant on variance-preserving schedules only; ``euler_backward``, and
 from __future__ import annotations
 
 import contextvars
-import itertools
 import os
 import threading
 import warnings
@@ -122,7 +124,7 @@ def non_markovian_beta2(schedule: Schedule, s, t, eta: float):
 def _affine_table(schedule: Schedule, times: np.ndarray, kind: str,
                   rho: float = 0.0, gamma: float = 0.0, delta: float = 1.0,
                   eta: float = 0.0):
-    """(A, B, C, at) of z_s = A z_t + B eps_hat(z_t, t) + C xi on each
+    """(A, B, C, at) of z_s = A z_t + B eps_hat(z_t, *at[k]) + C xi on each
     interval times[k] -> times[k+1] (k last), at[k] the score's (alpha,
     sigma) at times[k]; rho, gamma, delta may be arrays.  C is None when no
     noise is injected.  exact_reference takes the refined grid.  The one
@@ -181,11 +183,10 @@ def _refine(grid: np.ndarray, substeps: int) -> np.ndarray:
     return np.append(sub.ravel(), grid[-1])
 
 
-def _affine_step(schedule: Schedule, score: ScoreModel, z, t: float, table,
-                 k: int, xi=None) -> np.ndarray:
-    """Step k of the table applied to z at time t, with noise draw xi."""
+def _affine_step(score: ScoreModel, z, table, k: int, xi=None) -> np.ndarray:
+    """Step k of the table applied to z, with noise draw xi."""
     a, b, c, at = table
-    out = a[..., k] * z + b[..., k] * score.eps(schedule, z, t, at[k])
+    out = a[..., k] * z + b[..., k] * score.eps(z, *at[k])
     return out if xi is None else out + c[..., k] * xi
 
 
@@ -200,7 +201,7 @@ def _step(schedule: Schedule, score: ScoreModel, z_t, t: float, s: float,
     table = _affine_table(schedule, np.array([t, s]), kind, **params)
     c = table[2]
     xi = None if c is None or c[0] == 0.0 else _draw(z.shape, eps)
-    return _affine_step(schedule, score, z, t, table, 0, xi)
+    return _affine_step(score, z, table, 0, xi)
 
 
 def step_generalized(schedule: Schedule, score: ScoreModel, z_t, t: float,
@@ -208,8 +209,8 @@ def step_generalized(schedule: Schedule, score: ScoreModel, z_t, t: float,
                      eps=None) -> np.ndarray:
     """One generalized backward step from t to s (see module docstring).
 
-    The eps-hat prediction is evaluated at (z_t, t).  With s = t the step
-    is the identity.  gamma = -1 is a ConfigError (the 1/(1+gamma)
+    The eps-hat prediction sees (z_t, alpha_t, sigma_t).  With s = t the
+    step is the identity.  gamma = -1 is a ConfigError (the 1/(1+gamma)
     prefactor); delta may be any real but negative values are flagged.
     """
     return _step(schedule, score, z_t, t, s, "generalized", eps,
@@ -221,7 +222,7 @@ def step_kingma(schedule: Schedule, score: ScoreModel, z_t, t: float,
     """Ancestral-style backward step: posterior mean plus matched noise.
 
     Mean (alpha_s/alpha_t) z_t + alpha_s alpha_t (e^{-lam_t} - e^{-lam_s})
-    score(z_t, t), noise std alpha_t sqrt(e^{-lam_t} - e^{-lam_s})
+    score(z_t), noise std alpha_t sqrt(e^{-lam_t} - e^{-lam_s})
     sigma_s / sigma_t — written in eps-hat form below.  Coincides with
     step_generalized at rho = gamma = delta = 1 (kept as an independent
     transcription so the equality is a real cross-check).
@@ -237,7 +238,7 @@ def step_kingma(schedule: Schedule, score: ScoreModel, z_t, t: float,
     lam_t, lam_s = float(schedule.lam(t)), float(schedule.lam(s))
 
     bracket = np.exp(-lam_s) * np.expm1(lam_s - lam_t)
-    eps_hat = score.eps(schedule, z, t, (alpha_t, sigma_t))
+    eps_hat = score.eps(z, alpha_t, sigma_t)
     mean = (alpha_s / alpha_t) * z \
         - alpha_s * bracket * np.exp(0.5 * lam_t) * eps_hat
     noise_coef = alpha_t * np.sqrt(bracket) * (sigma_s / sigma_t)
@@ -357,28 +358,6 @@ def sampler_config_from_dict(spec: dict) -> SamplerConfig:
         return SamplerConfig(**spec)
     except TypeError as exc:
         raise ConfigError(f"bad sampler config: {exc}") from exc
-
-
-def generalized_cells(base: SamplerConfig, gammas, deltas,
-                      rhos) -> list[SamplerConfig]:
-    """``base`` as a generalized cell at each (gamma, delta, rho) of the
-    grid, gamma slowest and rho fastest.  Each cell equals
-    ``dataclasses.replace(base, kind="generalized", rho=, gamma=, delta=)``,
-    and the first bad value gives the ConfigError that building them in
-    order would; but each distinct value is checked once, and base's other
-    fields not again."""
-    checked, cells = set(), []
-    for gamma, delta, rho in itertools.product(gammas, deltas, rhos):
-        for name, value in (("rho", rho), ("gamma", gamma), ("delta", delta)):
-            key = name, type(value), value  # True == 1.0, but only one passes
-            if key not in checked:
-                finite_real(name, value)
-                checked.add(key)
-        cell = object.__new__(SamplerConfig)
-        cell.__dict__.update(base.__dict__, kind="generalized", rho=rho,
-                             gamma=gamma, delta=delta)
-        cells.append(cell)
-    return cells
 
 
 def _usable_cores() -> int:
@@ -560,7 +539,7 @@ def sample(schedule: Schedule, score: ScoreModel, config, n: int, d: int,
             elif stochastic:
                 xi = rng.row_normals(seed, rng.PURPOSE_STEP, i,
                                      row_start, row_stop, d)
-            z = _affine_step(schedule, score, z, float(times[i]), table, i, xi)
+            z = _affine_step(score, z, table, i, xi)
             if (i + 1) % stride:
                 continue
             k = i // stride

@@ -23,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import (
+    _levels,
     convert_score_model,
     euler_maruyama_forward,
     forward_coeffs,
@@ -156,17 +157,17 @@ def check_forward_variance_identity() -> CheckResult:
 def check_score_conversions() -> CheckResult:
     sched = make_schedule("VP")
     gmm = single_gaussian([0.4], [[1.3]])
-    model = oracle_score_model(gmm, sched)
+    model = oracle_score_model(gmm)
     gen = np.random.default_rng(7)
     z = gen.normal(size=(50, 1))
+    back = convert_score_model(convert_score_model(model, "eps"), "score")
+    data_model = convert_score_model(model, "data")
     worst = 0.0
     for t in (0.2, 0.5, 0.9):
-        eps_model = convert_score_model(model, "eps", sched)
-        back = convert_score_model(eps_model, "score", sched)
-        worst = np.maximum(worst, _rel(model(z, t), back(z, t)))
-        x_hat = convert_score_model(model, "data", sched)(z, t)
-        worst = np.maximum(worst,
-                           _rel(x_hat, posterior_mean(gmm, sched, t, z)))
+        at = _levels(sched, t)
+        worst = np.maximum(worst, _rel(model(z, *at), back(z, *at)))
+        worst = np.maximum(worst, _rel(data_model(z, *at),
+                                       posterior_mean(gmm, sched, t, z)))
     return CheckResult("score_conversions", worst <= 1e-10,
                        f"round-trip/Tweedie error {worst:.2e}")
 
@@ -184,7 +185,7 @@ def _step_inputs(sched, seed):
 
 def check_kingma_reduction() -> CheckResult:
     sched = make_schedule("VP")
-    model = oracle_score_model(single_gaussian([0.0], [[1.0]]), sched)
+    model = oracle_score_model(single_gaussian([0.0], [[1.0]]))
     worst = 0.0
     for seed in (123, 11):
         for t, s, z, eps in _step_inputs(sched, seed):
@@ -198,24 +199,24 @@ def check_kingma_reduction() -> CheckResult:
 def _deterministic_step(sched, model, z, t, s, gamma):
     """The closed-form rho = 0 update of the generalized backward equation."""
     lam_t, lam_s = float(sched.lam(t)), float(sched.lam(s))
-    a_t, a_s = float(sched.alpha(t)), float(sched.alpha(s))
+    (a_t, s_t), a_s = _levels(sched, t), float(sched.alpha(s))
     nu = 0.5 * (1.0 + gamma)
     bracket = np.exp(-nu * lam_t) - np.exp(-nu * lam_s)
     return (a_s / a_t) * z - (1.0 / (1.0 + gamma)) * a_s * bracket \
-        * np.exp(0.5 * gamma * lam_t) * model.eps(sched, z, t)
+        * np.exp(0.5 * gamma * lam_t) * model.eps(z, a_t, s_t)
 
 
 def check_deterministic_reduction() -> CheckResult:
     # rho = 0 must reproduce the closed deterministic update for any gamma:
     # on VP at gamma = 0 (the kingma inputs) and on FM_OT at random gamma
     vp = make_schedule("VP")
-    model = oracle_score_model(single_gaussian([0.0], [[1.0]]), vp)
+    model = oracle_score_model(single_gaussian([0.0], [[1.0]]))
     worst_vp = np.max([
         _rel(step_generalized(vp, model, z, t, s, 0.0, 0.0, 1.0),
              _deterministic_step(vp, model, z, t, s, 0.0))
         for t, s, z, _ in _step_inputs(vp, 123)])
     fm = make_schedule("FM_OT")
-    model = oracle_score_model(single_gaussian([0.2], [[0.8]]), fm)
+    model = oracle_score_model(single_gaussian([0.2], [[0.8]]))
     gen = np.random.default_rng(13)
     worst_fm = 0.0
     for _ in range(100):
@@ -342,7 +343,7 @@ def check_asymptotic_recovery() -> CheckResult:
 
 def check_order_of_accuracy() -> CheckResult:
     sched = make_schedule("VP")
-    model = oracle_score_model(single_gaussian([0.0], [[1.0]]), sched)
+    model = oracle_score_model(single_gaussian([0.0], [[1.0]]))
     z = np.array([[0.8]])
     ratios = []
     for t in (0.35, 0.6, 0.8):
@@ -378,7 +379,7 @@ def check_forward_marginals() -> CheckResult:
 def check_end_to_end_deterministic() -> CheckResult:
     sched = make_schedule("VP")
     gmm = single_gaussian([0.0], [[1.0]])
-    model = oracle_score_model(gmm, sched)
+    model = oracle_score_model(gmm)
     n = 10_000
     errs, mean_errs = [], []
     for steps in (25, 50, 100, 200):
@@ -401,7 +402,7 @@ def check_end_to_end_deterministic() -> CheckResult:
 def check_non_markovian_affine() -> CheckResult:
     sched = make_schedule("VP")
     gmm = single_gaussian([0.0], [[1.0]])
-    model = oracle_score_model(gmm, sched)
+    model = oracle_score_model(gmm)
     # with an exact denoiser the eta = 0 step is z -> coef * z: check the
     # stepper's coefficient and the variance it carries from t_max to t_min,
     # which is the data variance 1

@@ -63,7 +63,7 @@ def unit_gmm():
 
 @pytest.fixture
 def unit_score(vp, unit_gmm):
-    return oracle_score_model(unit_gmm, vp)
+    return oracle_score_model(unit_gmm)
 
 
 def interior_grid(schedule, n=200, margin=1e-4):

@@ -7,6 +7,7 @@ uses would otherwise show only when the benchmark runs.  These tests read
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -81,3 +82,39 @@ def test_tracer_step_names_exist():
     missing = [n for n in names if not hasattr(
         importlib.import_module(f"snrdiff.{n.split('.')[0]}"), n.split(".")[1])]
     assert names and not missing
+
+
+def counter_reads():
+    """(span name, function, index, name) of every ``_arg(args, kwargs,
+    index, name)`` a counter of tracing.py's ``WORK`` makes."""
+    tree = parsed("tracing.py")
+    counters = {node.name: node for node in tree.body
+                if isinstance(node, ast.FunctionDef)}
+    work = assigned(tree, "WORK")
+    for key, value in zip(work.keys, work.values):
+        for node in ast.walk(counters[value.id]):
+            if isinstance(node, ast.Call) \
+                    and getattr(node.func, "id", None) == "_arg":
+                index, name = (ast.literal_eval(a) for a in node.args[2:])
+                yield key.value, value.id, index, name
+
+
+READS = list(counter_reads())
+
+
+def test_tracer_counters_read_arguments():
+    assert {span for span, *_ in READS} == {
+        "gmm.exact_score", "gmm.posterior_mean", "metrics.energy_distance",
+        "rng.row_normals"}
+
+
+@pytest.mark.parametrize("span,counter,index,name", READS,
+                         ids=[f"{s}:{n}" for s, _, _, n in READS])
+def test_tracer_counter_reads_the_named_parameter(span, counter, index, name):
+    # a counter reads an argument by position, or by name when it was
+    # passed by keyword: both must name the same parameter, or the bench's
+    # work counts go wrong without an error
+    module, attr = span.split(".")
+    params = list(inspect.signature(getattr(
+        importlib.import_module(f"snrdiff.{module}"), attr)).parameters)
+    assert params[index] == name, (counter, params)

@@ -211,6 +211,14 @@ UNSERVED_RUNS = [
     (ROUNDED_UP_STEPS, ["sample", "-n", "8"], 2,
      "config error: sampler steps must be at most 1152921504606846910, got "
      "1152921504606846974" + PAST_LIMIT),
+    (UNIT_CONFIG, ["sample", "-n", "8", "--threads", "0"], 2,
+     "config error: --threads must be >= 1, got 0"),
+    (UNIT_CONFIG, ["sample", "-n", "8", "--threads", "-3"], 2,
+     "config error: --threads must be >= 1, got -3"),
+    (UNIT_CONFIG, ["sweep", "-n", "8", "--threads", "0"], 2,
+     "config error: --threads must be >= 1, got 0"),
+    (UNIT_CONFIG, ["sweep", "-n", "8", "--threads", "-3"], 2,
+     "config error: --threads must be >= 1, got -3"),
 ]
 UNSERVED_IDS = ["exact_reference_gamma_minus_one", "n_not_above_dim",
                 "singular_target", "zero_cov_sample", "zero_cov_sweep",
@@ -226,7 +234,9 @@ UNSERVED_IDS = ["exact_reference_gamma_minus_one", "n_not_above_dim",
                 "out_of_memory_sweep_gammas", "oversized_sweep_deltas",
                 "out_of_memory_info_lambdas", "oversized_steps_sample",
                 "oversized_substeps_sample", "rounded_up_grid_schedules",
-                "rounded_up_steps_sample"]
+                "rounded_up_steps_sample", "zero_threads_sample",
+                "negative_threads_sample", "zero_threads_sweep",
+                "negative_threads_sweep"]
 # the runs whose target the quality report cannot score
 UNSCORABLE_TARGETS = [
     (SINGULAR_GAUSS2D, ["sample", "-n", "8"]),
@@ -553,7 +563,7 @@ class TestSampleCommand:
 
             spec = snrdiff.sampler_config_from_dict(cfg_data["sampler"])
             x, times, states = snrdiff.sample(
-                sched, snrdiff.oracle_score_model(gmm, sched), spec, n=9,
+                sched, snrdiff.oracle_score_model(gmm), spec, n=9,
                 d=2, return_trajectories=True)
             np.testing.assert_array_equal(times, snrdiff.make_time_grid(
                 sched, spec.grid_kind, 12, sched.t_max, sched.t_min))
@@ -709,7 +719,7 @@ class TestSweepCommand:
         base = sampler_config_from_dict(cfg["sampler"])
         cells = [replace(base, kind="generalized", rho=1.0, gamma=g, delta=d)
                  for g in gammas for d in deltas]
-        xs = sample(sched, oracle_score_model(gmm, sched), cells, n=48,
+        xs = sample(sched, oracle_score_model(gmm), cells, n=48,
                     d=gmm.dim)
         reference = sample_data(gmm, 48, base.seed)
         assert len(rows) == len(cells)
@@ -884,17 +894,26 @@ def test_non_object_sampler_section_exits_2_and_writes_nothing(
             == "config error: config 'sampler' must be a JSON object\n")
 
 
+# cells are built gamma slowest and rho fastest, and each checks rho, then
+# gamma, then delta: the first bad field of the first bad cell is reported
 @pytest.mark.parametrize("flag,message", [
     ("--gammas=-1", "gamma = -1 is excluded for the generalized step"),
     ("--gammas=nan", "gamma must be a finite real number, got nan"),
     ("--rhos=inf", "rho must be a finite real number, got inf"),
     ("--deltas=nan", "delta must be a finite real number, got nan"),
+    ("--gammas=nan --rhos=inf", "rho must be a finite real number, got inf"),
+    ("--gammas=1,nan --rhos=inf", "rho must be a finite real number, got inf"),
+    ("--gammas=nan,1 --deltas=1,nan",
+     "gamma must be a finite real number, got nan"),
+    ("--gammas=1,nan --deltas=nan",
+     "delta must be a finite real number, got nan"),
+    ("--gammas=-1 --rhos=inf", "rho must be a finite real number, got inf"),
 ])
 def test_bad_sweep_cell_exits_2_and_writes_nothing(tmp_path, capsys, flag,
                                                    message):
     cfg = write_config(tmp_path, UNIT_CONFIG)
     out = tmp_path / "out"
-    assert main(["sweep", "--config", cfg, "-n", "8", flag,
+    assert main(["sweep", "--config", cfg, "-n", "8", *flag.split(),
                  "--out", str(out)]) == 2
     assert not out.exists()
     err = capsys.readouterr().err

@@ -16,7 +16,7 @@ from snrdiff import (
     transition,
 )
 from snrdiff import rng
-from snrdiff.dynamics import ScoreModel
+from snrdiff.dynamics import ScoreModel, _levels
 
 from conftest import BUILTIN, blended_warp, interior_grid
 
@@ -191,34 +191,34 @@ class TestTransition:
 
 class TestScoreModelConversions:
     def test_unit_gaussian_eps_form(self, vp, unit_gmm):
-        model = oracle_score_model(unit_gmm, vp)
-        eps_model = convert_score_model(model, "eps", vp)
+        model = oracle_score_model(unit_gmm)
+        eps_model = convert_score_model(model, "eps")
         t = 0.5
         a, s = float(vp.alpha(t)), float(vp.sigma(t))
         z = np.linspace(-2, 2, 9)[:, None]
-        np.testing.assert_allclose(eps_model(z, t), s * z / (a * a + s * s),
+        np.testing.assert_allclose(eps_model(z, a, s), s * z / (a * a + s * s),
                                    rtol=1e-12)
 
     def test_round_trip_identity(self, vp, unit_gmm):
-        model = oracle_score_model(unit_gmm, vp)
-        back = convert_score_model(convert_score_model(model, "eps", vp),
-                                   "score", vp)
+        model = oracle_score_model(unit_gmm)
+        back = convert_score_model(convert_score_model(model, "eps"), "score")
         z = np.array([[0.3], [-1.4], [2.2]])
         for t in (0.2, 0.6, 0.95):
-            np.testing.assert_allclose(back(z, t), model(z, t), rtol=1e-12)
+            at = _levels(vp, t)
+            np.testing.assert_allclose(back(z, *at), model(z, *at), rtol=1e-12)
 
     def test_data_prediction_matches_posterior_mean(self, vp, unit_gmm):
-        model = oracle_score_model(unit_gmm, vp)
-        data_model = convert_score_model(model, "data", vp)
+        model = oracle_score_model(unit_gmm)
+        data_model = convert_score_model(model, "data")
         z = np.array([[0.7], [-0.2]])
         for t in (0.3, 0.8):
-            np.testing.assert_allclose(data_model(z, t),
+            np.testing.assert_allclose(data_model(z, *_levels(vp, t)),
                                        posterior_mean(unit_gmm, vp, t, z),
                                        rtol=1e-10)
 
     def test_rejects_unknown_tag(self):
         with pytest.raises(ValueError):
-            ScoreModel(lambda z, t: z, "noise")
+            ScoreModel(lambda z, alpha, sigma: z, "noise")
 
 
 class TestBackwardDrift:
@@ -226,20 +226,20 @@ class TestBackwardDrift:
         z = np.array([[0.9]])
         t = 0.6
         c = forward_coeffs(vp, t)
-        score = unit_score(z, t)
+        score = unit_score(z, *_levels(vp, t))
         expected = c.f * z - c.g ** 2 * score
         np.testing.assert_allclose(backward_drift(vp, unit_score, 1.0, z, t),
                                    expected, rtol=1e-14)
 
     def test_zero_score_is_pure_contraction(self, vp):
-        null = ScoreModel(lambda z, t: np.zeros_like(z), "score")
+        null = ScoreModel(lambda z, alpha, sigma: np.zeros_like(z), "score")
         z = np.array([[1.7]])
         t = 0.4
         np.testing.assert_allclose(backward_drift(vp, null, 0.7, z, t),
                                    forward_coeffs(vp, t).f * z, rtol=1e-14)
 
     def test_eps_form_equals_score_form(self, vp, unit_score):
-        eps_model = convert_score_model(unit_score, "eps", vp)
+        eps_model = convert_score_model(unit_score, "eps")
         gen = np.random.default_rng(4)
         for _ in range(20):
             z = gen.normal(size=(3, 1))

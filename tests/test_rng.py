@@ -132,7 +132,7 @@ class TestRowNormals:
         gmm = single_gaussian([0.5, -0.5], [[1.0, 0.3], [0.3, 0.6]])
         cfg = SamplerConfig(steps=100, seed=3)
         # 3 workers at threads=3: 3 x 8192 state values a step
-        sample(vp, oracle_score_model(gmm, vp), cfg, n=12288, d=2,
+        sample(vp, oracle_score_model(gmm), cfg, n=12288, d=2,
                threads=threads)
         assert len(built) <= threads
         assert len(set(built)) == len(built)

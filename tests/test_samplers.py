@@ -16,6 +16,7 @@ from snrdiff import (
     NumericalError,
     SamplerConfig,
     backward_drift,
+    convert_score_model,
     forward_coeffs,
     gmm_from_dict,
     make_schedule,
@@ -31,7 +32,7 @@ from snrdiff import (
     step_non_markovian,
     t_of_lambda,
 )
-from snrdiff.dynamics import ScoreModel
+from snrdiff.dynamics import ScoreModel, _levels
 from snrdiff.samplers import non_markovian_beta2
 from snrdiff.verify import _deterministic_step
 
@@ -138,7 +139,7 @@ class TestNonMarkovianStep:
         t, s = 0.7, 0.3
         a_t, a_s = float(vp.alpha(t)), float(vp.alpha(s))
         sigma_t, sigma_s = float(vp.sigma(t)), float(vp.sigma(s))
-        x_hat = unit_score.data(vp, z, t)
+        x_hat = unit_score.data(z, a_t, sigma_t)
         want = a_s * x_hat + sigma_s * (z - a_t * x_hat) / sigma_t
         got = step_non_markovian(vp, unit_score, z, t, s, 0.0)
         np.testing.assert_allclose(got, want, rtol=1e-14)
@@ -169,7 +170,7 @@ class TestNonMarkovianStep:
     def test_affine_propagation_matches_closed_form(self, vp, unit_gmm):
         # with an exact denoiser the eta = 0 step is affine; compare the
         # extracted coefficient against the linear-Gaussian closed form
-        model = oracle_score_model(unit_gmm, vp)
+        model = oracle_score_model(unit_gmm)
         grid = make_time_grid(vp, "uniform_lambda", 40, vp.t_max, vp.t_min)
         probes = np.array([[-2.0], [0.7], [3.1]])
         for k in range(len(grid) - 1):
@@ -185,7 +186,7 @@ class TestNonMarkovianStep:
 
 class TestEulerBackward:
     def test_zero_score_zero_noise(self, vp):
-        null = ScoreModel(lambda z, t: np.zeros_like(z), "score")
+        null = ScoreModel(lambda z, alpha, sigma: np.zeros_like(z), "score")
         z = np.array([[1.1]])
         t, s = 0.8, 0.6
         f = forward_coeffs(vp, t).f
@@ -264,14 +265,14 @@ class TestExactReference:
     def test_matches_linear_ode_solution(self, vp, unit_gmm):
         # probability-flow map for N(0, V(t)) data is z * sqrt(V(s)/V(t));
         # one sampler-sized interval resolved by 1000 sub-steps
-        model = oracle_score_model(unit_gmm, vp)
+        model = oracle_score_model(unit_gmm)
         t, s = 0.6, 0.58
         V = lambda u: float(vp.alpha(u)) ** 2 + float(vp.sigma(u)) ** 2
         z, got = reference_run(vp, model, t, s, 1000)
         np.testing.assert_allclose(got, z * np.sqrt(V(s) / V(t)), rtol=1e-6)
 
     def test_long_interval_error_scales_with_substeps(self, vp, unit_gmm):
-        model = oracle_score_model(unit_gmm, vp)
+        model = oracle_score_model(unit_gmm)
         t, s = 0.9, 0.2
         V = lambda u: float(vp.alpha(u)) ** 2 + float(vp.sigma(u)) ** 2
         errs = []
@@ -473,7 +474,7 @@ class TestSampleLoop:
         cells = 1 if isinstance(cfg, SamplerConfig) else len(cfg)
         assert samplers_mod._worker_count(3, 3, cells, n, d) == 3
         model = unit_score if d == 1 else oracle_score_model(
-            single_gaussian([0.5, -0.5], [[1.0, 0.3], [0.3, 0.6]]), vp)
+            single_gaussian([0.5, -0.5], [[1.0, 0.3], [0.3, 0.6]]))
         runs = [sample(vp, model, cfg, n=n, d=d, threads=threads)
                 for threads in (1, 2, 3)]
         assert np.array_equal(runs[0], runs[1])
@@ -508,7 +509,8 @@ class TestSampleLoop:
         assert np.array_equal(small, large[:16])
 
     def test_non_finite_state_raises(self, vp, split_pools):
-        bad = ScoreModel(lambda z, t: np.full_like(z, np.nan), "score")
+        bad = ScoreModel(lambda z, alpha, sigma: np.full_like(z, np.nan),
+                         "score")
         cfg = SamplerConfig(kind="generalized", rho=0.0, gamma=0.0, steps=4,
                             seed=1)
         with pytest.raises(NumericalError, match=r"step 0 \(t=1\.0 -> .*row 0 "):
@@ -521,11 +523,14 @@ class TestSampleLoop:
         row = int(np.argmax(prior))
         assert row >= n // 2
         top = float(vp.sigma(vp.t_max)) * prior[row]
-        one_bad = ScoreModel(
-            lambda z, t: np.where(z >= top, np.nan, -z) if t == vp.t_max
-            else -z, "score")
         cfg = SamplerConfig(kind="generalized", rho=0.0, gamma=0.0, steps=4,
                             seed=seed)
+        # step 0's sigma, from the array evaluation the step table makes
+        first = vp.sigma(make_time_grid(vp, cfg.grid_kind, cfg.steps, vp.t_max,
+                                        vp.t_min))[0]
+        one_bad = ScoreModel(
+            lambda z, alpha, sigma: np.where(z >= top, np.nan, -z)
+            if sigma == first else -z, "score")
         with pytest.raises(NumericalError, match=rf"step 0 .*row {row} holds nan"):
             sample(vp, one_bad, cfg, n=n, d=1, threads=2)
         assert split_pools == [2]
@@ -533,8 +538,9 @@ class TestSampleLoop:
         # in a cell sequence the message also names the cell; the cells
         # share the prior, so the state gains its cell axis after step 0
         cell_bad = ScoreModel(
-            lambda z, t: np.where(np.arange(len(z))[:, None, None] == 1,
-                                  np.nan, -z) if z.ndim == 3 else -z, "score")
+            lambda z, alpha, sigma: np.where(
+                np.arange(len(z))[:, None, None] == 1, np.nan, -z)
+            if z.ndim == 3 else -z, "score")
         cells = [cfg, replace(cfg, rho=0.5)]
         with pytest.raises(NumericalError,
                            match=r"step 1 \(t=.* -> .*row 0 of cell 1 holds nan"):
@@ -556,14 +562,16 @@ class TestSampleLoop:
         # which row is which.
         n = 8
         first = config if isinstance(config, SamplerConfig) else config[0]
-        null = ScoreModel(lambda z, t: 0.0 * z, "eps")
+        null = ScoreModel(lambda z, alpha, sigma: 0.0 * z, "eps")
         _, grid, states = sample(vp, null, first, n=n, d=1,
                                  return_trajectories=True)
-        bad_rows = {float(grid[3]): states[3, n - 1],
-                    float(grid[10]): states[10, 0]}
+        # each step's sigma, from the array evaluation the step table makes
+        sigmas = vp.sigma(grid)
+        bad_rows = {float(sigmas[3]): states[3, n - 1],
+                    float(sigmas[10]): states[10, 0]}
 
-        def eps(z, t):
-            bad = z == bad_rows.get(t, np.nan)
+        def eps(z, alpha, sigma):
+            bad = z == bad_rows.get(sigma, np.nan)
             if z.ndim == 3:
                 bad[:-1] = False
             return np.where(bad, np.nan, 0.0)
@@ -602,7 +610,7 @@ class TestSampleLoop:
         assert np.all(np.isfinite(x))
 
     def test_end_to_end_variance(self, vp, unit_gmm):
-        model = oracle_score_model(unit_gmm, vp)
+        model = oracle_score_model(unit_gmm)
         cfg = SamplerConfig(kind="generalized", rho=0.0, gamma=0.0,
                             steps=200, seed=3)
         x = sample(vp, model, cfg, n=10000, d=1)
@@ -624,11 +632,10 @@ HELPER_KINDS = {
 }
 
 
-def gaussian_model(schedule, d):
+def gaussian_model(d):
     """The oracle of a correlated d-dimensional Gaussian."""
     cov = 0.5 * np.eye(d) + 0.1
-    return oracle_score_model(single_gaussian(np.linspace(-0.5, 0.5, d), cov),
-                              schedule)
+    return oracle_score_model(single_gaussian(np.linspace(-0.5, 0.5, d), cov))
 
 
 @pytest.fixture
@@ -731,7 +738,7 @@ class TestNoiseHelper:
         config = HELPER_KINDS[kind]
         n = NOISE_GRAIN // d
         monkeypatch.setattr(samplers_mod, "_WINDOW_BYTES", 8 * n * d * window)
-        model = gaussian_model(vp, d)
+        model = gaussian_model(d)
         serial = sample(vp, model, config, n=n, d=d, threads=1,
                         return_trajectories=True)
         assert pools == []
@@ -750,13 +757,13 @@ class TestNoiseHelper:
         # it began the score call of step j - window - 1.
         config = SamplerConfig(steps=300, seed=5)
         grid = make_time_grid(vp, config.grid_kind, 300, vp.t_max, vp.t_min)
-        step_of = {t: k for k, t in enumerate(grid.tolist())}
+        step_of = {s: k for k, s in enumerate(vp.sigma(grid).tolist())}
         scored = [-1]
         ahead = []
         row_normals = rng.row_normals
 
-        def eps(z, t):
-            scored.append(step_of[t])
+        def eps(z, alpha, sigma):
+            scored.append(step_of[sigma])
             return 0.5 * z
 
         def counted(seed, purpose, context, *rows):
@@ -791,10 +798,11 @@ class TestNoiseHelper:
         row = int(np.argmax(prior))
         config = SamplerConfig(steps=6, seed=seed)
         grid = make_time_grid(vp, config.grid_kind, 6, vp.t_max, vp.t_min)
+        sigmas = vp.sigma(grid)
 
-        def eps(z, t):
+        def eps(z, alpha, sigma):
             bad = np.zeros(z.shape, bool)
-            if t == grid[2]:
+            if sigma == sigmas[2]:
                 bad[..., row, :] = True
             return np.where(bad, np.nan, 0.5 * z)
 
@@ -826,7 +834,7 @@ class TestNoiseHelper:
 
         monkeypatch.setattr(rng, "row_normals", faulty)
         with pytest.raises(RuntimeError, match=r"draw of step \d+ failed"):
-            bounded(vp, gaussian_model(vp, 1), SamplerConfig(steps=20, seed=2),
+            bounded(vp, gaussian_model(1), SamplerConfig(steps=20, seed=2),
                     n=NOISE_GRAIN, d=1, threads=2)
         assert pools == [1]
 
@@ -834,9 +842,10 @@ class TestNoiseHelper:
         # the score raises at step 3, with the helper drawing steps ahead
         config = SamplerConfig(steps=40, seed=2)
         grid = make_time_grid(vp, config.grid_kind, 40, vp.t_max, vp.t_min)
+        sigmas = vp.sigma(grid)
 
-        def eps(z, t):
-            if t == grid[3]:
+        def eps(z, alpha, sigma):
+            if sigma == sigmas[3]:
                 raise ValueError("score failed")
             return 0.5 * z
 
@@ -872,13 +881,13 @@ def _parent_step(schedule, model, kind, cfg, z, t, s, eps):
     if kind == "kingma":
         bracket = np.exp(-lam_s) * np.expm1(lam_s - lam_t)
         mean = (alpha_s / alpha_t) * z - alpha_s * bracket \
-            * np.exp(0.5 * lam_t) * model.eps(schedule, z, t)
+            * np.exp(0.5 * lam_t) * model.eps(z, alpha_t, sigma_t)
         return mean + alpha_t * np.sqrt(bracket) * (sigma_s / sigma_t) * eps
     if kind == "non_markovian":
         sigma_s2 = sigma_s ** 2
         beta2 = min(max(float(cfg.eta) ** 2 * (sigma_t ** 2 - sigma_s2), 0.0),
                     (1.0 - 1e-9) * sigma_s2)
-        x_hat = model.data(schedule, z, t)
+        x_hat = model.data(z, alpha_t, sigma_t)
         out = alpha_s * x_hat \
             + np.sqrt(sigma_s2 - beta2) * (z - alpha_t * x_hat) / sigma_t
         return out + np.sqrt(beta2) * eps if beta2 > 0.0 else out
@@ -893,7 +902,7 @@ def _parent_step(schedule, model, kind, cfg, z, t, s, eps):
     bracket = np.exp(-nu * lam_s) * np.expm1(nu * (lam_s - lam_t))
     coef = (1.0 + rho * rho) / (1.0 + gamma)
     out = (alpha_s / alpha_t) * z + -1.0 * coef * alpha_s * bracket \
-        * np.exp(0.5 * gamma * lam_t) * model.eps(schedule, z, t)
+        * np.exp(0.5 * gamma * lam_t) * model.eps(z, alpha_t, sigma_t)
     if rho == 0.0:
         return out
     exp_diff = float(np.exp(-lam_s) * np.expm1(lam_s - lam_t))
@@ -949,7 +958,7 @@ def test_sample_matches_parent_step_formulas(any_schedule, grid_kind, case):
     gmm = gmm_from_dict({"weights": [0.4, 0.6],
                          "means": [[-1.0, 0.5], [1.2, -0.3]],
                          "covs": [[0.5, 0.8], [[0.6, 0.2], [0.2, 0.4]]]})
-    model = oracle_score_model(gmm, any_schedule)
+    model = oracle_score_model(gmm)
     cfg = SamplerConfig(steps=10, grid_kind=grid_kind, seed=17, **params)
     got = sample(any_schedule, model, cfg, n=6, d=2)
     want = _parent_sample(any_schedule, model, cfg, n=6, d=2)
@@ -981,7 +990,7 @@ CELL_PARAMS = [(0.0, 0.5, 1.0), (1.0, 1.0, 0.5), (0.5, 0.0, 2.0),
 def test_cells_equal_stacked_single_runs(any_schedule, mixture, kind, threads,
                                         split_pools):
     gmm = gmm_from_dict(CELL_MIXTURES[mixture])
-    model = oracle_score_model(gmm, any_schedule)
+    model = oracle_score_model(gmm)
     # eta moves only non_markovian, whose table ignores (rho, gamma, delta)
     base = SamplerConfig(kind=kind, steps=8, substeps=2, seed=23, eta=0.5)
     cells = [replace(base, rho=r, gamma=g, delta=d) for r, g, d in CELL_PARAMS]
@@ -1004,7 +1013,7 @@ def lambda_gap_to_vp(schedule, lams=(-6.0, 6.0), steps=50, n=500, **params):
         t_start, t_end = (float(t) for t in t_of_lambda(sched, np.array(lams)))
         cfg = SamplerConfig(steps=steps, grid_kind="uniform_lambda", seed=29,
                             t_start=t_start, t_end=t_end, **params)
-        z = sample(sched, oracle_score_model(gmm, sched), cfg, n=n, d=2)
+        z = sample(sched, oracle_score_model(gmm), cfg, n=n, d=2)
         xs.append(z / float(sched.alpha(t_end)))
     # the norm, not elementwise: near-zero entries reach 1e-11 relative
     return np.linalg.norm(xs[1] - xs[0]) / np.linalg.norm(xs[0])
@@ -1108,7 +1117,7 @@ def test_sample_follows_the_exact_discrete_law(vp, kind, params):
         a_eff = a[k] + b[k] * sigma_t / c_t
         m = a_eff * m - b[k] * sigma_t * alpha_t * mu / c_t
         v = a_eff ** 2 * v + (0.0 if c is None else c[k] ** 2)
-    x = sample(vp, oracle_score_model(single_gaussian([mu], [[nu]]), vp),
+    x = sample(vp, oracle_score_model(single_gaussian([mu], [[nu]])),
                cfg, n=n, d=1)[:, 0]
     assert abs(x.mean() - m) <= 5.0 * np.sqrt(v / n)
     assert abs(x.var(ddof=1) - v) <= 5.0 * v * np.sqrt(2.0 / (n - 1))
@@ -1147,12 +1156,12 @@ def test_step_loop_makes_no_scalar_schedule_call(vp, kind, params, gmm,
 
     monkeypatch.setattr(samplers_mod, "_affine_step", counted_step)
     cfg = SamplerConfig(kind=kind, steps=100, seed=3, **params)
-    sample(vp, oracle_score_model(gmm, vp), cfg, n=6, d=gmm.dim)
+    sample(vp, oracle_score_model(gmm), cfg, n=6, d=gmm.dim)
     assert len(steps) == 100 * cfg.substeps ** (kind == "exact_reference")
     assert scalar_schedule_calls.calls == {}
-    # the count is live: the oracle asked at a time does call the schedule
+    # the count is live: the levels asked at a time do call the schedule
     scalar_schedule_calls.counting = True
-    oracle_score_model(gmm, vp).eps(vp, np.zeros((2, gmm.dim)), 0.5)
+    oracle_score_model(gmm).eps(np.zeros((2, gmm.dim)), *_levels(vp, 0.5))
     assert scalar_schedule_calls.calls == {"alpha": 1, "sigma": 1}
 
 
@@ -1172,25 +1181,17 @@ def test_table_levels_are_the_scalar_calls_bits(any_schedule, grid_kind,
                                   float(any_schedule.sigma(t))), t
 
 
-GRID_VALUES = st.sampled_from([0.5, 1.0, 1, -0.0, 2.5, float("nan"),
-                               float("inf"), True, "1"])
-
-
-@given(gammas=st.lists(GRID_VALUES, min_size=1, max_size=3),
-       deltas=st.lists(GRID_VALUES, min_size=1, max_size=3),
-       rhos=st.lists(GRID_VALUES, min_size=1, max_size=3))
-@settings(max_examples=300)
-def test_generalized_cells_are_the_replace_built_cells(gammas, deltas, rhos):
-    base = SamplerConfig(kind="non_markovian", eta=0.3, steps=7, seed=4,
-                         grid_kind="uniform_t", t_end=0.2)
-    try:
-        want = [replace(base, kind="generalized", rho=r, gamma=g, delta=d)
-                for g in gammas for d in deltas for r in rhos]
-    except ConfigError as exc:
-        with pytest.raises(ConfigError) as got:
-            samplers_mod.generalized_cells(base, gammas, deltas, rhos)
-        assert str(got.value) == str(exc)
-    else:
-        got = samplers_mod.generalized_cells(base, gammas, deltas, rhos)
-        assert got == want
-        assert [c.to_dict() for c in got] == [c.to_dict() for c in want]
+@pytest.mark.parametrize("kind,params", ALL_KINDS,
+                         ids=[k for k, _ in ALL_KINDS])
+def test_eps_converted_oracle_gives_the_oracles_bits(vp, kind, params):
+    # every step asks its model for eps_hat at the table's levels: a model
+    # converted to the eps tag gives the bits of the oracle's own conversion
+    gmm = GmmSpec(np.array([0.3, 0.7]), np.array([[-1.0, 0.5], [1.0, 0.0]]),
+                  np.array([[[0.5, 0.2], [0.2, 0.4]], np.eye(2)]))
+    oracle = oracle_score_model(gmm)
+    eps_model = convert_score_model(oracle, "eps")
+    assert eps_model.tag == "eps"
+    cfg = SamplerConfig(kind=kind, steps=12, seed=9, **params)
+    want = sample(vp, oracle, cfg, n=8, d=2, return_trajectories=True)
+    got = sample(vp, eps_model, cfg, n=8, d=2, return_trajectories=True)
+    assert got[2].tobytes() == want[2].tobytes()
