@@ -2,7 +2,8 @@
 
 Subcommands: ``schedules``, ``sample``, ``sweep``, ``info``, ``snrspace``,
 ``verify``.  Every command is a pure function of its arguments, config
-file, and seed: reruns produce byte-identical files.  Each CSV value is
+file, and seed: reruns produce byte-identical files, whatever the BLAS
+thread count (``OPENBLAS_NUM_THREADS``).  Each CSV value is
 Python's ``'%.17g' % v`` text; ids and step numbers print through ``%d``,
 the same text below 2**53.  A table of 512 values or more is formatted in
 numpy (:mod:`snrdiff.csvtext`): finite |v| in [1e-3, 2**52), and ids in

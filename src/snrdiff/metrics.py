@@ -25,8 +25,15 @@ permutation-invariant.  :func:`quality_reports` is the one quality pass of
 ``sample`` (one cell) and ``sweep`` (every cell): it takes the (cells, n, D)
 stack, a target checked once by the caller and one reference draw, puts
 each set in canonical order once, sorts the reference once and, at D > 1,
-sums the reference's self-term once, and gives each cell the bits the
-public per-set functions give it.
+sums the reference's self-term once, computes every cell's moments in one
+stacked pass, and gives each cell the bits the public per-set functions
+give it.
+
+No sum over the rows goes through BLAS: the moments are numpy's own
+reductions along the row axis (no ``np.cov``), and the 1-D energy distance
+adds each cell's terms without a ``ddot``.  OpenBLAS splits a long
+reduction across its threads, so through BLAS the bits would depend on
+``OPENBLAS_NUM_THREADS``; this way no value does.
 """
 
 from __future__ import annotations
@@ -111,21 +118,41 @@ def moment_report(samples, target: GmmSpec) -> SampleQualityReport:
         )
     ref_mean, ref_cov = target.mean(), target.cov()
     check_target(ref_mean, ref_cov)
-    return _moment_report(_moments(x), ref_mean, ref_cov)
+    n, means, covs = _moments(x[None])
+    return _moment_report(n, means[0], covs[0], ref_mean, ref_cov)
 
 
-def _moments(x: np.ndarray) -> tuple:
-    """(n, mean, unbiased covariance) of canonical samples x (n, D): the
-    one place the quality metrics compute the sample moments."""
-    n, d = x.shape
-    return n, x.mean(axis=0), np.cov(x, rowvar=False, ddof=1).reshape(d, d)
+def _moments(xs: np.ndarray) -> tuple:
+    """(n, means (cells, D), unbiased covariances (cells, D, D)) of the
+    (cells, n, D) stack xs of canonical sets: the one place the quality
+    metrics compute the sample moments.
+
+    Every sum over the rows is numpy's own reduction along one row of a
+    contiguous array, so a cell's bits do not depend on the other cells of
+    the stack or on the BLAS thread count: the means are ``x.mean(axis=0)``
+    of each set, and covariance entry (i, j) is the pairwise sum of the
+    products of centred coordinates i and j, times 1 / (n - 1).  Row i of
+    the covariances comes from one (cells, D - i, n) product, so no
+    (n, D, D) temporary is formed.
+    """
+    cells, n, d = xs.shape
+    means = xs.mean(axis=1)
+    # (cells, D, n): each coordinate's centred values in one contiguous row
+    centred = np.ascontiguousarray((xs - means[:, None]).transpose(0, 2, 1))
+    covs = np.empty((cells, d, d))
+    for i in range(d):
+        covs[:, i, i:] = np.add.reduce(centred[:, i:i + 1] * centred[:, i:],
+                                       axis=2)
+        covs[:, i + 1:, i] = covs[:, i, i + 1:]
+    covs *= 1.0 / (n - 1)
+    return n, means, covs
 
 
-def _moment_report(moments, ref_mean, ref_cov) -> SampleQualityReport:
-    """:func:`moment_report` from the :func:`_moments` of n >= 2 samples,
-    against a target mean and covariance of their dimension that
+def _moment_report(n, emp_mean, emp_cov, ref_mean,
+                   ref_cov) -> SampleQualityReport:
+    """:func:`moment_report` from one cell's :func:`_moments` of n >= 2
+    samples, against a target mean and covariance of their dimension that
     :func:`check_target` accepts."""
-    n, emp_mean, emp_cov = moments
     mean_err = float(np.linalg.norm(emp_mean - ref_mean))
     cov_err = float(np.linalg.norm(emp_cov - ref_cov)
                     / np.linalg.norm(ref_cov))
@@ -179,8 +206,9 @@ def _energy_distances_1d(a: np.ndarray, b: np.ndarray) -> list[float]:
     Each point of ``a`` weighs +m and each point of ``b`` weighs -n, so the
     running sum of the sorted weights is n*m*(F_a - F_b) on each gap between
     consecutive pooled values, in exact integer arithmetic.  Blocks of
-    cells of at most _STACK pooled values sort at once; each cell's total is
-    its own dot.  The sorts are stable, so sorting b first moves no bit.
+    cells of at most _STACK pooled values sort at once, and each cell's
+    total is numpy's pairwise sum along its row of the block, without BLAS.
+    The sorts are stable, so sorting b first moves no bit.
     """
     cells, n = a.shape
     m = b.size
@@ -197,8 +225,8 @@ def _energy_distances_1d(a: np.ndarray, b: np.ndarray) -> list[float]:
         gaps = np.diff(np.take_along_axis(pooled, order, axis=1), axis=1)
         # c**2 overflows int64 once n*m exceeds ~3e9: square in float
         c = np.cumsum(weights[order], axis=1)[:, :-1].astype(float)
-        out += [2.0 * float((row * row) @ gap) / (n * m) ** 2
-                for row, gap in zip(c, gaps)]
+        totals = np.add.reduce(c * c * gaps, axis=1)
+        out += [2.0 * total / (n * m) ** 2 for total in totals.tolist()]
     return out
 
 
@@ -255,17 +283,21 @@ def quality_reports(xs, target_mean, target_cov, reference,
     :func:`check_target` has passed, and one ``reference`` draw; with
     :func:`gaussian_kl_fit` against ``kl_target`` = (mean, cov) if given.
     Each set is sorted once (at D = 1 the stack in one call), and the
-    reference once, with its D > 1 self-term."""
+    reference once, with its D > 1 self-term; the moments of the whole
+    stack come from one :func:`_moments` pass."""
     xs = np.asarray(xs, dtype=float)
     rows = (np.sort(xs, axis=1, kind="stable") if xs.shape[2] == 1
             else np.stack([_canonical(x) for x in xs]))
+    # first: it raises ValueError on a non-finite sample, which the moments
+    # would only warn about
+    distances = _energy_distances(rows, _as_rows(reference))
+    n, means, covs = _moments(rows)
     reports = []
-    for x, distance in zip(rows, _energy_distances(rows, _as_rows(reference))):
-        moments = _moments(x)
-        report = _moment_report(moments, target_mean, target_cov)
+    for mean, cov, distance in zip(means, covs, distances):
+        report = _moment_report(n, mean, cov, target_mean, target_cov)
         report.energy_distance = distance
         if kl_target is not None:
-            report.gaussian_kl = _gaussian_kl(moments, *kl_target)
+            report.gaussian_kl = _gaussian_kl(mean, cov, *kl_target)
         reports.append(report)
     return reports
 
@@ -285,15 +317,15 @@ def gaussian_kl_fit(samples, target_mean, target_cov) -> float:
     if x.shape[0] <= x.shape[1]:
         raise ValueError("need more samples than dimensions to fit")
     check_target(target_mean, target_cov, kl=True)
-    return _gaussian_kl(_moments(x), target_mean, target_cov)
+    _, means, covs = _moments(x[None])
+    return _gaussian_kl(means[0], covs[0], target_mean, target_cov)
 
 
-def _gaussian_kl(moments, target_mean: np.ndarray,
+def _gaussian_kl(fit_mean, fit_cov, target_mean: np.ndarray,
                  target_cov: np.ndarray) -> float:
-    """:func:`gaussian_kl_fit` from the :func:`_moments` of n > D samples,
-    against a (D,) mean and (D, D) covariance that
+    """:func:`gaussian_kl_fit` from one cell's :func:`_moments` of n > D
+    samples, against a (D,) mean and (D, D) covariance that
     ``check_target(..., kl=True)`` accepts."""
-    _, fit_mean, fit_cov = moments
     d = fit_mean.size
     logdet_t = np.linalg.slogdet(target_cov)[1]
     sign_f, logdet_f = np.linalg.slogdet(fit_cov)

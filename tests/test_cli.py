@@ -960,6 +960,43 @@ samplers.ThreadPoolExecutor = Pool
 sys.exit(cli.main(sys.argv[1:]))
 """
 
+# the CLI in a child, once for each argv of the JSON list in argv[1]
+CLI_RUNS = """
+import json, sys
+from snrdiff import cli
+sys.exit(max([cli.main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+# the benchmark's sample_wide config at seed 3: VP, a 1-D Gaussian
+WIDE_1D = {"schedule": {"name": "VP"},
+           "gmm": {"weights": [1.0], "means": [[-1.0016738269173946]],
+                   "covs": [[[0.6267938025311057]]]},
+           "sampler": {"steps": 100, "grid_kind": "uniform_t",
+                       "seed": 1325560711}}
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path, monkeypatch):
+    # OpenBLAS splits a long reduction across its threads, so a sum over
+    # the rows through BLAS (np.cov, a dot) would move bits with its count
+    config = write_config(tmp_path, WIDE_1D)
+    outputs = []
+    for blas_threads in ("1", "2"):
+        out = tmp_path / blas_threads
+        runs = [["sample", "--config", config, "--out", str(out / "sample"),
+                 "-n", "50000", "--threads", "1"],
+                ["sweep", "--config", config, "--out", str(out / "sweep"),
+                 "-n", "20000", "--gammas", "0.5,1,1.5", "--deltas", "1",
+                 "--rhos", "1"]]
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+        proc = run_process([json.dumps(runs)], CLI_RUNS)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append({path.relative_to(out).as_posix(): path.read_bytes()
+                        for path in out.rglob("*") if path.is_file()})
+    one, two = outputs
+    assert sorted(one) == sorted(two) == [
+        "sample/report.json", "sample/samples.csv",
+        "sweep/sweep.csv", "sweep/sweep_best.json"]
+    assert [name for name in one if one[name] != two[name]] == []
+
 
 # numpy's floating-point warnings would print to a process's stderr ahead of
 # the failure line, from the main thread or from sample's worker threads

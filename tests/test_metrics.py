@@ -403,5 +403,26 @@ class TestQualityReports:
             arr[d - 1] = 0.0
 
 
+class TestMoments:
+    @given(cells=st.integers(1, 60), n=st.integers(2, 40), d=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_each_cell_is_its_own_one_cell_call(self, cells, n, d, seed):
+        # a cell's bits do not depend on the rest of the stack; np.cov is an
+        # independent reference, not the source of the bits
+        xs = tied_stack(np.random.default_rng(seed), cells, n, d)
+        count, means, covs = metrics._moments(xs)
+        assert (count, means.shape, covs.shape) == (n, (cells, d),
+                                                    (cells, d, d))
+        for x, mean, cov in zip(xs, means, covs):
+            _, one_means, one_covs = metrics._moments(x[None])
+            assert mean.tobytes() == one_means[0].tobytes()
+            assert cov.tobytes() == one_covs[0].tobytes()
+            assert mean.tobytes() == x.mean(axis=0).tobytes()
+            reference = np.cov(x, rowvar=False, ddof=1).reshape(d, d)
+            assert np.all(np.abs(cov - reference)
+                          <= 1e-12 * np.linalg.norm(reference))
+
+
 def sample_target_2d():
     return single_gaussian([0.1, -0.2], np.array([[1.0, 0.3], [0.3, 0.5]]))
