@@ -265,9 +265,8 @@ def _squared_error_mc(gmm: GmmSpec, schedule: Schedule, x, lam, t, n: int,
                    else "the mean of the squared errors overflows")
             raise NumericalError(f"Monte Carlo MMSE is not finite at "
                                  f"lambda={lam.ravel()[i]} (t={ti}): {why}")
-    if t.ndim == 0:
-        return McEstimate(float(value[0]), float(stderr[0]))
-    return McEstimate(value.reshape(t.shape), stderr.reshape(t.shape))
+    return McEstimate(float_or_array(value.reshape(t.shape)),
+                      float_or_array(stderr.reshape(t.shape)))
 
 
 def mmse_mc(gmm: GmmSpec, schedule: Schedule, lam, n: int,

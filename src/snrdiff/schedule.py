@@ -29,6 +29,11 @@ Default windows clip endpoints where lambda diverges: VP uses
 Each built-in family also carries ``lam_inv``, the closed-form inverse
 t(lambda), which :func:`snrdiff.snr_space.t_of_lambda` uses in place of
 bisection.
+
+The family table ``_FAMILIES`` is the one place these defaults live: a
+row per family holds its closure builder, parameters and window.
+``Schedule._check_t`` is the only conversion of a time; the closures take
+its float array (or the float validation grid) as it is.
 """
 
 from __future__ import annotations
@@ -43,31 +48,6 @@ from .errors import ConfigError, finite_real
 
 _VALIDATION_GRID = 1001
 _WINDOW_ATOL = 1e-12
-
-DEFAULT_PARAMS = {
-    "VP": {"beta_min": 0.1, "beta_d": 19.9},
-    "VE": {"sigma_min": 0.01, "sigma_max": 50.0},
-    "iDDPM": {"s": 0.008},
-    "FM_OT": {},
-}
-
-DEFAULT_WINDOWS = {
-    "VP": (1e-3, 1.0),
-    "VE": (0.0, 1.0),
-    "iDDPM": (1e-3, 1.0 - 1e-3),
-    "FM_OT": (1e-3, 1.0 - 1e-3),
-}
-
-_CANONICAL_NAMES = {
-    "vp": "VP",
-    "ve": "VE",
-    "iddpm": "iDDPM",
-    "fm_ot": "FM_OT",
-    "fm-ot": "FM_OT",
-    "fmot": "FM_OT",
-    "warped": "Warped",
-    "custom": "Custom",
-}
 
 
 @dataclass
@@ -133,22 +113,22 @@ def _ve_fns(params: dict) -> dict[str, Callable]:
     log_ratio = math.log(smax / smin)
 
     def alpha(t):
-        return np.ones_like(np.asarray(t, dtype=float))
+        return np.ones_like(t)
 
     def sigma(t):
-        return smin * np.exp(log_ratio * np.asarray(t, dtype=float))
+        return smin * np.exp(log_ratio * t)
 
     def lam(t):
-        return -2.0 * (math.log(smin) + log_ratio * np.asarray(t, dtype=float))
+        return -2.0 * (math.log(smin) + log_ratio * t)
 
     def dalpha(t):
-        return np.zeros_like(np.asarray(t, dtype=float))
+        return np.zeros_like(t)
 
     def dsigma(t):
         return log_ratio * sigma(t)
 
     def dlam(t):
-        return np.full_like(np.asarray(t, dtype=float), -2.0 * log_ratio)
+        return np.full_like(t, -2.0 * log_ratio)
 
     def lam_inv(lam):
         return (-0.5 * lam - math.log(smin)) / log_ratio
@@ -167,7 +147,7 @@ def _iddpm_fns(params: dict) -> dict[str, Callable]:
     dtheta = half_pi / (1.0 + s)
 
     def theta(t):
-        return (np.asarray(t, dtype=float) + s) / (1.0 + s) * half_pi
+        return (t + s) / (1.0 + s) * half_pi
 
     def alpha(t):
         return np.cos(theta(t)) / c0
@@ -209,23 +189,21 @@ def _iddpm_fns(params: dict) -> dict[str, Callable]:
 
 def _fm_ot_fns(params: dict) -> dict[str, Callable]:
     def alpha(t):
-        return 1.0 - np.asarray(t, dtype=float)
+        return 1.0 - t
 
     def sigma(t):
-        return np.asarray(t, dtype=float) + 0.0
+        return t + 0.0
 
     def lam(t):
-        t = np.asarray(t, dtype=float)
         return 2.0 * (np.log1p(-t) - np.log(t))
 
     def dalpha(t):
-        return np.full_like(np.asarray(t, dtype=float), -1.0)
+        return np.full_like(t, -1.0)
 
     def dsigma(t):
-        return np.ones_like(np.asarray(t, dtype=float))
+        return np.ones_like(t)
 
     def dlam(t):
-        t = np.asarray(t, dtype=float)
         return -2.0 / (t * (1.0 - t))
 
     def lam_inv(lam):
@@ -235,10 +213,23 @@ def _fm_ot_fns(params: dict) -> dict[str, Callable]:
                 dalpha=dalpha, dsigma=dsigma, dlam=dlam, lam_inv=lam_inv)
 
 
+def _shaped(name: str, fn: Callable) -> Callable:
+    """``fn`` with its result as a new float array of ``t``'s shape."""
+    def shaped(t):
+        out, value = np.empty(t.shape), fn(t)
+        try:
+            out[...] = value
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"Custom {name}(t) must give a real value or "
+                              f"an array of t's shape {t.shape}") from exc
+        return out
+    return shaped
+
+
 def _custom_fns(params: dict) -> dict[str, Callable]:
     try:
-        a, sg = params["alpha"], params["sigma"]
-        da, dsg = params["dalpha"], params["dsigma"]
+        a, sg, da, dsg = (_shaped(k, params[k])
+                          for k in ("alpha", "sigma", "dalpha", "dsigma"))
     except KeyError as exc:
         raise ConfigError(
             "Custom schedule needs callables alpha, sigma, dalpha, dsigma"
@@ -248,15 +239,21 @@ def _custom_fns(params: dict) -> dict[str, Callable]:
     dlam = params.get("dlam") or (
         lambda t: 2.0 * (da(t) / a(t) - dsg(t) / sg(t))
     )
-    return dict(alpha=a, sigma=sg, lam=lam, dalpha=da, dsigma=dsg, dlam=dlam)
+    return dict(alpha=a, sigma=sg, lam=_shaped("lam", lam), dalpha=da,
+                dsigma=dsg, dlam=_shaped("dlam", dlam))
 
 
-_FAMILY_BUILDERS = {
-    "VP": _vp_fns,
-    "VE": _ve_fns,
-    "iDDPM": _iddpm_fns,
-    "FM_OT": _fm_ot_fns,
+# name: (closure builder, default parameters, default window)
+_FAMILIES = {
+    "VP": (_vp_fns, {"beta_min": 0.1, "beta_d": 19.9}, (1e-3, 1.0)),
+    "VE": (_ve_fns, {"sigma_min": 0.01, "sigma_max": 50.0}, (0.0, 1.0)),
+    "iDDPM": (_iddpm_fns, {"s": 0.008}, (1e-3, 1.0 - 1e-3)),
+    "FM_OT": (_fm_ot_fns, {}, (1e-3, 1.0 - 1e-3)),
 }
+
+_CANONICAL_NAMES = {name.lower(): name
+                    for name in (*_FAMILIES, "Warped", "Custom")}
+_CANONICAL_NAMES.update({"fm-ot": "FM_OT", "fmot": "FM_OT"})
 
 
 class Schedule:
@@ -284,10 +281,10 @@ class Schedule:
             )
         grid = np.linspace(self.t_min, self.t_max, _VALIDATION_GRID)
         with np.errstate(all="ignore"):
-            a = np.asarray(self._fns["alpha"](grid), dtype=float)
-            s = np.asarray(self._fns["sigma"](grid), dtype=float)
-            l = np.asarray(self._fns["lam"](grid), dtype=float)
-            dl = np.asarray(self._fns["dlam"](grid), dtype=float)
+            a = self._fns["alpha"](grid)
+            s = self._fns["sigma"](grid)
+            l = self._fns["lam"](grid)
+            dl = self._fns["dlam"](grid)
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(s))
                 and np.all(np.isfinite(l))):
             raise ConfigError(
@@ -309,7 +306,8 @@ class Schedule:
     def _check_t(self, t) -> np.ndarray:
         """``t`` as a float array, or a ValueError if any time lies outside
         the window (NaN passes).  A 0-d time is compared as a float: the
-        two ``np.any`` calls would cost most of a scalar evaluation."""
+        two ``np.any`` calls would cost most of a scalar evaluation.  This
+        is the only conversion of a time; the closures take its result."""
         t = np.asarray(t, dtype=float)
         lo, hi = self.t_min - _WINDOW_ATOL, self.t_max + _WINDOW_ATOL
         if t.ndim == 0:
@@ -346,7 +344,7 @@ class Schedule:
         return float(self.lam(self.t_max)), float(self.lam(self.t_min))
 
     def to_dict(self) -> dict:
-        if self.name not in DEFAULT_PARAMS:
+        if self.name not in _FAMILIES:
             raise ConfigError(
                 f"{self.name} schedules hold function handles and cannot be "
                 "serialized"
@@ -395,15 +393,15 @@ def make_schedule(name: str, params: dict | None = None,
         if t_min is None or t_max is None:
             raise ConfigError("Custom schedules require an explicit window")
     else:
-        merged = dict(DEFAULT_PARAMS[name])
+        build, defaults, (default_lo, default_hi) = _FAMILIES[name]
+        merged = dict(defaults)
         unknown = set(params) - set(merged)
         if unknown:
             raise ConfigError(f"{name}: unexpected parameters {sorted(unknown)}")
         merged.update({k: finite_real(f"{name} param {k}", v)
                        for k, v in params.items()})
         params = merged
-        fns = _FAMILY_BUILDERS[name](params)
-        default_lo, default_hi = DEFAULT_WINDOWS[name]
+        fns = build(params)
         t_min = default_lo if t_min is None else finite_real("t_min", t_min)
         t_max = default_hi if t_max is None else finite_real("t_max", t_max)
 

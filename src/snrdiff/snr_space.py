@@ -132,15 +132,12 @@ def time_warp(schedule: Schedule, warp: Callable[[np.ndarray], np.ndarray],
 
     inner = schedule
     fns = dict(
-        alpha=lambda t: inner.alpha(warp(np.asarray(t, dtype=float))),
-        sigma=lambda t: inner.sigma(warp(np.asarray(t, dtype=float))),
-        lam=lambda t: inner.lam(warp(np.asarray(t, dtype=float))),
-        dalpha=lambda t: (inner.dalpha_dt(warp(np.asarray(t, dtype=float)))
-                          * dwarp(np.asarray(t, dtype=float))),
-        dsigma=lambda t: (inner.dsigma_dt(warp(np.asarray(t, dtype=float)))
-                          * dwarp(np.asarray(t, dtype=float))),
-        dlam=lambda t: (inner.dlambda_dt(warp(np.asarray(t, dtype=float)))
-                        * dwarp(np.asarray(t, dtype=float))),
+        alpha=lambda t: inner.alpha(warp(t)),
+        sigma=lambda t: inner.sigma(warp(t)),
+        lam=lambda t: inner.lam(warp(t)),
+        dalpha=lambda t: inner.dalpha_dt(warp(t)) * dwarp(t),
+        dsigma=lambda t: inner.dsigma_dt(warp(t)) * dwarp(t),
+        dlam=lambda t: inner.dlambda_dt(warp(t)) * dwarp(t),
     )
     return Schedule("Warped", {"inner": inner, "warp": warp, "dwarp": dwarp},
                     schedule.t_min, schedule.t_max, fns)

@@ -66,6 +66,66 @@ def test_bench_import_resolves(where, module, name):
         assert resolves(module, name), f"{where}: from {module} import {name}"
 
 
+def snrdiff_calls():
+    """(file, line, module, attribute, positional count, keyword names,
+    unpacks) of every call in ``bench/*.py`` to a name imported from
+    ``snrdiff``, or to an attribute of an imported ``snrdiff`` module such
+    as ``cli.main``; ``unpacks`` is set for a ``*args`` or ``**kwargs``."""
+    for path in sorted(BENCH.glob("*.py")):
+        tree = parsed(path.name)
+        # local name -> (module, attribute), and local name -> module name
+        names, modules = {}, {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 \
+                    and node.module.split(".")[0] == "snrdiff":
+                for a in node.names:
+                    local = a.asname or a.name
+                    found = getattr(importlib.import_module(node.module),
+                                    a.name, None)
+                    if found is None or inspect.ismodule(found):
+                        modules[local] = f"{node.module}.{a.name}"
+                    else:
+                        names[local] = (node.module, a.name)
+            elif isinstance(node, ast.Import):
+                modules.update((a.asname or a.name.split(".")[0],
+                                a.name if a.asname else a.name.split(".")[0])
+                               for a in node.names
+                               if a.name.split(".")[0] == "snrdiff")
+        for node in ast.walk(tree):
+            f = getattr(node, "func", None)
+            if isinstance(f, ast.Name) and f.id in names:
+                module, attr = names[f.id]
+            elif isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) \
+                    and f.value.id in modules:
+                module, attr = modules[f.value.id], f.attr
+            else:
+                continue
+            yield (path.name, node.lineno, module, attr, len(node.args),
+                   [k.arg for k in node.keywords],
+                   any(isinstance(a, ast.Starred) for a in node.args)
+                   or any(k.arg is None for k in node.keywords))
+
+
+CALLS = list(snrdiff_calls())
+
+
+def test_bench_calls_something():
+    callees = {f"{m}.{a}" for _, _, m, a, *_ in CALLS}
+    assert {"snrdiff.cli.main", "snrdiff.infotheory.mmse_mc"} <= callees
+
+
+@pytest.mark.parametrize("where,line,module,attr,n_args,keywords,unpacks",
+                         CALLS, ids=[f"{f}:{n}:{m}.{a}"
+                                     for f, n, m, a, *_ in CALLS])
+def test_bench_call_binds(where, line, module, attr, n_args, keywords,
+                          unpacks):
+    # the benchmark calls these with the argument counts and keyword names
+    # read here, so a changed signature fails here and not in the benchmark
+    assert not unpacks, f"{where}:{line}: cannot check an unpacked call"
+    fn = getattr(importlib.import_module(module), attr)
+    inspect.signature(fn).bind(*[None] * n_args, **dict.fromkeys(keywords))
+
+
 def test_selftest_bindings_exist():
     pairs = ast.literal_eval(assigned(parsed("selftest.py"), "BY_NAME_IMPORTS"))
     missing = [f"{m}.{a}" for m, a in pairs

@@ -1,18 +1,29 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import snrdiff.schedule as schedule_mod
 from snrdiff import (
     ConfigError,
+    SamplerConfig,
+    euler_maruyama_forward,
     eval_schedule,
     make_schedule,
+    make_time_grid,
+    oracle_score_model,
+    sample,
     schedule_from_dict,
+    single_gaussian,
     snr,
+    t_of_lambda,
+    time_warp,
 )
 
-from conftest import BUILTIN, FAMILY_PARAMS, draw_schedule, interior_grid
+from conftest import (BUILTIN, FAMILY_PARAMS, blended_warp, draw_schedule,
+                      interior_grid)
 
 # frozen with arbitrary-precision arithmetic: -2*log(0.01) = log(10000)
 VE_LAMBDA_AT_0 = 9.210340371976184
@@ -20,19 +31,35 @@ VE_LAMBDA_AT_0 = 9.210340371976184
 
 class TestConstruction:
     def test_defaults(self):
-        windows = {"VP": (1e-3, 1.0), "VE": (0.0, 1.0),
-                   "iDDPM": (1e-3, 1.0 - 1e-3), "FM_OT": (1e-3, 1.0 - 1e-3)}
+        table = {
+            "VP": ({"beta_min": 0.1, "beta_d": 19.9}, (1e-3, 1.0)),
+            "VE": ({"sigma_min": 0.01, "sigma_max": 50.0}, (0.0, 1.0)),
+            "iDDPM": ({"s": 0.008}, (1e-3, 1.0 - 1e-3)),
+            "FM_OT": ({}, (1e-3, 1.0 - 1e-3)),
+        }
         for name in BUILTIN:
             s = make_schedule(name)
-            assert (s.t_min, s.t_max) == windows[name]
+            params, window = table[name]
+            assert (s.params, (s.t_min, s.t_max)) == (params, window)
+            assert s.to_dict() == {"name": name, "params": params,
+                                   "t_min": window[0], "t_max": window[1]}
 
     def test_vp_full_window_singular(self):
         with pytest.raises(ConfigError):
             make_schedule("VP", t_min=0.0, t_max=1.0)
 
     def test_unknown_family(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as err:
             make_schedule("cosine-squared")
+        assert str(err.value) == (
+            "unknown schedule family 'cosine-squared'; expected one of "
+            "['Custom', 'FM_OT', 'VE', 'VP', 'Warped', 'iDDPM']")
+
+    def test_alias_map(self):
+        assert schedule_mod._CANONICAL_NAMES == {
+            "vp": "VP", "ve": "VE", "iddpm": "iDDPM", "fm_ot": "FM_OT",
+            "fm-ot": "FM_OT", "fmot": "FM_OT", "warped": "Warped",
+            "custom": "Custom"}
 
     def test_unexpected_parameter(self):
         with pytest.raises(ConfigError):
@@ -229,3 +256,117 @@ class TestSerialization:
         )
         with pytest.raises(ConfigError):
             s.to_dict()
+
+
+def ve_as_custom():
+    """Built-in VE at its defaults, as a Custom schedule whose alpha and
+    dalpha are constant functions that ignore t."""
+    smin, smax = 0.01, 50.0
+    rate = math.log(smax / smin)
+    return make_schedule("Custom", {
+        "alpha": lambda t: 1.0,
+        "dalpha": lambda t: 0.0,
+        "sigma": lambda t: smin * np.exp(rate * t),
+        "dsigma": lambda t: rate * smin * np.exp(rate * t),
+    }, 0.0, 1.0)
+
+
+class TestCustomResults:
+    """A Custom function's result becomes a float array of t's shape, so a
+    constant function serves every caller that a built-in family does."""
+
+    def test_constant_functions_give_arrays_of_t(self):
+        s = ve_as_custom()
+        ts = np.linspace(0.0, 1.0, 5)
+        for method in ("alpha", "dalpha_dt", "lam", "dlambda_dt"):
+            out = getattr(s, method)(ts)
+            assert isinstance(out, np.ndarray) and out.shape == ts.shape \
+                and out.dtype == float and out.flags.writeable
+        assert s.alpha(np.array(0.5)).shape == ()
+
+    def test_ve_as_custom_matches_ve(self, ve):
+        custom = ve_as_custom()
+        ts = np.linspace(0.0, 1.0, 33)
+        for t in (ts, 0.25):
+            got, want = eval_schedule(custom, t), eval_schedule(ve, t)
+            for f in ("t", "alpha", "sigma", "lam", "dalpha_dt",
+                      "dsigma_dt", "dlambda_dt"):
+                assert type(getattr(got, f)) is type(getattr(want, f)), f
+                np.testing.assert_allclose(getattr(got, f), getattr(want, f),
+                                           rtol=0.0, atol=1e-12, err_msg=f)
+        np.testing.assert_allclose(
+            euler_maruyama_forward(custom, 0.3, 50, 2, n_paths=20),
+            euler_maruyama_forward(ve, 0.3, 50, 2, n_paths=20),
+            rtol=0.0, atol=1e-12)
+        model = oracle_score_model(single_gaussian([0.5], [[0.7]]))
+        for kind in ("generalized", "kingma", "exact_reference"):
+            cfg = SamplerConfig(kind=kind, steps=20, substeps=2, seed=3)
+            np.testing.assert_allclose(sample(custom, model, cfg, 50, 1),
+                                       sample(ve, model, cfg, 50, 1),
+                                       rtol=0.0, atol=1e-12, err_msg=kind)
+
+    @pytest.mark.parametrize("name", ["alpha", "sigma", "dalpha", "dsigma",
+                                      "lam", "dlam"])
+    def test_result_of_another_shape_is_a_config_error(self, name):
+        params = {"alpha": lambda t: 1.0 - 0.5 * t, "sigma": lambda t: t,
+                  "dalpha": lambda t: -0.5, "dsigma": lambda t: 1.0}
+        params[name] = lambda t: np.ones(3)
+        with pytest.raises(ConfigError, match=rf"Custom {name}\(t\) must "
+                           r"give a real value or an array of t's shape"):
+            make_schedule("Custom", params, 0.05, 0.95)
+
+
+def recording(schedule, seen: list):
+    """``schedule`` with every ``_fns`` entry wrapped to append (entry
+    name, argument) to ``seen``."""
+    def wrap(name, fn):
+        def recorded(x):
+            seen.append((name, x))
+            return fn(x)
+        return recorded
+    schedule._fns = {k: wrap(k, f) for k, f in schedule._fns.items()}
+    return schedule
+
+
+def contract_schedule(name):
+    if name == "Warped":
+        vp = make_schedule("VP")
+        return time_warp(vp, *blended_warp(vp))
+    return ve_as_custom() if name == "Custom" else make_schedule(name)
+
+
+class TestScheduleContract:
+    """``Schedule._check_t`` is the only conversion of a time: whatever a
+    caller passes, every time closure of a family, a warp or a Custom
+    schedule receives a float64 ndarray."""
+
+    @pytest.mark.parametrize("name", [*BUILTIN, "Warped", "Custom"])
+    def test_every_closure_gets_a_float_array(self, name):
+        s = contract_schedule(name)
+        seen = []
+        recording(s, seen)
+        if name == "Warped":
+            recording(s.params["inner"], seen)
+        lo, hi = s.t_min, s.t_max
+        mid = 0.5 * (lo + hi)
+        for method in ("alpha", "sigma", "lam", "dalpha_dt", "dsigma_dt",
+                       "dlambda_dt"):
+            for t in (mid, np.array(mid), [lo, mid, hi],
+                      np.linspace(lo, hi, 4)):
+                getattr(s, method)(t)
+        eval_schedule(s, mid)
+        eval_schedule(s, np.linspace(lo, hi, 3))
+        lam_lo, lam_hi = s.lambda_range()
+        t_of_lambda(s, 0.5 * (lam_lo + lam_hi))
+        t_of_lambda(s, np.linspace(lam_lo, lam_hi, 5))
+        make_time_grid(s, "uniform_lambda", 4, hi, lo)
+        sample(s, oracle_score_model(single_gaussian([0.0], [[1.0]])),
+               SamplerConfig(steps=3, seed=1), 4, 1)
+        assert {k for k, _ in seen} == set(s._fns)
+        # lam_inv takes a lambda, clipped by t_of_lambda: numpy's clip of a
+        # 0-d array is a float64 scalar
+        bad = [(k, type(x), x.dtype) for k, x in seen
+               if x.dtype != np.float64 or not (
+                   type(x) is np.ndarray
+                   or k == "lam_inv" and type(x) is np.float64)]
+        assert not bad
