@@ -30,17 +30,20 @@ adds the quadratic form's d terms from left to right, while the rows-first
 left to right only up to D = 2.  The two agree to a few ulp of the terms
 (within 1e-13 relative) but not bit for bit.
 
-The full-covariance branch of :func:`_components` takes an optional flat
-workspace and writes each temporary, (K, D, N), (K, N) and (D, N), into a
-view of it through ``out=``.  The Monte Carlo MMSE pass calls the kernel
-on block after block of the same size, and one workspace per pass spares
-it an allocation, and the page faults of fresh (K, D, N) arrays, at every
-step of every block.  Without a workspace each step allocates its result,
-which is how the sampler's oracle and the public oracles call it, once
-per step on arrays of any size.  The diagonal branch takes none: its
-products over D and K are the rows-first kernel's, kept as they are, and
-its MMSE pass stays rows first.  :func:`_posterior_mean` is the one
-formula for E[x | z]; :func:`posterior_mean` and the pass both call it.
+The kernel takes the channel's level as one argument, built by
+:func:`_level`: the terms that depend on (a, s2) but not on the rows.  The
+oracles build one per call; the Monte Carlo MMSE pass builds one table of
+all its levels at once, each row bitwise the level built alone.  The
+full-covariance branch also takes an optional set of views, carved by
+:func:`_views` from a flat workspace for one number of rows, and writes
+each temporary, (K, D, N), (K, N) and (D, N), into them through ``out=``.
+The pass carves them once per block size, which spares every block an
+allocation, and the page faults of fresh (K, D, N) arrays.  Without views
+each step allocates its result, which is how the sampler's oracle and the
+public oracles call it, on arrays of any size.  The diagonal branch takes
+none: its products over D and K are the rows-first kernel's, kept as they
+are, and its MMSE pass stays rows first.  :func:`_posterior_mean` is the
+one formula for E[x | z]; :func:`posterior_mean` and the pass both call it.
 
 :func:`log_marginal_density` combines the components with
 ``scipy.special.logsumexp``, imported there on first use: no sampling or
@@ -52,12 +55,13 @@ its accuracy where the sum of the other terms is near 0; a plain max-shift
 
 A one-component mixture is a Gaussian, and its score and posterior mean
 are affine in z: the responsibilities are r = 1 for every row.  For
-:func:`exact_score` and :func:`posterior_mean`, :func:`_components` then
-forms only the whitened residual, with no quadratic form, log joint or
-normalisation.  These are the floating-point operations the mixture kernel
-performs once r = 1, so the results are the same bits; and they stay exact
-where the quadratic form would overflow (a mean near 1e160), which in the
-mixture kernel turns r, and with it every output, into NaN.
+:func:`exact_score` and :func:`posterior_mean`, :func:`_level` then builds
+no log normaliser, and :func:`_components` forms only the whitened
+residual, with no quadratic form, log joint or normalisation.  These are
+the floating-point operations the mixture kernel performs once r = 1, so
+the results are the same bits; and they stay exact where the quadratic
+form would overflow (a mean near 1e160), which in the mixture kernel
+turns r, and with it every output, into NaN.
 :func:`log_marginal_density` forms the log joint at every K.
 """
 
@@ -65,6 +69,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -258,9 +263,50 @@ def marginal_at(gmm: GmmSpec, schedule: Schedule, t: float) -> GmmSpec:
 
 
 def _log_norm(gmm: GmmSpec, c: np.ndarray) -> np.ndarray:
-    """log(weight_k / sqrt(det(2 pi C_k))) for eigenvalues c of C_k, (K,)."""
-    return (np.log(gmm.weights) - 0.5 * np.log(c).sum(axis=1)
+    """log(weight_k / sqrt(det(2 pi C_k))) for eigenvalues c of C_k: (K,)
+    for c (K, D), (L, K) for a table of levels (L, K, D)."""
+    return (np.log(gmm.weights) - 0.5 * np.log(c).sum(axis=-1)
             - 0.5 * gmm.dim * np.log(2.0 * np.pi))
+
+
+class _Level(NamedTuple):
+    """The noisy mixture's terms at one level: the eigenvalues
+    c = a^2 nu + s2 of its covariances, 1/c, the gain scale / c, the means
+    a m, all (K, D), and ``_log_norm`` of c (K,), or None where the kernel
+    needs no log joint.  A table of L levels has a leading (L,) axis."""
+
+    c: np.ndarray
+    inv_c: np.ndarray
+    gain: np.ndarray
+    m: np.ndarray
+    log_norm: np.ndarray | None
+
+    def row(self, i: int) -> _Level:
+        """Level i of a table."""
+        return _Level(*(f if f is None else f[i] for f in self))
+
+
+def _level(gmm: GmmSpec, a, s2, scale=1.0, joint: bool = True) -> _Level:
+    """The level argument of :func:`_components` at channel levels (a, s2),
+    floats or (L,) arrays; ``scale`` broadcasts against c.  Every term of
+    level i of a table has the bits of the level built at (a[i], s2[i]).
+
+    With ``joint=False`` the caller reads only r and w, and a one-component
+    mixture, which has r = 1 in every row, gets no ``log_norm``: see
+    :func:`_components`.
+    """
+    if isinstance(a, np.ndarray) and a.ndim:  # not np.ndim, slow on a float
+        a, s2 = a[:, None, None], s2[:, None, None]
+    c = a * a * gmm._evals + s2
+    inv_c = 1.0 / c
+    log_norm = _log_norm(gmm, c) if joint or gmm.n_components > 1 else None
+    return _Level(c, inv_c, scale * inv_c, a * gmm.means, log_norm)
+
+
+def _mean_level(gmm: GmmSpec, a, s2) -> _Level:
+    """The level at which :func:`_posterior_mean` reads the kernel: gain
+    a nu / c, for the shrinkage a Sigma_k C_k^{-1}, and no log joint."""
+    return _level(gmm, a, s2, np.multiply.outer(a, gmm._evals), joint=False)
 
 
 def _row_max(x: np.ndarray) -> np.ndarray:
@@ -276,10 +322,9 @@ def _row_max(x: np.ndarray) -> np.ndarray:
 
 
 def _work_shapes(gmm: GmmSpec, n: int) -> tuple[tuple[int, ...], ...]:
-    """Shapes of the views the full-covariance kernel carves from a
-    workspace for n rows: the centred and the rotated rows (K, D, N), the
-    log joint and the responsibilities (K, N), a row reduction (N,) and the
-    residual (D, N)."""
+    """Shapes of the views the full-covariance kernel writes into for n
+    rows: the centred and the rotated rows (K, D, N), the log joint and the
+    responsibilities (K, N), a row reduction (N,) and the residual (D, N)."""
     k, d = gmm._evals.shape
     return (k, d, n), (k, d, n), (k, n), (k, n), (n,), (d, n)
 
@@ -289,22 +334,20 @@ def _work_size(gmm: GmmSpec, n: int) -> int:
     return sum(math.prod(shape) for shape in _work_shapes(gmm, n))
 
 
-def _views(work, shapes):
-    """C-contiguous views of consecutive pieces of the flat buffer ``work``,
-    or Nones when there is no buffer, so ``out=`` allocates."""
-    if work is None:
-        return [None] * len(shapes)
+def _views(gmm: GmmSpec, work: np.ndarray, n: int) -> list[np.ndarray]:
+    """The kernel's views for n rows: C-contiguous consecutive pieces of
+    the flat buffer ``work``, of at least :func:`_work_size` floats."""
     views, at = [], 0
-    for shape in shapes:
+    for shape in _work_shapes(gmm, n):
         size = math.prod(shape)
         views.append(work[at:at + size].reshape(shape))
         at += size
     return views
 
 
-def _components(gmm: GmmSpec, a: float, s2: float, z: np.ndarray, scale=1.0,
-                joint: bool = True, work=None):
-    """Per-component terms of the noisy mixture for rows z of shape (N, D).
+def _components(gmm: GmmSpec, level: _Level, z: np.ndarray, views=None):
+    """Per-component terms of the noisy mixture for rows z of shape (N, D)
+    at ``level``, built by :func:`_level`.
 
     Component k of z_t has mean a m_k and covariance Q_k diag(c_k) Q_k^T,
     c_k = a^2 nu_k + s2.  Returns (r, logp, w): the responsibilities and
@@ -312,51 +355,47 @@ def _components(gmm: GmmSpec, a: float, s2: float, z: np.ndarray, scale=1.0,
     whitened residual w = sum_k r_k Q_k diag(scale_k / c_k) Q_k^T (z - a m_k),
     (N, D).
 
-    With ``joint=False`` the caller reads only r and w.  A one-component
-    mixture then has r = 1 in every row, and the call returns
-    (None, None, w) with w the residual alone: no log joint and no
-    normalisation, bitwise the mixture kernel's w wherever its log joint
-    is finite (see the module docstring).
+    A level with no ``log_norm`` (a one-component mixture whose caller
+    reads only w) gives (None, None, w) with w the residual alone: no log
+    joint and no normalisation, bitwise the mixture kernel's w wherever its
+    log joint is finite (see the module docstring).
 
     Diagonal mixtures compute rows first.  Full ones compute rows last,
     v = Q_k^T (z - a m_k) as (K, D, N), and return transposed views, so
     their r, logp and w are not C-contiguous; see the module docstring
     for which inputs give bitwise the results of the rows-first kernel.
     A full mixture reads z through ``z.T``, copied only when that is not
-    C-contiguous.  Given a flat ``work`` of at least :func:`_work_size`
-    floats, it writes every temporary, and so its results, into views of
-    ``work``, valid until the next call on it; with ``None`` each step
-    allocates its result.  Diagonal mixtures ignore ``work``.
+    C-contiguous.  Given the ``views`` that :func:`_views` carves for N
+    rows, it writes every temporary, and so its results, into them, valid
+    until the next call on them; with ``None`` each step allocates its
+    result.  Diagonal mixtures ignore ``views``.
     """
-    c = a * a * gmm._evals + s2
-    inv_c = 1.0 / c
-    gain = scale * inv_c
-    m = a * gmm.means
+    inv_c, gain, m = level.inv_c, level.gain, level.m
     q = gmm._evecs
-    affine = not joint and gmm.n_components == 1
+    affine = level.log_norm is None
     if q is None:
         if affine:
             return None, None, z * gain[0] - gain[0] * m[0]
         quad = ((z * z) @ inv_c.T - 2.0 * z @ (m * inv_c).T
                 + np.sum(m * m * inv_c, axis=1))
-        logp = _log_norm(gmm, c) - 0.5 * quad
+        logp = level.log_norm - 0.5 * quad
         e = np.exp(logp - _row_max(logp))
         r = e / e.sum(axis=1, keepdims=True)
         return r, logp, z * (r @ gain) - r @ (gain * m)
     # rows last: (K, D, N) and (K, N), so every inner loop runs over N; the
-    # steps work in place or in the workspace, so that a call fills few
-    # fresh N-long buffers, and with a workspace none
-    diff, v, logp, r, top, w = _views(work, _work_shapes(gmm, z.shape[0]))
+    # steps work in place or in the views, so that a call fills few fresh
+    # N-long buffers, and with views none
+    diff, v, logp, r, top, w = (None,) * 6 if views is None else views
     diff = np.subtract(np.ascontiguousarray(z.T)[None], m[:, :, None],
                        out=diff)
     v = np.matmul(q.transpose(0, 2, 1), diff, out=v)
-    qv = None if work is None else diff  # diff is spent
+    qv = None if views is None else diff  # diff is spent
     if affine:
         v *= gain[:, :, None]
         return None, None, np.matmul(q, v, out=qv)[0].T
     logp = np.einsum("kdn,kdn,kd->kn", v, v, inv_c, out=logp)
     logp *= -0.5
-    logp += _log_norm(gmm, c)[:, None]
+    logp += level.log_norm[:, None]
     r = np.subtract(logp, logp.max(axis=0, out=top), out=r)
     np.exp(r, out=r)
     r /= r.sum(axis=0, out=top)
@@ -377,7 +416,7 @@ def log_marginal_density(gmm: GmmSpec, schedule: Schedule, t: float, z) -> np.nd
     """log p(z_t) of the noisy mixture; z may be (..., D)."""
     a, s = _levels(schedule, t)
     zf, lead = _flatten(z, gmm.dim)
-    _, logp, _ = _components(gmm, a, s ** 2, zf)
+    _, logp, _ = _components(gmm, _level(gmm, a, s ** 2), zf)
     from scipy.special import logsumexp  # deferred: see the module docstring
 
     return logsumexp(logp, axis=1).reshape(lead)
@@ -388,14 +427,13 @@ def exact_score(gmm: GmmSpec, schedule: Schedule, t: float, z) -> np.ndarray:
     return oracle_score_model(gmm)(z, *_levels(schedule, t))
 
 
-def _posterior_mean(gmm: GmmSpec, a: float, s2: float, z: np.ndarray,
-                    work=None, out=None) -> np.ndarray:
-    """E[x | z] for rows z (N, D) of the channel at levels (a, s2): the
-    responsibility-weighted per-component linear-Gaussian posterior means
-    m_k + a Sigma_k C_k^{-1}(z - a m_k), written into ``out`` if given.
-    ``work`` goes to :func:`_components`."""
-    r, _, w = _components(gmm, a, s2, z, a * gmm._evals, joint=False,
-                          work=work)
+def _posterior_mean(gmm: GmmSpec, level: _Level, z: np.ndarray,
+                    views=None, out=None) -> np.ndarray:
+    """E[x | z] for rows z (N, D) of the channel at the :func:`_mean_level`
+    ``level``: the responsibility-weighted per-component linear-Gaussian
+    posterior means m_k + a Sigma_k C_k^{-1}(z - a m_k), written into
+    ``out`` if given.  ``views`` go to :func:`_components`."""
+    r, _, w = _components(gmm, level, z, views)
     if r is None:
         return np.add(gmm.means[0], w, out=out)
     mean = np.matmul(r, gmm.means, out=out)
@@ -406,7 +444,8 @@ def posterior_mean(gmm: GmmSpec, schedule: Schedule, t: float, z) -> np.ndarray:
     """Exact denoiser E[x | z_t = z]; z may be (..., D)."""
     a, s = _levels(schedule, t)
     zf, lead = _flatten(z, gmm.dim)
-    return _posterior_mean(gmm, a, s ** 2, zf).reshape(lead + (gmm.dim,))
+    return _posterior_mean(gmm, _mean_level(gmm, a, s ** 2),
+                           zf).reshape(lead + (gmm.dim,))
 
 
 def oracle_score_model(gmm: GmmSpec) -> ScoreModel:
@@ -414,7 +453,8 @@ def oracle_score_model(gmm: GmmSpec) -> ScoreModel:
     def fn(z, alpha, sigma):
         zf, lead = _flatten(z, gmm.dim)
         # score = sum_k r_k C_k^{-1}(a m_k - z)
-        _, _, w = _components(gmm, alpha, sigma ** 2, zf, joint=False)
+        level = _level(gmm, alpha, sigma ** 2, joint=False)
+        _, _, w = _components(gmm, level, zf)
         return (-w).reshape(lead + (gmm.dim,))
 
     return ScoreModel(fn, "score")

@@ -20,9 +20,11 @@ the square-root channel (tilde_alpha = sqrt(lambda), tilde_sigma = 1,
 where lambda is the SNR itself) recovers dI/dlambda = mmse / 2.
 
 The Monte Carlo pass walks its N rows in blocks of ``_MC_ROWS`` (a power
-of two) at every lambda.  Every block temporary (z, the posterior mean's
-kernel arrays, the error) is a view of one workspace allocated once per
-pass, so no block allocates.  Every block starts at a multiple of
+of two) at every lambda.  The posterior mean's level terms are built once
+per pass, one table of every lambda (see :mod:`snrdiff.gmm`), and every
+block temporary (z, the kernel arrays, the error) is a view of one
+workspace allocated once per pass, the views carved once per block size,
+so no block allocates or re-carves.  Every block starts at a multiple of
 ``_MC_ROWS``, and a 1-row tail joins the block before it.  Each row's
 squared error depends only on that row, and numpy's kernels give a row the
 same bits in such a block as in the whole pass; they do not for a lone
@@ -55,8 +57,8 @@ import numpy as np
 from . import rng
 from .errors import ConfigError, NumericalError
 # posterior_mean stays bound here: bench/selftest.py traces it by this name
-from .gmm import (GmmSpec, _posterior_mean, _work_size,
-                  posterior_mean, sample_data)  # noqa: F401
+from .gmm import (GmmSpec, _mean_level, _posterior_mean, _views,
+                  _work_size, posterior_mean, sample_data)  # noqa: F401
 from .schedule import Schedule, float_or_array
 from .snr_space import SnrPoint, t_of_lambda
 
@@ -207,13 +209,13 @@ def _squared_error_mc(gmm: GmmSpec, schedule: Schedule, x, lam, t, n: int,
 
     Each lambda walks the rows in the blocks of :func:`_row_blocks` and
     writes the block's squared errors into one n-long buffer, reduced once
-    over all n rows.  Every block temporary is a view of one workspace
-    allocated per pass, laid out as the module docstring says.  Row r's
-    error depends only on row r, and a block that starts at a multiple of
-    a power of two and holds more than one row gives each row the bits the
-    whole pass gives it, so the result is bitwise the unblocked one.  A
-    non-finite estimate raises NumericalError naming the lambda, its t and
-    the first non-finite row.
+    over all n rows.  The levels are built once per pass, and the views of
+    its one workspace carved once per block size, laid out as the module
+    docstring says.  Row r's error depends only on row r, and a block that
+    starts at a multiple of a power of two and holds more than one row
+    gives each row the bits the whole pass gives it, so the result is
+    bitwise the unblocked one.  A non-finite estimate raises NumericalError
+    naming the lambda, its t and the first non-finite row.
     """
     lam, t = np.asarray(lam), np.asarray(t)
     alpha, sigma = schedule.alpha(t.ravel()), schedule.sigma(t.ravel())
@@ -225,7 +227,6 @@ def _squared_error_mc(gmm: GmmSpec, schedule: Schedule, x, lam, t, n: int,
     full = gmm._evecs is not None
     err_last = full and (d <= 2 or gmm.n_components == 1)
     work = np.empty(2 * d * most + (_work_size(gmm, most) if full else 0))
-    kernel_work = work[2 * d * most:] if full else None
 
     def block(at: int, rows: int, rows_last: bool) -> np.ndarray:
         """The (rows, D) view of a C-contiguous block of ``work`` starting
@@ -233,24 +234,32 @@ def _squared_error_mc(gmm: GmmSpec, schedule: Schedule, x, lam, t, n: int,
         flat = work[at:at + d * rows]
         return flat.reshape(d, rows).T if rows_last else flat.reshape(rows, d)
 
+    # z, a x, the error (a x's floats, spent by then) and the kernel's
+    # views, per block size
+    carved = {rows: (block(0, rows, full), block(d * rows, rows, full),
+                     block(d * rows, rows, err_last),
+                     _views(gmm, work[2 * d * most:], rows) if full else None)
+              for rows in {hi - lo for lo, hi in blocks}}
+
     def last(a: np.ndarray) -> np.ndarray:
         """A (rows, D) array in the z blocks' layout."""
         return a.T if full else a
 
+    # float_power, not **: the bits of each float sigma ** 2 (see _snr)
+    levels = _mean_level(gmm, alpha, np.float_power(sigma, 2))
     sq = np.empty(n)
     value, stderr = np.empty(t.size), np.empty(t.size)
     for i, ti in enumerate(t.ravel()):
         a, s = float(alpha[i]), float(sigma[i])
+        level = levels.row(i)
         for lo, hi in blocks:
-            rows = hi - lo
+            z, ax, err, views = carved[hi - lo]
             xb = x if len(x) == 1 else x[lo:hi]
-            z, ax = block(0, rows, full), block(d * rows, rows, full)
             np.multiply(last(eps[lo:hi]), s, out=last(z))
             np.multiply(last(xb), a, out=last(ax))
             z += ax
             # a full kernel reads z.T, which is then a C-contiguous block
-            err = _posterior_mean(gmm, a, s ** 2, z, work=kernel_work,
-                                  out=block(d * rows, rows, err_last))
+            _posterior_mean(gmm, level, z, views, out=err)
             xs, es = (xb.T, err.T) if err_last else (xb, err)
             np.subtract(xs, es, out=es)
             if err_last and d <= 2:

@@ -119,7 +119,8 @@ def moment_report(samples, target: GmmSpec) -> SampleQualityReport:
     ref_mean, ref_cov = target.mean(), target.cov()
     check_target(ref_mean, ref_cov)
     n, means, covs = _moments(x[None])
-    return _moment_report(n, means[0], covs[0], ref_mean, ref_cov)
+    return _moment_report(n, means[0], covs[0], ref_mean, ref_cov,
+                          np.linalg.norm(ref_cov))
 
 
 def _moments(xs: np.ndarray) -> tuple:
@@ -148,14 +149,13 @@ def _moments(xs: np.ndarray) -> tuple:
     return n, means, covs
 
 
-def _moment_report(n, emp_mean, emp_cov, ref_mean,
-                   ref_cov) -> SampleQualityReport:
+def _moment_report(n, emp_mean, emp_cov, ref_mean, ref_cov,
+                   ref_cov_norm) -> SampleQualityReport:
     """:func:`moment_report` from one cell's :func:`_moments` of n >= 2
     samples, against a target mean and covariance of their dimension that
-    :func:`check_target` accepts."""
+    :func:`check_target` accepts, and the covariance's Frobenius norm."""
     mean_err = float(np.linalg.norm(emp_mean - ref_mean))
-    cov_err = float(np.linalg.norm(emp_cov - ref_cov)
-                    / np.linalg.norm(ref_cov))
+    cov_err = float(np.linalg.norm(emp_cov - ref_cov) / ref_cov_norm)
     return SampleQualityReport(mean_error_l2=mean_err,
                                cov_frobenius_error=cov_err, n=n)
 
@@ -292,9 +292,11 @@ def quality_reports(xs, target_mean, target_cov, reference,
     # would only warn about
     distances = _energy_distances(rows, _as_rows(reference))
     n, means, covs = _moments(rows)
+    target_norm = np.linalg.norm(target_cov)
     reports = []
     for mean, cov, distance in zip(means, covs, distances):
-        report = _moment_report(n, mean, cov, target_mean, target_cov)
+        report = _moment_report(n, mean, cov, target_mean, target_cov,
+                                target_norm)
         report.energy_distance = distance
         if kl_target is not None:
             report.gaussian_kl = _gaussian_kl(mean, cov, *kl_target)

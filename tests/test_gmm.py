@@ -22,6 +22,7 @@ from snrdiff import (
     transition,
 )
 from snrdiff import gmm as gmm_module, rng
+from snrdiff.snr_space import t_of_lambda
 
 from conftest import BUILTIN
 
@@ -338,16 +339,14 @@ class TestSpectralOracle:
         assert all(np.all(np.isfinite(o)) for o in outs)
 
 
-def rows_first_components(gmm, a, s2, z, scale=1.0, joint=True, work=None):
+def rows_first_components(gmm, level, z, views=None):
     """The full-covariance kernel that ``gmm._components`` replaced, kept
     as its reference for mixtures with a full covariance: rows first,
     (K, N, D) and (N, K), with the quadratic form an ``einsum`` over d.
-    It forms r and logp whether or not the caller reads them (``joint``),
-    and allocates whether or not it is given a workspace (``work``)."""
-    c = a * a * gmm._evals + s2
-    inv_c = 1.0 / c
-    gain = scale * inv_c
-    m = a * gmm.means
+    It reads only the level's c, 1/c, gain and a m, forms r and logp
+    whether or not the level has a log normaliser, and allocates whether
+    or not it is given ``views``."""
+    c, inv_c, gain, m = level.c, level.inv_c, level.gain, level.m
     q = gmm._evecs
     v = (z[None] - m[:, None]) @ q
     quad = np.einsum("knd,kd->nk", v * v, inv_c)
@@ -370,8 +369,10 @@ ROWS_LAST_RTOL = 1e-13
 def kernel_outputs(gmm, schedule, t, z):
     """(r, logp, w) at both gains, then score, posterior mean, log density."""
     a, s2 = float(schedule.alpha(t)), float(schedule.sigma(t)) ** 2
-    return (*gmm_module._components(gmm, a, s2, z),
-            *gmm_module._components(gmm, a, s2, z, a * gmm._evals),
+    plain = gmm_module._level(gmm, a, s2)
+    shrunk = gmm_module._level(gmm, a, s2, a * gmm._evals)
+    return (*gmm_module._components(gmm, plain, z),
+            *gmm_module._components(gmm, shrunk, z),
             exact_score(gmm, schedule, t, z), posterior_mean(gmm, schedule, t, z),
             log_marginal_density(gmm, schedule, t, z))
 
@@ -421,10 +422,12 @@ class TestRowsLastKernel:
 real_components = gmm_module._components
 
 
-def mixture_components(gmm, a, s2, z, scale=1.0, joint=True, work=None):
+def mixture_components(gmm, level, z, views=None):
     """``gmm._components`` as it runs for every K, r and logp formed
     whether or not the caller reads them: the one-component shortcut off."""
-    return real_components(gmm, a, s2, z, scale, work=work)
+    if level.log_norm is None:
+        level = level._replace(log_norm=gmm_module._log_norm(gmm, level.c))
+    return real_components(gmm, level, z, views)
 
 ONE_COMPONENT_CASES = [(d, full) for d in (1, 2, 3, 16)
                        for full in ((False,) if d == 1 else (False, True))]
@@ -472,7 +475,8 @@ class TestOneComponent:
         # rows 1e160 away from the mean: their squared distance overflows
         z = np.linspace(-2.0, 2.0, 5 * d).reshape(5, d)
         with np.errstate(all="ignore"):
-            assert np.isnan(mixture_components(gmm, a, s * s, z)[2]).all()
+            level = gmm_module._level(gmm, a, s * s, joint=False)
+            assert np.isnan(mixture_components(gmm, level, z)[2]).all()
             score = exact_score(gmm, vp, t, z)
             mean = posterior_mean(gmm, vp, t, z)
         cov_t = a * a * gmm.covs[0] + s * s * np.eye(d)
@@ -513,21 +517,72 @@ def test_row_max_is_numpys_row_max(k):
 
 
 @pytest.mark.parametrize("k,d,full", SPECTRAL_CASES)
-def test_components_with_a_workspace_are_the_allocating_bits(vp, k, d, full):
+def test_components_with_reused_views_are_the_allocating_bits(vp, k, d,
+                                                             full):
     gmm = random_mixture(np.random.default_rng(k * d), k, d, [full] * k)
-    t = 0.4 * vp.t_max
-    a, s2 = float(vp.alpha(t)), float(vp.sigma(t)) ** 2
     for n in (0, 1, 300):
-        z = noisy_draws(gmm, vp, t, n, seed=d) if n else np.empty((0, d))
-        work = np.full(gmm_module._work_size(gmm, n), np.nan)
-        # z as the rows-last pass hands it over too: the .T of a (D, n) block
-        for rows in (z, np.ascontiguousarray(z.T).T):
-            for scale, joint in ((1.0, True), (a * gmm._evals, False)):
-                want = gmm_module._components(gmm, a, s2, rows, scale, joint)
-                got = gmm_module._components(gmm, a, s2, rows, scale, joint,
-                                             work=work)
-                for g, w in zip(got, want):
-                    assert (g is None) == (w is None)
-                    if w is not None:
-                        assert g.shape == w.shape
-                        assert g.tobytes() == w.tobytes()
+        # one set of views, NaN at the start, serves every level in turn
+        views = gmm_module._views(
+            gmm, np.full(gmm_module._work_size(gmm, n), np.nan), n)
+        for t in (vp.t_min, 0.4 * vp.t_max, vp.t_max):
+            a, s2 = float(vp.alpha(t)), float(vp.sigma(t)) ** 2
+            z = noisy_draws(gmm, vp, t, n, seed=d) if n else np.empty((0, d))
+            levels = (gmm_module._level(gmm, a, s2),
+                      gmm_module._mean_level(gmm, a, s2))
+            # z as the rows-last pass hands it over too: the .T of a (D, n)
+            # block
+            for rows in (z, np.ascontiguousarray(z.T).T):
+                for level in levels:
+                    want = gmm_module._components(gmm, level, rows)
+                    got = gmm_module._components(gmm, level, rows, views)
+                    for g, w in zip(got, want):
+                        assert (g is None) == (w is None)
+                        if w is not None:
+                            assert g.shape == w.shape
+                            assert g.tobytes() == w.tobytes()
+
+
+def level_cases():
+    """(K, D, mixture) at K in {1, 3}, D in {1, 2, 16}, diagonal and full."""
+    for k in (1, 3):
+        for d in (1, 2, 16):
+            for full in ((False,) if d == 1 else (False, True)):
+                gen = np.random.default_rng(100 * k + d + full)
+                yield k, d, random_mixture(gen, k, d, [full] * k)
+
+
+# parameters and windows that reach lambda = +-20
+WIDE_SCHEDULES = {"VP": ({"beta_min": 0.1, "beta_d": 39.9}, 1e-9, 1.0),
+                  "VE": ({"sigma_min": 1e-5, "sigma_max": 1e5}, 0.0, 1.0),
+                  "iDDPM": ({}, 1e-9, 1.0 - 1e-7),
+                  "FM_OT": ({}, 1e-9, 1.0 - 1e-9)}
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_SCHEDULES))
+def test_level_table_rows_are_the_scalar_levels(name):
+    default = make_schedule(name)
+    wide = make_schedule(name, *WIDE_SCHEDULES[name])
+    # the default window's edges and middle, and lambda = +-20
+    t = np.array([default.t_min, 0.5 * (default.t_min + default.t_max),
+                  default.t_max])
+    t_wide = t_of_lambda(wide, np.array([-20.0, 20.0]))
+    alpha = np.concatenate([default.alpha(t), wide.alpha(t_wide)])
+    sigma = np.concatenate([default.sigma(t), wide.sigma(t_wide)])
+    s2 = np.float_power(sigma, 2)
+    for k, d, gmm in level_cases():
+        tables = (gmm_module._level(gmm, alpha, s2),
+                  gmm_module._level(gmm, alpha, s2, joint=False),
+                  gmm_module._mean_level(gmm, alpha, s2))
+        for i in range(alpha.size):
+            a, s = float(alpha[i]), float(sigma[i])
+            assert s2[i] == s ** 2
+            scalars = (gmm_module._level(gmm, a, s ** 2),
+                       gmm_module._level(gmm, a, s ** 2, joint=False),
+                       gmm_module._mean_level(gmm, a, s ** 2))
+            for table, scalar in zip(tables, scalars):
+                for got, want in zip(table.row(i), scalar):
+                    assert (got is None) == (want is None)
+                    if want is not None:
+                        assert got.shape == want.shape == (
+                            (k,) if want.ndim == 1 else (k, d))
+                        assert got.tobytes() == want.tobytes()

@@ -20,7 +20,7 @@ from snrdiff import (
     single_gaussian,
     tilde_eval,
 )
-from snrdiff import infotheory, rng
+from snrdiff import gmm as gmm_module, infotheory, rng
 from snrdiff.gmm import posterior_mean
 from snrdiff.snr_space import t_of_lambda
 from snrdiff.verify import check_mc_estimators
@@ -394,13 +394,26 @@ def test_mc_pass_is_the_reference_pass_bitwise(monkeypatch, fm_ot, d, k,
 
 
 @pytest.mark.parametrize("full", [False, True])
-def test_mc_pass_makes_no_scalar_schedule_call(scalar_schedule_calls, vp,
+def test_mc_pass_makes_no_scalar_schedule_call(monkeypatch,
+                                               scalar_schedule_calls, vp,
                                                full):
     gmm = _mixture(2, 2, full)
     lams = np.linspace(-3.0, 3.0, 4)
     t = t_of_lambda(vp, lams)
     x = sample_data(gmm, 300, seed=1)
+    # several blocks per lambda, so a level built per block or per lambda
+    # shows as more than one build per pass
+    monkeypatch.setattr(infotheory, "_MC_ROWS", 64)
+    builds = []
+
+    def counted(*args, _level=gmm_module._level, **kwargs):
+        builds.append(np.ndim(args[1]))
+        return _level(*args, **kwargs)
+
+    monkeypatch.setattr(gmm_module, "_level", counted)
     scalar_schedule_calls.counting = True
     infotheory._squared_error_mc(gmm, vp, x, lams, t, 300, seed=2)
     infotheory._squared_error_mc(gmm, vp, x[0], lams[0], t[0], 300, seed=2)
     assert not scalar_schedule_calls.calls
+    # one table of levels per pass
+    assert builds == [1, 1]
