@@ -397,14 +397,12 @@ def cmd_info(args) -> int:
         points = kong_point(np.array(lams))
     else:
         sched = _resolve_schedule(args, cfg)
-        lam = np.array(lams)
-        t = t_of_lambda(sched, lam)
-        points = tilde_eval(sched, lam, t=t)
+        points = tilde_eval(sched, np.array(lams))
 
     if single:
         mmse = mmse_gaussian(gmm.covs[0], points)
     else:
-        mmse = mmse_mc(gmm, sched, points.lam, mc_n, seed, t=t).value
+        mmse = mmse_mc(gmm, sched, points.lam, mc_n, seed).value
     columns = {"lambda": points.lam, "mmse": mmse,
                "dmi_dlambda": dmi_dlambda(points, mmse)}
     if single:

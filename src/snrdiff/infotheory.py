@@ -279,22 +279,18 @@ def _squared_error_mc(gmm: GmmSpec, schedule: Schedule, x, lam, t, n: int,
 
 
 def mmse_mc(gmm: GmmSpec, schedule: Schedule, lam, n: int,
-            seed: int, *, t=None) -> McEstimate:
+            seed: int) -> McEstimate:
     """Monte Carlo MMSE: average ||x - E[x|z]||^2 over joint draws.
 
     Uses the exact mixture posterior mean as the denoiser, so the estimate
     is unbiased for the true MMSE.  Returns the estimate with its standard
     error: floats for a scalar ``lam``, or arrays of its shape for an array
     whose lambdas all reuse the same draws, entry i equal to mmse_mc(lam[i]).
-    ``t``, if given, must be ``t_of_lambda(schedule, lam)``, already
-    computed by the caller; it is then not inverted again.
     """
     if n < 100:
         raise ConfigError(f"Monte Carlo n must be >= 100, got {n}")
-    if t is None:
-        t = t_of_lambda(schedule, lam)
     return _squared_error_mc(gmm, schedule, sample_data(gmm, n, seed), lam,
-                             t, n, seed)
+                             t_of_lambda(schedule, lam), n, seed)
 
 
 def pointwise_mmse_mc(gmm: GmmSpec, schedule: Schedule, x, lam: float,

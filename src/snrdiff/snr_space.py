@@ -96,15 +96,11 @@ def t_of_lambda(schedule: Schedule, lam):
     return float_or_array(t)
 
 
-def tilde_eval(schedule: Schedule, lam, *, t=None) -> SnrPoint:
+def tilde_eval(schedule: Schedule, lam) -> SnrPoint:
     """Evaluate the lambda-space functions and chain-rule derivatives: as
     in :func:`t_of_lambda`, a scalar ``lam`` gives a point of floats, an
-    array a point of arrays of its shape, entry i that of ``lam[i]``.
-
-    ``t``, if given, must be ``t_of_lambda(schedule, lam)``, already
-    computed by the caller; it is then not inverted again."""
-    if t is None:
-        t = t_of_lambda(schedule, lam)
+    array a point of arrays of its shape, entry i that of ``lam[i]``."""
+    t = t_of_lambda(schedule, lam)
     dlam = schedule.dlambda_dt(t)
     return SnrPoint(*map(float_or_array, (
         lam, schedule.alpha(t), schedule.sigma(t),

@@ -1,18 +1,25 @@
 """Named cross-module invariant checks.
 
 These checks are the one implementation of the package's closed-form
-identities as tests: acceptance tests 01-10 in ``tests/test_acceptance.py``
-assert them, so every tolerance, grid, sample count and seed lives here.
+identities as tests, so every tolerance, grid, sample count and seed lives
+here.  Tier-1 asserts them all: ``tests/test_acceptance.py`` runs the six
+full-level checks and six of the fast ones as its tests 01-10 and 12, and
+``tests/test_cli.py``'s ``TestVerifyCommand::test_fast_level_passes``
+requires all ten fast checks to pass, the only assertion of the other
+four.  ``test_every_check_is_asserted`` fails if a check is not in
+``FULL_CHECKS``, or is full-level only and has no acceptance test.  A unit
+test repeats a check only where it is stricter (bitwise where the check
+allows 1e-12, say) or has inputs the check lacks.
 
 ``run_verify("fast")`` runs the ten exact identities and finite-difference
-checks; ``snrdiff verify --level fast`` takes 0.4-0.5 s on a shared 2-core
-Xeon.  ``run_verify("full")`` adds the six Monte Carlo and convergence
-studies, 19-22 s on the same machine, almost all of it the 100k-path,
-10k-step forward simulation of ``check_forward_marginals``.  Each check is
-independent and reports a one-line detail string with its measured
-numbers, so a failure names exactly what broke.  A NaN anywhere fails its
-check: worst-case errors accumulate with ``np.maximum``, which keeps a NaN
-that the builtin ``max`` would drop.
+checks: 0.2 s, and ``snrdiff verify --level fast`` 0.6 s with its imports,
+on a shared 2-core Xeon.  ``run_verify("full")`` adds the six Monte Carlo
+and convergence studies, 27-28 s on the same machine, almost all of it the
+100k-path, 10k-step forward simulation of ``check_forward_marginals``.
+Each check is independent and reports a one-line detail string with its
+measured numbers, so a failure names exactly what broke.  A NaN anywhere
+fails its check: worst-case errors accumulate with ``np.maximum``, which
+keeps a NaN that the builtin ``max`` would drop.
 """
 
 from __future__ import annotations

@@ -2,13 +2,18 @@
 PASS line with the measured numbers (run with ``pytest -s`` to see them
 on success).
 
-Tests 01-10 assert the invariant checks of ``snrdiff.verify``, which
-``snrdiff verify --level full`` also runs.  Their tolerances, grids, sample
-counts and seeds live there, in one place, and are fixed, not tuned per
-run.
+Tests 01-10 and 12 assert the invariant checks of ``snrdiff.verify``,
+which ``snrdiff verify --level full`` also runs.  Their tolerances, grids,
+sample counts and seeds live there, in one place, and are fixed, not tuned
+per run.  The fast checks that no test here names are asserted by
+``tests/test_cli.py::TestVerifyCommand::test_fast_level_passes``, and
+``test_every_check_is_asserted`` fails if any other check is left without
+an ``_accept`` call, or if a check is missing from ``verify.FULL_CHECKS``.
 """
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 
@@ -113,3 +118,22 @@ def test_11_sweep_harness(tmp_path, split_pools):
                                report["energy_distance"], rtol=1e-12)
     _report(11, "55-cell sweep byte-reproducible across thread counts; "
                 "(gamma=1, delta=1) cell matches standalone run")
+
+
+def test_12_monte_carlo_estimators():
+    _accept(12, verify.check_mc_estimators)
+
+
+def test_every_check_is_asserted():
+    # the unit tests do not repeat these checks, so each check that
+    # --level fast does not run must be passed to an _accept call here
+    tree = ast.parse(Path(__file__).read_text())
+    accepted = {getattr(arg, "attr", None) for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "_accept"
+                for arg in node.args[1:]}
+    checks = [name for name in vars(verify) if name.startswith("check_")]
+    assert set(checks) == {check.__name__ for check in verify.FULL_CHECKS}
+    unasserted = [name for name in checks if name not in accepted
+                  and getattr(verify, name) not in verify.FAST_CHECKS]
+    assert not unasserted

@@ -26,7 +26,7 @@ from snrdiff import (cli, csvtext, energy_distance, gaussian_kl_fit,
                      gmm_from_dict, make_schedule, metrics, moment_report,
                      oracle_score_model, rng,
                      sample, sample_data, sampler_config_from_dict, samplers,
-                     snr_space)
+                     snr_space, verify)
 from snrdiff.cli import _csv_text, main
 
 UNIT_CONFIG = {
@@ -838,7 +838,8 @@ class TestInfoCommand:
         assert (capsys.readouterr().err
                 == f"config error: seed must be an integer, got {seed!r}\n")
 
-    def test_mixture_inverts_lambda_grid_once(self, tmp_path, monkeypatch):
+    def test_mixture_inverts_lambda_grid_as_arrays(self, tmp_path,
+                                                   monkeypatch):
         original, calls = snr_space.t_of_lambda, []
 
         def counted(schedule, lam):
@@ -852,7 +853,8 @@ class TestInfoCommand:
         cfg = write_config(tmp_path, GMM2D_CONFIG)
         assert main(["info", "--config", cfg, "--lambdas=-2:2:5",
                      "--mc-n", "500", "--out", str(tmp_path)]) == 0
-        assert calls == [(5,)]
+        # tilde_eval and mmse_mc each invert the whole grid in one call
+        assert calls == [(5,), (5,)]
 
     def test_mixture_mc_curve(self, tmp_path):
         cfg = write_config(tmp_path, GMM2D_CONFIG)
@@ -1075,11 +1077,16 @@ class TestSnrspaceCommand:
 
 class TestVerifyCommand:
     def test_fast_level_passes(self, capsys):
+        # the tier-1 assertion of the fast checks that no acceptance test
+        # runs; test_acceptance.py::test_every_check_is_asserted relies on it
         rc = main(["verify", "--level", "fast"])
-        out = capsys.readouterr().out
+        *lines, summary = capsys.readouterr().out.splitlines()
+        n = len(verify.FAST_CHECKS)
         assert rc == 0
-        assert "FAIL" not in out
-        assert out.count("PASS") >= 10
+        assert [line.split(":")[0] for line in lines] == [
+            f"PASS {check.__name__.removeprefix('check_')}"
+            for check in verify.FAST_CHECKS]
+        assert summary == f"{n}/{n} checks passed"
 
     def test_failed_check_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(samplers, "_MUTATE_FLIP_EPS_BRACKET", True)
