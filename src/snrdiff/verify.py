@@ -7,9 +7,9 @@ full-level checks and six of the fast ones as its tests 01-10 and 12, and
 ``tests/test_cli.py``'s ``TestVerifyCommand::test_fast_level_passes``
 requires all ten fast checks to pass, the only assertion of the other
 four.  ``test_every_check_is_asserted`` fails if a check is not in
-``FULL_CHECKS``, or is full-level only and has no acceptance test.  A unit
-test repeats a check only where it is stricter (bitwise where the check
-allows 1e-12, say) or has inputs the check lacks.
+``FULL_CHECKS``, or is full-level only and has no acceptance test.  Some unit
+tests in ``tests/`` still re-derive a check with their own seeds and
+tolerances; CHANGES.md maps each one to the check that covers it.
 
 ``run_verify("fast")`` runs the ten exact identities and finite-difference
 checks: 0.2 s, and ``snrdiff verify --level fast`` 0.6 s with its imports,

@@ -125,8 +125,8 @@ def test_12_monte_carlo_estimators():
 
 
 def test_every_check_is_asserted():
-    # the unit tests do not repeat these checks, so each check that
-    # --level fast does not run must be passed to an _accept call here
+    # each check that --level fast does not run must be passed to an
+    # _accept call here, whether or not a unit test repeats it
     tree = ast.parse(Path(__file__).read_text())
     accepted = {getattr(arg, "attr", None) for node in ast.walk(tree)
                 if isinstance(node, ast.Call)

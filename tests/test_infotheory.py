@@ -9,6 +9,7 @@ from snrdiff import (
     NumericalError,
     dkl_dlambda,
     dmi_dlambda,
+    kl_gaussian_conditional,
     kong_point,
     mi_gaussian_closed,
     mmse_gaussian,
@@ -75,6 +76,12 @@ class TestMiGaussianClosed:
 
 
 class TestMonteCarloEstimators:
+    def test_mmse_mc_matches_closed_form(self, vp, unit_gmm):
+        lam = 0.8
+        est = mmse_mc(unit_gmm, vp, lam, n=20000, seed=5)
+        closed = mmse_gaussian(S1, tilde_eval(vp, lam))
+        assert abs(est.value - closed) <= 3 * est.stderr
+
     def test_mmse_mc_array_equals_scalar_calls(self, any_schedule):
         gmm = GmmSpec(np.array([0.3, 0.7]), np.array([[-1.0, 0.5], [1.2, 0.0]]),
                       np.array([[[0.6, 0.2], [0.2, 0.4]], np.diag([0.5, 0.8])]))
@@ -98,6 +105,12 @@ class TestMonteCarloEstimators:
         vals = [mmse_mc(unit_gmm, vp, lam, n=20000, seed=11).value
                 for lam in (-3.0, 0.0, 3.0, 6.0)]
         assert all(b < a + 0.02 for a, b in zip(vals[:-1], vals[1:]))
+
+    def test_pointwise_matches_closed_form(self, vp, unit_gmm):
+        lam, x = 0.4, [0.9]
+        est = pointwise_mmse_mc(unit_gmm, vp, x, lam, n=20000, seed=4)
+        closed = pointwise_mmse_gaussian(S1, x, tilde_eval(vp, lam))
+        assert abs(est.value - closed) <= 3 * est.stderr
 
     def test_pointwise_vanishes_at_high_snr(self, vp, unit_gmm):
         lo, hi = vp.lambda_range()
@@ -130,6 +143,32 @@ class TestMonteCarloEstimators:
 
 
 class TestDerivativeFormulas:
+    def test_dmi_matches_mi_finite_difference(self, any_schedule):
+        h = 1e-4
+        lo, hi = any_schedule.lambda_range()
+        for lam in np.linspace(lo + 10 * h, hi - 10 * h, 50):
+            p = tilde_eval(any_schedule, float(lam))
+            got = dmi_dlambda(p, mmse_gaussian(S1, p))
+            fd = (mi_gaussian_closed(S1, tilde_eval(any_schedule, lam + h))
+                  - mi_gaussian_closed(S1, tilde_eval(any_schedule, lam - h))
+                  ) / (2 * h)
+            assert abs(got - fd) <= 1e-6 * (abs(fd) + 1e-12)
+
+    def test_dkl_matches_kl_finite_difference(self, any_schedule):
+        h = 1e-4
+        gen = np.random.default_rng(23)
+        lo, hi = any_schedule.lambda_range()
+        for lam in np.linspace(lo + 10 * h, hi - 10 * h, 5):
+            p = tilde_eval(any_schedule, float(lam))
+            for x in gen.normal(size=4):
+                got = dkl_dlambda(p, pointwise_mmse_gaussian(S1, [x], p))
+                fd = (kl_gaussian_conditional(
+                          S1, [x], tilde_eval(any_schedule, lam + h))
+                      - kl_gaussian_conditional(
+                          S1, [x], tilde_eval(any_schedule, lam - h))
+                      ) / (2 * h)
+                assert abs(got - fd) <= 1e-6 * (abs(fd) + 1e-12)
+
     def test_sqrt_channel_recovers_half_mmse(self):
         for lam in np.linspace(0.1, 8.0, 40):
             p = kong_point(lam)

@@ -21,6 +21,7 @@ from snrdiff import (
     gmm_from_dict,
     make_schedule,
     make_time_grid,
+    moment_report,
     oracle_score_model,
     sample,
     sampler_config_from_dict,
@@ -33,6 +34,7 @@ from snrdiff import (
 )
 from snrdiff.dynamics import ScoreModel, _levels
 from snrdiff.samplers import non_markovian_beta2
+from snrdiff.verify import _deterministic_step
 
 from conftest import BUILTIN, draw_schedule
 
@@ -54,6 +56,16 @@ class TestGeneralizedStep:
                                  eps=eps)
             b = step_kingma(vp, unit_score, z, t, s, eps=eps)
             assert np.array_equal(a, b)
+
+    def test_deterministic_special_case(self, vp, unit_score):
+        gen = np.random.default_rng(7)
+        for _ in range(100):
+            t = gen.uniform(0.2, vp.t_max)
+            s = gen.uniform(vp.t_min, t)
+            z = gen.normal(size=(2, 1))
+            got = step_generalized(vp, unit_score, z, t, s, 0.0, 0.0, 1.0)
+            want = _deterministic_step(vp, unit_score, z, t, s, 0.0)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
     def test_rho_zero_needs_no_eps(self, vp, unit_score):
         z = np.array([[0.4]])
@@ -191,6 +203,18 @@ class TestEulerBackward:
         g = forward_coeffs(vp, t).g
         np.testing.assert_allclose(float((with_noise - without)[0, 0]),
                                    g * np.sqrt(t - s), rtol=1e-12)
+
+    def test_order_gap_to_generalized(self, vp, unit_score):
+        z = np.array([[0.8]])
+        for t in (0.35, 0.6, 0.8):
+            gaps = []
+            for dt in (0.04, 0.02, 0.01, 0.005):
+                a = step_generalized(vp, unit_score, z, t, t - dt, 0.0, 0.0,
+                                     1.0)
+                b = step_euler_backward(vp, unit_score, z, t, t - dt, 0.0)
+                gaps.append(float(np.abs(a - b).max()))
+            for g0, g1 in zip(gaps[:-1], gaps[1:]):
+                assert 3.0 <= g0 / g1 <= 5.0
 
 
 @pytest.mark.parametrize("step,args", [
@@ -584,6 +608,14 @@ class TestSampleLoop:
                             steps=4, substeps=8, seed=2)
         x = sample(vp, unit_score, cfg, n=16, d=1)
         assert np.all(np.isfinite(x))
+
+    def test_end_to_end_variance(self, vp, unit_gmm):
+        model = oracle_score_model(unit_gmm)
+        cfg = SamplerConfig(kind="generalized", rho=0.0, gamma=0.0,
+                            steps=200, seed=3)
+        x = sample(vp, model, cfg, n=10000, d=1)
+        rep = moment_report(x, unit_gmm)
+        assert rep.cov_frobenius_error < 0.02
 
 
 # one stochastic config of each kind; exact_reference draws per sub-step

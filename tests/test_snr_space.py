@@ -22,6 +22,13 @@ class TestLambdaInverse:
     def test_fm_ot_center(self, fm_ot):
         np.testing.assert_allclose(t_of_lambda(fm_ot, 0.0), 0.5, atol=1e-12)
 
+    def test_round_trip(self, any_schedule):
+        gen = np.random.default_rng(31)
+        ts = gen.uniform(any_schedule.t_min, any_schedule.t_max, 100)
+        for t in ts:
+            back = t_of_lambda(any_schedule, float(any_schedule.lam(t)))
+            assert abs(back - t) < 1e-10
+
     def test_ve_affine_inversion(self, ve):
         # lambda is affine in t for VE; invert the truncated printed value
         t = t_of_lambda(ve, 9.21034)
@@ -162,6 +169,16 @@ class TestTimeWarp:
 
 
 class TestEquivalence:
+    def test_warped_schedule_is_equivalent(self, vp):
+        warp, dwarp = blended_warp(vp)
+        rep = equivalence_check(vp, time_warp(vp, warp, dwarp), 200, 1e-10)
+        assert rep.equivalent
+        assert rep.max_deviation <= 1e-10
+
+    def test_vp_vs_ve_not_equivalent(self, vp, ve):
+        rep = equivalence_check(vp, ve, 200, 1e-10)
+        assert not rep.equivalent
+
     def test_self_equivalence(self, any_schedule):
         rep = equivalence_check(any_schedule, any_schedule, 50, 1e-10)
         assert rep.equivalent
