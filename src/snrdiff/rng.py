@@ -9,12 +9,18 @@ by a splitmix64 chain.  Two access patterns are provided:
   Monte Carlo estimators).  Deterministic given the key material.
 
 * :func:`row_normals` — standard-normal draws addressed by *row*, used for
-  per-trajectory noise.  Row ``i`` always reads the same counter blocks of
-  the same keyed stream, so any partition of ``[row_start, row_stop)`` into
-  chunks (threads, processes, whatever) reproduces identical values.  One
-  Philox counter block yields four 64-bit words; each row consumes a whole
-  number of blocks, and normals come from the inverse CDF so that exactly
-  one word feeds one value.
+  per-trajectory noise.  Row ``i`` always reads the same words of the same
+  keyed stream, so any partition of ``[row_start, row_stop)`` into chunks
+  (threads, processes, whatever) reproduces identical values.  A draw of
+  width ``w`` reads the key's stream as one run of 64-bit words, row after
+  row: value ``(i, j)`` is word ``i * w + j``, and normals come from the
+  inverse CDF so that exactly one word feeds one value.  One Philox counter
+  block yields four words, so a draw starts at block ``first // 4``, where
+  ``first = row_start * w``, and skips that block's first ``first % 4``
+  words; no other word goes unused, and a call of ``rows`` rows generates
+  ``ceil((first % 4 + rows * w) / 4)`` blocks.  At widths that are a
+  multiple of 4 each row starts on a block of its own; at other widths
+  rows share blocks.
 
 A counter-based generator's whole state is its (key, counter) pair, plus
 the buffer of words already drawn from the current block.  So
@@ -114,11 +120,11 @@ def row_normals(
     """Standard normals for rows [row_start, row_stop), shape (rows, width).
 
     The value at (row, column) depends only on the key material and the
-    absolute row index, never on how rows are batched.  Row r reads Philox
-    counter r * ceil(width / 4) of the key's stream; each of its first
-    ``width`` words w becomes the open-interval uniform (w >> 11 + 1/2) / 2**53
-    and then its inverse normal CDF.  The words come from this thread's
-    generator with its whole state reset for the call (see the module
+    absolute row index, never on how rows are batched.  It reads word
+    ``row * width + column`` of the key's stream; the word w becomes the
+    open-interval uniform (w >> 11 + 1/2) / 2**53 and then its inverse
+    normal CDF.  The words come from this thread's generator, set for the
+    call to the counter block holding the first one (see the module
     docstring), so they are those of a Philox constructed for it.
     """
     from scipy.special import ndtri  # deferred: see the module docstring
@@ -129,9 +135,7 @@ def row_normals(
         raise ValueError("need 0 <= row_start <= row_stop and width >= 1")
     if rows == 0:
         return np.empty((0, width))
-    blocks_per_row = -(-width // 4)  # ceil; one block = 4 uint64 words
-    bg = _rekeyed(philox_key(seed, purpose, context),
-                  row_start * blocks_per_row)
-    raw = bg.random_raw(rows * blocks_per_row * 4)
-    words = np.asarray(raw, dtype=np.uint64).reshape(rows, blocks_per_row * 4)
-    return ndtri(_uniform_open(words[:, :width]))
+    block, skip = divmod(row_start * width, 4)  # one block = 4 uint64 words
+    bg = _rekeyed(philox_key(seed, purpose, context), block)
+    words = bg.random_raw(skip + rows * width)[skip:]
+    return ndtri(_uniform_open(words.reshape(rows, width)))

@@ -11,15 +11,31 @@ from snrdiff import SamplerConfig, make_schedule, oracle_score_model, rng
 from snrdiff import sample, single_gaussian
 
 
+def open_uniforms(words):
+    """The 53-bit open-interval uniforms (w >> 11 + 1/2) / 2**53, in Python."""
+    return [((int(w) >> 11) + 0.5) / 2**53 for w in words]
+
+
 def fresh_philox_normals(seed, purpose, context, row_start, row_stop, width):
-    """row_normals drawn from a Philox constructed for the call."""
-    blocks = -(-width // 4)
+    """row_normals rebuilt from a Philox constructed for the call: value i of
+    the draw is word row_start * width + i of the key's stream."""
+    first = row_start * width
     bg = Philox(key=rng.philox_key(seed, purpose, context),
-                counter=row_start * blocks)
-    words = bg.random_raw((row_stop - row_start) * blocks * 4)
-    words = words.reshape(-1, blocks * 4)[:, :width]
-    return ndtri(((words >> np.uint64(11)).astype(np.float64) + 0.5)
-                 * 2.0**-53)
+                counter=first // 4)
+    words = bg.random_raw(first % 4 + (row_stop - row_start) * width)
+    uniforms = open_uniforms(words[first % 4:])
+    return ndtri(np.array(uniforms).reshape(row_stop - row_start, width))
+
+
+def per_row_block_normals(seed, purpose, context, row_start, row_stop, width):
+    """The layout in which row r starts on counter block r * ceil(width / 4)
+    and reads its first `width` words."""
+    key = rng.philox_key(seed, purpose, context)
+    blocks = -(-width // 4)
+    uniforms = [open_uniforms(Philox(key=key, counter=row * blocks)
+                              .random_raw(width))
+                for row in range(row_start, row_stop)]
+    return ndtri(np.array(uniforms).reshape(row_stop - row_start, width))
 
 
 # (seed, purpose, context, row_start, row_stop, width) of draws that differ
@@ -54,23 +70,42 @@ class TestRowNormals:
         assert full.shape == (rows, width)
         assert np.array_equal(full, np.vstack([np.empty((0, width)), *pieces]))
 
-    @pytest.mark.parametrize("width", [1, 3, 4, 5, 8, 17])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 8, 16, 17])
     def test_matches_independent_rebuild(self, width):
-        # row r reads Philox counter r * ceil(width / 4) of the key's stream;
-        # each of its first `width` words becomes the 53-bit open-interval
-        # uniform (w >> 11 + 1/2) / 2**53 and then scipy's ndtri
-        seed, purpose, context = 2024, rng.PURPOSE_STEP, 9
-        row_start, row_stop = 37, 61
-        key = rng.philox_key(seed, purpose, context)
-        blocks = -(-width // 4)
-        uniforms = []
-        for row in range(row_start, row_stop):
-            words = Philox(key=key, counter=row * blocks).random_raw(width)
-            uniforms.append([((int(w) >> 11) + 0.5) / 2**53 for w in words])
-        expected = ndtri(np.array(uniforms))
-        got = rng.row_normals(seed, purpose, context, row_start, row_stop,
-                              width)
-        assert got.tobytes() == expected.tobytes()
+        # value (r, j) is word r * width + j of the key's stream, read from a
+        # Philox built at counter block (row_start * width) // 4; each word
+        # becomes the 53-bit open-interval uniform (w >> 11 + 1/2) / 2**53
+        # and then scipy's ndtri.  Starting at row 37 puts the first word
+        # mid-block at every width that is not a multiple of 4.
+        draw = (2024, rng.PURPOSE_STEP, 9, 37, 61, width)
+        assert ((37 * width) % 4 == 0) == (width % 4 == 0)
+        got = rng.row_normals(*draw)
+        assert got.tobytes() == fresh_philox_normals(*draw).tobytes()
+
+    @pytest.mark.parametrize("width", [4, 8, 16])
+    @pytest.mark.parametrize("row_start,rows", [(0, 1), (37, 24),
+                                                (2**40, 7)])
+    def test_block_multiple_widths_keep_per_row_block_bits(
+            self, width, row_start, rows):
+        # at widths that are a multiple of 4 each row starts on a block of
+        # its own, so the draws are those of the layout that gave every row
+        # ceil(width / 4) whole blocks (the D = 16 mixture sampler's noise)
+        draw = (2024, rng.PURPOSE_STEP, 9, row_start, row_start + rows, width)
+        got = rng.row_normals(*draw)
+        assert got.tobytes() == per_row_block_normals(*draw).tobytes()
+
+    @pytest.mark.parametrize("draw", DRAWS + [
+        (5, rng.PURPOSE_STEP, 1, 3, 9, 2), (5, rng.PURPOSE_STEP, 1, 1, 6, 3)])
+    def test_no_word_goes_unused(self, draw):
+        # a call generates only the blocks that hold its words: this
+        # thread's Philox ends ceil((first % 4 + rows * width) / 4) blocks
+        # past block first // 4, where first = row_start * width
+        _, _, _, row_start, row_stop, width = draw
+        first = row_start * width
+        rng.row_normals(*draw)
+        lo, hi, _, _ = map(int, rng._local.philox.state["state"]["counter"])
+        used = -(-(first % 4 + (row_stop - row_start) * width) // 4)
+        assert (hi << 64) + lo == first // 4 + used
 
     def test_interleaved_calls_match_fresh_generators(self):
         # one thread's generator is re-keyed for every call, so calls in
@@ -154,7 +189,9 @@ class TestRowNormals:
         assert not np.array_equal(a, d)
 
     def test_width_above_block_size(self):
-        # widths > 4 span multiple counter blocks per row
+        # a row wider than a block's 4 words spans blocks, and at widths
+        # that are not a multiple of 4 a block holds the end of one row and
+        # the start of the next
         x = rng.row_normals(3, rng.PURPOSE_STEP, 2, 0, 50, 7)
         assert x.shape == (50, 7)
         y = rng.row_normals(3, rng.PURPOSE_STEP, 2, 20, 30, 7)
