@@ -9,15 +9,15 @@ In one dimension the energy distance equals twice the integrated squared
 difference of the two empirical CDFs (Szekely & Rizzo, "Energy statistics:
 A class of statistics based on distances", 2013), which one sort of the
 pooled samples evaluates exactly in O((n+m) log(n+m)).  D > 1 sums all
-pairwise distances with ``cdist``, whose module (``scipy.spatial``) is
-imported on first use: only D > 1 reaches it, and importing it takes
-longer than a whole 1-D run's metrics.  Two constants shape that sum.
-``_BLOCK`` fixes its order: the rows pair up in _BLOCK x _BLOCK blocks,
-whose totals add left to right, each total the bits of
-``cdist(block_a, block_b).sum()``.  ``_LEAF`` bounds its memory: a block's
-total is formed down numpy's own pairwise-summation tree, and no
-``cdist`` call returns more than _LEAF distances plus two rows.  The bits
-are pinned by ``tests/test_metrics.py::TestPairwiseDistanceSum``.
+pairwise distances with ``cdist`` and ``pdist``, whose module
+(``scipy.spatial``) is imported on first use: only D > 1 reaches it, and
+importing it takes longer than a whole 1-D run's metrics.  ``_BLOCK``
+fixes the order of that sum and bounds its memory: the rows pair up in
+_BLOCK x _BLOCK blocks whose totals add in loop order, so no call returns
+more than _BLOCK**2 distances (2 MB).  A self-term, E||A-A'||, sums each
+distance once, over the blocks on and above the diagonal, and doubles the
+total.  The bits are pinned by
+``tests/test_metrics.py::TestPairwiseDistanceSum``.
 
 The moments, the Gaussian-fit KL and the energy distance sum over the
 samples in canonical (lexicographic) row order, so each is exactly
@@ -45,12 +45,9 @@ import numpy as np
 from .errors import NumericalError
 from .gmm import GmmSpec
 
-_BLOCK = 2048
-_LEAF = 2 ** 18
+_BLOCK = 512
 # pooled values the 1-D energy distance sorts in one call: 32 KB
 _STACK = 2 ** 12
-# numpy adds a run of at most this many float64 values without splitting it
-_PAIRWISE_RUN = 128
 
 
 @dataclass
@@ -160,43 +157,30 @@ def _moment_report(n, emp_mean, emp_cov, ref_mean, ref_cov,
                                cov_frobenius_error=cov_err, n=n)
 
 
-def _pairwise_distance_sum(a: np.ndarray, b: np.ndarray) -> float:
-    """Sum of all pairwise Euclidean distances between the rows of a and b.
+def _pairwise_distance_sum(a: np.ndarray, b=None) -> float:
+    """Sum of the Euclidean distances from every row of a to every row of
+    b, or with b omitted, between every ordered pair of rows of a.
 
-    The rows pair up in _BLOCK x _BLOCK blocks, and the block totals add in
-    loop order.  Each total is ``float(cdist(block_a, block_b).sum())`` bit
-    for bit, with no distance matrix of the block formed: numpy sums a
-    contiguous float64 array by pairwise summation (Higham 1993), cutting
-    a run of more than _PAIRWISE_RUN values at half its length rounded down
-    to a multiple of 8.  The walk below cuts the block's raveled distances
-    the same way until a run holds at most _LEAF values, computes ``cdist``
-    for just the rows that run touches (``cdist`` computes each pair on its
-    own, so a row's distances are the same bits in any call), sums the
-    run's slice with numpy, and adds the run totals back up the tree.
-    ``TestPairwiseDistanceSum`` compares it with the matrix form.
+    The rows pair up in _BLOCK x _BLOCK blocks, and the block totals, each
+    numpy's pairwise sum of one ``cdist`` result, add in loop order.  With
+    b omitted only the blocks on and above the diagonal are computed: a
+    diagonal block's distinct pairs with ``pdist``, and each block right
+    of it with ``cdist``.  That total counts each unordered pair once, so
+    doubling it, exactly, gives the ordered sum.  ``TestPairwiseDistanceSum``
+    rebuilds these bits and checks them against ``math.fsum``.
     """
-    from scipy.spatial.distance import cdist  # deferred: see module docstring
-
-    def run_sum(rows: np.ndarray, cols: np.ndarray, lo: int, hi: int) -> float:
-        # entries [lo, hi) of cdist(rows, cols).ravel(), summed as numpy would
-        count = hi - lo
-        if count > max(_LEAF, _PAIRWISE_RUN):
-            half = count // 2
-            half -= half % 8
-            return (run_sum(rows, cols, lo, lo + half)
-                    + run_sum(rows, cols, lo + half, hi))
-        width = cols.shape[0]
-        first, stop = lo // width, -(-hi // width)
-        dist = cdist(rows[first:stop], cols).ravel()
-        return float(dist[lo - first * width:hi - first * width].sum())
+    # deferred: see module docstring
+    from scipy.spatial.distance import cdist, pdist
 
     total = 0.0
     for i in range(0, a.shape[0], _BLOCK):
         block = a[i:i + _BLOCK]
-        for j in range(0, b.shape[0], _BLOCK):
-            cols = b[j:j + _BLOCK]
-            total += run_sum(block, cols, 0, block.shape[0] * cols.shape[0])
-    return total
+        if b is None:
+            total += float(pdist(block).sum())
+        cols = a[i + _BLOCK:] if b is None else b
+        for j in range(0, cols.shape[0], _BLOCK):
+            total += float(cdist(block, cols[j:j + _BLOCK]).sum())
+    return 2.0 * total if b is None else total
 
 
 def _energy_distances_1d(a: np.ndarray, b: np.ndarray) -> list[float]:
@@ -244,11 +228,16 @@ def _energy_distances(xs, b: np.ndarray) -> list[float]:
         return _energy_distances_1d(xs[..., 0], b[:, 0])
     b = _canonical(b)
     n, m = xs.shape[1], b.shape[0]
-    within_b = _pairwise_distance_sum(b, b) / (m * m)
+    within_b = _pairwise_distance_sum(b) / (m * m)
     out = []
     for a in xs:
+        # the cross sum and the doubled self-terms round apart, so the same
+        # multiset scores its exact 0.0 here
+        if np.array_equal(a, b):
+            out.append(0.0)
+            continue
         cross = _pairwise_distance_sum(a, b) / (n * m)
-        within_a = _pairwise_distance_sum(a, a) / (n * n)
+        within_a = _pairwise_distance_sum(a) / (n * n)
         out.append(max(2.0 * cross - within_a - within_b, 0.0))
     return out
 

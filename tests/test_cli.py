@@ -733,8 +733,8 @@ class TestSweepCommand:
         self_sums = []
         pair_sum = metrics._pairwise_distance_sum
 
-        def recording(a, b):
-            if a is b:
+        def recording(a, b=None):
+            if b is None:
                 self_sums.append(a.copy())
             return pair_sum(a, b)
 

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -114,6 +116,18 @@ class TestEnergyDistance:
             assert energy_distance(gen.permutation(a),
                                    gen.permutation(b)) == want
 
+    @pytest.mark.parametrize("d", [2, 3, 16])
+    @pytest.mark.parametrize("n", [300, 1100])
+    def test_permuted_copy_is_exactly_zero_past_1d(self, d, n):
+        # n below and above _BLOCK; the copy's zeros have flipped signs, so
+        # the two sets are one multiset with different bits
+        gen = np.random.default_rng(10 * n + d)
+        for x in tied_stack(gen, 5, n, d):
+            copy = gen.permutation(x)
+            copy[copy == 0.0] *= -1.0
+            assert energy_distance(x, copy) == 0.0
+            assert energy_distance(copy, x) == 0.0
+
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_raises(self, d, bad):
@@ -136,14 +150,14 @@ def fraction_energy_distance(a, b) -> Fraction:
 
 
 def assert_matches_cdist(a, b):
-    """The 1-D sorted form against the three blocked-cdist pair sums, to
+    """The 1-D sorted form against the three blocked pair sums, to
     1e-12 of E|A-B|: the cdist terms cancel, so their error scales with
     the cross term, not with the result."""
     a, b = np.reshape(a, (-1, 1)), np.reshape(b, (-1, 1))
     n, m = len(a), len(b)
     cross = _pairwise_distance_sum(a, b) / (n * m)
-    reference = (2.0 * cross - _pairwise_distance_sum(a, a) / (n * n)
-                 - _pairwise_distance_sum(b, b) / (m * m))
+    reference = (2.0 * cross - _pairwise_distance_sum(a) / (n * n)
+                 - _pairwise_distance_sum(b) / (m * m))
     assert abs(energy_distance(a, b) - reference) <= 1e-12 * cross
 
 
@@ -195,26 +209,41 @@ class TestEnergyDistance1d:
         assert energy_distance(a, b) == energy_distance(b, a)
 
 
-def matrix_sum(a, b, block=2048):
-    """The pairwise distance sum with each block's distance matrix formed
-    whole: the reference whose bits the leaf walk keeps."""
+def blocked_sum(a, b=None, block=512):
+    """The pairwise distance sum rebuilt from its block pairs: every
+    (i, j) pair of a against b, or with b omitted, the pairs with j >= i,
+    a diagonal pair by ``pdist``, the total doubled."""
+    starts_a = range(0, a.shape[0], block)
+    starts_b = starts_a if b is None else range(0, b.shape[0], block)
     total = 0.0
-    for i in range(0, a.shape[0], block):
-        rows = a[i:i + block]
-        for j in range(0, b.shape[0], block):
-            total += float(distance.cdist(rows, b[j:j + block]).sum())
-    return total
+    for i in starts_a:
+        for j in starts_b:
+            if b is not None:
+                total += float(distance.cdist(a[i:i + block],
+                                              b[j:j + block]).sum())
+            elif j == i:
+                total += float(distance.pdist(a[i:i + block]).sum())
+            elif j > i:
+                total += float(distance.cdist(a[i:i + block],
+                                              a[j:j + block]).sum())
+    return 2.0 * total if b is None else total
 
 
-def assert_matrix_bits(a, b, block=2048):
-    got, want = _pairwise_distance_sum(a, b), matrix_sum(a, b, block)
+def fsum_distances(a, b):
+    """math.fsum over the full distance matrix of a against b, formed 256
+    rows at a time: the correctly rounded sum."""
+    return math.fsum(itertools.chain.from_iterable(
+        memoryview(distance.cdist(a[i:i + 256], b).ravel())
+        for i in range(0, a.shape[0], 256)))
+
+
+def assert_blocked_bits(a, b=None, block=512):
+    got, want = _pairwise_distance_sum(a, b), blocked_sum(a, b, block)
     assert got == want, (
-        f"leaf walk {got!r} != matrix sum {want!r} for shapes {a.shape} x "
-        f"{b.shape}: numpy {np.__version__} no longer sums a contiguous "
-        "float64 array down the pairwise tree metrics._pairwise_distance_sum "
-        "copies (halves rounded down to a multiple of 8, runs of at most "
-        f"{metrics._PAIRWISE_RUN} unsplit), or cdist's bits depend on "
-        "which rows one call holds")
+        f"pair sum {got!r} != blocked rebuild {want!r} for shapes {a.shape}"
+        f" x {None if b is None else b.shape}: cdist's or pdist's bits "
+        "depend on which rows one call holds, or the block order moved")
+    return got
 
 
 class TestPairwiseDistanceSum:
@@ -225,23 +254,24 @@ class TestPairwiseDistanceSum:
         gen = np.random.default_rng(n + m + d)
         a = gen.normal(size=(n, d))
         b = gen.normal(0.5, 2.0, size=(m, d))
-        assert_matrix_bits(a, b)
-        assert_matrix_bits(b, b)
+        for x, y in ((a, b), (b, None)):
+            exact = fsum_distances(x, x if y is None else y)
+            assert abs(assert_blocked_bits(x, y) - exact) <= 1e-14 * exact
 
     @given(n=st.integers(1, 150), m=st.integers(1, 150),
            d=st.integers(2, 4), block=st.integers(1, 160),
            seed=st.integers(0, 2**32 - 1), ties=st.booleans())
     @settings(max_examples=100, deadline=None)
-    def test_small_leaves_match_matrix_sum(self, n, m, d, block, seed, ties):
-        # _LEAF below numpy's unsplit run: every cut numpy makes becomes a
-        # leaf, so deep trees and leaves that split rows run on small sets
+    def test_small_blocks_match_rebuild(self, n, m, d, block, seed, ties):
+        # small blocks put many block pairs, and ragged last blocks, on
+        # small sets
         gen = np.random.default_rng(seed)
         a, b = gen.normal(size=(n, d)), gen.normal(size=(m, d))
         if ties:
             a, b = np.round(a), np.round(b)
-        with mock.patch.object(metrics, "_LEAF", 64), \
-                mock.patch.object(metrics, "_BLOCK", block):
-            assert_matrix_bits(a, b, block)
+        with mock.patch.object(metrics, "_BLOCK", block):
+            assert_blocked_bits(a, b, block)
+            assert_blocked_bits(a, None, block)
 
     def test_energy_distance_peak_memory(self):
         gen = np.random.default_rng(2)
@@ -256,23 +286,27 @@ class TestPairwiseDistanceSum:
         # one 2000 x 2000 distance matrix alone is 32 MB
         assert peak < 8e6, f"energy_distance peaked at {peak / 1e6:.1f} MB"
 
-    def test_no_cdist_call_exceeds_a_leaf(self, monkeypatch):
+    def test_no_distance_call_exceeds_a_block(self, monkeypatch):
         gen = np.random.default_rng(3)
         a, b = gen.normal(size=(2000, 16)), gen.normal(size=(4000, 16))
-        want = matrix_sum(a, b)
-        shapes = []
-        cdist = distance.cdist
+        want = blocked_sum(a, b), blocked_sum(b)
+        sizes = record_distance_sizes(monkeypatch)
+        got = _pairwise_distance_sum(a, b), _pairwise_distance_sum(b)
+        assert got == want
+        assert sizes
+        assert max(sizes) <= metrics._BLOCK ** 2
 
-        def recording_cdist(x, y):
-            out = cdist(x, y)
-            shapes.append(out.shape)
+
+def record_distance_sizes(monkeypatch) -> list:
+    """Patch ``cdist`` and ``pdist`` to record the size of each result."""
+    sizes = []
+    for name in ("cdist", "pdist"):
+        def recording(*args, _call=getattr(distance, name)):
+            out = _call(*args)
+            sizes.append(out.size)
             return out
-
-        monkeypatch.setattr(distance, "cdist", recording_cdist)
-        assert _pairwise_distance_sum(a, b) == want
-        assert shapes
-        for rows, cols in shapes:
-            assert rows * cols <= metrics._LEAF + 2 * cols, (rows, cols)
+        monkeypatch.setattr(distance, name, recording)
+    return sizes
 
 
 class TestGaussianKlFit:
@@ -380,15 +414,41 @@ class TestQualityReports:
         reference = gen.normal(size=(25, 2))
         pairs = []
         pair_sum = metrics._pairwise_distance_sum
-        monkeypatch.setattr(metrics, "_pairwise_distance_sum",
-                            lambda a, b: pairs.append((a, b)) or pair_sum(a, b))
+        monkeypatch.setattr(
+            metrics, "_pairwise_distance_sum",
+            lambda a, b=None: pairs.append((a, b)) or pair_sum(a, b))
         metrics.quality_reports(xs, target.mean(), target.cov(), reference)
         sorted_reference = metrics._canonical(reference)
-        reference_self = [a is b and np.array_equal(a, sorted_reference)
+        reference_self = [b is None and np.array_equal(a, sorted_reference)
                           for a, b in pairs]
         # a cross and a self term per cell, and one reference self-term
         assert len(pairs) == 2 * len(xs) + 1
         assert sum(reference_self) == 1
+
+    @pytest.mark.parametrize("d", [2, 3, 16])
+    @pytest.mark.parametrize("n", [300, 1100])
+    def test_cell_equal_to_the_reference_scores_zero(self, d, n):
+        gen = np.random.default_rng(10 * n + d + 1)
+        target = single_gaussian(np.zeros(d), np.eye(d))
+        for reference in tied_stack(gen, 3, n, d):
+            xs = np.stack([gen.permutation(reference),
+                           gen.normal(size=(n, d))])
+            equal, other = metrics.quality_reports(
+                xs, target.mean(), target.cov(), reference)
+            assert equal.energy_distance == 0.0
+            assert report_bits(other) == public_report_bits(
+                xs[1], target, reference, kl=False)
+
+    def test_distance_work_is_one_triangle_per_self_term(self, monkeypatch):
+        # a full self matrix, or a self-term summed twice, moves the count
+        gen = np.random.default_rng(22)
+        n = m = 2000
+        target = single_gaussian(np.zeros(16), np.eye(16))
+        xs = gen.normal(size=(1, n, 16))
+        reference = gen.normal(size=(m, 16))
+        sizes = record_distance_sizes(monkeypatch)
+        metrics.quality_reports(xs, target.mean(), target.cov(), reference)
+        assert sum(sizes) == n * m + n * (n - 1) // 2 + m * (m - 1) // 2
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
