@@ -34,7 +34,6 @@ from .dynamics import (
     transition,
     convert_score_model,
     backward_drift,
-    euler_maruyama_forward,
 )
 from .samplers import (
     SamplerConfig,
@@ -45,6 +44,7 @@ from .samplers import (
     step_euler_backward,
     make_time_grid,
     sample,
+    euler_maruyama_forward,
 )
 from .snr_space import (
     SnrPoint,

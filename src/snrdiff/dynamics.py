@@ -18,7 +18,8 @@ runs the process backward; rho = 0 is the deterministic probability flow.
 :func:`forward_coeffs` and :func:`transition` take scalar times, giving
 floats, or arrays, giving arrays whose entries are the scalar calls' bits;
 so the forward simulator and the backward samplers read a grid's
-coefficients as one table.
+coefficients as one table, and one loop in :mod:`snrdiff.samplers` runs
+both directions, the forward simulator included.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
 from .errors import NumericalError
 from .schedule import Schedule, float_or_array
 
@@ -161,55 +161,3 @@ def backward_drift(schedule: Schedule, score_model: ScoreModel, rho: float,
     coeffs = forward_coeffs(schedule, t)
     score = score_model.score(z, *_levels(schedule, t))
     return coeffs.f * z - 0.5 * (1.0 + rho * rho) * coeffs.g ** 2 * score
-
-
-def euler_maruyama_forward(
-    schedule: Schedule,
-    z0,
-    steps: int,
-    seed: int,
-    n_paths: int = 1,
-    zero_noise: bool = False,
-    return_path: bool = False,
-):
-    """Simulate the forward SDE on a uniform time grid over the window.
-
-    ``z0`` broadcasts to (n_paths, D).  Noise comes from a counter-based
-    stream keyed by the seed, one (n_paths, D) block per step, so runs are
-    deterministic given the seed.  ``zero_noise=True`` suppresses the
-    diffusion term (test hook for isolating drift behaviour).
-
-    Returns the final state (n_paths, D), or (times, path) with path of
-    shape (steps + 1, n_paths, D) when ``return_path`` is set.
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    z = np.asarray(z0, dtype=float)
-    if z.ndim == 0:
-        z = z[None]
-    if z.ndim == 1:
-        z = np.broadcast_to(z, (n_paths, z.shape[0]))
-    if z.shape[0] != n_paths:
-        raise ValueError("z0 leading dimension must match n_paths")
-    z = z.copy()  # stepped in place
-
-    times = np.linspace(schedule.t_min, schedule.t_max, steps + 1)
-    dt = np.diff(times)
-    coeffs = forward_coeffs(schedule, times[:-1])
-    noise_scale = coeffs.g * np.sqrt(dt)
-    gen = rng.stream(seed, rng.PURPOSE_FORWARD)
-    path = [z.copy()] if return_path else None
-    tmp, buf = np.empty_like(z), np.empty_like(z)
-    for k in range(steps):
-        np.multiply(coeffs.f[k], z, out=tmp)
-        tmp *= dt[k]
-        z += tmp
-        if not zero_noise:
-            gen.standard_normal(out=buf)
-            buf *= noise_scale[k]
-            z += buf
-        if return_path:
-            path.append(z.copy())
-    if return_path:
-        return times, np.stack(path)
-    return z

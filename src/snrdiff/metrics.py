@@ -252,9 +252,10 @@ def energy_distance(a, b) -> float:
     D = 1 uses the CDF identity ED = 2 * integral (F_a - F_b)^2 dx: a sum of
     nonnegative terms, bitwise symmetric in (a, b), within 2.2e-16 relative
     of an exact rational reference.  D > 1 sums the three pairwise terms
-    with ``cdist`` in the order ``_BLOCK`` fixes, holding at most about
-    _LEAF distances (2 MB) at a time; the bits are those of summing each
-    block's full distance matrix, pinned by ``TestPairwiseDistanceSum``.
+    with :func:`_pairwise_distance_sum`, over _BLOCK x _BLOCK blocks in
+    loop order, holding at most _BLOCK**2 distances (2 MB) at a time; a
+    self-term sums one triangle of blocks, each distinct pair once, and
+    doubles it.  ``TestPairwiseDistanceSum`` pins the bits.
     The terms cancel, so its error scales with E||A-B|| rather than with
     the result (2.1e-14 relative seen on 1-D sets).
 

@@ -5,22 +5,22 @@ generator whose 128-bit key is derived from ``(seed, purpose, *context)``
 by a splitmix64 chain.  Two access patterns are provided:
 
 * :func:`stream` — an ordinary ``numpy.random.Generator`` for routines that
-  consume a single stream sequentially (data sampling, forward simulation,
-  Monte Carlo estimators).  Deterministic given the key material.
+  consume a single stream sequentially (data sampling, Monte Carlo
+  estimators).  Deterministic given the key material.
 
 * :func:`row_normals` — standard-normal draws addressed by *row*, used for
-  per-trajectory noise.  Row ``i`` always reads the same words of the same
-  keyed stream, so any partition of ``[row_start, row_stop)`` into chunks
-  (threads, processes, whatever) reproduces identical values.  A draw of
-  width ``w`` reads the key's stream as one run of 64-bit words, row after
-  row: value ``(i, j)`` is word ``i * w + j``, and normals come from the
-  inverse CDF so that exactly one word feeds one value.  One Philox counter
-  block yields four words, so a draw starts at block ``first // 4``, where
-  ``first = row_start * w``, and skips that block's first ``first % 4``
-  words; no other word goes unused, and a call of ``rows`` rows generates
-  ``ceil((first % 4 + rows * w) / 4)`` blocks.  At widths that are a
-  multiple of 4 each row starts on a block of its own; at other widths
-  rows share blocks.
+  per-trajectory noise, backward and forward.  Row ``i`` always reads the
+  same words of the same keyed stream, so any partition of ``[row_start,
+  row_stop)`` into chunks (threads, processes, whatever) reproduces
+  identical values.  A draw of width ``w`` reads the key's stream as one
+  run of 64-bit words, row after row: value ``(i, j)`` is word
+  ``i * w + j``, and normals come from the inverse CDF so that exactly one
+  word feeds one value.  One Philox counter block yields four words, so a
+  draw starts at block ``first // 4``, where ``first = row_start * w``, and
+  skips that block's first ``first % 4`` words; no other word goes unused,
+  and a call of ``rows`` rows generates ``ceil((first % 4 + rows * w) / 4)``
+  blocks.  At widths that are a multiple of 4 each row starts on a block
+  of its own; at other widths rows share blocks.
 
 A counter-based generator's whole state is its (key, counter) pair, plus
 the buffer of words already drawn from the current block.  So

@@ -1,12 +1,14 @@
-"""Backward-time samplers as one affine coefficient table.
+"""Backward-time samplers and the forward simulator as affine tables.
 
 Every sampler kind moves a state from time ``t`` to an earlier time ``s``
 by z_s = A z_t + B eps_hat(z_t, alpha_t, sigma_t) + C xi with xi ~ N(0, I).
 :func:`_affine_table` builds (A, B, C) for every interval of a time grid
 with one vectorized call per schedule function, and ``at``, each interval's
-(alpha_t, sigma_t), from the same arrays; :func:`sample` runs one loop of
-that update, handing the model ``at[k]``.  The kinds map onto the table as
-follows:
+(alpha_t, sigma_t), from the same arrays.  One loop, :func:`_run_table`,
+runs both directions: :func:`sample` runs a sampler's table through it,
+handing the model ``at[k]``, and :func:`euler_maruyama_forward` the forward
+SDE's Euler-Maruyama table (1 + f dt, no B, g sqrt(dt)), which calls no
+model.  The kinds map onto the table as follows:
 
 * ``generalized``: the exponential integrator, already in eps_hat form,
 
@@ -29,11 +31,11 @@ The public steppers, except :func:`step_kingma`, are one step of the same
 table, the step :func:`sample` takes.  ``step_kingma`` is an independent
 transcription with its own scalar schedule calls, so its agreement with
 ``step_generalized`` at rho = gamma = delta = 1 is a real cross-check of
-the table.  Steppers take
-the noise draw only as the array ``eps``, which a stochastic step needs;
-:func:`sample` addresses noise by (seed, purpose, step, trajectory row), so
-results do not depend on how trajectories are batched or threaded.  The
-refined-grid reference is the ``exact_reference`` kind of :func:`sample`.
+the table.  Steppers take the noise draw only as the array ``eps``, which
+a stochastic step needs; the loop addresses noise by (seed, purpose, step,
+trajectory row), so results do not depend on how trajectories are batched
+or threaded.  The refined-grid reference is the ``exact_reference`` kind
+of :func:`sample`.
 
 :func:`sample` runs a sequence of cells, configs that differ only in
 (rho, gamma, delta), in one pass; a single config is a one-cell sequence.
@@ -41,16 +43,6 @@ The table takes those parameters as (cells, 1, 1, 1) arrays, so the step
 index stays its last axis, and the cells share the grid, every noise draw
 and each score call.  A trajectory is the (steps + 1, n, d) array of states
 on the grid.
-
-``threads`` gives :func:`sample` its thread budget.  A pass with enough
-state values a step splits its rows across workers (:func:`_worker_count`).
-A pass on one worker that injects noise, may use a second thread and core,
-and draws at least _NOISE_GRAIN values a step (:func:`_helper_count`) keeps
-every update on the calling thread and gives one spare thread its step
-noise: the spare thread draws the steps ahead, and the update, when its own
-step is not drawn yet, draws the next unclaimed one itself rather than wait
-(:class:`_StepNoise`).  Every draw covers all rows, so the bits are those of
-the one-thread pass.
 
 On a ``uniform_lambda`` grid between the same lambda endpoints,
 ``generalized``, ``kingma`` and ``non_markovian`` at eta = 0 give the same
@@ -184,9 +176,12 @@ def _refine(grid: np.ndarray, substeps: int) -> np.ndarray:
 
 
 def _affine_step(score: ScoreModel, z, table, k: int, xi=None) -> np.ndarray:
-    """Step k of the table applied to z, with noise draw xi."""
+    """Step k of the table applied to z, with noise draw xi; a table
+    without B calls no model."""
     a, b, c, at = table
-    out = a[..., k] * z + b[..., k] * score.eps(z, *at[k])
+    out = a[..., k] * z
+    if b is not None:
+        out = out + b[..., k] * score.eps(z, *at[k])
     return out if xi is None else out + c[..., k] * xi
 
 
@@ -398,8 +393,9 @@ class _StepNoise:
     its bits are those of the one-thread pass.
     """
 
-    def __init__(self, seed: int, steps: int, n: int, d: int, window: int):
-        self._draw_args = seed, n, d
+    def __init__(self, seed: int, purpose: int, steps: int, n: int, d: int,
+                 window: int):
+        self._draw_args = seed, purpose, n, d
         self._steps, self._window = steps, window
         self._cond = threading.Condition()
         self._claimed = 0  # steps claimed by either thread
@@ -409,8 +405,8 @@ class _StepNoise:
         self._closed = False
 
     def _draw(self, i: int) -> np.ndarray:
-        seed, n, d = self._draw_args
-        return rng.row_normals(seed, rng.PURPOSE_STEP, i, 0, n, d)
+        seed, purpose, n, d = self._draw_args
+        return rng.row_normals(seed, purpose, i, 0, n, d)
 
     def _claim(self):
         """The next unclaimed step inside the window, or None; call with
@@ -466,6 +462,83 @@ class _StepNoise:
             self._cond.notify_all()
 
 
+def _run_table(score, table, z0: np.ndarray, grid, stride: int, seed: int,
+               purpose: int, cells: int = 1, threads: int = 1,
+               trajectories: bool = False, name_cells: bool = False):
+    """Step the (n, d) states z0 through an (A, B, C, at) table holding
+    ``stride`` steps per interval of ``grid``, step i's noise drawn at
+    (seed, ``purpose``, i, row).  Threads and the NumericalError for a
+    non-finite state are as :func:`sample` says; the error names a cell
+    only with ``name_cells``.  Returns the (cells, n, d) final states and,
+    with ``trajectories``, the (len(grid), n, d) states on the grid."""
+    n, d = z0.shape
+    stochastic = table[2] is not None
+    n_steps = (len(grid) - 1) * stride
+    states = np.empty((len(grid), n, d)) if trajectories else None
+    out = np.empty((cells, n, d))
+
+    def run_rows(row_start: int, row_stop: int, noise=None):
+        """Run rows [row_start, row_stop) into ``out``, taking each step's
+        draw from ``noise`` if given, or return their first non-finite state
+        as ((step, [cell,] row), message)."""
+        z = z0[row_start:row_stop]
+        if trajectories:
+            states[0, row_start:row_stop] = z
+        for i in range(n_steps):
+            xi = None
+            if noise is not None:
+                xi = noise.take(i)
+            elif stochastic:
+                xi = rng.row_normals(seed, purpose, i, row_start, row_stop, d)
+            z = _affine_step(score, z, table, i, xi)
+            if (i + 1) % stride:
+                continue
+            k = i // stride
+            if not np.isfinite(z).all():
+                *cell, row, col = np.argwhere(~np.isfinite(z))[0]
+                where = f" of cell {cell[0]}" if name_cells and cell else ""
+                return ((k, *cell, row_start + row),
+                        f"non-finite state at step {k} (t={grid[k]} -> "
+                        f"s={grid[k + 1]}): row {row_start + row}{where} holds "
+                        f"{z[(*cell, row, col)]}")
+            if trajectories:
+                states[k + 1, row_start:row_stop] = z
+        out[:, row_start:row_stop] = z
+        return None
+
+    # one span of rows per worker, or one worker and a spare thread drawing
+    # its noise; each pool thread runs in a copy of the caller's context, so
+    # numpy's errstate (a context variable) holds in the pool
+    threads, cores = int(threads), _usable_cores()
+    workers = _worker_count(threads, cores, cells, n, d)
+    helpers = _helper_count(threads, cores, workers, n * d if stochastic else 0)
+    bounds = np.linspace(0, n, workers + 1).astype(int).tolist()
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    if workers + helpers == 1:
+        failures = [run_rows(*spans[0])]
+    else:
+        failures = []
+        with ThreadPoolExecutor(max_workers=helpers or workers) as pool:
+            if helpers:
+                noise = _StepNoise(seed, purpose, n_steps, n, d,
+                                   max(1, _WINDOW_BYTES // (8 * n * d)))
+                futures = [pool.submit(contextvars.copy_context().run,
+                                       noise.fill)]
+                try:
+                    failures.append(run_rows(0, n, noise))
+                finally:
+                    noise.close()
+            else:
+                futures = [pool.submit(contextvars.copy_context().run,
+                                       run_rows, *span) for span in spans]
+        failures += [future.result() for future in futures]
+    # the earliest (step, cell, row): what one worker over all rows meets
+    failures = [f for f in failures if f is not None]
+    if failures:
+        raise NumericalError(min(failures)[1])
+    return out, states
+
+
 def sample(schedule: Schedule, score: ScoreModel, config, n: int, d: int,
            threads: int = 1, return_trajectories: bool = False):
     """Run the configured backward pass for n trajectories of dimension d.
@@ -509,82 +582,56 @@ def sample(schedule: Schedule, score: ScoreModel, config, n: int, d: int,
         schedule, config.grid_kind, config.steps,
         schedule.t_max if config.t_start is None else config.t_start,
         schedule.t_min if config.t_end is None else config.t_end)
-    n_steps = len(grid) - 1
-    sigma_start = float(schedule.sigma(grid[0]))
     seed = int(config.seed)
+    prior = float(schedule.sigma(grid[0])) * rng.row_normals(
+        seed, rng.PURPOSE_PRIOR, 0, 0, n, d)
 
     # exact_reference: the generalized table on the refined grid, with the
     # draw for refined step i addressed as step i; states stay on the grid
     stride = config.substeps if config.kind == "exact_reference" else 1
-    times = _refine(grid, stride)
-    table = _affine_table(schedule, times, config.kind, eta=config.eta,
-                          **params)
-    stochastic = table[2] is not None
-
-    states = np.empty((n_steps + 1, n, d)) if return_trajectories else None
-    out = np.empty((len(cells), n, d))
-
-    def run_rows(row_start: int, row_stop: int, noise=None):
-        """Run rows [row_start, row_stop) into ``out``, taking each step's
-        draw from ``noise`` if given, or return their first non-finite state
-        as ((step, [cell,] row), message)."""
-        z = sigma_start * rng.row_normals(seed, rng.PURPOSE_PRIOR, 0,
-                                          row_start, row_stop, d)
-        if return_trajectories:
-            states[0, row_start:row_stop] = z
-        for i in range(len(times) - 1):
-            xi = None
-            if noise is not None:
-                xi = noise.take(i)
-            elif stochastic:
-                xi = rng.row_normals(seed, rng.PURPOSE_STEP, i,
-                                     row_start, row_stop, d)
-            z = _affine_step(score, z, table, i, xi)
-            if (i + 1) % stride:
-                continue
-            k = i // stride
-            if not np.isfinite(z).all():
-                *cell, row, col = np.argwhere(~np.isfinite(z))[0]
-                where = "" if single or not cell else f" of cell {cell[0]}"
-                return ((k, *cell, row_start + row),
-                        f"non-finite state at step {k} (t={grid[k]} -> "
-                        f"s={grid[k + 1]}): row {row_start + row}{where} holds "
-                        f"{z[(*cell, row, col)]}")
-            if return_trajectories:
-                states[k + 1, row_start:row_stop] = z
-        out[:, row_start:row_stop] = z
-        return None
-
-    # one span of rows per worker, or one worker and a spare thread drawing
-    # its noise; each pool thread runs in a copy of the caller's context, so
-    # numpy's errstate (a context variable) holds in the pool
-    threads, cores = int(threads), _usable_cores()
-    workers = _worker_count(threads, cores, len(cells), n, d)
-    helpers = _helper_count(threads, cores, workers, n * d if stochastic else 0)
-    bounds = np.linspace(0, n, workers + 1).astype(int).tolist()
-    spans = list(zip(bounds[:-1], bounds[1:]))
-    if workers + helpers == 1:
-        failures = [run_rows(*spans[0])]
-    else:
-        failures = []
-        with ThreadPoolExecutor(max_workers=helpers or workers) as pool:
-            if helpers:
-                noise = _StepNoise(seed, len(times) - 1, n, d,
-                                   max(1, _WINDOW_BYTES // (8 * n * d)))
-                futures = [pool.submit(contextvars.copy_context().run,
-                                       noise.fill)]
-                try:
-                    failures.append(run_rows(0, n, noise))
-                finally:
-                    noise.close()
-            else:
-                futures = [pool.submit(contextvars.copy_context().run,
-                                       run_rows, *span) for span in spans]
-        failures += [future.result() for future in futures]
-    # the earliest (step, cell, row): what one worker over all rows meets
-    failures = [f for f in failures if f is not None]
-    if failures:
-        raise NumericalError(min(failures)[1])
-
+    table = _affine_table(schedule, _refine(grid, stride), config.kind,
+                          eta=config.eta, **params)
+    out, states = _run_table(score, table, prior, grid, stride, seed,
+                             rng.PURPOSE_STEP, len(cells), threads,
+                             return_trajectories, not single)
     x = out[0] if single else out
     return (x, grid, states) if return_trajectories else x
+
+
+def _forward_table(schedule: Schedule, steps: int, zero_noise: bool = False):
+    """The uniform grid over the window and the forward SDE's table on it,
+    (A, B, C) = (1 + f dt, None, g sqrt(dt)), C None with ``zero_noise``."""
+    times = np.linspace(schedule.t_min, schedule.t_max, steps + 1)
+    dt = np.diff(times)
+    sde = forward_coeffs(schedule, times[:-1])
+    return times, (1.0 + sde.f * dt, None,
+                   None if zero_noise else sde.g * np.sqrt(dt), None)
+
+
+def euler_maruyama_forward(schedule: Schedule, z0, steps: int, seed: int,
+                           n_paths: int = 1, zero_noise: bool = False,
+                           return_path: bool = False):
+    """Simulate the forward SDE on a uniform time grid over the window.
+
+    Each step is z <- (1 + f dt) z + g sqrt(dt) xi, run by :func:`sample`'s
+    loop.  ``z0``, of at most two dimensions, broadcasts to (n_paths, D).
+    Noise is addressed by (seed, purpose, step, path row), so a path does
+    not depend on ``n_paths``; a non-finite state raises :func:`sample`'s
+    NumericalError.  ``zero_noise=True`` suppresses the diffusion term
+    (test hook for isolating drift behaviour).
+
+    Returns the final state (n_paths, D), or (times, path) with path of
+    shape (steps + 1, n_paths, D) when ``return_path`` is set.
+    """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    z0 = np.asarray(z0, dtype=float)
+    if z0.ndim > 2:
+        raise ValueError(f"z0 must have at most 2 dimensions, got {z0.shape}")
+    z0 = np.broadcast_to(z0, (n_paths, z0.shape[-1] if z0.ndim else 1))
+    times, table = _forward_table(schedule, steps, zero_noise)
+    out, path = _run_table(None, table, z0, times, 1, int(seed),
+                           rng.PURPOSE_FORWARD, trajectories=return_path)
+    return (times, path) if return_path else out[0]

@@ -44,6 +44,21 @@ def test_03_forward_sde_kernel_consistency():
     _accept(3, verify.check_forward_marginals)
 
 
+def test_forward_check_work_is_bounded(monkeypatch):
+    # the check's cost as work, not wall time: at most 1e8 path-steps
+    # (steps x n_paths) over all its simulations; each runs one step here
+    real = verify.euler_maruyama_forward
+    work = []
+
+    def counted(schedule, z0, steps, seed, n_paths=1, **kwargs):
+        work.append(steps * n_paths)
+        return real(schedule, z0, 1, seed, n_paths=n_paths, **kwargs)
+
+    monkeypatch.setattr(verify, "euler_maruyama_forward", counted)
+    verify.check_forward_marginals()
+    assert work and sum(work) <= 1e8
+
+
 def test_04_asymptotic_recovery():
     _accept(4, verify.check_asymptotic_recovery)
 

@@ -15,26 +15,29 @@ from snrdiff import (
     time_warp,
     transition,
 )
-from snrdiff import rng
+from snrdiff import NumericalError, rng
 from snrdiff.dynamics import ScoreModel, _levels
 
 from conftest import BUILTIN, blended_warp, interior_grid
 
 
 def reference_forward(schedule, z0, steps, seed, n_paths, zero_noise=False):
-    """The per-step loop that the table-driven simulator replaced: a scalar
-    coefficient call and fresh arrays for each step.  Returns the path."""
+    """An independent rebuild of the forward simulator: a scalar coefficient
+    call per step, z <- (1 + f dt) z + g sqrt(dt) xi, with step k's draw
+    read for all rows by ``row_normals(seed, PURPOSE_FORWARD, k, ...)``.
+    Returns the path."""
     z = np.broadcast_to(np.asarray(z0, dtype=float), (n_paths, len(z0)))
     times = np.linspace(schedule.t_min, schedule.t_max, steps + 1)
-    gen = rng.stream(seed, rng.PURPOSE_FORWARD)
     path = [z.copy()]
     for k in range(steps):
         t = float(times[k])
         dt = float(times[k + 1] - times[k])
         coeffs = forward_coeffs(schedule, t)
-        z = z + coeffs.f * z * dt
+        z = (1.0 + coeffs.f * dt) * z
         if not zero_noise:
-            z = z + coeffs.g * np.sqrt(dt) * gen.standard_normal(z.shape)
+            xi = rng.row_normals(seed, rng.PURPOSE_FORWARD, k, 0, n_paths,
+                                 len(z0))
+            z = z + coeffs.g * np.sqrt(dt) * xi
         path.append(z)
     return np.stack(path)
 
@@ -298,6 +301,67 @@ class TestForwardSimulation:
         assert times.shape == (11,)
         assert path.shape == (11, 4, 1)
         assert np.array_equal(path[0], np.ones((4, 1)))
+
+    @pytest.mark.parametrize("z0,n_paths,shape", [
+        (0.5, 3, (3, 1)),
+        ([0.5, -1.0], 3, (3, 2)),
+        ([[0.5, -1.0]], 3, (3, 2)),
+        ([[0.5], [-1.0], [2.0]], 3, (3, 1)),
+        ([[0.5, 1.0], [-1.0, 0.0], [2.0, 3.0]], 3, (3, 2)),
+    ], ids=["scalar", "row", "one_row", "column", "full"])
+    def test_z0_broadcasts_to_the_paths(self, vp, z0, n_paths, shape):
+        z = euler_maruyama_forward(vp, z0, steps=4, seed=2, n_paths=n_paths,
+                                   zero_noise=True)
+        assert z.shape == shape
+        expected = euler_maruyama_forward(
+            vp, np.broadcast_to(np.asarray(z0, float), shape).copy(),
+            steps=4, seed=2, n_paths=n_paths, zero_noise=True)
+        assert_same_bits(z, expected)
+
+    @pytest.mark.parametrize("z0,n_paths,match", [
+        (np.zeros((3, 1, 1)), 3, "z0 must have at most 2 dimensions"),
+        ([1.0], 0, "n_paths must be >= 1"),
+        ([1.0], -1, "n_paths must be >= 1"),
+        (np.zeros((2, 1)), 3, "broadcast"),
+    ], ids=["3-d", "zero_paths", "negative_paths", "wrong_rows"])
+    def test_rejects_inputs_that_do_not_broadcast(self, vp, z0, n_paths,
+                                                  match):
+        with pytest.raises(ValueError, match=match):
+            euler_maruyama_forward(vp, z0, steps=4, seed=2, n_paths=n_paths)
+
+    def test_paths_do_not_depend_on_n_paths(self, vp):
+        z0 = np.array([1.0, -0.5])
+        wide = euler_maruyama_forward(vp, z0, steps=50, seed=5, n_paths=1000)
+        narrow = euler_maruyama_forward(vp, z0, steps=50, seed=5, n_paths=37)
+        assert_same_bits(wide[:37], narrow)
+        _, wide = euler_maruyama_forward(vp, z0, steps=50, seed=5,
+                                         n_paths=1000, return_path=True)
+        _, narrow = euler_maruyama_forward(vp, z0, steps=50, seed=5,
+                                           n_paths=37, return_path=True)
+        assert_same_bits(wide[:, :37], narrow)
+
+    def test_overflow_names_step_interval_and_row(self):
+        # alpha grows, so A = 1 + f dt = 1.1 on every step: row 3 starts at
+        # 1e300 and overflows near step 200, the other rows stay finite
+        growing = make_schedule("Custom", {
+            "alpha": lambda t: np.exp(100.0 * t),
+            "dalpha": lambda t: 100.0 * np.exp(100.0 * t),
+            "sigma": lambda t: np.exp(200.0 * t),
+            "dsigma": lambda t: 200.0 * np.exp(200.0 * t),
+        }, 0.0, 1.0)
+        z0 = np.ones((5, 1))
+        z0[3] = 1e300
+        times = np.linspace(0.0, 1.0, 1001)
+        a = 1.0 + forward_coeffs(growing, times[:-1]).f * np.diff(times)
+        big, step = 1e300, 0
+        while np.isfinite(big := float(a[step]) * big):
+            step += 1
+        message = (rf"^non-finite state at step {step} \(t={times[step]} -> "
+                   rf"s={times[step + 1]}\): row 3 holds inf$")
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericalError, match=message):
+            euler_maruyama_forward(growing, z0, steps=1000, seed=1,
+                                   n_paths=5)
 
     def test_marginal_statistics(self, vp):
         # scaled-down check of the terminal Gaussian law
