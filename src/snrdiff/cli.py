@@ -14,11 +14,10 @@ so the bytes are the same.
 ``sample`` runs one config as a one-cell pass and ``sweep`` runs all its
 cells in one pass.  ``--threads`` (default 1) goes straight to
 :func:`~snrdiff.samplers.sample`, which decides how many worker threads the
-pass splits its rows across; a small pass runs on one.  A one-worker pass
-that injects at least 4096 noise values a step gives a spare thread its
-step noise to draw ahead.  Neither the outputs nor a numerical failure's
-message depend on it.  Only ``sample`` and
-``sweep`` use it; ``info``, ``schedules`` and ``snrspace`` ignore it.
+pass splits its rows across; a small pass runs on the calling thread
+alone.  Neither the outputs nor a numerical failure's message depend on
+it.  Only ``sample`` and ``sweep`` use it; ``info``, ``schedules`` and
+``snrspace`` ignore it.
 ``sample --trajectories`` writes ``trajectories.csv``, one row per (sample,
 grid node), from the pass's (steps + 1, n, d) state array.  Both score
 their cells in one :func:`~snrdiff.metrics.quality_reports` pass.
@@ -461,10 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--threads", type=int, default=1,
                        help="most threads for sample and sweep: workers "
-                            "split a large pass's rows, or a spare thread "
-                            "draws a one-worker pass's step noise ahead; "
-                            "neither outputs nor failure messages change "
-                            "(default: 1)")
+                            "split a large pass's rows; neither outputs "
+                            "nor failure messages change (default: 1)")
         p.add_argument("--schedule",
                        help="built-in schedule name (overrides config)")
 

@@ -118,40 +118,38 @@ def mi_gaussian_closed(S, snr_point: SnrPoint):
     return float_or_array(0.5 * np.sum(np.log1p(snr * evals), axis=-1))
 
 
-def pointwise_mmse_gaussian(S, x, snr_point: SnrPoint, mean=None) -> float:
-    """Closed-form E_{z|x} ||x - E[x|z]||^2 for Gaussian data N(mean, S)."""
+def pointwise_mmse_gaussian(S, x, snr_point: SnrPoint) -> float:
+    """Closed-form E_{z|x} ||x - E[x|z]||^2 for zero-mean Gaussian data
+    N(0, S)."""
     S = _as_matrix(S)
     d = S.shape[0]
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    mu = np.zeros(d) if mean is None else np.atleast_1d(np.asarray(mean, float))
     a, s = snr_point.tilde_alpha, snr_point.tilde_sigma
     C = a * a * S + s * s * np.eye(d)
     R = a * np.linalg.solve(C, S).T  # a S C^{-1}, symmetric since S, C commute
-    bias = (np.eye(d) - a * R) @ (x - mu)
+    bias = (np.eye(d) - a * R) @ x
     return float(bias @ bias + s * s * np.trace(R @ R.T))
 
 
-def kl_gaussian_conditional(S, x, snr_point: SnrPoint, mean=None) -> float:
-    """Closed-form KL(p(z|x) || p(z)) for Gaussian data N(mean, S).
+def kl_gaussian_conditional(S, x, snr_point: SnrPoint) -> float:
+    """Closed-form KL(p(z|x) || p(z)) for zero-mean Gaussian data N(0, S).
 
-    p(z|x) = N(a x, s^2 I) and p(z) = N(a mean, a^2 S + s^2 I) with
+    p(z|x) = N(a x, s^2 I) and p(z) = N(0, a^2 S + s^2 I) with
     a = tilde_alpha, s = tilde_sigma.  Written in the eigenbasis of S as
 
         0.5 sum_j [log(1 + g_j) - g_j/(1 + g_j) + snr w_j^2/(1 + g_j)],
 
-    g_j = snr nu_j, w = Q^T (x - mean), which stays accurate for KL near
+    g_j = snr nu_j, w = Q^T x, which stays accurate for KL near
     zero (very low SNR) where the naive trace/logdet form cancels.
     """
     S = _as_matrix(S)
-    d = S.shape[0]
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    mu = np.zeros(d) if mean is None else np.atleast_1d(np.asarray(mean, float))
     evals, vecs = np.linalg.eigh(S)
     if evals.min() < 0.0:
         raise NumericalError("kl_gaussian_conditional requires S PSD")
     snr = (snr_point.tilde_alpha / snr_point.tilde_sigma) ** 2
     g = snr * evals
-    w = vecs.T @ (x - mu)
+    w = vecs.T @ x
     return float(0.5 * np.sum(np.log1p(g) - g / (1.0 + g)
                               + snr * w * w / (1.0 + g)))
 

@@ -1,3 +1,4 @@
+import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
@@ -87,22 +88,29 @@ def blended_warp(schedule, lin=0.6):
     return warp, dwarp
 
 
+POOL_PREFIX = "sample-pool"
+
+
 @pytest.fixture
 def split_pools(monkeypatch):
     """Let ``sample`` split any pass of two or more rows across up to
     ``threads`` workers, whatever the pass size and the host's cores; the
-    returned list gets the worker count of each pool it starts."""
+    returned list gets the worker count of each pool it starts, whose
+    threads are named with POOL_PREFIX.  Fails the test if a thread it did
+    not find at its start is still running at its end."""
     sizes = []
 
     class Pool(ThreadPoolExecutor):
         def __init__(self, max_workers):
             sizes.append(max_workers)
-            super().__init__(max_workers)
+            super().__init__(max_workers, thread_name_prefix=POOL_PREFIX)
 
     monkeypatch.setattr(samplers, "_GRAIN", 1)
     monkeypatch.setattr(samplers, "_usable_cores", lambda: 64)
     monkeypatch.setattr(samplers, "ThreadPoolExecutor", Pool)
-    return sizes
+    before = set(threading.enumerate())
+    yield sizes
+    assert set(threading.enumerate()) <= before, "a thread outlived the test"
 
 
 class ScalarCalls:

@@ -356,8 +356,9 @@ class TestForwardSimulation:
         big, step = 1e300, 0
         while np.isfinite(big := float(a[step]) * big):
             step += 1
-        message = (rf"^non-finite state at step {step} \(t={times[step]} -> "
-                   rf"s={times[step + 1]}\): row 3 holds inf$")
+        # forward in time: the step runs from the earlier s to the later t
+        message = (rf"^non-finite state at step {step} \(s={times[step]} -> "
+                   rf"t={times[step + 1]}\): row 3 holds inf$")
         with np.errstate(over="ignore"), \
                 pytest.raises(NumericalError, match=message):
             euler_maruyama_forward(growing, z0, steps=1000, seed=1,

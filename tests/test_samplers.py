@@ -1,7 +1,7 @@
 import re
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -36,7 +36,7 @@ from snrdiff.dynamics import ScoreModel, _levels
 from snrdiff.samplers import non_markovian_beta2
 from snrdiff.verify import _deterministic_step
 
-from conftest import BUILTIN, draw_schedule
+from conftest import BUILTIN, POOL_PREFIX, draw_schedule
 
 
 class TestGeneralizedStep:
@@ -437,7 +437,6 @@ class TestSamplerConfig:
 
 
 GRAIN = samplers_mod._GRAIN
-NOISE_GRAIN = samplers_mod._NOISE_GRAIN
 
 
 class TestSampleLoop:
@@ -619,7 +618,7 @@ class TestSampleLoop:
 
 
 # one stochastic config of each kind; exact_reference draws per sub-step
-HELPER_KINDS = {
+SPLIT_KINDS = {
     "generalized": SamplerConfig(rho=1.0, gamma=0.5, delta=0.8, steps=7,
                                  seed=11),
     "kingma": SamplerConfig(kind="kingma", steps=7, seed=11),
@@ -631,27 +630,34 @@ HELPER_KINDS = {
                                      substeps=4, seed=11),
 }
 
+# (config, n, d, threads, usable cores, trajectories) of passes the real
+# rule leaves on one worker: wide stochastic ones, then deterministic ones
+# and ones on a single core
+WIDE = SamplerConfig(steps=4, grid_kind="uniform_t", seed=3)
+ONE_WORKER = {
+    "sample_wide": (WIDE, 10000, 1, 2, 2, False),
+    "sample_wide_all_threads": (WIDE, 10000, 1, 10**5, 2, False),
+    "n4096": (WIDE, 4096, 1, 2, 2, False),
+    "d2_trajectories": (WIDE, 2500, 2, 2, 2, True),
+    "generalized_rho0": (replace(WIDE, rho=0.0), 10000, 1, 2, 2, False),
+    "non_markovian_eta0": (replace(WIDE, kind="non_markovian"), 10000, 1, 2,
+                           2, False),
+    "euler_backward_rho0": (replace(WIDE, kind="euler_backward", rho=0.0),
+                            10000, 1, 2, 2, False),
+    "one_core": (WIDE, 10000, 1, 2, 1, False),
+    "one_core_all_threads": (WIDE, 10000, 1, 10**5, 1, False),
+}
+
 
 def gaussian_model(d):
-    """The oracle of a correlated d-dimensional Gaussian."""
+    """The oracle of a d-dimensional Gaussian, correlated up to d = 2 and
+    diagonal above.  A full covariance's oracle rotates the rows with a
+    BLAS product, and at d = 16 its bits depend on how many rows one call
+    holds, so a row split would move them whatever the sampler does."""
     cov = 0.5 * np.eye(d) + 0.1
+    if d > 2:
+        cov = np.diag(cov)
     return oracle_score_model(single_gaussian(np.linspace(-0.5, 0.5, d), cov))
-
-
-@pytest.fixture
-def pools(monkeypatch):
-    """Give ``sample`` two usable cores; the returned list gets the size of
-    each pool it starts, so 1 is a noise helper and 2 a row split."""
-    sizes = []
-
-    class Pool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers, thread_name_prefix="sample-pool")
-
-    monkeypatch.setattr(samplers_mod, "_usable_cores", lambda: 2)
-    monkeypatch.setattr(samplers_mod, "ThreadPoolExecutor", Pool)
-    return sizes
 
 
 def bounded(*args, **kwargs):
@@ -674,185 +680,139 @@ def bounded(*args, **kwargs):
     return result["value"]
 
 
-@pytest.fixture
-def no_thread_left():
-    """Fail a test that leaves a thread running past its return or raise."""
-    before = set(threading.enumerate())
-    yield
-    assert set(threading.enumerate()) == before
+def row_spans(n, workers):
+    """The (start, stop) rows of each worker of a pass split ``workers``
+    ways, as sample splits them."""
+    bounds = np.linspace(0, n, workers + 1).astype(int).tolist()
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
-class TestNoiseHelper:
-    @pytest.mark.parametrize("threads,cores,workers,values,want", [
-        (2, 2, 1, NOISE_GRAIN, 1),          # a wide one-worker pass
-        (2, 2, 1, 10**4, 1),
-        (10**5, 2, 1, 10**4, 1),            # one helper at most
-        (10**5, 64, 1, 10**9, 1),
-        (2, 2, 1, NOISE_GRAIN - 1, 0),      # below the noise grain
-        (2, 2, 1, 0, 0),                    # a deterministic pass
-        (1, 2, 1, 10**4, 0),                # one thread asked for
-        (0, 2, 1, 10**4, 0),
-        (-1, 2, 1, 10**4, 0),
-        (2, 1, 1, 10**4, 0),                # one usable core
-        (10**5, 1, 1, 10**4, 0),
-        (2, 2, 2, 10**4, 0),                # a row split keeps its split
-        (10**5, 64, 3, 10**9, 0),
-    ])
-    def test_helper_count(self, threads, cores, workers, values, want):
-        before = threading.enumerate()
-        assert samplers_mod._helper_count(threads, cores, workers,
-                                          values) == want
-        assert threading.enumerate() == before
-
-    def test_helper_starts_for_a_wide_stochastic_one_worker_pass(
-            self, vp, unit_score, pools, monkeypatch, no_thread_left):
-        cfg = SamplerConfig(steps=4, grid_kind="uniform_t", seed=3)
-        deterministic = [
-            replace(cfg, rho=0.0), replace(cfg, kind="non_markovian"),
-            replace(cfg, kind="euler_backward", rho=0.0)]
-        runs = [(cfg, 10000, 2, [1]),       # sample_wide's pass
-                (cfg, NOISE_GRAIN, 2, [1]),
-                (cfg, NOISE_GRAIN - 1, 2, []),
-                (cfg, 1000, 2, []),
-                (cfg, 10000, 1, []),
-                (cfg, 10000, 10**5, [1]),
-                *[(c, 10000, 2, []) for c in deterministic],
-                (cfg, 2 * GRAIN, 2, [2])]   # split across rows instead
-        for config, n, threads, want in runs:
-            pools.clear()
-            bounded(vp, unit_score, config, n=n, d=1, threads=threads)
-            assert pools == want, (config.kind, config.rho, n, threads)
-        # one usable core: no helper at any thread count
-        monkeypatch.setattr(samplers_mod, "_usable_cores", lambda: 1)
-        pools.clear()
-        sample(vp, unit_score, cfg, n=10000, d=1, threads=2)
-        assert pools == []
-
-    @pytest.mark.parametrize("window", [1, 2, 7, 64],
-                             ids=lambda w: f"window{w}")
+class TestRowSplit:
+    # 23 rows: every worker count below gives spans of unequal size
+    @pytest.mark.parametrize("workers", [2, 3, 4, 7])
     @pytest.mark.parametrize("d", [1, 2, 16])
-    @pytest.mark.parametrize("kind", list(HELPER_KINDS))
-    def test_helper_pass_is_bitwise_the_one_thread_pass(
-            self, vp, pools, monkeypatch, no_thread_left, kind, d, window):
-        # windows of one step, of a few, one short of the pass and past it
-        config = HELPER_KINDS[kind]
-        n = NOISE_GRAIN // d
-        monkeypatch.setattr(samplers_mod, "_WINDOW_BYTES", 8 * n * d * window)
+    @pytest.mark.parametrize("kind", list(SPLIT_KINDS))
+    def test_split_pass_is_bitwise_the_one_thread_pass(
+            self, vp, split_pools, kind, d, workers):
+        n, config = 23, SPLIT_KINDS[kind]
+        assert len({stop - start for start, stop in row_spans(n, workers)}) > 1
         model = gaussian_model(d)
         serial = sample(vp, model, config, n=n, d=d, threads=1,
                         return_trajectories=True)
-        assert pools == []
-        helped = bounded(vp, model, config, n=n, d=d, threads=2,
-                         return_trajectories=True)
-        assert pools == [1]
-        for a, b in zip(serial, helped):
+        assert split_pools == []
+        split = bounded(vp, model, config, n=n, d=d, threads=workers,
+                        return_trajectories=True)
+        assert split_pools == [workers]
+        for a, b in zip(serial, split):
             assert a.tobytes() == b.tobytes()
 
-    def test_draws_each_step_once_under_fast_switching(
-            self, vp, pools, monkeypatch, no_thread_left):
-        # two threads claiming 300 steps through windows of 1 and 2 steps,
-        # switching as often as the interpreter allows: a step drawn twice
-        # or lost would show in the draw counts or the bits.  A draw of step
-        # j starts only once the update has taken step j - window, so after
-        # it began the score call of step j - window - 1.
-        config = SamplerConfig(steps=300, seed=5)
-        grid = make_time_grid(vp, config.grid_kind, 300, vp.t_max, vp.t_min)
-        step_of = {s: k for k, s in enumerate(vp.sigma(grid).tolist())}
-        scored = [-1]
-        ahead = []
+    @pytest.mark.parametrize("case", list(ONE_WORKER))
+    def test_one_worker_pass_runs_on_the_calling_thread(
+            self, vp, split_pools, monkeypatch, case):
+        # the real grain on ``cores`` usable cores: every draw and score call
+        # is made by the caller, and no thread is started
+        config, n, d, threads, cores, trajectories = ONE_WORKER[case]
+        monkeypatch.setattr(samplers_mod, "_GRAIN", GRAIN)
+        monkeypatch.setattr(samplers_mod, "_usable_cores", lambda: cores)
+        assert samplers_mod._worker_count(threads, cores, 1, n, d) == 1
+        callers = set()
         row_normals = rng.row_normals
+        model = gaussian_model(d)
+
+        def drawn(*args):
+            callers.add(threading.current_thread())
+            return row_normals(*args)
 
         def eps(z, alpha, sigma):
-            scored.append(step_of[sigma])
-            return 0.5 * z
+            callers.add(threading.current_thread())
+            return model.eps(z, alpha, sigma)
 
-        def counted(seed, purpose, context, *rows):
+        monkeypatch.setattr(rng, "row_normals", drawn)
+        before = threading.enumerate()
+        sample(vp, ScoreModel(eps, "eps"), config, n=n, d=d, threads=threads,
+               return_trajectories=trajectories)
+        assert callers == {threading.current_thread()}
+        assert threading.enumerate() == before
+        assert split_pools == []
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("failing", ["first", "last"])
+    @pytest.mark.parametrize("source", ["score", "draw"])
+    def test_failure_in_one_worker_propagates_after_every_join(
+            self, vp, split_pools, monkeypatch, source, failing, workers):
+        # one span's draw or score call raises at step 2; the other workers
+        # wait for that before each step, so the exception reaches the
+        # caller only if it waits for them to run all their steps and end
+        n, steps = 23, 6
+        spans = row_spans(n, workers)
+        bad = spans[0 if failing == "first" else -1][0]
+        failed = threading.Event()
+        worker = threading.local()
+        scored = []
+        row_normals = rng.row_normals
+        model = gaussian_model(1)
+
+        def draw(seed, purpose, step, start, stop, d):
             if purpose == rng.PURPOSE_STEP:
-                ahead.append((context, context - scored[-1]))
-            return row_normals(seed, purpose, context, *rows)
+                worker.start, worker.step = start, step
+                if start != bad:
+                    assert failed.wait(timeout=30)
+                elif source == "draw" and step == 2:
+                    failed.set()
+                    raise RuntimeError(f"draw of step {step} failed")
+            return row_normals(seed, purpose, step, start, stop, d)
 
-        model = ScoreModel(eps, "eps")
-        serial = sample(vp, model, config, n=NOISE_GRAIN, d=1)
-        monkeypatch.setattr(rng, "row_normals", counted)
+        def eps(z, alpha, sigma):
+            if worker.start == bad and source == "score" and worker.step == 2:
+                failed.set()
+                raise ValueError("score of step 2 failed")
+            scored.append(worker.start)
+            return model.eps(z, alpha, sigma)
+
+        monkeypatch.setattr(rng, "row_normals", draw)
+        with pytest.raises((RuntimeError, ValueError),
+                           match=f"{source} of step 2 failed"):
+            bounded(vp, ScoreModel(eps, "eps"), SamplerConfig(steps=steps,
+                                                              seed=2),
+                    n=n, d=1, threads=workers)
+        assert not [thread for thread in threading.enumerate()
+                    if thread.name.startswith(POOL_PREFIX)]
+        assert Counter(scored) == {start: 2 if start == bad else steps
+                                   for start, _ in spans}
+        assert split_pools == [workers]
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_each_worker_draws_each_step_once_under_fast_switching(
+            self, vp, split_pools, monkeypatch, workers):
+        # switching threads as often as the interpreter allows: a step
+        # drawn twice, lost or drawn for another worker's rows would show
+        # in the draws or the bits
+        n, config = 23, SamplerConfig(steps=300, seed=5)
+        model = gaussian_model(1)
+        serial = sample(vp, model, config, n=n, d=1)
+        draws = []
+        row_normals = rng.row_normals
+
+        def drawn(seed, purpose, step, start, stop, d):
+            if purpose == rng.PURPOSE_STEP:
+                draws.append((start, stop, step, threading.current_thread()))
+            return row_normals(seed, purpose, step, start, stop, d)
+
+        monkeypatch.setattr(rng, "row_normals", drawn)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for window in (1, 2):
-                monkeypatch.setattr(samplers_mod, "_WINDOW_BYTES",
-                                    8 * NOISE_GRAIN * window)
-                scored[:], ahead[:] = [-1], []
-                helped = bounded(vp, model, config, n=NOISE_GRAIN, d=1,
-                                 threads=2)
-                assert sorted(step for step, _ in ahead) == list(range(300))
-                assert max(lead for _, lead in ahead) <= window + 1
-                assert helped.tobytes() == serial.tobytes()
+            split = bounded(vp, model, config, n=n, d=1, threads=workers)
         finally:
             sys.setswitchinterval(interval)
-        assert pools == [1, 1]
-
-    def test_non_finite_state_raises_the_one_thread_message(
-            self, vp, pools, no_thread_left):
-        # the largest prior row goes non-finite at step 2
-        n, seed = NOISE_GRAIN, 8
-        prior = rng.row_normals(seed, rng.PURPOSE_PRIOR, 0, 0, n, 1)[:, 0]
-        row = int(np.argmax(prior))
-        config = SamplerConfig(steps=6, seed=seed)
-        grid = make_time_grid(vp, config.grid_kind, 6, vp.t_max, vp.t_min)
-        sigmas = vp.sigma(grid)
-
-        def eps(z, alpha, sigma):
-            bad = np.zeros(z.shape, bool)
-            if sigma == sigmas[2]:
-                bad[..., row, :] = True
-            return np.where(bad, np.nan, 0.5 * z)
-
-        messages = []
-        for threads in (1, 2):
-            with pytest.raises(NumericalError) as err:
-                bounded(vp, ScoreModel(eps, "eps"), config, n=n, d=1,
-                        threads=threads)
-            messages.append(str(err.value))
-        assert messages[0] == messages[1]
-        assert re.match(rf"non-finite state at step 2 .*row {row} holds nan$",
-                        messages[0])
-        assert pools == [1]
-
-    def test_failed_helper_draw_propagates(self, vp, pools, monkeypatch,
-                                           no_thread_left):
-        # the helper's first draw raises; the update's own first draw waits
-        # for it, so the helper does claim a step
-        helper_failed = threading.Event()
-        row_normals = rng.row_normals
-
-        def faulty(seed, purpose, context, *rows):
-            if threading.current_thread().name.startswith("sample-pool"):
-                helper_failed.set()
-                raise RuntimeError(f"draw of step {context} failed")
-            if purpose == rng.PURPOSE_STEP:
-                assert helper_failed.wait(timeout=30)
-            return row_normals(seed, purpose, context, *rows)
-
-        monkeypatch.setattr(rng, "row_normals", faulty)
-        with pytest.raises(RuntimeError, match=r"draw of step \d+ failed"):
-            bounded(vp, gaussian_model(1), SamplerConfig(steps=20, seed=2),
-                    n=NOISE_GRAIN, d=1, threads=2)
-        assert pools == [1]
-
-    def test_failed_update_stops_the_helper(self, vp, pools, no_thread_left):
-        # the score raises at step 3, with the helper drawing steps ahead
-        config = SamplerConfig(steps=40, seed=2)
-        grid = make_time_grid(vp, config.grid_kind, 40, vp.t_max, vp.t_min)
-        sigmas = vp.sigma(grid)
-
-        def eps(z, alpha, sigma):
-            if sigma == sigmas[3]:
-                raise ValueError("score failed")
-            return 0.5 * z
-
-        with pytest.raises(ValueError, match="score failed"):
-            bounded(vp, ScoreModel(eps, "eps"), config, n=NOISE_GRAIN, d=1,
-                    threads=2)
-        assert pools == [1]
+        assert split.tobytes() == serial.tobytes()
+        for span in row_spans(n, workers):
+            own = [draw for draw in draws if draw[:2] == span]
+            assert [step for _, _, step, _ in own] == list(range(300))
+            assert len({thread for *_, thread in own}) == 1
+            assert own[0][3].name.startswith(POOL_PREFIX)
+        assert len(draws) == 300 * workers
+        assert split_pools == [workers]
 
 
 class TestMutationHook:
