@@ -1,22 +1,25 @@
 """Named cross-module invariant checks.
 
 These checks are the one implementation of the package's closed-form
-identities as tests, so every tolerance, grid, sample count and seed lives
-here.  Tier-1 asserts them all: ``tests/test_acceptance.py`` runs the six
-full-level checks and six of the fast ones as its tests 01-10 and 12, and
-``tests/test_cli.py``'s ``TestVerifyCommand::test_fast_level_passes``
-requires all ten fast checks to pass, the only assertion of the other
-four.  ``test_every_check_is_asserted`` fails if a check is not in
-``FULL_CHECKS``, or is full-level only and has no acceptance test.  Some unit
-tests in ``tests/`` still re-derive a check with their own seeds and
-tolerances; CHANGES.md maps each one to the check that covers it.
+identities as tests: every tolerance, grid, sample count and seed lives
+here, and no unit test re-derives one.  Tier-1 asserts that each passes
+(tests 01-10 and 12 of ``tests/test_acceptance.py`` run the six full-level
+checks and six fast ones; ``tests/test_cli.py``'s
+``TestVerifyCommand::test_fast_level_passes`` all ten fast ones), and
+``test_every_check_is_asserted`` fails if a check is not in
+``FULL_CHECKS`` or is full-level only and has no acceptance test.
+``tests/test_verify_power.py`` asserts what each check catches: the checks
+listed for each of its named one-site defects must return ``ok`` False,
+and every check must catch one.
 
 ``run_verify("fast")`` runs the ten exact identities and finite-difference
 checks: 0.2 s, and ``snrdiff verify --level fast`` 0.6 s with its imports,
 on a shared 2-core Xeon.  ``run_verify("full")`` adds the six Monte Carlo
 and convergence studies, 2.2-2.7 s on a 2-core Xeon on which ``fast``
 takes 0.07 s; about 2 s of it is the 100k-path, 1k-step forward simulation
-of ``check_forward_marginals``.
+of ``check_forward_marginals``.  On that host a pytest run of the defect
+table's 45 cases takes 3.5-4.6 s, 2.8-3.1 s of it the one case that runs
+``check_forward_marginals``.
 Each check is independent and reports a one-line detail string with its
 measured numbers, so a failure names exactly what broke.  A NaN anywhere
 fails its check: worst-case errors accumulate with ``np.maximum``, which
@@ -90,10 +93,26 @@ def _close(actual, desired, rtol, atol=0.0) -> bool:
     return bool(np.all(err <= atol + rtol * np.abs(desired)))
 
 
-def _interior_grid(sched, n=200, margin=1e-4):
-    span = sched.t_max - sched.t_min
-    return np.linspace(sched.t_min + margin * span,
-                       sched.t_max - margin * span, n)
+def interior_grid(schedule, n=200, margin=1e-4):
+    """n even times in the window, ``margin`` of its span from each edge."""
+    span = schedule.t_max - schedule.t_min
+    return np.linspace(schedule.t_min + margin * span,
+                       schedule.t_max - margin * span, n)
+
+
+def blended_warp(schedule):
+    """(warp, dwarp): u -> 0.6 u + 0.4 u^2 on the window's fraction u."""
+    lo, hi = schedule.t_min, schedule.t_max
+
+    def warp(t):
+        u = (np.asarray(t, float) - lo) / (hi - lo)
+        return lo + (hi - lo) * (0.6 * u + 0.4 * u * u)
+
+    def dwarp(t):
+        u = (np.asarray(t, float) - lo) / (hi - lo)
+        return 0.6 + 0.8 * u
+
+    return warp, dwarp
 
 
 def _schedules():
@@ -111,7 +130,7 @@ def check_schedule_identities() -> CheckResult:
             lam_err / np.maximum(np.abs(l), 1e-12))))
         worst_sigma = np.maximum(worst_sigma, _rel(s, a * np.exp(-l / 2)))
         cross = 2.0 * (sched.dalpha_dt(ts) / a - sched.dsigma_dt(ts) / s)
-        inner, h = np.concatenate([ts[1:-1], _interior_grid(sched)]), 1e-6
+        inner, h = np.concatenate([ts[1:-1], interior_grid(sched)]), 1e-6
         fd_a = (sched.alpha(inner + h) - sched.alpha(inner - h)) / (2 * h)
         fd_l = (sched.lam(inner + h) - sched.lam(inner - h)) / (2 * h)
         for holds, what in (
@@ -153,7 +172,7 @@ def check_chapman_kolmogorov() -> CheckResult:
 def check_forward_variance_identity() -> CheckResult:
     worst = 0.0
     for sched in _schedules().values():
-        t = _interior_grid(sched)
+        t = interior_grid(sched)
         c = forward_coeffs(sched, t)
         s = sched.sigma(t)
         lhs = c.g ** 2 + 2.0 * c.f * s * s
@@ -255,17 +274,7 @@ def check_lambda_inverse() -> CheckResult:
 
 def check_schedule_equivalence() -> CheckResult:
     vp = make_schedule("VP")
-    lo, hi = vp.t_min, vp.t_max
-
-    def warp(t):
-        u = (np.asarray(t, float) - lo) / (hi - lo)
-        return lo + (hi - lo) * (0.6 * u + 0.4 * u * u)
-
-    def dwarp(t):
-        u = (np.asarray(t, float) - lo) / (hi - lo)
-        return 0.6 + 0.8 * u
-
-    same = equivalence_check(vp, time_warp(vp, warp, dwarp), 200, 1e-10)
+    same = equivalence_check(vp, time_warp(vp, *blended_warp(vp)), 200, 1e-10)
     diff = equivalence_check(vp, make_schedule("VE"), 200, 1e-10)
     return CheckResult(
         "schedule_equivalence", same.equivalent and not diff.equivalent,
@@ -368,13 +377,23 @@ def check_order_of_accuracy() -> CheckResult:
                        + ", ".join(f"{r:.2f}" for r in ratios))
 
 
-def _forward_law(table, m: float, v: float) -> tuple[float, float]:
-    """Mean and variance of one coordinate after every step of a forward
-    (A, None, C) table, from mean m and variance v: m <- A m and
-    v <- A^2 v + C^2, the exact law of the Euler-Maruyama recursion."""
-    a, _, c, _ = table
-    for a_k, c_k in zip(a.tolist(), c.tolist()):
-        m, v = a_k * m, a_k * a_k * v + c_k * c_k
+def affine_law(table, m: float, v: float, mu: float = 0.0,
+               nu: float = 1.0) -> tuple[float, float]:
+    """Mean and variance of z after every step z <- A z + B eps_hat + C xi
+    of an (A, B, C, at) table, from mean m and variance v, under the exact
+    oracle eps_hat = sigma (z - alpha mu) / (alpha^2 nu + sigma^2) of the
+    1-D target N(mu, nu) at levels at[k].  Without B (the forward table)
+    that is m <- A m, v <- A^2 v + C^2."""
+    a, b, c, at = table
+    a, c = a.tolist(), [0.0] * len(a) if c is None else c.tolist()
+    for k, (a_k, c_k) in enumerate(zip(a, c)):
+        shift = 0.0
+        if b is not None:
+            alpha, sigma = at[k]
+            var = alpha * alpha * nu + sigma * sigma
+            shift = b[k] * sigma * alpha * mu / var
+            a_k = a_k + b[k] * sigma / var
+        m, v = a_k * m - shift, a_k * a_k * v + c_k * c_k
     return m, v
 
 
@@ -383,7 +402,7 @@ def check_forward_marginals() -> CheckResult:
     # from z0 = 1 at 1k-8k steps, both gaps first order in the step
     sched = make_schedule("VP")
     kernel = transition(sched, sched.t_min, sched.t_max)
-    laws = [_forward_law(_forward_table(sched, steps)[1], 1.0, 0.0)
+    laws = [affine_law(_forward_table(sched, steps)[1], 1.0, 0.0)
             for steps in (1000, 2000, 4000, 8000)]
     gaps = [(abs(m - kernel.mean_coeff), abs(v - kernel.variance))
             for m, v in laws]

@@ -8,13 +8,14 @@ from hypothesis import settings, strategies as st
 
 from snrdiff import (Schedule, make_schedule, oracle_score_model, samplers,
                      single_gaussian)
+# the check suite's fixtures, shared with the unit tests
+from snrdiff.verify import (BUILTIN_FAMILIES as BUILTIN,  # noqa: F401
+                            blended_warp, interior_grid)
 
 # Property tests draw the same examples on every run.
 settings.register_profile("deterministic", derandomize=True, database=None,
                           deadline=None)
 settings.load_profile("deterministic")
-
-BUILTIN = ("VP", "VE", "iDDPM", "FM_OT")
 
 # Valid parameter ranges for the property tests over schedules.
 FAMILY_PARAMS = {
@@ -65,27 +66,6 @@ def unit_gmm():
 @pytest.fixture
 def unit_score(vp, unit_gmm):
     return oracle_score_model(unit_gmm)
-
-
-def interior_grid(schedule, n=200, margin=1e-4):
-    span = schedule.t_max - schedule.t_min
-    return np.linspace(schedule.t_min + margin * span,
-                       schedule.t_max - margin * span, n)
-
-
-def blended_warp(schedule, lin=0.6):
-    """Endpoint-fixing strictly increasing warp with analytic derivative."""
-    lo, hi = schedule.t_min, schedule.t_max
-
-    def warp(t):
-        u = (np.asarray(t, float) - lo) / (hi - lo)
-        return lo + (hi - lo) * (lin * u + (1.0 - lin) * u * u)
-
-    def dwarp(t):
-        u = (np.asarray(t, float) - lo) / (hi - lo)
-        return lin + 2.0 * (1.0 - lin) * u
-
-    return warp, dwarp
 
 
 POOL_PREFIX = "sample-pool"

@@ -5,10 +5,14 @@ on success).
 Tests 01-10 and 12 assert the invariant checks of ``snrdiff.verify``,
 which ``snrdiff verify --level full`` also runs.  Their tolerances, grids,
 sample counts and seeds live there, in one place, and are fixed, not tuned
-per run.  The fast checks that no test here names are asserted by
+per run; no unit test repeats one.  The fast checks that no test here
+names are asserted by
 ``tests/test_cli.py::TestVerifyCommand::test_fast_level_passes``, and
 ``test_every_check_is_asserted`` fails if any other check is left without
 an ``_accept`` call, or if a check is missing from ``verify.FULL_CHECKS``.
+These tests show that each check passes on the package as it is;
+``tests/test_verify_power.py`` shows that each one fails on the defects it
+is listed for.
 """
 
 import ast
@@ -141,7 +145,7 @@ def test_12_monte_carlo_estimators():
 
 def test_every_check_is_asserted():
     # each check that --level fast does not run must be passed to an
-    # _accept call here, whether or not a unit test repeats it
+    # _accept call here
     tree = ast.parse(Path(__file__).read_text())
     accepted = {getattr(arg, "attr", None) for node in ast.walk(tree)
                 if isinstance(node, ast.Call)

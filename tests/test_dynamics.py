@@ -120,15 +120,6 @@ class TestForwardCoeffs:
         np.testing.assert_allclose(forward_coeffs(vp, 1.0).f, -10.0,
                                    rtol=1e-12)
 
-    def test_variance_identity(self, any_schedule):
-        # g^2 + 2 f sigma^2 == d(sigma^2)/dt
-        for t in interior_grid(any_schedule, 100):
-            c = forward_coeffs(any_schedule, float(t))
-            s = float(any_schedule.sigma(t))
-            ds = float(any_schedule.dsigma_dt(t))
-            np.testing.assert_allclose(c.g ** 2 + 2 * c.f * s * s, 2 * s * ds,
-                                       rtol=1e-9, atol=1e-12)
-
     def test_g_squared_matches_lambda_form(self, any_schedule):
         for t in interior_grid(any_schedule, 50):
             c = forward_coeffs(any_schedule, float(t))
@@ -160,36 +151,6 @@ class TestTransition:
             s, t = np.sort(gen.uniform(any_schedule.t_min,
                                        any_schedule.t_max, 2))
             assert transition(any_schedule, s, t).variance >= 0.0
-
-    def test_chapman_kolmogorov(self, any_schedule):
-        gen = np.random.default_rng(2)
-        for _ in range(100):
-            r, s, t = np.sort(gen.uniform(any_schedule.t_min,
-                                          any_schedule.t_max, 3))
-            k_rt = transition(any_schedule, r, t)
-            k_rs = transition(any_schedule, r, s)
-            k_st = transition(any_schedule, s, t)
-            np.testing.assert_allclose(
-                k_rt.mean_coeff, k_rs.mean_coeff * k_st.mean_coeff, rtol=1e-10
-            )
-            np.testing.assert_allclose(
-                k_rt.variance,
-                k_st.mean_coeff ** 2 * k_rs.variance + k_st.variance,
-                rtol=1e-10, atol=1e-13,
-            )
-
-    def test_small_step_recovers_coeffs(self, vp):
-        # [mean_coeff - 1]/dt -> f and variance/dt -> g^2, first order
-        t = 0.52
-        c = forward_coeffs(vp, t)
-        errs_f, errs_v = [], []
-        for dt in (1e-3, 5e-4, 2.5e-4):
-            k = transition(vp, t, t + dt)
-            errs_f.append(abs((k.mean_coeff - 1.0) / dt - c.f))
-            errs_v.append(abs(k.variance / dt - c.g ** 2))
-        for errs in (errs_f, errs_v):
-            for e0, e1 in zip(errs[:-1], errs[1:]):
-                assert 1.7 <= e0 / e1 <= 2.3
 
 
 class TestScoreModelConversions:
@@ -363,14 +324,3 @@ class TestForwardSimulation:
                 pytest.raises(NumericalError, match=message):
             euler_maruyama_forward(growing, z0, steps=1000, seed=1,
                                    n_paths=5)
-
-    def test_marginal_statistics(self, vp):
-        # scaled-down check of the terminal Gaussian law
-        n = 20000
-        z = euler_maruyama_forward(vp, np.array([1.0]), steps=2000, seed=99,
-                                   n_paths=n)[:, 0]
-        target_mean = float(vp.alpha(vp.t_max))
-        target_var = float(vp.sigma(vp.t_max)) ** 2
-        mc_sigma = z.std(ddof=1) / np.sqrt(n)
-        assert abs(z.mean() - target_mean) < 3 * mc_sigma
-        assert abs(z.var(ddof=1) - target_var) / target_var < 0.02

@@ -184,26 +184,11 @@ class TestSnr:
 
 
 class TestIdentities:
-    def test_lambda_definition(self, any_schedule):
-        ts = np.linspace(any_schedule.t_min, any_schedule.t_max, 1000)
-        a, s, l = (any_schedule.alpha(ts), any_schedule.sigma(ts),
-                   any_schedule.lam(ts))
-        np.testing.assert_allclose(l, np.log(a * a / (s * s)),
-                                   rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(s, a * np.exp(-l / 2), rtol=1e-12)
-
     def test_monotonicity(self, any_schedule):
         ts = np.linspace(any_schedule.t_min, any_schedule.t_max, 1000)
         assert np.all(np.diff(any_schedule.lam(ts)) < 0)
         assert np.all(np.diff(any_schedule.sigma(ts)) > 0)
         assert np.all(any_schedule.dlambda_dt(ts) < 0)
-
-    def test_dlambda_cross_check(self, any_schedule):
-        ts = interior_grid(any_schedule, 500)
-        lhs = any_schedule.dlambda_dt(ts)
-        rhs = 2.0 * (any_schedule.dalpha_dt(ts) / any_schedule.alpha(ts)
-                     - any_schedule.dsigma_dt(ts) / any_schedule.sigma(ts))
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-9)
 
     # Over 300 random schedules per family the largest errors were 1.3e-15
     # (lambda, relative to max(1, |lambda|)) and 7.1e-16 (dlambda/dt,
