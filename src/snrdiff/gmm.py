@@ -227,10 +227,10 @@ def single_gaussian(mean, cov) -> GmmSpec:
 def sample_data(gmm: GmmSpec, n: int, seed: int) -> np.ndarray:
     """Draw n i.i.d. samples, deterministically given the seed.
 
-    Component indices come first from the stream, then one standard-normal
-    vector per sample, so the output is independent of any batching.  Each
-    component transforms its own rows with its Cholesky factor, so the
-    draw holds O(n d) values, not a factor per row.
+    All n component indices come first from the stream, then one
+    standard-normal vector per sample, so ``sample_data(gmm, n, seed)[:m]``
+    is not ``sample_data(gmm, m, seed)`` (ROADMAP item 17).  Each component
+    transforms its rows with its Cholesky factor: the draw holds O(n d).
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -8,7 +8,7 @@ with one vectorized call per schedule function, and ``at``, each interval's
 runs both directions: :func:`sample` runs a sampler's table through it,
 handing the model ``at[k]``, and :func:`euler_maruyama_forward` the forward
 SDE's Euler-Maruyama table (1 + f dt, no B, g sqrt(dt)), which calls no
-model.  The kinds map onto the table as follows:
+model and always draws noise.  The kinds map onto the table as follows:
 
 * ``generalized``: the exponential integrator, already in eps_hat form,
 
@@ -482,27 +482,24 @@ def sample(schedule: Schedule, score: ScoreModel, config, n: int, d: int,
     return (x, grid, states) if return_trajectories else x
 
 
-def _forward_table(schedule: Schedule, steps: int, zero_noise: bool = False):
+def _forward_table(schedule: Schedule, steps: int):
     """The uniform grid over the window and the forward SDE's table on it,
-    (A, B, C) = (1 + f dt, None, g sqrt(dt)), C None with ``zero_noise``."""
+    (A, B, C) = (1 + f dt, None, g sqrt(dt))."""
     times = np.linspace(schedule.t_min, schedule.t_max, steps + 1)
     dt = np.diff(times)
     sde = forward_coeffs(schedule, times[:-1])
-    return times, (1.0 + sde.f * dt, None,
-                   None if zero_noise else sde.g * np.sqrt(dt), None)
+    return times, (1.0 + sde.f * dt, None, sde.g * np.sqrt(dt), None)
 
 
 def euler_maruyama_forward(schedule: Schedule, z0, steps: int, seed: int,
-                           n_paths: int = 1, zero_noise: bool = False,
-                           return_path: bool = False):
+                           n_paths: int = 1, return_path: bool = False):
     """Simulate the forward SDE on a uniform time grid over the window.
 
     Each step is z <- (1 + f dt) z + g sqrt(dt) xi, run by :func:`sample`'s
     loop.  ``z0``, of at most two dimensions, broadcasts to (n_paths, D).
-    Noise is addressed by (seed, purpose, step, path row), so a path does
-    not depend on ``n_paths``; a non-finite state raises :func:`sample`'s
-    NumericalError.  ``zero_noise=True`` suppresses the diffusion term
-    (test hook for isolating drift behaviour).
+    Step k's xi for path row r is drawn at (seed, PURPOSE_FORWARD, k, r), so
+    a path does not depend on ``n_paths``; a non-finite state raises
+    :func:`sample`'s NumericalError.
 
     Returns the final state (n_paths, D), or (times, path) with path of
     shape (steps + 1, n_paths, D) when ``return_path`` is set.
@@ -515,7 +512,7 @@ def euler_maruyama_forward(schedule: Schedule, z0, steps: int, seed: int,
     if z0.ndim > 2:
         raise ValueError(f"z0 must have at most 2 dimensions, got {z0.shape}")
     z0 = np.broadcast_to(z0, (n_paths, z0.shape[-1] if z0.ndim else 1))
-    times, table = _forward_table(schedule, steps, zero_noise)
+    times, table = _forward_table(schedule, steps)
     out, path = _run_table(None, table, z0, times, 1, int(seed),
                            rng.PURPOSE_FORWARD, trajectories=return_path)
     return (times, path) if return_path else out[0]

@@ -13,12 +13,13 @@ listed for each of its named one-site defects must return ``ok`` False,
 and every check must catch one.
 
 ``run_verify("fast")`` runs the ten exact identities and finite-difference
-checks: 0.2 s, and ``snrdiff verify --level fast`` 0.6 s with its imports,
-on a shared 2-core Xeon.  ``run_verify("full")`` adds the six Monte Carlo
-and convergence studies, 2.2-2.7 s on a 2-core Xeon on which ``fast``
-takes 0.07 s; about 2 s of it is the 100k-path, 1k-step forward simulation
-of ``check_forward_marginals``.  On that host a pytest run of the defect
-table's 45 cases takes 3.5-4.6 s, 2.8-3.1 s of it the one case that runs
+checks, one real forward step (drift and diffusion) among them: 0.2 s, and
+``snrdiff verify --level fast`` 0.6 s with its imports, on a shared 2-core
+Xeon.  ``run_verify("full")`` adds the six Monte Carlo and convergence
+studies, 2.2-2.7 s on a 2-core Xeon on which ``fast`` takes 0.07 s; about
+2 s of it is the 100k-path, 1k-step forward simulation of
+``check_forward_marginals``.  On that host a pytest run of the defect
+table's 46 cases takes 3.5-4.6 s, 2.8-3.1 s of it the one case that runs
 ``check_forward_marginals``.
 Each check is independent and reports a one-line detail string with its
 measured numbers, so a failure names exactly what broke.  A NaN anywhere
@@ -33,6 +34,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import rng
 from .dynamics import (
     _levels,
     convert_score_model,
@@ -54,6 +56,7 @@ from .infotheory import (
 from .metrics import moment_report
 from .samplers import (
     SamplerConfig,
+    _affine_table,
     _forward_table,
     euler_maruyama_forward,
     make_time_grid,
@@ -322,16 +325,16 @@ def check_info_derivatives() -> CheckResult:
     )
 
 
-def check_forward_drift_only() -> CheckResult:
+def check_forward_one_step() -> CheckResult:
     sched = make_schedule("VP")
     z0 = np.array([1.0])
-    z = euler_maruyama_forward(sched, z0, steps=1, seed=0, zero_noise=True)
+    z = euler_maruyama_forward(sched, z0, steps=1, seed=0)
     dt = sched.t_max - sched.t_min
-    f0 = forward_coeffs(sched, sched.t_min).f
-    expected = z0 * (1.0 + f0 * dt)
-    err = _rel(z, expected)
-    return CheckResult("forward_drift_only", err <= 1e-12,
-                       f"one-step drift error {err:.2e}")
+    c = forward_coeffs(sched, sched.t_min)
+    xi = rng.row_normals(0, rng.PURPOSE_FORWARD, 0, 0, 1, 1)
+    err = _rel(z, (1.0 + c.f * dt) * z0 + c.g * np.sqrt(dt) * xi)
+    return CheckResult("forward_one_step", err <= 1e-12,
+                       f"one-step drift and noise error {err:.2e}")
 
 
 def check_asymptotic_recovery() -> CheckResult:
@@ -450,36 +453,35 @@ def check_end_to_end_deterministic() -> CheckResult:
     )
 
 
+def ddim_slope(schedule, t: float, s: float) -> float:
+    """dz_s/dz_t of the eta = 0 step under N(0, 1) data's exact denoiser:
+    sigma_s/sigma_t + (alpha_s - sigma_s alpha_t/sigma_t) d x_hat/dz_t."""
+    a_t, a_s = float(schedule.alpha(t)), float(schedule.alpha(s))
+    s_t, s_s = float(schedule.sigma(t)), float(schedule.sigma(s))
+    return s_s / s_t + (a_s - s_s * a_t / s_t) * (a_t / (a_t ** 2 + s_t ** 2))
+
+
 def check_non_markovian_affine() -> CheckResult:
     sched = make_schedule("VP")
     gmm = single_gaussian([0.0], [[1.0]])
     model = oracle_score_model(gmm)
-    # with an exact denoiser the eta = 0 step is z -> coef * z: check the
-    # stepper's coefficient and the variance it carries from t_max to t_min,
-    # which is the data variance 1
     worst, bad = 0.0, []
     for steps, probes in ((50, np.array([[-1.7], [0.3], [2.2]])),
                           (200, np.array([[-2.0], [0.7], [3.1]]))):
         grid = make_time_grid(sched, "uniform_lambda", steps, sched.t_max,
                               sched.t_min)
-        var = float(sched.sigma(sched.t_max)) ** 2
-        for k in range(steps):
-            t, s = float(grid[k]), float(grid[k + 1])
-            a_t, a_s = float(sched.alpha(t)), float(sched.alpha(s))
-            s_t, s_s = float(sched.sigma(t)), float(sched.sigma(s))
-            shrink = a_t / (a_t ** 2 + s_t ** 2)  # d x_hat / d z
-            coef = s_s / s_t + (a_s - s_s * a_t / s_t) * shrink
+        for t, s in zip(grid[:-1].tolist(), grid[1:].tolist()):
             got = step_non_markovian(sched, model, probes, t, s, 0.0)
-            worst = np.maximum(worst,
-                               float(np.max(np.abs(got - coef * probes))))
-            var = coef * coef * var
-        # 50 steps are too coarse to carry it to within 0.05 (they reach 0.91)
-        if steps == 200 and not abs(var - 1.0) < 0.05:
-            bad.append(f"{steps} steps carry variance {var:.4f} to t_min")
+            worst = np.maximum(worst, float(np.max(
+                np.abs(got - ddim_slope(sched, t, s) * probes))))
+    # the 200-step grid's eta = 0 table carries the prior variance to within
+    # 0.05 of the data variance 1 at t_min (50 steps reach 0.91)
+    _, var = affine_law(_affine_table(sched, grid, "non_markovian"), 0.0,
+                        float(sched.sigma(grid[0])) ** 2)
+    if not abs(var - 1.0) < 0.05:
+        bad.append(f"200 steps carry variance {var:.4f} to t_min")
     # on 200 steps, beta^2 stays below sigma^2(s) and eta > 0 costs at most
     # 2x the eta = 0 moment errors
-    grid = make_time_grid(sched, "uniform_lambda", 200, sched.t_max,
-                          sched.t_min)
     errs = {}
     for eta in (0.0, 0.5, 1.0):
         beta2 = non_markovian_beta2(sched, grid[1:], grid[:-1], eta)
@@ -526,7 +528,7 @@ FAST_CHECKS: list[Callable[[], CheckResult]] = [
     check_lambda_inverse,
     check_schedule_equivalence,
     check_info_derivatives,
-    check_forward_drift_only,
+    check_forward_one_step,
 ]
 
 FULL_CHECKS: list[Callable[[], CheckResult]] = FAST_CHECKS + [

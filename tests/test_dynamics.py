@@ -15,13 +15,13 @@ from snrdiff import (
     time_warp,
     transition,
 )
-from snrdiff import NumericalError, rng
+from snrdiff import NumericalError, rng, samplers
 from snrdiff.dynamics import ScoreModel, _levels
 
 from conftest import BUILTIN, blended_warp, interior_grid
 
 
-def reference_forward(schedule, z0, steps, seed, n_paths, zero_noise=False):
+def reference_forward(schedule, z0, steps, seed, n_paths):
     """An independent rebuild of the forward simulator: a scalar coefficient
     call per step, z <- (1 + f dt) z + g sqrt(dt) xi, with step k's draw
     read for all rows by ``row_normals(seed, PURPOSE_FORWARD, k, ...)``.
@@ -33,11 +33,8 @@ def reference_forward(schedule, z0, steps, seed, n_paths, zero_noise=False):
         t = float(times[k])
         dt = float(times[k + 1] - times[k])
         coeffs = forward_coeffs(schedule, t)
-        z = (1.0 + coeffs.f * dt) * z
-        if not zero_noise:
-            xi = rng.row_normals(seed, rng.PURPOSE_FORWARD, k, 0, n_paths,
-                                 len(z0))
-            z = z + coeffs.g * np.sqrt(dt) * xi
+        xi = rng.row_normals(seed, rng.PURPOSE_FORWARD, k, 0, n_paths, len(z0))
+        z = (1.0 + coeffs.f * dt) * z + coeffs.g * np.sqrt(dt) * xi
         path.append(z)
     return np.stack(path)
 
@@ -216,19 +213,18 @@ class TestBackwardDrift:
 
 
 class TestForwardSimulation:
-    @pytest.mark.parametrize("zero_noise", [False, True],
-                             ids=["noise", "zero_noise"])
-    def test_matches_the_per_step_loop_bitwise(self, any_schedule,
-                                               zero_noise):
+    # 200 steps, and the one-step closed form (1 + f dt) z0 + g sqrt(dt) xi
+    # with xi the draw at (seed, PURPOSE_FORWARD, step 0, row)
+    @pytest.mark.parametrize("steps", [200, 1], ids=["noise", "one_step"])
+    def test_matches_the_per_step_loop_bitwise(self, any_schedule, steps):
         z0 = np.array([1.0, -0.5])
-        expected = reference_forward(any_schedule, z0, 200, 13, 1000,
-                                     zero_noise)
-        z = euler_maruyama_forward(any_schedule, z0, steps=200, seed=13,
-                                   n_paths=1000, zero_noise=zero_noise)
+        expected = reference_forward(any_schedule, z0, steps, 13, 1000)
+        z = euler_maruyama_forward(any_schedule, z0, steps=steps, seed=13,
+                                   n_paths=1000)
         assert_same_bits(z, expected[-1])
         times, path = euler_maruyama_forward(
-            any_schedule, z0, steps=200, seed=13, n_paths=1000,
-            zero_noise=zero_noise, return_path=True)
+            any_schedule, z0, steps=steps, seed=13, n_paths=1000,
+            return_path=True)
         assert_same_bits(path, expected)
 
     def test_leaves_the_initial_state_alone(self, vp):
@@ -237,16 +233,19 @@ class TestForwardSimulation:
         assert np.array_equal(z0, np.ones((4, 2)))
 
     def test_single_deterministic_step(self, vp):
-        z = euler_maruyama_forward(vp, np.array([2.0]), steps=1, seed=0,
-                                   zero_noise=True)
+        # the drift part of one step: a path from 0 with the same draw holds
+        # the noise part alone
+        z, noise = (euler_maruyama_forward(vp, np.array([z0]), steps=1,
+                                           seed=0) for z0 in (2.0, 0.0))
         dt = vp.t_max - vp.t_min
         f0 = forward_coeffs(vp, vp.t_min).f
-        np.testing.assert_allclose(z, 2.0 * (1.0 + f0 * dt), rtol=1e-14)
+        np.testing.assert_allclose(z - noise, 2.0 * (1.0 + f0 * dt),
+                                   rtol=1e-14)
 
     def test_ve_drift_contributes_nothing(self, ve):
-        z = euler_maruyama_forward(ve, np.array([1.5]), steps=64, seed=0,
-                                   zero_noise=True)
-        np.testing.assert_array_equal(z, [[1.5]])
+        # A = 1 + f dt is exactly 1 on every step: z <- z + g sqrt(dt) xi
+        _, (a, _, _, _) = samplers._forward_table(ve, 64)
+        np.testing.assert_array_equal(a, np.ones(64))
 
     def test_deterministic_given_seed(self, vp):
         a = euler_maruyama_forward(vp, np.array([1.0]), steps=50, seed=11,
@@ -271,12 +270,11 @@ class TestForwardSimulation:
         ([[0.5, 1.0], [-1.0, 0.0], [2.0, 3.0]], 3, (3, 2)),
     ], ids=["scalar", "row", "one_row", "column", "full"])
     def test_z0_broadcasts_to_the_paths(self, vp, z0, n_paths, shape):
-        z = euler_maruyama_forward(vp, z0, steps=4, seed=2, n_paths=n_paths,
-                                   zero_noise=True)
+        z = euler_maruyama_forward(vp, z0, steps=4, seed=2, n_paths=n_paths)
         assert z.shape == shape
         expected = euler_maruyama_forward(
             vp, np.broadcast_to(np.asarray(z0, float), shape).copy(),
-            steps=4, seed=2, n_paths=n_paths, zero_noise=True)
+            steps=4, seed=2, n_paths=n_paths)
         assert_same_bits(z, expected)
 
     @pytest.mark.parametrize("z0,n_paths,match", [

@@ -33,7 +33,7 @@ from snrdiff import (
 )
 from snrdiff.dynamics import ScoreModel, _levels
 from snrdiff.samplers import non_markovian_beta2
-from snrdiff.verify import affine_law
+from snrdiff.verify import affine_law, ddim_slope
 
 from conftest import BUILTIN, POOL_PREFIX, draw_schedule
 
@@ -164,17 +164,13 @@ class TestNonMarkovianStep:
         probes = np.array([[-2.0], [0.7], [3.1]])
         for k in range(len(grid) - 1):
             t, s = float(grid[k]), float(grid[k + 1])
-            a_t, a_s = float(vp.alpha(t)), float(vp.alpha(s))
-            s_t, s_s = float(vp.sigma(t)), float(vp.sigma(s))
-            shrink = a_t / (a_t ** 2 + s_t ** 2)
-            coef = s_s / s_t + (a_s - s_s * a_t / s_t) * shrink
             got = step_non_markovian(vp, model, probes, t, s, 0.0)
-            np.testing.assert_allclose(got, coef * probes,
+            np.testing.assert_allclose(got, ddim_slope(vp, t, s) * probes,
                                        rtol=1e-10, atol=1e-12)
 
 
 class TestEulerBackward:
-    def test_zero_score_zero_noise(self, vp):
+    def test_zero_score_at_rho_zero(self, vp):
         null = ScoreModel(lambda z, alpha, sigma: np.zeros_like(z), "score")
         z = np.array([[1.1]])
         t, s = 0.8, 0.6
@@ -217,6 +213,11 @@ def reference_run(schedule, model, t, s, substeps, n=1, seed=5, rho=0.0,
     return states[0], x
 
 
+def flow_variance(schedule, u):
+    """alpha(u)^2 + sigma(u)^2, the variance of z_u for N(0, 1) data."""
+    return float(schedule.alpha(u)) ** 2 + float(schedule.sigma(u)) ** 2
+
+
 class TestExactReference:
     def test_single_substep_equals_generalized(self, vp, unit_score):
         t, s, seed = 0.8, 0.5, 5
@@ -244,18 +245,19 @@ class TestExactReference:
         # one sampler-sized interval resolved by 1000 sub-steps
         model = oracle_score_model(unit_gmm)
         t, s = 0.6, 0.58
-        V = lambda u: float(vp.alpha(u)) ** 2 + float(vp.sigma(u)) ** 2
         z, got = reference_run(vp, model, t, s, 1000)
-        np.testing.assert_allclose(got, z * np.sqrt(V(s) / V(t)), rtol=1e-6)
+        np.testing.assert_allclose(
+            got, z * np.sqrt(flow_variance(vp, s) / flow_variance(vp, t)),
+            rtol=1e-6)
 
     def test_long_interval_error_scales_with_substeps(self, vp, unit_gmm):
         model = oracle_score_model(unit_gmm)
         t, s = 0.9, 0.2
-        V = lambda u: float(vp.alpha(u)) ** 2 + float(vp.sigma(u)) ** 2
+        ratio = np.sqrt(flow_variance(vp, s) / flow_variance(vp, t))
         errs = []
         for n in (250, 500, 1000, 2000):
             z, got = reference_run(vp, model, t, s, n)
-            errs.append(abs(got[0, 0] - z[0, 0] * np.sqrt(V(s) / V(t))))
+            errs.append(abs(got[0, 0] - z[0, 0] * ratio))
         # first-order refinement: each doubling roughly halves the error
         for e0, e1 in zip(errs[:-1], errs[1:]):
             assert 1.7 <= e0 / e1 <= 2.3
@@ -495,17 +497,16 @@ class TestSampleLoop:
         # one bad row in the second of two thread chunks: the message names
         # its global row index
         n, seed = 8, 8
-        prior = rng.row_normals(seed, rng.PURPOSE_PRIOR, 0, 0, n, 1)[:, 0]
-        row = int(np.argmax(prior))
-        assert row >= n // 2
-        top = float(vp.sigma(vp.t_max)) * prior[row]
+        row = n - 1
+        state = float(vp.sigma(vp.t_max)) * rng.row_normals(
+            seed, rng.PURPOSE_PRIOR, 0, 0, n, 1)[row, 0]
         cfg = SamplerConfig(kind="generalized", rho=0.0, gamma=0.0, steps=4,
                             seed=seed)
         # step 0's sigma, from the array evaluation the step table makes
         first = vp.sigma(make_time_grid(vp, cfg.grid_kind, cfg.steps, vp.t_max,
                                         vp.t_min))[0]
         one_bad = ScoreModel(
-            lambda z, alpha, sigma: np.where(z >= top, np.nan, -z)
+            lambda z, alpha, sigma: np.where(z == state, np.nan, -z)
             if sigma == first else -z, "score")
         with pytest.raises(NumericalError, match=rf"step 0 .*row {row} holds nan"):
             sample(vp, one_bad, cfg, n=n, d=1, threads=2)
@@ -803,15 +804,13 @@ class TestMutationHook:
 
 def _parent_step(schedule, model, kind, cfg, z, t, s, eps):
     """The per-kind step formulas as written before the coefficient table,
-    kept as the reference the table must reproduce."""
+    kept as the reference the table must reproduce; kingma's is
+    ``step_kingma``, the independent transcription."""
     alpha_t, alpha_s = float(schedule.alpha(t)), float(schedule.alpha(s))
     sigma_t, sigma_s = float(schedule.sigma(t)), float(schedule.sigma(s))
     lam_t, lam_s = float(schedule.lam(t)), float(schedule.lam(s))
     if kind == "kingma":
-        bracket = np.exp(-lam_s) * np.expm1(lam_s - lam_t)
-        mean = (alpha_s / alpha_t) * z - alpha_s * bracket \
-            * np.exp(0.5 * lam_t) * model.eps(z, alpha_t, sigma_t)
-        return mean + alpha_t * np.sqrt(bracket) * (sigma_s / sigma_t) * eps
+        return step_kingma(schedule, model, z, t, s, eps=eps)
     if kind == "non_markovian":
         sigma_s2 = sigma_s ** 2
         beta2 = min(max(float(cfg.eta) ** 2 * (sigma_t ** 2 - sigma_s2), 0.0),
