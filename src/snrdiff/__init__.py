@@ -9,18 +9,14 @@ for trained score networks at desk scale.
 from .errors import ConfigError, NumericalError
 from .schedule import (
     Schedule,
-    SchedulePoint,
     make_schedule,
     schedule_from_dict,
-    eval_schedule,
-    snr,
 )
 from .gmm import (
     GmmSpec,
     gmm_from_dict,
     single_gaussian,
     sample_data,
-    marginal_at,
     exact_score,
     posterior_mean,
     log_marginal_density,

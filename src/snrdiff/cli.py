@@ -15,9 +15,12 @@ so the bytes are the same.
 cells in one pass.  ``--threads`` (default 1) goes straight to
 :func:`~snrdiff.samplers.sample`, which decides how many worker threads the
 pass splits its rows across; a small pass runs on the calling thread
-alone.  Neither the outputs nor a numerical failure's message depend on
-it.  Only ``sample`` and ``sweep`` use it; ``info``, ``schedules`` and
-``snrspace`` ignore it.
+alone.  A numerical failure's message does not depend on it, and at D = 1
+neither do the outputs; at D > 1 the oracle's BLAS products can change the
+last bits of a row with the row count of a call (ROADMAP item 15).  Only
+``sample`` and ``sweep`` use it; ``info`` takes it and ignores it.
+``schedules`` and ``snrspace`` draw nothing and take neither ``--seed`` nor
+``--threads``: argparse rejects them (2).
 ``sample --trajectories`` writes ``trajectories.csv``, one row per (sample,
 grid node), from the pass's (steps + 1, n, d) state array.  Both score
 their cells in one :func:`~snrdiff.metrics.quality_reports` pass.
@@ -81,7 +84,7 @@ from .infotheory import (
 from .metrics import (check_target, energy_distance,  # noqa: F401
                       quality_reports)
 from .samplers import SamplerConfig, sample, sampler_config_from_dict
-from .schedule import Schedule, eval_schedule, make_schedule, schedule_from_dict
+from .schedule import Schedule, make_schedule, schedule_from_dict
 from .snr_space import t_of_lambda, tilde_eval
 
 EXIT_OK = 0
@@ -222,10 +225,9 @@ def _parse_grid(text: str, what: str) -> list[float]:
 def cmd_schedules(args) -> int:
     cfg = _load_config(args.config)
     sched = _resolve_schedule(args, cfg)
-    p = eval_schedule(sched, np.linspace(sched.t_min, sched.t_max,
-                                         _count("--grid", args.grid)))
-    table = np.column_stack([p.t, p.alpha, p.sigma, p.lam, p.dalpha_dt,
-                             p.dlambda_dt])
+    t = np.linspace(sched.t_min, sched.t_max, _count("--grid", args.grid))
+    table = np.column_stack([t, sched.alpha(t), sched.sigma(t), sched.lam(t),
+                             sched.dalpha_dt(t), sched.dlambda_dt(t)])
     out = Path(args.out) / "schedules.csv"
     _write_outputs(out.parent, {out.name: _csv_text(
         ["t", "alpha", "sigma", "lambda", "dalpha_dt", "dlambda_dt"], table)})
@@ -454,19 +456,23 @@ def build_parser() -> argparse.ArgumentParser:
         parser_class=functools.partial(argparse.ArgumentParser,
                                        formatter_class=formatter))
 
-    def common(p):
+    def common(p, seeded=True):
+        # schedules and snrspace draw nothing: no --seed or --threads
         p.add_argument("--config", help="JSON run config")
-        p.add_argument("--seed", type=int, help="seed override")
+        if seeded:
+            p.add_argument("--seed", type=int, help="seed override")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=1,
-                       help="most threads for sample and sweep: workers "
-                            "split a large pass's rows; neither outputs "
-                            "nor failure messages change (default: 1)")
+        if seeded:
+            p.add_argument("--threads", type=int, default=1,
+                           help="most threads for sample and sweep: workers "
+                                "split a large pass's rows; failure messages "
+                                "and D = 1 outputs do not change, D > 1 "
+                                "outputs may in the last bits (default: 1)")
         p.add_argument("--schedule",
                        help="built-in schedule name (overrides config)")
 
     p = sub.add_parser("schedules", help="dump schedule curves to CSV")
-    common(p)
+    common(p, seeded=False)
     p.add_argument("--grid", type=int, default=100)
     p.set_defaults(func=cmd_schedules)
 
@@ -497,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_info)
 
     p = sub.add_parser("snrspace", help="dump lambda-space curves to CSV")
-    common(p)
+    common(p, seeded=False)
     p.add_argument("--grid", type=int, default=100)
     p.set_defaults(func=cmd_snrspace)
 

@@ -247,21 +247,6 @@ def sample_data(gmm: GmmSpec, n: int, seed: int) -> np.ndarray:
     return x
 
 
-def marginal_at(gmm: GmmSpec, schedule: Schedule, t: float) -> GmmSpec:
-    """Exact law of z_t = alpha(t) x + sigma(t) eps for x ~ gmm.
-
-    Component weights are preserved; means scale by alpha and covariances
-    become alpha^2 Sigma_k + sigma^2 I.
-    """
-    a, s = _levels(schedule, t)
-    eye = np.eye(gmm.dim)
-    return GmmSpec(
-        gmm.weights.copy(),
-        a * gmm.means,
-        a * a * gmm.covs + s ** 2 * eye[None],
-    )
-
-
 def _log_norm(gmm: GmmSpec, c: np.ndarray) -> np.ndarray:
     """log(weight_k / sqrt(det(2 pi C_k))) for eigenvalues c of C_k: (K,)
     for c (K, D), (L, K) for a table of levels (L, K, D)."""

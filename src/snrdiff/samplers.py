@@ -33,9 +33,11 @@ transcription with its own scalar schedule calls, so its agreement with
 ``step_generalized`` at rho = gamma = delta = 1 is a real cross-check of
 the table.  Steppers take the noise draw only as the array ``eps``, which
 a stochastic step needs; the loop addresses noise by (seed, purpose, step,
-trajectory row), so results do not depend on how trajectories are batched
-or threaded.  The refined-grid reference is the ``exact_reference`` kind
-of :func:`sample`.
+trajectory row), so no row's noise depends on how trajectories are batched
+or threaded.  At D = 1 the results do not either; at D > 1 an oracle
+score's BLAS products can change a row's last bits with the row count of a
+call (ROADMAP item 15).  The refined-grid reference is the
+``exact_reference`` kind of :func:`sample`.
 
 :func:`sample` runs a sequence of cells, configs that differ only in
 (rho, gamma, delta), in one pass; a single config is a one-cell sequence.
@@ -430,13 +432,15 @@ def sample(schedule: Schedule, score: ScoreModel, config, n: int, d: int,
     """Run the configured backward pass for n trajectories of dimension d.
 
     The prior is z ~ N(0, sigma(t_start)^2 I).  Noise is addressed by
-    (seed, purpose, step, trajectory row), so the returned samples are a
-    pure function of (config, n, d) regardless of ``threads`` or any other
-    batching.  ``threads`` is the most threads the pass may use.  Its rows
-    split across at most one worker per usable core, one per row and one
-    per _GRAIN state values (cells x n x d) a step, so a small pass runs on
-    one: the calling thread, which starts no other.  Every worker started
-    is joined before ``sample`` returns or raises.
+    (seed, purpose, step, trajectory row), so no row's noise depends on
+    ``threads`` or any other batching.  At D = 1 the returned samples do not
+    either; at D > 1 the mixture oracle's BLAS products can change a row's
+    last bits with the row count of a score call, so ``threads`` or n can
+    (ROADMAP item 15).  ``threads`` is the most threads the pass may use.
+    Its rows split across at most one worker per usable core, one per row
+    and one per _GRAIN state values (cells x n x d) a step, so a small pass
+    runs on one: the calling thread, which starts no other.  Every worker
+    started is joined before ``sample`` returns or raises.
     Raises NumericalError, naming the step, its interval and the first
     bad row (and cell) of the pass, whatever ``threads``, if a trajectory
     goes non-finite; a bad window or gamma = -1 is a ConfigError from the

@@ -39,7 +39,6 @@ its float array (or the float validation grid) as it is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -48,19 +47,6 @@ from .errors import ConfigError, finite_real
 
 _VALIDATION_GRID = 1001
 _WINDOW_ATOL = 1e-12
-
-
-@dataclass
-class SchedulePoint:
-    """Schedule values and analytic derivatives at one time (or time grid)."""
-
-    t: float | np.ndarray
-    alpha: float | np.ndarray
-    sigma: float | np.ndarray
-    lam: float | np.ndarray
-    dalpha_dt: float | np.ndarray
-    dsigma_dt: float | np.ndarray
-    dlambda_dt: float | np.ndarray
 
 
 def float_or_array(x):
@@ -421,17 +407,3 @@ def schedule_from_dict(spec: dict) -> Schedule:
         spec.get("t_min"),
         spec.get("t_max"),
     )
-
-
-def eval_schedule(schedule: Schedule, t) -> SchedulePoint:
-    """Evaluate all schedule fields and analytic derivatives at ``t``: a
-    scalar gives a point of floats, an array a point of arrays."""
-    t = schedule._check_t(t)
-    return SchedulePoint(*map(float_or_array, (
-        t, schedule.alpha(t), schedule.sigma(t), schedule.lam(t),
-        schedule.dalpha_dt(t), schedule.dsigma_dt(t), schedule.dlambda_dt(t))))
-
-
-def snr(schedule: Schedule, t):
-    """Signal-to-noise ratio exp(lambda(t)) = alpha^2/sigma^2."""
-    return np.exp(schedule.lam(t))

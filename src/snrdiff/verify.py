@@ -67,10 +67,10 @@ from .samplers import (
     step_kingma,
     step_non_markovian,
 )
-from .schedule import make_schedule
+from .schedule import _FAMILIES, make_schedule
 from .snr_space import equivalence_check, t_of_lambda, tilde_eval, time_warp
 
-BUILTIN_FAMILIES = ("VP", "VE", "iDDPM", "FM_OT")
+BUILTIN_FAMILIES = tuple(_FAMILIES)
 
 
 @dataclass

@@ -256,6 +256,17 @@ def read_rows(path):
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
 
 
+def read_columns(path):
+    """The columns of a CSV file as float arrays: each value is '%.17g'
+    text, which reads back to its float exactly."""
+    _, rows = read_rows(path)
+    return np.array([[float(v) for v in row] for row in rows]).T
+
+
+def assert_same_bits(got, want):
+    assert got.tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
 def per_value_csv_text(header, rows):
     """The per-value formatter ``_csv_text`` replaced: ints through ``str``,
     floats with 17 significant digits."""
@@ -497,6 +508,17 @@ class TestSchedulesCommand:
     def test_unknown_schedule_exits_2(self, tmp_path):
         rc = main(["schedules", "--schedule", "bogus", "--out", str(tmp_path)])
         assert rc == 2
+
+    def test_columns_are_the_schedule_methods(self, tmp_path, any_schedule):
+        s = any_schedule
+        assert main(["schedules", "--schedule", s.name, "--grid", "257",
+                     "--out", str(tmp_path)]) == 0
+        t, *columns = read_columns(tmp_path / "schedules.csv")
+        assert_same_bits(t, np.linspace(s.t_min, s.t_max, 257))
+        for got, method in zip(columns, (s.alpha, s.sigma, s.lam,
+                                         s.dalpha_dt, s.dlambda_dt),
+                               strict=True):
+            assert_same_bits(got, method(t))
 
 
 class TestSampleCommand:
@@ -1074,6 +1096,17 @@ class TestSnrspaceCommand:
             lam, a, s = map(float, r)
             np.testing.assert_allclose(s, a * np.exp(-lam / 2), rtol=1e-9)
 
+    def test_columns_are_the_schedule_at_t_of_lambda(self, tmp_path,
+                                                     any_schedule):
+        s = any_schedule
+        assert main(["snrspace", "--schedule", s.name, "--grid", "257",
+                     "--out", str(tmp_path)]) == 0
+        lams, alpha, sigma = read_columns(tmp_path / "snrspace.csv")
+        assert_same_bits(lams, np.linspace(*s.lambda_range(), 257))
+        t = snr_space.t_of_lambda(s, lams)
+        assert_same_bits(alpha, s.alpha(t))
+        assert_same_bits(sigma, s.sigma(t))
+
 
 class TestVerifyCommand:
     def test_fast_level_passes(self, capsys):
@@ -1198,9 +1231,11 @@ def fuzzed_flags(draw):
                   "--mc-n", str(draw(sizes([100, 150], [-1, 0, 99])))]
         if draw(st.booleans()):
             flags.append("--kong")
-    if draw(st.booleans()):
+    # schedules and snrspace draw nothing and take neither --threads nor --seed
+    seeded = command not in ("schedules", "snrspace")
+    if seeded and draw(st.booleans()):
         flags += ["--threads", str(draw(st.sampled_from([-1, 0, 1, 2])))]
-    if draw(st.booleans()):
+    if seeded and draw(st.booleans()):
         flags += ["--seed", str(draw(st.sampled_from([-5, 0, 3, 2**70])))]
     if draw(st.booleans()):
         flags += ["--schedule", draw(mostly(["VP", "FM_OT"], ["bogus"]))]
@@ -1327,6 +1362,8 @@ def huge_size_runs(draw):
                 cfg["sampler"]["kind"] = "exact_reference"
     if flags[0] == "sample" and draw(st.booleans()):
         flags.append("--trajectories")
+    if option == "--grid":  # schedules and snrspace take no --threads
+        return cfg, flags
     return cfg, flags + ["--threads", str(draw(st.sampled_from([1, 2])))]
 
 
@@ -1454,6 +1491,26 @@ def test_help_is_argparse_default_help(monkeypatch, capsys, columns):
         # argparse's own formatter asks the terminal on every use
         parser.formatter_class = argparse.HelpFormatter
         assert got == parser.format_help(), command
+
+
+@pytest.mark.parametrize("command", ["schedules", "snrspace"])
+@pytest.mark.parametrize("flag", ["--seed", "--threads"])
+def test_commands_that_draw_nothing_reject_seed_and_threads(tmp_path, capsys,
+                                                             command, flag):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, flag, "1", "--out", str(tmp_path)])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["sample", "sweep", "info"])
+def test_drawing_commands_take_seed_and_threads_in_place(command):
+    parser = all_parsers(cli.build_parser())[command]
+    args = parser.parse_args(["--seed", "3", "--threads", "2"])
+    assert (args.seed, args.threads) == (3, 2)
+    assert [a.option_strings[0] for a in parser._actions[:6]] == [
+        "-h", "--config", "--seed", "--out", "--threads", "--schedule"]
 
 
 def test_build_parser_asks_the_terminal_once(monkeypatch):

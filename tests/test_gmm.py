@@ -15,7 +15,6 @@ from snrdiff import (
     gmm_from_dict,
     log_marginal_density,
     make_schedule,
-    marginal_at,
     posterior_mean,
     sample_data,
     single_gaussian,
@@ -154,38 +153,39 @@ class TestSampleDataByComponent:
         assert peak <= 8 * n * 6 * d, peak
 
 
+def noisy_level(gmm, schedule, t):
+    """``gmm._level`` at time t: the means a m and the eigenvalues
+    c = a^2 nu + s^2 of the covariances a^2 Sigma_k + s^2 I of the law of
+    z_t = alpha(t) x + sigma(t) eps, whose eigenvectors are the data's."""
+    a, s = float(schedule.alpha(t)), float(schedule.sigma(t))
+    return gmm_module._level(gmm, a, s ** 2)
+
+
 class TestMarginal:
     def test_near_identity_channel(self, gmm_2d):
         # alpha = 1 and sigma = 1e-8 at t = 0 for a tiny-noise VE
         sched = make_schedule("VE", params={"sigma_min": 1e-8, "sigma_max": 50})
-        noisy = marginal_at(gmm_2d, sched, 0.0)
-        np.testing.assert_allclose(noisy.means, gmm_2d.means, rtol=1e-14)
-        np.testing.assert_allclose(noisy.covs, gmm_2d.covs, atol=1e-15)
+        level = noisy_level(gmm_2d, sched, 0.0)
+        np.testing.assert_allclose(level.m, gmm_2d.means, rtol=1e-14)
+        np.testing.assert_allclose(level.c, gmm_2d._evals, atol=1e-15)
 
     def test_fm_ot_midpoint(self):
         sched = make_schedule("FM_OT")
-        noisy = marginal_at(single_gaussian([0.0], [[1.0]]), sched, 0.5)
-        np.testing.assert_allclose(noisy.covs[0], [[0.5]], rtol=1e-12)
-
-    def test_weights_preserved(self, gmm_2d, any_schedule):
-        t = 0.5 * (any_schedule.t_min + any_schedule.t_max)
-        noisy = marginal_at(gmm_2d, any_schedule, t)
-        assert np.array_equal(noisy.weights, gmm_2d.weights)
+        level = noisy_level(single_gaussian([0.0], [[1.0]]), sched, 0.5)
+        np.testing.assert_allclose(level.c, [[0.5]], rtol=1e-12)
 
     def test_composes_with_transition_kernel(self, gmm_2d, any_schedule):
         lo, hi = any_schedule.t_min, any_schedule.t_max
         s = lo + 0.3 * (hi - lo)
         t = lo + 0.8 * (hi - lo)
-        direct = marginal_at(gmm_2d, any_schedule, t)
-        at_s = marginal_at(gmm_2d, any_schedule, s)
+        direct = noisy_level(gmm_2d, any_schedule, t)
+        at_s = noisy_level(gmm_2d, any_schedule, s)
         k = transition(any_schedule, s, t)
-        pushed_means = k.mean_coeff * at_s.means
-        pushed_covs = k.mean_coeff ** 2 * at_s.covs \
-            + k.variance * np.eye(gmm_2d.dim)[None]
-        np.testing.assert_allclose(direct.means, pushed_means,
+        np.testing.assert_allclose(direct.m, k.mean_coeff * at_s.m,
                                    rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(direct.covs, pushed_covs,
-                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(
+            direct.c, k.mean_coeff ** 2 * at_s.c + k.variance,
+            rtol=1e-12, atol=1e-12)
 
 
 class TestScore:

@@ -10,14 +10,12 @@ from snrdiff import (
     ConfigError,
     SamplerConfig,
     euler_maruyama_forward,
-    eval_schedule,
     make_schedule,
     make_time_grid,
     oracle_score_model,
     sample,
     schedule_from_dict,
     single_gaussian,
-    snr,
     t_of_lambda,
     time_warp,
 )
@@ -100,39 +98,38 @@ class TestConstruction:
         assert float(s.dlambda_dt(0.5)) < 0
 
 
+METHODS = ("alpha", "sigma", "lam", "dalpha_dt", "dsigma_dt", "dlambda_dt")
+
+
 class TestPointValues:
     def test_fm_ot_midpoint(self, fm_ot):
-        p = eval_schedule(fm_ot, 0.5)
-        assert p.alpha == 0.5
-        assert p.sigma == 0.5
-        assert p.lam == 0.0
+        assert fm_ot.alpha(0.5) == 0.5
+        assert fm_ot.sigma(0.5) == 0.5
+        assert fm_ot.lam(0.5) == 0.0
 
     def test_ve_at_zero(self, ve):
-        p = eval_schedule(ve, 0.0)
-        assert p.alpha == 1.0
-        np.testing.assert_allclose(p.sigma, 0.01, rtol=1e-15)
-        np.testing.assert_allclose(p.lam, VE_LAMBDA_AT_0, rtol=1e-14)
+        assert ve.alpha(0.0) == 1.0
+        np.testing.assert_allclose(ve.sigma(0.0), 0.01, rtol=1e-15)
+        np.testing.assert_allclose(ve.lam(0.0), VE_LAMBDA_AT_0, rtol=1e-14)
 
     def test_vp_log_derivative_at_one(self, vp):
         # d(log alpha)/dt at t=1 is -(beta_d + beta_min)/2 = -10
-        p = eval_schedule(vp, 1.0)
-        np.testing.assert_allclose(p.dalpha_dt / p.alpha, -10.0, rtol=1e-12)
+        np.testing.assert_allclose(vp.dalpha_dt(1.0) / vp.alpha(1.0), -10.0,
+                                   rtol=1e-12)
 
     def test_eval_outside_window(self, vp):
-        with pytest.raises(ValueError):
-            eval_schedule(vp, 1.5)
-        with pytest.raises(ValueError):
-            eval_schedule(vp, 1e-5)
+        for method in METHODS:
+            for t in (1.5, 1e-5):
+                with pytest.raises(ValueError):
+                    getattr(vp, method)(t)
 
     def test_eval_vectorized_matches_scalar(self, any_schedule):
         ts = interior_grid(any_schedule, 7)
-        batch = eval_schedule(any_schedule, ts)
-        for i, t in enumerate(ts):
-            one = eval_schedule(any_schedule, float(t))
-            for f in ("t", "alpha", "sigma", "lam", "dalpha_dt", "dsigma_dt",
-                      "dlambda_dt"):
-                assert type(getattr(one, f)) is float
-                assert getattr(batch, f)[i] == getattr(one, f)
+        for method in METHODS:
+            fn = getattr(any_schedule, method)
+            batch = fn(ts)
+            for i, t in enumerate(ts):
+                assert batch[i] == fn(float(t)), (method, t)
 
 
 def inside_window(schedule, t) -> bool:
@@ -167,20 +164,6 @@ class TestWindowCheck:
             and t.dtype == float
         assert vp._check_t(np.array([0.5])).shape == (1,)
         assert np.isnan(vp.alpha(float("nan")))
-
-
-class TestSnr:
-    def test_fm_ot_midpoint(self, fm_ot):
-        assert snr(fm_ot, 0.5) == 1.0
-
-    def test_ve_at_one(self, ve):
-        # alpha = 1 and sigma(1) = sigma_max = 50, so snr = 1/2500
-        np.testing.assert_allclose(snr(ve, 1.0), 4e-4, rtol=1e-12)
-
-    def test_snr_is_exp_lambda(self, any_schedule):
-        ts = np.linspace(any_schedule.t_min, any_schedule.t_max, 50)
-        assert np.array_equal(snr(any_schedule, ts),
-                              np.exp(any_schedule.lam(ts)))
 
 
 class TestIdentities:
@@ -273,11 +256,9 @@ class TestCustomResults:
         custom = ve_as_custom()
         ts = np.linspace(0.0, 1.0, 33)
         for t in (ts, 0.25):
-            got, want = eval_schedule(custom, t), eval_schedule(ve, t)
-            for f in ("t", "alpha", "sigma", "lam", "dalpha_dt",
-                      "dsigma_dt", "dlambda_dt"):
-                assert type(getattr(got, f)) is type(getattr(want, f)), f
-                np.testing.assert_allclose(getattr(got, f), getattr(want, f),
+            for f in METHODS:
+                np.testing.assert_allclose(getattr(custom, f)(t),
+                                           getattr(ve, f)(t),
                                            rtol=0.0, atol=1e-12, err_msg=f)
         np.testing.assert_allclose(
             euler_maruyama_forward(custom, 0.3, 50, 2, n_paths=20),
@@ -334,13 +315,10 @@ class TestScheduleContract:
             recording(s.params["inner"], seen)
         lo, hi = s.t_min, s.t_max
         mid = 0.5 * (lo + hi)
-        for method in ("alpha", "sigma", "lam", "dalpha_dt", "dsigma_dt",
-                       "dlambda_dt"):
+        for method in METHODS:
             for t in (mid, np.array(mid), [lo, mid, hi],
                       np.linspace(lo, hi, 4)):
                 getattr(s, method)(t)
-        eval_schedule(s, mid)
-        eval_schedule(s, np.linspace(lo, hi, 3))
         lam_lo, lam_hi = s.lambda_range()
         t_of_lambda(s, 0.5 * (lam_lo + lam_hi))
         t_of_lambda(s, np.linspace(lam_lo, lam_hi, 5))
